@@ -1,14 +1,18 @@
 // memtier-style load generator for `dfv serve`: start an in-process
 // sharded server, hammer it with closed-loop client threads over real
 // loopback TCP, and report aggregate QPS plus p50/p99/p999 latency for
-// the two serving hot paths (run lookup and point forecast).
+// the two serving hot paths (run lookup and point forecast), then for
+// lookups through a fault-injecting proxy.
 //
 //   bench_serve [--shards N] [--clients N] [--seconds S] [--json PATH]
 //
 // Each client owns one connection with strict request/response
 // alternation (exactly the protocol contract), so QPS scales with the
 // client count and the latency numbers are honest per-request round
-// trips. scripts/bench.sh serve merges the JSON into BENCH_serve.json.
+// trips. Every request is valid for its dataset (forecast windows fit
+// m + k <= steps), so any ErrorResponse in a timed phase fails the run
+// with exit code 1. scripts/bench.sh serve merges the JSON into
+// BENCH_serve.json.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -21,7 +25,9 @@
 #include <vector>
 
 #include "api/session.hpp"
+#include "api/wire.hpp"
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
@@ -38,9 +44,39 @@ struct Options {
   std::string json_path;
 };
 
+/// One served dataset and the forecast window its runs can fit.
+struct DatasetShape {
+  std::string app;
+  int nodes = 0;
+  std::uint32_t runs = 0;
+  int steps = 0;
+  analysis::WindowConfig window;
+};
+
+/// A forecast window that fits a run of `steps` steps (m + k <= steps).
+analysis::WindowConfig window_for(int steps) {
+  if (steps >= 30) return {10, 20, analysis::FeatureSet::App};
+  if (steps >= 8) return {3, 5, analysis::FeatureSet::App};
+  return {3, std::max(1, steps - 3), analysis::FeatureSet::App};
+}
+
+std::vector<DatasetShape> shapes_of(const sim::CampaignResult& c) {
+  std::vector<DatasetShape> out;
+  for (const sim::Dataset& ds : c.datasets) {
+    const int steps = ds.steps_per_run();
+    DFV_CHECK_MSG(steps >= 4, "bench_serve: dataset " << ds.spec.label()
+                                                      << " is too short to forecast");
+    out.push_back({ds.spec.app, ds.spec.nodes, std::uint32_t(ds.num_runs()), steps,
+                   window_for(steps)});
+  }
+  return out;
+}
+
 struct PhaseResult {
   std::string name;
   std::uint64_t requests = 0;
+  std::uint64_t errors = 0;  ///< ErrorResponse payloads in the timed window
+  std::string first_error;
   double elapsed_s = 0.0;
   double qps = 0.0;
   double p50_us = 0.0;
@@ -56,44 +92,56 @@ double percentile(std::vector<double>& sorted_us, double q) {
   return sorted_us[idx];
 }
 
-/// The request each client issues on iteration `i`: a rotation over run
-/// indices so all shards see traffic (and no RNG, per the determinism
+/// The requests each client issues on iteration `i`: a rotation over
+/// datasets, runs and window positions (no RNG, per the determinism
 /// conventions — the load pattern is identical run to run).
-api::Request lookup_request(std::uint64_t i) {
-  return api::RunLookupRequest{}
-      .app(i % 2 ? "UMT" : "MILC")
-      .nodes(128)
-      .run(std::uint32_t(i % 8));
-}
+class RequestRotation {
+ public:
+  explicit RequestRotation(std::vector<DatasetShape> shapes) : shapes_(std::move(shapes)) {}
 
-api::Request forecast_request(std::uint64_t i) {
-  return api::ForecastRequest{}
-      .app(i % 2 ? "UMT" : "MILC")
-      .nodes(128)
-      .run(std::uint32_t(i % 8))
-      .center(10 + int(i % 20))
-      .m(10)
-      .k(20);
-}
+  [[nodiscard]] api::Request lookup(std::uint64_t i) const {
+    const DatasetShape& d = shapes_[i % shapes_.size()];
+    return api::RunLookupRequest{}.app(d.app).nodes(d.nodes).run(
+        std::uint32_t(i % d.runs));
+  }
 
-template <typename MakeReq>
-PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t port,
+  [[nodiscard]] api::Request forecast(std::uint64_t i) const {
+    const DatasetShape& d = shapes_[i % shapes_.size()];
+    const auto centers = std::uint64_t(d.steps - d.window.k - d.window.m + 1);
+    return api::ForecastRequest{}
+        .app(d.app)
+        .nodes(d.nodes)
+        .run(std::uint32_t(i % d.runs))
+        .center(d.window.m + int(i % centers))
+        .m(d.window.m)
+        .k(d.window.k)
+        .features(d.window.features);
+  }
+
+ private:
+  std::vector<DatasetShape> shapes_;
+};
+
+/// One closed-loop phase: `open_client(c)` opens client c's connection (a
+/// serve::Client or RetryClient), `make_req(i)` is its i-th request.
+template <typename Open, typename MakeReq>
+PhaseResult run_phase(const std::string& name, const Options& opt, Open open_client,
                       MakeReq make_req) {
-  DFV_CHECK_MSG(opt.clients >= 1, "bench_serve needs at least one client");
   std::atomic<bool> go{false};
   std::atomic<bool> halt{false};
   std::vector<std::vector<double>> latencies(std::size_t(opt.clients));
+  std::vector<std::uint64_t> errors(std::size_t(opt.clients), 0);
+  std::vector<std::string> first_errors(std::size_t(opt.clients));
   std::vector<std::thread> threads;
   threads.reserve(std::size_t(opt.clients));
 
   for (int c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
-      serve::Client client;
-      DFV_CHECK_MSG(client.connect(port) == std::nullopt, "bench_serve: handshake failed");
+      auto client = open_client(c);
       // Warmup outside the timed window: touch every key in the rotation
-      // so shard-resident models are trained before measurement.
+      // so the shared models are trained before measurement.
       for (std::uint64_t i = 0; i < 16; ++i)
-        (void)client.call(make_req(i * std::uint64_t(opt.clients) + std::uint64_t(c)));
+        (void)client.call_raw(make_req(i * std::uint64_t(opt.clients) + std::uint64_t(c)));
       auto& lat = latencies[std::size_t(c)];
       lat.reserve(1u << 16);
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -103,8 +151,11 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
         const auto t0 = std::chrono::steady_clock::now();
         const std::string raw = client.call_raw(req);
         const auto t1 = std::chrono::steady_clock::now();
-        DFV_CHECK_MSG(!raw.empty(), "bench_serve: empty response payload");
         lat.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+        const api::Response resp = api::decode_response(raw);
+        if (const auto* err = std::get_if<api::ErrorResponse>(&resp)) {
+          if (errors[std::size_t(c)]++ == 0) first_errors[std::size_t(c)] = err->message;
+        }
       }
     });
   }
@@ -124,66 +175,10 @@ PhaseResult run_phase(const std::string& name, const Options& opt, std::uint16_t
   PhaseResult r;
   r.name = name;
   r.requests = all.size();
-  r.elapsed_s = elapsed;
-  r.qps = elapsed > 0.0 ? double(all.size()) / elapsed : 0.0;
-  r.p50_us = percentile(all, 0.50);
-  r.p99_us = percentile(all, 0.99);
-  r.p999_us = percentile(all, 0.999);
-  return r;
-}
-
-/// Degraded mode: the same closed-loop lookup workload, but through a
-/// seeded chaos proxy (5% of event points delay, 1% hard-disconnect)
-/// with the retrying client absorbing the faults. The latency numbers
-/// therefore include reconnects and backoff sleeps — that is the point:
-/// this phase tracks what a caller experiences when the network
-/// misbehaves, and BENCH_serve.json keeps it honest release to release.
-PhaseResult run_degraded_phase(const Options& opt, std::uint16_t proxy_port) {
-  DFV_CHECK_MSG(opt.clients >= 1, "bench_serve needs at least one client");
-  std::atomic<bool> go{false};
-  std::atomic<bool> halt{false};
-  std::vector<std::vector<double>> latencies(std::size_t(opt.clients));
-  std::vector<std::thread> threads;
-  threads.reserve(std::size_t(opt.clients));
-
-  for (int c = 0; c < opt.clients; ++c) {
-    threads.emplace_back([&, c] {
-      serve::RetryPolicy policy;
-      policy.timeout_ms = 5000;
-      policy.jitter_seed = 0x9e3779b9u + std::uint32_t(c);  // distinct backoff streams
-      serve::RetryClient client(proxy_port, policy);
-      for (std::uint64_t i = 0; i < 16; ++i)
-        (void)client.call(lookup_request(i * std::uint64_t(opt.clients) + std::uint64_t(c)));
-      auto& lat = latencies[std::size_t(c)];
-      lat.reserve(1u << 16);
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      std::uint64_t i = std::uint64_t(c);
-      while (!halt.load(std::memory_order_relaxed)) {
-        const api::Request req = lookup_request(i++);
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::string raw = client.call_raw(req);
-        const auto t1 = std::chrono::steady_clock::now();
-        DFV_CHECK_MSG(!raw.empty(), "bench_serve: empty response payload");
-        lat.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
-      }
-    });
+  for (std::size_t c = 0; c < errors.size(); ++c) {
+    if (r.errors == 0 && errors[c] > 0) r.first_error = first_errors[c];
+    r.errors += errors[c];
   }
-
-  const auto t0 = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(std::chrono::duration<double>(opt.seconds));
-  halt.store(true, std::memory_order_relaxed);
-  for (auto& t : threads) t.join();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  std::vector<double> all;
-  for (const auto& lat : latencies) all.insert(all.end(), lat.begin(), lat.end());
-  std::sort(all.begin(), all.end());
-
-  PhaseResult r;
-  r.name = "degraded_lookup";
-  r.requests = all.size();
   r.elapsed_s = elapsed;
   r.qps = elapsed > 0.0 ? double(all.size()) / elapsed : 0.0;
   r.p50_us = percentile(all, 0.50);
@@ -219,47 +214,41 @@ void write_json(const std::string& path, const Options& opt,
   out << "\n}\n";
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      DFV_CHECK_MSG(i + 1 < argc, "bench_serve: " << arg << " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--shards") opt.shards = std::stoi(next());
-    else if (arg == "--clients") opt.clients = std::stoi(next());
-    else if (arg == "--seconds") opt.seconds = std::stod(next());
-    else if (arg == "--json") opt.json_path = next();
-    else DFV_CHECK_MSG(false, "bench_serve: unknown argument " << arg);
-  }
-  return opt;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  set_log_level(LogLevel::Warn);
-  const Options opt = parse_args(argc, argv);
-
+int run_bench(const Options& opt) {
+  api::SessionOptions session;
+  session.config = sim::CampaignConfig::small(2026);
+  session.config.days = 8;
+  session.config.datasets = {{"MILC", 128}, {"UMT", 128}};
   serve::ServerOptions sopt;
   sopt.shards = opt.shards;
-  sim::CampaignConfig cfg = sim::CampaignConfig::small(2026);
-  cfg.days = 8;
-  cfg.datasets = {{"MILC", 128}, {"UMT", 128}};
-  sopt.session.config = cfg;
+  sopt.session = session;
+  sopt.campaign = api::ResidentCampaign::load(session);
+  const RequestRotation rotation(shapes_of(sopt.campaign->result()));
 
   serve::Server server(std::move(sopt));
   server.start();
   std::cout << "bench_serve: " << opt.shards << " shards, " << opt.clients
             << " closed-loop clients, " << opt.seconds << " s per phase\n";
 
+  const auto direct = [&](int) {
+    serve::Client client;
+    DFV_CHECK_MSG(client.connect(server.port()) == std::nullopt,
+                  "bench_serve: handshake failed");
+    return client;
+  };
   std::vector<PhaseResult> phases;
-  phases.push_back(run_phase("run_lookup", opt, server.port(), lookup_request));
+  phases.push_back(run_phase("run_lookup", opt, direct,
+                             [&](std::uint64_t i) { return rotation.lookup(i); }));
   print_phase(phases.back());
-  phases.push_back(run_phase("forecast", opt, server.port(), forecast_request));
+  phases.push_back(run_phase("forecast", opt, direct,
+                             [&](std::uint64_t i) { return rotation.forecast(i); }));
   print_phase(phases.back());
 
+  // Degraded mode: the same closed-loop lookup workload through a seeded
+  // chaos proxy (5% of event points delay, 1% hard-disconnect), with the
+  // retrying client absorbing the faults. The latency numbers include
+  // reconnects and backoff sleeps — that is the point: this phase tracks
+  // what a caller experiences when the network misbehaves.
   {
     serve::chaos::ChaosSpec spec;
     spec.seed = 20260808;  // fixed: the fault schedule is part of the benchmark
@@ -269,7 +258,14 @@ int main(int argc, char** argv) {
     spec.delay_max_ms = 3;
     serve::chaos::Proxy proxy(spec, server.port());
     proxy.start();
-    phases.push_back(run_degraded_phase(opt, proxy.port()));
+    const auto retrying = [&](int c) {
+      serve::RetryPolicy policy;
+      policy.timeout_ms = 5000;
+      policy.jitter_seed = 0x9e3779b9u + std::uint32_t(c);  // distinct backoff streams
+      return serve::RetryClient(proxy.port(), policy);
+    };
+    phases.push_back(run_phase("degraded_lookup", opt, retrying,
+                               [&](std::uint64_t i) { return rotation.lookup(i); }));
     print_phase(phases.back());
     proxy.stop();
     const auto ps = proxy.stats();
@@ -278,10 +274,46 @@ int main(int argc, char** argv) {
   }
 
   server.stop();
-  const auto stats = server.stats();
-  std::cout << "server: " << stats.requests << " requests, " << stats.local
-            << " local, " << stats.forwarded << " cross-shard\n";
+  std::cout << "server: " << server.stats().requests << " requests\n";
 
-  if (!opt.json_path.empty()) write_json(opt.json_path, opt, phases);
-  return 0;
+  int rc = 0;
+  for (const PhaseResult& r : phases)
+    if (r.errors > 0) {
+      std::cerr << "bench_serve: FAILED: " << r.errors << " error responses in phase "
+                << r.name << ", first: " << r.first_error << "\n";
+      rc = 1;
+    }
+  if (rc == 0 && !opt.json_path.empty()) write_json(opt.json_path, opt, phases);
+  return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  set_log_level(LogLevel::Warn);
+  cli::App app("bench_serve", "closed-loop load generator for dfv serve over loopback TCP");
+  app.command("", "run the lookup, forecast and degraded-lookup phases",
+              {{"shards", cli::ArgType::Int, "8", "server shard threads"},
+               {"clients", cli::ArgType::Int, "16", "closed-loop client connections"},
+               {"seconds", cli::ArgType::Double, "3", "timed window per phase"},
+               {"json", cli::ArgType::String, "", "also write the results as JSON here"}},
+              [](const cli::ParsedArgs& a) {
+                Options opt;
+                opt.shards = a.get_int("shards");
+                opt.clients = a.get_int("clients");
+                opt.seconds = a.get_double("seconds");
+                opt.json_path = a.get("json");
+                if (opt.shards < 1 || opt.clients < 1 || !(opt.seconds > 0.0)) {
+                  std::cerr << "bench_serve: need --shards >= 1, --clients >= 1 and "
+                               "--seconds > 0\n";
+                  return 2;
+                }
+                return run_bench(opt);
+              });
+  try {
+    return app.run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_serve: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -82,13 +82,14 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_compiled
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_forecast
   # The serve stack is the one place shard threads, the acceptor, and
-  # client threads share state (mailboxes, wake pipes, shutdown flags);
-  # the session/wire layer underneath is race-checked with it.
+  # client threads share state (the model registry every session fills
+  # concurrently, the fd hand-off and wake pipes, shutdown flags); the
+  # session/wire layer underneath is race-checked with it.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_api
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
   # Chaos stage: the retrying client against a fault-injecting proxy plus
-  # overload/deadline/eviction/drain edge paths — the harshest scheduler
-  # pressure the serve stack sees, so it runs race-checked too.
+  # deadline/eviction/drain edge paths — the harshest scheduler pressure
+  # the serve stack sees, so it runs race-checked too.
   echo "=== chaos stage (test_serve_chaos under TSan) ==="
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve_chaos
 fi

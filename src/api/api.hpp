@@ -1,9 +1,9 @@
 // dfv::api — the versioned session layer shared by the CLI and `dfv serve`.
 //
 // Every analysis the toolkit exposes is phrased as a request struct; a
-// Session owns the resident state (a loaded campaign, trained GBR and
-// attention models, window caches) and answers any request through one
-// dispatch point:
+// Session answers any request through one dispatch point over the
+// resident state (a loaded campaign and its shared registry of trained
+// GBR and attention models and window caches):
 //
 //   api::Session session(api::SessionOptions{...});
 //   api::Response r = session.handle(api::DeviationRequest{}.app("MILC").nodes(128));
@@ -147,9 +147,8 @@ struct TopologyRequest {
 };
 
 /// Live serving counters (connections, shed/evicted totals). Answered by
-/// the server itself from its atomics — a bare Session knows nothing of
-/// connections and answers all-zero. Keyless, so it is never forwarded
-/// and works even when every shard is saturated.
+/// the receiving shard from the server's atomics — a bare Session knows
+/// nothing of connections and answers all-zero.
 struct StatsRequest {};
 
 /// Packet-level engines on synthetic traffic (stateless).
@@ -182,7 +181,9 @@ enum class ErrorCode : std::uint32_t {
   BadRequest = 2,        ///< malformed/truncated wire payload
   VersionMismatch = 3,   ///< envelope version != kApiVersion
   Internal = 4,          ///< any other exception
-  Overloaded = 5,        ///< shed by the admission gate; retry_after_ms is set
+  /// The peer shed the request; retry_after_ms is set. dfv serve itself
+  /// never sends it (it has no admission gate); RetryClient honors it.
+  Overloaded = 5,
   DeadlineExceeded = 6,  ///< the envelope deadline expired server-side
   ShuttingDown = 7,      ///< server stopped before the response was ready
 };
@@ -283,8 +284,8 @@ struct StatsResponse {
   std::uint64_t connections = 0;
   std::uint64_t requests = 0;
   std::uint64_t local = 0;
-  std::uint64_t forwarded = 0;
-  std::uint64_t shed_overload = 0;     ///< requests refused by the admission gate
+  std::uint64_t forwarded = 0;         ///< always 0: dfv serve answers on the receiving shard
+  std::uint64_t shed_overload = 0;     ///< always 0: dfv serve has no admission gate
   std::uint64_t shed_deadline = 0;     ///< requests answered DeadlineExceeded
   std::uint64_t evicted_stalled = 0;   ///< connections dropped by I/O timeouts
   std::uint64_t shutdown_aborted = 0;  ///< requests answered ShuttingDown at drain expiry

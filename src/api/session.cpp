@@ -1,7 +1,13 @@
 #include "api/session.hpp"
 
 #include <cmath>
+#include <condition_variable>
+#include <exception>
+#include <map>
+#include <mutex>
+#include <set>
 
+#include "analysis/window_cache.hpp"
 #include "api/wire.hpp"
 #include "common/log.hpp"
 #include "ml/attention.hpp"
@@ -42,8 +48,133 @@ analysis::FeatureSet parse_feature_set(const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
+// The shared model registry.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Build-once map. get(key, build) returns the entry for `key`, running
+/// `build` only when no earlier call produced it. The map lock is never
+/// held during a build: a key being built is marked in `building_`, and
+/// other callers of that key wait for it while other keys proceed. A
+/// build that throws leaves no entry, so the next caller of the key
+/// retries it. Entries are never replaced or erased, so returned
+/// references live as long as the memo.
+template <class V>
+class Memo {
+ public:
+  template <class Build>
+  const V& get(const std::string& key, Build&& build) {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_.wait(lock, [&] { return building_.count(key) == 0; });
+    if (const auto it = ready_.find(key); it != ready_.end()) return *it->second;
+    building_.insert(key);
+    lock.unlock();
+    std::unique_ptr<const V> value;
+    std::exception_ptr failure;
+    try {
+      value = std::make_unique<const V>(build());
+    } catch (...) {
+      failure = std::current_exception();
+    }
+    lock.lock();
+    building_.erase(key);
+    done_.notify_all();
+    if (failure) std::rethrow_exception(failure);
+    ++builds_;
+    return *ready_.emplace(key, std::move(value)).first->second;
+  }
+
+  /// Builds completed so far; one per key when the latch holds.
+  [[nodiscard]] std::size_t builds() const {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return builds_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable done_;
+  std::set<std::string> building_;
+  std::map<std::string, std::unique_ptr<const V>> ready_;
+  std::size_t builds_ = 0;
+};
+
+/// A trained attention model plus its compiled snapshot and the training
+/// metadata the response reports. Compiling at build time moves the
+/// operand packing out of the per-request path.
+struct ResidentForecaster {
+  ml::AttentionForecaster model;
+  ml::CompiledAttention compiled;
+  std::uint32_t windows = 0;
+
+  ResidentForecaster(ml::AttentionForecaster m, std::uint32_t w)
+      : model(std::move(m)), compiled(model.compile()), windows(w) {}
+};
+
+std::string dataset_key(const std::string& app, int nodes) {
+  return app + "/" + std::to_string(nodes);
+}
+
+std::string window_key(const std::string& app, int nodes,
+                       const analysis::WindowConfig& wcfg) {
+  return dataset_key(app, nodes) + "/" + std::to_string(wcfg.m) + "/" +
+         std::to_string(wcfg.k) + "/" + analysis::to_string(wcfg.features);
+}
+
+}  // namespace
+
+struct ResidentCampaign::Models {
+  Memo<analysis::StepFeatureCache> features;  ///< per dataset
+  Memo<ResidentForecaster> forecasters;       ///< per (dataset, window)
+  Memo<analysis::DeviationResult> deviations;  ///< per dataset
+  Memo<analysis::ForecastEval> forecast_evals;  ///< per (dataset, window)
+};
+
+namespace {
+
+/// Per-dataset step-feature tables, shared by every forecast against
+/// that dataset.
+const analysis::StepFeatureCache& feature_cache(const ResidentCampaign& c,
+                                                const std::string& app, int nodes) {
+  DFV_CHECK_MSG(nodes > 0, "node count must be positive");
+  return c.models().features.get(dataset_key(app, nodes), [&] {
+    return analysis::StepFeatureCache(c.dataset(app, nodes));
+  });
+}
+
+/// The attention model for one (app, nodes, window) key, trained on
+/// first use.
+const ResidentForecaster& forecaster(const ResidentCampaign& c, const std::string& app,
+                                     int nodes, const analysis::WindowConfig& wcfg) {
+  DFV_CHECK_MSG(wcfg.m >= 1 && wcfg.k >= 1, "forecast window needs m >= 1 and k >= 1");
+  return c.models().forecasters.get(window_key(app, nodes, wcfg), [&] {
+    const sim::Dataset& ds = c.dataset(app, nodes);
+    const analysis::StepFeatureCache& cache = feature_cache(c, app, nodes);
+    const analysis::WindowIndex index =
+        analysis::build_window_index(ds, cache, wcfg.m, wcfg.k);
+    const analysis::WindowViews views =
+        analysis::make_window_views(cache, index, wcfg.features);
+    const analysis::ForecastConfig fcfg;
+    ml::AttentionForecaster model(wcfg.m, analysis::feature_count(wcfg.features),
+                                  fcfg.attention);
+    model.fit(views.all(), index.y);
+    return ResidentForecaster(std::move(model), std::uint32_t(index.size()));
+  });
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
 // ResidentCampaign.
 // ---------------------------------------------------------------------------
+
+ResidentCampaign::ResidentCampaign() : models_(std::make_unique<Models>()) {}
+ResidentCampaign::~ResidentCampaign() = default;
+
+std::size_t ResidentCampaign::models_built() const {
+  return models_->features.builds() + models_->forecasters.builds() +
+         models_->deviations.builds() + models_->forecast_evals.builds();
+}
 
 std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
     const SessionOptions& opt) {
@@ -69,26 +200,6 @@ std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
 // ---------------------------------------------------------------------------
 // Session.
 // ---------------------------------------------------------------------------
-
-/// A trained attention model pinned in the session, plus the training
-/// metadata the response reports. Compiling at build time moves the
-/// operand packing out of the per-request path; the scratch arena makes
-/// a steady-state forecast allocation-free. Requests on one session are
-/// serialized (each serve shard owns its session), so the mutable
-/// scratch is only ever touched by one request at a time.
-struct Session::ResidentForecaster {
-  ml::AttentionForecaster model;
-  ml::CompiledAttention compiled;
-  std::uint32_t windows = 0;
-  mutable ml::CompiledAttention::Scratch scratch;
-
-  ResidentForecaster(ml::AttentionForecaster m, std::uint32_t w)
-      : model(std::move(m)), compiled(model.compile()), windows(w) {}
-};
-
-Session::~Session() = default;
-Session::Session(Session&&) noexcept = default;
-Session& Session::operator=(Session&&) noexcept = default;
 
 Session::Session(SessionOptions opt) : Session(std::move(opt), nullptr) {}
 
@@ -122,43 +233,6 @@ Response Session::dispatch(const Request& req) {
 
 const sim::Dataset& Session::dataset(const std::string& app, int nodes) {
   return campaign().dataset(app, nodes);
-}
-
-const analysis::StepFeatureCache& Session::feature_cache(const std::string& app,
-                                                         int nodes) {
-  DFV_CHECK_MSG(nodes > 0, "node count must be positive");
-  const std::string key = app + "/" + std::to_string(nodes);
-  auto it = feature_caches_.find(key);
-  if (it == feature_caches_.end())
-    it = feature_caches_.emplace(key, analysis::StepFeatureCache(dataset(app, nodes)))
-             .first;
-  return it->second;
-}
-
-const Session::ResidentForecaster& Session::forecaster(
-    const std::string& app, int nodes, const analysis::WindowConfig& wcfg) {
-  DFV_CHECK_MSG(wcfg.m >= 1 && wcfg.k >= 1, "forecast window needs m >= 1 and k >= 1");
-  const std::string key = app + "/" + std::to_string(nodes) + "/" +
-                          std::to_string(wcfg.m) + "/" + std::to_string(wcfg.k) + "/" +
-                          analysis::to_string(wcfg.features);
-  auto it = forecasters_.find(key);
-  if (it == forecasters_.end()) {
-    const sim::Dataset& ds = dataset(app, nodes);
-    const analysis::StepFeatureCache& cache = feature_cache(app, nodes);
-    const analysis::WindowIndex index =
-        analysis::build_window_index(ds, cache, wcfg.m, wcfg.k);
-    const analysis::WindowViews views =
-        analysis::make_window_views(cache, index, wcfg.features);
-    const analysis::ForecastConfig fcfg;
-    ml::AttentionForecaster model(wcfg.m, analysis::feature_count(wcfg.features),
-                                  fcfg.attention);
-    model.fit(views.all(), index.y);
-    it = forecasters_
-             .emplace(key, std::make_unique<ResidentForecaster>(
-                               std::move(model), std::uint32_t(index.size())))
-             .first;
-  }
-  return *it->second;
 }
 
 // dfv-lint: allow(contract): the request carries no inputs to validate
@@ -224,13 +298,11 @@ Response Session::on(const NeighborhoodRequest& q) {
 
 Response Session::on(const DeviationRequest& q) {
   DFV_CHECK_MSG(q.node_count > 0, "node count must be positive");
-  const std::string key = q.app_name + "/" + std::to_string(q.node_count);
-  auto it = deviation_cache_.find(key);
-  if (it == deviation_cache_.end())
-    it = deviation_cache_
-             .emplace(key, analysis::analyze_deviation(dataset(q.app_name, q.node_count)))
-             .first;
-  return DeviationResponse{it->second};
+  const ResidentCampaign& c = campaign();
+  return DeviationResponse{
+      c.models().deviations.get(dataset_key(q.app_name, q.node_count), [&] {
+        return analysis::analyze_deviation(c.dataset(q.app_name, q.node_count));
+      })};
 }
 
 Response Session::on(const ForecastRequest& q) {
@@ -238,8 +310,8 @@ Response Session::on(const ForecastRequest& q) {
   DFV_CHECK_MSG(std::size_t(q.run_index) < ds.num_runs(),
                 "run index " << q.run_index << " out of range for " << ds.spec.label()
                              << " (" << ds.num_runs() << " runs)");
-  const ResidentForecaster& rf = forecaster(q.app_name, q.node_count, q.window);
-  const analysis::StepFeatureCache& cache = feature_cache(q.app_name, q.node_count);
+  const ResidentForecaster& rf = forecaster(campaign(), q.app_name, q.node_count, q.window);
+  const analysis::StepFeatureCache& cache = feature_cache(campaign(), q.app_name, q.node_count);
   const analysis::RunFeatureTable& table = cache.run(q.run_index);
   const int m = q.window.m;
   DFV_CHECK_MSG(q.t >= m && q.t <= table.steps,
@@ -260,8 +332,8 @@ Response Session::on(const ForecastRequest& q) {
   ForecastResponse resp;
   // Compiled and reference paths are bit-identical (pinned by
   // test_compiled and the serve A/B goldens); the compiled one skips the
-  // per-call operand packing and reuses the resident scratch arena.
-  resp.predicted = ml::compiled_enabled() ? rf.compiled.predict_one(window, rf.scratch)
+  // per-call operand packing and reuses this session's scratch arena.
+  resp.predicted = ml::compiled_enabled() ? rf.compiled.predict_one(window, scratch_)
                                           : rf.model.predict_one(window);
   // Persistence baseline, summed in the same (reverse) order as the
   // window index builds it so the two paths agree bitwise.
@@ -276,16 +348,12 @@ Response Session::on(const ForecastRequest& q) {
 Response Session::on(const ForecastEvalRequest& q) {
   DFV_CHECK_MSG(q.window.m >= 1 && q.window.k >= 1,
                 "forecast window needs m >= 1 and k >= 1");
-  const std::string key = q.app_name + "/" + std::to_string(q.node_count) + "/" +
-                          std::to_string(q.window.m) + "/" + std::to_string(q.window.k) +
-                          "/" + analysis::to_string(q.window.features);
-  auto it = forecast_eval_cache_.find(key);
-  if (it == forecast_eval_cache_.end())
-    it = forecast_eval_cache_
-             .emplace(key, analysis::evaluate_forecast(dataset(q.app_name, q.node_count),
-                                                       q.window, {}))
-             .first;
-  return ForecastEvalResponse{it->second};
+  const ResidentCampaign& c = campaign();
+  return ForecastEvalResponse{c.models().forecast_evals.get(
+      window_key(q.app_name, q.node_count, q.window), [&] {
+        return analysis::evaluate_forecast(c.dataset(q.app_name, q.node_count), q.window,
+                                           {});
+      })};
 }
 
 Response Session::on(const ForecastGridRequest& q) {

@@ -1,29 +1,32 @@
 // dfv::api::Session — resident query state behind Session::handle().
 //
-// A Session owns (or shares) one loaded campaign plus every model the
-// requests need: deviation GBR/RFE results, forecast evaluations, and
-// the attention forecasters behind the point-forecast hot path, all
-// memoized after first use. The CLI builds one Session per invocation;
-// `dfv serve` builds one Session per shard, all sharing one immutable
-// ResidentCampaign, so N shards hold one copy of the data and N
-// independent (shard-owned, unsynchronized) model caches.
+// A ResidentCampaign is one loaded campaign plus the registry of every
+// model the requests need: step-feature tables, the attention
+// forecasters behind the point-forecast hot path, deviation GBR/RFE
+// results, and forecast evaluations. Each registry entry is built once,
+// by the first request that needs it, and is immutable after that. The
+// registry is thread-safe, so any number of Sessions over one campaign
+// share it: the CLI builds one Session per invocation, and `dfv serve`
+// builds one per shard over a single ResidentCampaign, so N shards hold
+// one copy of the data and one copy of each model.
 //
-// Determinism: handling a request mutates only the session's own caches,
-// and every cached artifact is produced by the deterministic analysis /
-// ml layers — so any two sessions over the same options answer any
-// request sequence bit-identically. This is the property that lets
-// test_serve demand byte-identical wire payloads from 1-shard and
-// 8-shard servers.
+// A Session itself keeps only the forward arena of the compiled
+// point-forecast path; one thread uses a Session at a time.
+//
+// Determinism: every registry entry is produced by the deterministic
+// analysis / ml layers, so any two sessions over the same options answer
+// any request sequence bit-identically, whether or not they share a
+// campaign. This is the property that lets test_serve demand
+// byte-identical wire payloads from 1-shard and 8-shard servers.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
-#include "analysis/window_cache.hpp"
 #include "api/api.hpp"
+#include "ml/compiled.hpp"
 #include "sim/campaign.hpp"
 
 namespace dfv::api {
@@ -39,8 +42,9 @@ struct SessionOptions {
   sim::CacheFormat cache_format = sim::CacheFormat::Auto;
 };
 
-/// One campaign loaded into memory, repaired per policy, then immutable.
-/// Shards of a server share a single instance read-only.
+/// One campaign loaded into memory, repaired per policy, then immutable,
+/// plus the model registry every Session over it shares. Shards of a
+/// server share a single instance.
 class ResidentCampaign {
  public:
   /// Generate (or load from `opt.cache_dir`) and repair the campaign.
@@ -58,11 +62,23 @@ class ResidentCampaign {
     return result_.dataset(app, nodes);
   }
 
+  /// The shared model registry (defined in session.cpp). Its entries are
+  /// built on first use under per-key latches, so it is filled through a
+  /// const campaign from any thread.
+  struct Models;
+  [[nodiscard]] Models& models() const noexcept { return *models_; }
+  /// Registry builds completed so far (models trained, tables and
+  /// results computed). Each key is built at most once.
+  [[nodiscard]] std::size_t models_built() const;
+
+  ~ResidentCampaign();
+
  private:
-  ResidentCampaign() = default;
+  ResidentCampaign();
   sim::CampaignConfig config_;
   sim::CampaignResult result_;
   std::vector<sim::RepairReport> repair_reports_;
+  std::unique_ptr<Models> models_;
 };
 
 class Session {
@@ -71,14 +87,10 @@ class Session {
   /// that needs one — stateless requests never pay for it).
   explicit Session(SessionOptions opt);
 
-  /// A session sharing an already-loaded campaign (the server shard
-  /// path). `campaign` may be null, in which case it loads lazily.
+  /// A session sharing an already-loaded campaign and its models (the
+  /// server shard path). `campaign` may be null, in which case it loads
+  /// lazily.
   Session(SessionOptions opt, std::shared_ptr<const ResidentCampaign> campaign);
-
-  // Out-of-line: the cache values are incomplete types here.
-  ~Session();
-  Session(Session&&) noexcept;
-  Session& operator=(Session&&) noexcept;
 
   [[nodiscard]] const SessionOptions& options() const noexcept { return opt_; }
 
@@ -90,8 +102,6 @@ class Session {
   [[nodiscard]] const ResidentCampaign& campaign();
 
  private:
-  struct ResidentForecaster;
-
   [[nodiscard]] Response dispatch(const Request& req);
   [[nodiscard]] Response on(const CampaignSummaryRequest& q);
   [[nodiscard]] Response on(const ExportRequest& q);
@@ -106,24 +116,12 @@ class Session {
   [[nodiscard]] Response on(const StatsRequest& q);
 
   [[nodiscard]] const sim::Dataset& dataset(const std::string& app, int nodes);
-  /// Per-dataset step-feature tables, built once and reused by every
-  /// forecast request against that dataset.
-  [[nodiscard]] const analysis::StepFeatureCache& feature_cache(const std::string& app,
-                                                                int nodes);
-  /// The resident attention model for one (app, nodes, window) key,
-  /// trained on first use.
-  [[nodiscard]] const ResidentForecaster& forecaster(const std::string& app, int nodes,
-                                                     const analysis::WindowConfig& wcfg);
 
   SessionOptions opt_;
   std::shared_ptr<const ResidentCampaign> campaign_;
-
-  // Model/result caches, keyed by deterministic strings. Session-owned
-  // and unsynchronized: in the server each shard has its own.
-  std::map<std::string, analysis::StepFeatureCache> feature_caches_;
-  std::map<std::string, std::unique_ptr<ResidentForecaster>> forecasters_;
-  std::map<std::string, analysis::DeviationResult> deviation_cache_;
-  std::map<std::string, analysis::ForecastEval> forecast_eval_cache_;
+  /// Forward arena of the compiled point-forecast path, reused by every
+  /// model this session serves (it grows to fit the largest).
+  ml::CompiledAttention::Scratch scratch_;
 };
 
 /// Server-side request path: decode `bytes`, dispatch on `session`,

@@ -93,9 +93,13 @@ std::string App::usage() const {
   return os.str();
 }
 
+std::string App::label(const Command& cmd) const {
+  return cmd.name.empty() ? name_ : name_ + " " + cmd.name;
+}
+
 std::string App::usage(const Command& cmd) const {
   std::ostringstream os;
-  os << "usage: " << name_ << " " << cmd.name << " [options]\n  " << cmd.summary
+  os << "usage: " << label(cmd) << " [options]\n  " << cmd.summary
      << "\n\noptions:\n";
   std::vector<ArgSpec> all = cmd.args;
   all.insert(all.end(), common_args_.begin(), common_args_.end());
@@ -123,12 +127,15 @@ std::string App::usage(const Command& cmd) const {
 }
 
 int App::run(int argc, char** argv) const {
+  // A tool whose only command is unnamed takes that command's flags
+  // directly: `tool --key value`.
+  if (commands_.size() == 1 && commands_.front().name.empty())
+    return run_command(commands_.front(), argc, argv, 1);
   if (argc < 2) {
     std::cout << usage();
     return 1;
   }
   std::string cmd_name = argv[1];
-  int from = 2;
   if (cmd_name == "--help" || cmd_name == "-h" || cmd_name == "help") {
     if (cmd_name == "help" && argc >= 3) {
       const Command* c = find(argv[2]);
@@ -148,8 +155,11 @@ int App::run(int argc, char** argv) const {
     std::cerr << name_ << ": unknown command '" << cmd_name << "'\n\n" << usage();
     return 1;
   }
+  return run_command(*cmd, argc, argv, 2);
+}
 
-  std::vector<ArgSpec> specs = cmd->args;
+int App::run_command(const Command& cmd, int argc, char** argv, int from) const {
+  std::vector<ArgSpec> specs = cmd.args;
   specs.insert(specs.end(), common_args_.begin(), common_args_.end());
   const auto find_spec = [&](const std::string& key) -> const ArgSpec* {
     for (const ArgSpec& s : specs)
@@ -161,13 +171,13 @@ int App::run(int argc, char** argv) const {
   for (int i = from; i < argc; ++i) {
     std::string token = argv[i];
     if (token == "--help" || token == "-h") {
-      std::cout << usage(*cmd);
+      std::cout << usage(cmd);
       return 0;
     }
     if (token.rfind("--", 0) != 0 || token.size() <= 2) {
-      std::cerr << name_ << " " << cmd->name << ": expected --key, got '" << token
+      std::cerr << label(cmd) << ": expected --key, got '" << token
                 << "'\n\n"
-                << usage(*cmd);
+                << usage(cmd);
       return 2;
     }
     std::string key = token.substr(2);
@@ -180,14 +190,14 @@ int App::run(int argc, char** argv) const {
     }
     const ArgSpec* spec = find_spec(key);
     if (spec == nullptr) {
-      std::cerr << name_ << " " << cmd->name << ": unknown flag --" << key << "\n\n"
-                << usage(*cmd);
+      std::cerr << label(cmd) << ": unknown flag --" << key << "\n\n"
+                << usage(cmd);
       return 2;
     }
     if (spec->type == ArgType::Flag) {
       if (have_value && value != "true" && value != "1" && value != "false" &&
           value != "0") {
-        std::cerr << name_ << " " << cmd->name << ": --" << key
+        std::cerr << label(cmd) << ": --" << key
                   << " is a flag; got '=" << value << "'\n";
         return 2;
       }
@@ -197,9 +207,9 @@ int App::run(int argc, char** argv) const {
     }
     if (!have_value) {
       if (i + 1 >= argc) {
-        std::cerr << name_ << " " << cmd->name << ": --" << key
+        std::cerr << label(cmd) << ": --" << key
                   << " expects a value\n\n"
-                  << usage(*cmd);
+                  << usage(cmd);
         return 2;
       }
       value = argv[++i];
@@ -216,7 +226,7 @@ int App::run(int argc, char** argv) const {
         if (pos != value.size()) throw std::invalid_argument(value);
       }
     } catch (const std::exception&) {
-      std::cerr << name_ << " " << cmd->name << ": --" << key << " expects a"
+      std::cerr << label(cmd) << ": --" << key << " expects a"
                 << (spec->type == ArgType::Int ? "n integer" : " number") << ", got '"
                 << value << "'\n";
       return 2;
@@ -224,7 +234,7 @@ int App::run(int argc, char** argv) const {
     kv[key] = value;
   }
 
-  return cmd->run(ParsedArgs(&specs, std::move(kv)));
+  return cmd.run(ParsedArgs(&specs, std::move(kv)));
 }
 
 }  // namespace dfv::cli

@@ -62,7 +62,9 @@ class App {
  public:
   App(std::string name, std::string tagline);
 
-  /// Register a subcommand. Registration order is the help order.
+  /// Register a subcommand. Registration order is the help order. A tool
+  /// with one command may leave its name empty; it is then run without
+  /// naming it (`tool --key value`).
   void command(std::string name, std::string summary, std::vector<ArgSpec> args,
                std::function<int(const ParsedArgs&)> run);
 
@@ -78,6 +80,10 @@ class App {
 
  private:
   [[nodiscard]] const Command* find(const std::string& name) const;
+  /// Parse argv[from..] against `cmd` and run it.
+  [[nodiscard]] int run_command(const Command& cmd, int argc, char** argv, int from) const;
+  /// "tool cmd", or just "tool" for an unnamed command.
+  [[nodiscard]] std::string label(const Command& cmd) const;
 
   std::string name_;
   std::string tagline_;

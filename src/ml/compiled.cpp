@@ -224,15 +224,19 @@ void CompiledAttention::ensure(Scratch& ws, std::size_t slab) const {
   const std::size_t m = std::size_t(m_);
   const std::size_t f = std::size_t(feat_dim_);
   const std::size_t steps = slab * m;
-  if (ws.xs.size() >= steps * f && ws.y_hat.size() >= slab) return;
-  ws.xs.resize(steps * f);
-  ws.pre.resize(steps * d_);
-  ws.embed.resize(steps * d_);
-  ws.scores.resize(steps);
-  ws.alpha.resize(steps);
-  ws.context.resize(slab * d_);
-  ws.hidden.resize(slab * h_);
-  ws.y_hat.resize(slab);
+  // Each buffer grows on its own: one Scratch may serve models of
+  // different history lengths and widths, and must fit the largest of each.
+  const auto fit = [](std::vector<double>& v, std::size_t n) {
+    if (v.size() < n) v.resize(n);
+  };
+  fit(ws.xs, steps * f);
+  fit(ws.pre, steps * d_);
+  fit(ws.embed, steps * d_);
+  fit(ws.scores, steps);
+  fit(ws.alpha, steps);
+  fit(ws.context, slab * d_);
+  fit(ws.hidden, slab * h_);
+  fit(ws.y_hat, slab);
 }
 
 /// Forward pass over `rows` standardized windows sitting in ws.xs: the

@@ -106,8 +106,8 @@ class CompiledGbr {
 class CompiledAttention {
  public:
   /// Reusable forward arena (the per-request predict_one allocation the
-  /// serve hot path avoids by keeping one Scratch per resident model).
-  /// Plain buffers; sized on first use, only grown after.
+  /// serve hot path avoids by keeping one Scratch per session). Plain
+  /// buffers; each only grows, so one Scratch serves models of any shape.
   struct Scratch {
     std::vector<double> xs;       ///< S x (m*f) standardized windows
     std::vector<double> pre;      ///< (S*m) x d embed pre-activations

@@ -29,10 +29,10 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/// Flooding cap on a connection's receive buffer: frames are consumed as
-/// they complete, so the buffer only grows while a forwarded reply is
-/// pending — a peer that pipelines past two maximal frames in that
-/// window is shedding load onto us and gets evicted instead.
+/// Flooding cap on a connection's receive buffer: frames are consumed
+/// after every read, so the buffer holds one partial frame plus what a
+/// single read burst delivered — a peer that pipelines past two maximal
+/// frames at once is shedding load onto us and gets evicted instead.
 constexpr std::size_t kMaxConnBacklogBytes = std::size_t(kMaxFrameBytes) * 2;
 
 void fnv_bytes(std::uint64_t& h, const void* data, std::size_t n) noexcept {
@@ -132,28 +132,15 @@ std::size_t shard_of(std::uint64_t key, std::size_t nshards) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard: everything one shard thread owns. Only `mu`/`mailbox` and the
-// `quiescent` flag are touched by other threads; the rest is private to
-// `thread`.
+// Shard: everything one shard thread owns. Only `mu`/`accepted`, the wake
+// pipe and the `quiescent` flag are touched by other threads; the rest is
+// private to `thread`.
 // ---------------------------------------------------------------------------
 
 struct Server::Shard {
-  struct Msg {
-    enum class Kind { NewConn, Work, Reply };
-    Kind kind = Kind::NewConn;
-    int fd = -1;                ///< NewConn: the accepted socket
-    std::size_t origin = 0;     ///< Work: shard to send the Reply to
-    std::uint64_t conn_id = 0;  ///< Work/Reply: connection on the origin shard
-    std::string bytes;          ///< Work: request payload; Reply: encoded response
-    std::uint32_t deadline_ms = 0;   ///< Work: effective deadline (0 = none)
-    Clock::time_point deadline_at{};  ///< Work: absolute expiry when deadline_ms > 0
-  };
-
   struct Conn {
-    int fd = -1;
     bool hello_done = false;
-    bool awaiting_remote = false;  ///< one request forwarded, reply pending
-    bool peer_closed = false;      ///< read side saw EOF
+    bool peer_closed = false;  ///< read side saw EOF
     bool close_after_flush = false;
     std::string in;   ///< received, not yet framed
     std::string out;  ///< encoded frames, not yet written
@@ -164,32 +151,23 @@ struct Server::Shard {
     Clock::time_point write_start{};
   };
 
-  Shard(Server* srv, std::size_t idx, api::Session sess)
-      : server(srv), index(idx), session(std::move(sess)) {}
+  explicit Shard(api::Session sess) : session(std::move(sess)) {}
 
-  void post(Msg msg) {
+  /// Hand an accepted socket to this shard (acceptor thread).
+  void hand_off(int fd) {
     {
-      std::lock_guard<std::mutex> lock(mu);
-      mailbox.push_back(std::move(msg));
+      const std::lock_guard<std::mutex> lock(mu);
+      accepted.push_back(fd);
     }
-    server->wake(*this);
+    wake();
   }
 
-  /// Bounded admission for Work messages: refuses (returns false) when
-  /// the mailbox is already `limit` deep, so an overwhelmed owner shard
-  /// backpressures its origins instead of queueing without bound.
-  [[nodiscard]] bool post_work(Msg msg, std::size_t limit) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      if (mailbox.size() >= limit) return false;
-      mailbox.push_back(std::move(msg));
-    }
-    server->wake(*this);
-    return true;
+  void wake() const noexcept {
+    const char byte = 1;
+    // A full pipe already guarantees a pending wake-up; EAGAIN is fine.
+    (void)::write(wake_wr, &byte, 1);
   }
 
-  Server* server;
-  std::size_t index;
   api::Session session;
   int wake_rd = -1;
   int wake_wr = -1;
@@ -197,31 +175,19 @@ struct Server::Shard {
   std::atomic<bool> quiescent{false};
 
   std::mutex mu;
-  std::vector<Msg> mailbox;  // guarded by mu
+  std::vector<int> accepted;  // guarded by mu
 
-  // Shard-thread-private state.
-  std::map<std::uint64_t, Conn> conns;
-  std::uint64_t next_conn_id = 1;
-  /// Forwarded requests whose Reply has not come back yet — the
-  /// admission gate's in-flight dimension.
-  std::size_t open_forwards = 0;
+  // Shard-thread-private state: connections by socket fd.
+  std::map<int, Conn> conns;
 };
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
   DFV_CHECK_MSG(opt_.shards >= 1, "serve: server needs at least one shard");
   DFV_CHECK_MSG(opt_.listen_backlog >= 1, "serve: listen backlog must be positive");
-  DFV_CHECK_MSG(opt_.max_inflight >= 1, "serve: max_inflight must be positive");
-  DFV_CHECK_MSG(opt_.max_mailbox >= 1, "serve: max_mailbox must be positive");
   DFV_CHECK_MSG(opt_.drain_timeout_ms > 0, "serve: drain timeout must be positive");
 }
 
 Server::~Server() { stop(); }
-
-void Server::wake(Shard& shard) const noexcept {
-  const char byte = 1;
-  // A full pipe already guarantees a pending wake-up; EAGAIN is fine.
-  (void)::write(shard.wake_wr, &byte, 1);
-}
 
 void Server::start() {
   DFV_CHECK_MSG(!running_, "serve: start() called twice");
@@ -256,8 +222,7 @@ void Server::start() {
 
   shards_.clear();
   for (int i = 0; i < opt_.shards; ++i) {
-    auto shard = std::make_unique<Shard>(this, std::size_t(i),
-                                         api::Session(opt_.session, campaign_));
+    auto shard = std::make_unique<Shard>(api::Session(opt_.session, campaign_));
     int fds[2] = {-1, -1};
     DFV_CHECK_MSG(::pipe(fds) == 0, "serve: pipe() failed");
     set_nonblocking(fds[0]);
@@ -268,7 +233,6 @@ void Server::start() {
   }
 
   phase_.store(0);
-  inflight_.store(0);
   running_.store(true);
   for (auto& shard : shards_)
     shard->thread = std::thread([this, s = shard.get()] { shard_main(*s); });
@@ -286,31 +250,24 @@ void Server::stop() {
   phase_.store(1);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
-  for (auto& shard : shards_) wake(*shard);
+  for (auto& shard : shards_) shard->wake();
 
-  // Wait (bounded by drain_timeout_ms) until every shard is quiescent and
-  // no cross-shard operation is in flight. Quiescent flags are re-read
-  // after the inflight check: a Work/Reply can only exist while
-  // inflight_ > 0, so two consistent passes mean the system is truly
-  // idle. Requests still pending past the deadline are answered with a
-  // structured ShuttingDown error in the phase-2 cleanup below.
+  // Wait (bounded by drain_timeout_ms) until every shard is quiescent. A
+  // draining shard reads nothing new, so once quiescent it stays so.
+  // Requests still buffered past the deadline are answered with a
+  // structured ShuttingDown error instead of being handled.
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(opt_.drain_timeout_ms);
   while (Clock::now() < deadline) {
-    bool idle = inflight_.load() == 0;
+    bool idle = true;
     for (auto& shard : shards_) idle = idle && shard->quiescent.load();
-    idle = idle && inflight_.load() == 0;
-    if (idle) {
-      bool confirmed = true;
-      for (auto& shard : shards_) confirmed = confirmed && shard->quiescent.load();
-      if (confirmed) break;
-    }
+    if (idle) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
 
   // Phase 2 (exit): close everything and join.
   phase_.store(2);
-  for (auto& shard : shards_) wake(*shard);
+  for (auto& shard : shards_) shard->wake();
   for (auto& shard : shards_)
     if (shard->thread.joinable()) shard->thread.join();
   for (auto& shard : shards_) {
@@ -329,8 +286,6 @@ ServerStats Server::stats() const noexcept {
   s.connections = stat_connections_.load();
   s.requests = stat_requests_.load();
   s.local = stat_local_.load();
-  s.forwarded = stat_forwarded_.load();
-  s.shed_overload = stat_shed_overload_.load();
   s.shed_deadline = stat_shed_deadline_.load();
   s.evicted_stalled = stat_evicted_.load();
   s.shutdown_aborted = stat_shutdown_aborted_.load();
@@ -338,17 +293,10 @@ ServerStats Server::stats() const noexcept {
 }
 
 std::string Server::encoded_stats_response() const {
-  api::StatsResponse s;
-  s.shards = std::uint32_t(shards_.size());
-  s.connections = stat_connections_.load();
-  s.requests = stat_requests_.load();
-  s.local = stat_local_.load();
-  s.forwarded = stat_forwarded_.load();
-  s.shed_overload = stat_shed_overload_.load();
-  s.shed_deadline = stat_shed_deadline_.load();
-  s.evicted_stalled = stat_evicted_.load();
-  s.shutdown_aborted = stat_shutdown_aborted_.load();
-  return api::encode_response(api::Response{std::move(s)});
+  const ServerStats s = stats();
+  return api::encode_response(api::Response{api::StatsResponse{
+      std::uint32_t(shards_.size()), s.connections, s.requests, s.local, s.forwarded,
+      s.shed_overload, s.shed_deadline, s.evicted_stalled, s.shutdown_aborted}});
 }
 
 void Server::acceptor_main() {
@@ -365,114 +313,59 @@ void Server::acceptor_main() {
     stat_connections_.fetch_add(1);
     const std::size_t idx =
         std::size_t(next_conn_shard_.fetch_add(1) % std::uint64_t(shards_.size()));
-    Shard::Msg msg;
-    msg.kind = Shard::Msg::Kind::NewConn;
-    msg.fd = fd;
-    shards_[idx]->post(std::move(msg));
+    shards_[idx]->hand_off(fd);
   }
 }
 
 void Server::shard_main(Shard& shard) {
   DFV_CHECK_MSG(shard.wake_rd >= 0, "serve: shard started without a wake pipe");
 
-  const std::size_t nshards = shards_.size();
-
-  // Deterministic error payloads (pure functions of their inputs — the
-  // bytes never depend on timing, so shed responses are replayable too).
-  const auto overloaded_error = [&] {
-    return api::encode_response(
-        api::ErrorResponse{api::ErrorCode::Overloaded,
-                           "serve: shard overloaded; retry after backoff",
-                           opt_.retry_after_ms});
-  };
-  const auto deadline_error = [&](std::uint32_t deadline_ms, const char* when) {
-    return api::encode_response(api::ErrorResponse{
-        api::ErrorCode::DeadlineExceeded, "serve: deadline of " +
-                                              std::to_string(deadline_ms) +
-                                              "ms expired " + when});
-  };
-
-  // Handle one framed request arriving on `conn` (already past hello).
-  const auto route_request = [&](std::uint64_t conn_id, Shard::Conn& conn,
-                                 std::string payload) {
+  // Answer one framed request arriving on `conn` (already past hello).
+  const auto answer = [&](Shard::Conn& conn, std::string_view payload) {
     stat_requests_.fetch_add(1);
     api::RequestEnvelope env;
-    bool decoded = true;
     try {
       env = api::decode_request_envelope(payload);
     } catch (...) {
-      decoded = false;
-    }
-    if (!decoded) {
-      // Malformed or version-skewed: handle_encoded turns it into a
-      // structured ErrorResponse locally; no routing needed.
+      // Malformed or version-skewed: handle_encoded turns it into the
+      // matching structured ErrorResponse.
       append_frame(conn.out, api::handle_encoded(shard.session, payload));
       return;
     }
-    // Keyless observability path, answered before the admission gate so
-    // overload stays visible while it is happening.
+    stat_local_.fetch_add(1);
     if (std::holds_alternative<api::StatsRequest>(env.request)) {
-      stat_local_.fetch_add(1);
       append_frame(conn.out, encoded_stats_response());
-      return;
-    }
-    // Admission gate: a shard saturated with unanswered forwards sheds
-    // new work with a structured hint instead of queueing unboundedly.
-    if (shard.open_forwards >= std::size_t(opt_.max_inflight)) {
-      stat_shed_overload_.fetch_add(1);
-      append_frame(conn.out, overloaded_error());
       return;
     }
     const std::uint32_t deadline_ms =
         env.meta.deadline_ms != 0 ? env.meta.deadline_ms : opt_.default_deadline_ms;
-    const auto deadline_at = deadline_ms != 0
-                                 ? Clock::now() + std::chrono::milliseconds(deadline_ms)
-                                 : Clock::time_point{};
-    const std::uint64_t key = request_key(env.request);
-    const std::size_t owner = key == 0 ? shard.index : shard_of(key, nshards);
-    if (owner == shard.index) {
-      stat_local_.fetch_add(1);
-      std::string resp = api::encode_response(shard.session.handle(env.request));
-      if (deadline_ms != 0 && Clock::now() > deadline_at) {
-        // Never ship a result the caller has already given up on: the
-        // stale bytes are replaced by the structured expiry.
-        stat_shed_deadline_.fetch_add(1);
-        resp = deadline_error(deadline_ms, "while handling the request");
-      }
-      append_frame(conn.out, resp);
-      return;
+    const auto deadline_at = Clock::now() + std::chrono::milliseconds(deadline_ms);
+    std::string resp = api::encode_response(shard.session.handle(env.request));
+    if (deadline_ms != 0 && Clock::now() > deadline_at) {
+      // Never ship a result the caller has already given up on: the
+      // stale bytes are replaced by the structured expiry, whose bytes
+      // depend on the deadline alone (never on timing).
+      stat_shed_deadline_.fetch_add(1);
+      resp = api::encode_response(api::ErrorResponse{
+          api::ErrorCode::DeadlineExceeded, "serve: deadline of " +
+                                                std::to_string(deadline_ms) +
+                                                "ms expired while handling the request"});
     }
-    Shard::Msg msg;
-    msg.kind = Shard::Msg::Kind::Work;
-    msg.origin = shard.index;
-    msg.conn_id = conn_id;
-    msg.bytes = std::move(payload);
-    msg.deadline_ms = deadline_ms;
-    msg.deadline_at = deadline_at;
-    inflight_.fetch_add(1);
-    if (!shards_[owner]->post_work(std::move(msg), std::size_t(opt_.max_mailbox))) {
-      // The owner's mailbox is full: shed at the origin, same hint.
-      inflight_.fetch_sub(1);
-      stat_shed_overload_.fetch_add(1);
-      append_frame(conn.out, overloaded_error());
-      return;
-    }
-    stat_forwarded_.fetch_add(1);
-    ++shard.open_forwards;
-    conn.awaiting_remote = true;
+    append_frame(conn.out, resp);
   };
 
-  // Consume complete frames buffered in conn.in. Stops while a forwarded
-  // request is outstanding so responses stay in request order.
-  const auto drain_frames = [&](std::uint64_t conn_id, Shard::Conn& conn) {
-    while (!conn.awaiting_remote && !conn.close_after_flush && conn.in.size() >= 4) {
+  // Consume every complete frame buffered in conn.in, in order. Past the
+  // drain deadline (phase 2) requests are no longer handled: each one is
+  // answered ShuttingDown instead, so none is silently dropped.
+  const auto drain_frames = [&](Shard::Conn& conn) {
+    while (!conn.close_after_flush && conn.in.size() >= 4) {
       const std::uint32_t len = peek_u32(conn.in);
       if (len > kMaxFrameBytes) {
         conn.close_after_flush = true;  // malformed peer; drop it
         return;
       }
       if (conn.in.size() < std::size_t(4) + len) return;
-      std::string payload = conn.in.substr(4, len);
+      const std::string payload = conn.in.substr(4, len);
       conn.in.erase(0, std::size_t(4) + len);
       if (!conn.hello_done) {
         const auto version = parse_hello(payload);
@@ -498,76 +391,44 @@ void Server::shard_main(Shard& shard) {
         conn.hello_done = true;
         continue;
       }
-      route_request(conn_id, conn, std::move(payload));
+      if (phase_.load() == 2) {
+        stat_shutdown_aborted_.fetch_add(1);
+        append_frame(conn.out,
+                     api::encode_response(api::ErrorResponse{
+                         api::ErrorCode::ShuttingDown,
+                         "serve: server shut down before the response was ready"}));
+        continue;
+      }
+      answer(conn, payload);
     }
   };
 
   std::vector<pollfd> fds;
-  std::vector<std::uint64_t> fd_conn;  // conn id per pollfd (0 = wake pipe)
 
   while (true) {
     const int phase = phase_.load();
     if (phase == 2) break;
 
-    // Swap the mailbox out under the lock, process without it.
-    std::vector<Shard::Msg> msgs;
+    // Adopt sockets the acceptor dealt to this shard.
+    std::vector<int> accepted;
     {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      msgs.swap(shard.mailbox);
+      const std::lock_guard<std::mutex> lock(shard.mu);
+      accepted.swap(shard.accepted);
     }
-    for (auto& msg : msgs) {
-      switch (msg.kind) {
-        case Shard::Msg::Kind::NewConn: {
-          set_nonblocking(msg.fd);
-          set_nodelay(msg.fd);
-          Shard::Conn conn;
-          conn.fd = msg.fd;
-          shard.conns.emplace(shard.next_conn_id++, std::move(conn));
-          break;
-        }
-        case Shard::Msg::Kind::Work: {
-          Shard::Msg reply;
-          reply.kind = Shard::Msg::Kind::Reply;
-          reply.conn_id = msg.conn_id;
-          if (msg.deadline_ms != 0 && Clock::now() > msg.deadline_at) {
-            // Expired while queued: don't burn owner-shard time on an
-            // answer nobody is waiting for.
-            stat_shed_deadline_.fetch_add(1);
-            reply.bytes = deadline_error(msg.deadline_ms,
-                                         "while queued for the owner shard");
-          } else {
-            reply.bytes = api::handle_encoded(shard.session, msg.bytes);
-            if (msg.deadline_ms != 0 && Clock::now() > msg.deadline_at) {
-              stat_shed_deadline_.fetch_add(1);
-              reply.bytes =
-                  deadline_error(msg.deadline_ms, "while handling the request");
-            }
-          }
-          shards_[msg.origin]->post(std::move(reply));
-          break;
-        }
-        case Shard::Msg::Kind::Reply: {
-          if (shard.open_forwards > 0) --shard.open_forwards;
-          const auto it = shard.conns.find(msg.conn_id);
-          if (it != shard.conns.end() && it->second.awaiting_remote) {
-            append_frame(it->second.out, msg.bytes);
-            it->second.awaiting_remote = false;
-            drain_frames(it->first, it->second);  // buffered pipeline, if any
-          }
-          inflight_.fetch_sub(1);
-          break;
-        }
-      }
+    for (const int fd : accepted) {
+      set_nonblocking(fd);
+      set_nodelay(fd);
+      shard.conns.emplace(fd, Shard::Conn{});
     }
 
     // Flush pending writes; evict stalled peers; reap finished
     // connections. One `now` per pass keeps the sweep cheap.
     const auto now = Clock::now();
     for (auto it = shard.conns.begin(); it != shard.conns.end();) {
+      const int fd = it->first;
       Shard::Conn& conn = it->second;
       while (!conn.out.empty()) {
-        const ssize_t w =
-            ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+        const ssize_t w = ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
         if (w > 0) {
           conn.out.erase(0, std::size_t(w));
           continue;
@@ -589,8 +450,7 @@ void Server::shard_main(Shard& shard) {
       else if (conn.write_start == Clock::time_point{})
         conn.write_start = now;
       const bool read_stalled =
-          phase == 0 && opt_.read_timeout_ms != 0 && !conn.awaiting_remote &&
-          conn.read_start != Clock::time_point{} &&
+          phase == 0 && opt_.read_timeout_ms != 0 && conn.read_start != Clock::time_point{} &&
           now - conn.read_start > std::chrono::milliseconds(opt_.read_timeout_ms);
       const bool write_stalled =
           phase == 0 && opt_.write_timeout_ms != 0 &&
@@ -600,17 +460,15 @@ void Server::shard_main(Shard& shard) {
       if (read_stalled || write_stalled || flooded) {
         // A peer that cannot complete a frame, cannot drain its
         // responses, or floods past the backlog cap is wedging shard
-        // resources: cut it. (A pending Reply for this conn is dropped
-        // harmlessly — the Reply handler tolerates a missing conn.)
+        // resources: cut it.
         stat_evicted_.fetch_add(1);
-        ::close(conn.fd);
+        ::close(fd);
         it = shard.conns.erase(it);
         continue;
       }
-      const bool done = conn.out.empty() && !conn.awaiting_remote &&
-                        (conn.close_after_flush || conn.peer_closed);
+      const bool done = conn.out.empty() && (conn.close_after_flush || conn.peer_closed);
       if (done) {
-        ::close(conn.fd);
+        ::close(fd);
         it = shard.conns.erase(it);
       } else {
         ++it;
@@ -618,39 +476,22 @@ void Server::shard_main(Shard& shard) {
     }
 
     if (phase == 1) {
-      // Frames fully received before the stop still get answers: process
-      // whatever is already buffered even though reads are off.
-      for (auto& [id, conn] : shard.conns) drain_frames(id, conn);
-      // Drain bookkeeping: quiescent once nothing is buffered, pending,
-      // or in flight on this shard. (New mailbox messages wake us and
-      // the loop recomputes, so a stale `true` can only be observed
-      // together with inflight_ > 0, which stop() rechecks.)
+      // Draining: nothing new is read, so the shard is quiescent once
+      // every answer has been flushed.
       bool idle = true;
-      {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        idle = shard.mailbox.empty();
-      }
-      for (const auto& [id, conn] : shard.conns) {
-        (void)id;
-        idle = idle && conn.out.empty() && !conn.awaiting_remote;
-      }
+      for (const auto& [fd, conn] : shard.conns) idle = idle && conn.out.empty();
       shard.quiescent.store(idle);
     }
 
     // Poll: wake pipe always; sockets for writes always, reads only
-    // while serving (phase 0) and not awaiting a forwarded reply.
+    // while serving (phase 0).
     fds.clear();
-    fd_conn.clear();
     fds.push_back(pollfd{shard.wake_rd, POLLIN, 0});
-    fd_conn.push_back(0);
-    for (const auto& [id, conn] : shard.conns) {
+    for (const auto& [fd, conn] : shard.conns) {
       short events = 0;
       if (!conn.out.empty()) events = short(events | POLLOUT);
-      if (phase == 0 && !conn.awaiting_remote && !conn.close_after_flush)
-        events = short(events | POLLIN);
-      if (events == 0) continue;
-      fds.push_back(pollfd{conn.fd, events, 0});
-      fd_conn.push_back(id);
+      if (phase == 0 && !conn.close_after_flush) events = short(events | POLLIN);
+      if (events != 0) fds.push_back(pollfd{fd, events, 0});
     }
     const int rc = ::poll(fds.data(), nfds_t(fds.size()), 200);
     if (rc < 0 && errno != EINTR) break;  // poll failure: shard gives up
@@ -664,14 +505,12 @@ void Server::shard_main(Shard& shard) {
     }
 
     for (std::size_t i = 1; i < fds.size(); ++i) {
-      const auto it = shard.conns.find(fd_conn[i]);
-      if (it == shard.conns.end()) continue;
-      Shard::Conn& conn = it->second;
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
+      Shard::Conn& conn = shard.conns.at(fds[i].fd);
       // Read everything available, then frame it.
       char buf[16384];
       while (true) {
-        const ssize_t r = ::read(conn.fd, buf, sizeof(buf));
+        const ssize_t r = ::read(fds[i].fd, buf, sizeof(buf));
         if (r > 0) {
           conn.in.append(buf, std::size_t(r));
           continue;
@@ -685,30 +524,26 @@ void Server::shard_main(Shard& shard) {
         conn.peer_closed = true;  // hard error: treat as closed
         break;
       }
-      drain_frames(it->first, conn);
+      drain_frames(conn);
     }
   }
 
-  // Phase 2 cleanup: anything still pending missed the drain window.
-  // Answer it with a structured shutdown error and flush what we can
-  // without blocking — best-effort courtesy, never a hang, and never a
-  // silent drop of a request the peer is still waiting on.
-  for (auto& [id, conn] : shard.conns) {
-    (void)id;
-    if (conn.awaiting_remote) {
-      stat_shutdown_aborted_.fetch_add(1);
-      conn.awaiting_remote = false;
-      append_frame(conn.out,
-                   api::encode_response(api::ErrorResponse{
-                       api::ErrorCode::ShuttingDown,
-                       "serve: server shut down before the response was ready"}));
-    }
+  // Phase 2 cleanup: flush what we can without blocking — best-effort
+  // courtesy, never a hang — then close. Every complete frame was
+  // already answered by drain_frames, handled or ShuttingDown. Sockets
+  // dealt to a shard too busy to adopt them before the exit just close.
+  {
+    const std::lock_guard<std::mutex> lock(shard.mu);
+    for (const int fd : shard.accepted) ::close(fd);
+    shard.accepted.clear();
+  }
+  for (auto& [fd, conn] : shard.conns) {
     while (!conn.out.empty()) {
-      const ssize_t w = ::send(conn.fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+      const ssize_t w = ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
       if (w <= 0) break;  // EAGAIN/EPIPE/…: best effort only
       conn.out.erase(0, std::size_t(w));
     }
-    ::close(conn.fd);
+    ::close(fd);
   }
   shard.conns.clear();
 }

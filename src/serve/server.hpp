@@ -1,40 +1,29 @@
 // dfv::serve::Server — a sharded, resident query server over dfv::api.
 //
-// Architecture (DragonflyDB-style shard-per-thread, adapted to an
-// immutable store):
+// Architecture (shard-per-thread over an immutable campaign):
 //
 //  * One acceptor thread owns the listening socket and deals new
-//    connections to shards round-robin.
-//  * N shard threads each own: a slice of the run keyspace (by
-//    fingerprint hash), their connections, an api::Session whose model
-//    caches are shard-private, and a mailbox for cross-shard messages.
-//    The campaign itself is loaded once and shared read-only — the
-//    mutable state (caches, buffers, connections) is shared-nothing.
-//  * Hot path: a request whose key the receiving shard owns is decoded,
-//    handled, and answered entirely on that thread — no locks, no
-//    queues. A request owned by another shard hops to its owner via the
-//    mailbox (one mutex-guarded swap per batch) and the encoded response
-//    hops back; per-connection ordering is preserved because a
-//    connection never has more than one request in flight.
-//  * Requests with no key (topology, simulate, campaign summary, stats)
-//    are answered by whichever shard holds the connection; they are pure
-//    functions of the immutable state, so placement cannot change bytes.
+//    connections to shards round-robin (a locked fd hand-off plus a wake
+//    pipe per shard), so concurrent clients spread over the shards.
+//  * N shard threads each own their connections and an api::Session. All
+//    sessions share one ResidentCampaign, and with it one model registry:
+//    each model is trained once, by whichever shard first needs it.
+//  * Every request is decoded, handled, and answered on the shard that
+//    read it. Nothing hops between shards, and a connection's responses
+//    leave in request order.
 //
 // Robustness layer (the failure model is DESIGN.md §12):
 //
-//  * Admission gate: a shard with max_inflight forwarded requests still
-//    unanswered, or whose target mailbox is max_mailbox deep, sheds new
-//    requests with ErrorResponse{Overloaded, retry_after_ms} instead of
-//    queueing unboundedly. StatsRequest bypasses the gate so overload is
-//    observable while it happens.
 //  * Deadlines: a request whose envelope deadline_ms (or the server's
-//    default_deadline_ms) expires before or during handling is answered
+//    default_deadline_ms) expires during handling is answered
 //    ErrorResponse{DeadlineExceeded}; a stale result is never sent.
 //  * Slow-peer defense: a connection that stalls mid-frame longer than
 //    read_timeout_ms, or that does not drain its pending output within
 //    write_timeout_ms, is evicted (closed, counted), so one bad peer can
 //    never wedge a shard loop. Idle connections between frames are never
 //    evicted.
+//  * Back-pressure is TCP's: a shard reads a connection's next frames
+//    only after answering the ones it holds.
 //
 // Determinism: every response payload is a pure function of
 // (SessionOptions, request) — never of shard count, connection
@@ -45,10 +34,10 @@
 //
 // Shutdown: stop() closes the listener, stops reads, then drains —
 // every request fully received before the stop is answered and flushed
-// (including cross-shard ones) before sockets close. If the drain has
-// not converged within drain_timeout_ms, the remaining connections are
-// answered with a structured ErrorResponse{ShuttingDown} (best-effort
-// flush) and closed — never silently dropped.
+// before sockets close. Once drain_timeout_ms expires, requests still
+// buffered are answered with a structured ErrorResponse{ShuttingDown}
+// (best-effort flush) and the connections closed — never silently
+// dropped.
 #pragma once
 
 #include <atomic>
@@ -73,14 +62,6 @@ struct ServerOptions {
   std::shared_ptr<const api::ResidentCampaign> campaign;
 
   // --- robustness knobs -----------------------------------------------------
-  /// Per-shard bound on forwarded requests awaiting their owner's reply;
-  /// admissions beyond it are shed with ErrorResponse{Overloaded}.
-  int max_inflight = 64;
-  /// Per-shard bound on queued cross-shard Work messages; a full owner
-  /// mailbox sheds the request at the origin shard.
-  int max_mailbox = 1024;
-  /// Backoff hint stamped into every Overloaded response.
-  std::uint32_t retry_after_ms = 25;
   /// Server-side deadline applied to requests whose envelope carries
   /// none (0 = no default). The envelope value wins when nonzero.
   std::uint32_t default_deadline_ms = 0;
@@ -91,34 +72,36 @@ struct ServerOptions {
   /// Evict a connection whose pending output has not fully drained
   /// within this window (0 = never).
   std::uint32_t write_timeout_ms = 5000;
-  /// Graceful-drain budget of stop(); past it, still-pending requests
+  /// Graceful-drain budget of stop(); past it, still-buffered requests
   /// are answered ShuttingDown and their connections closed.
   std::uint32_t drain_timeout_ms = 10'000;
 };
 
-/// FNV-1a 64-bit fingerprint of a routing key. Stable across runs,
-/// platforms, and shard counts (it names the owner, never the result).
+// Request keys. The server no longer routes by key (every shard answers
+// every request); these stay as a stable public hash for callers that
+// partition their own traffic.
+
+/// FNV-1a 64-bit fingerprint of a request key. Stable across runs,
+/// platforms, and shard counts.
 [[nodiscard]] std::uint64_t key_fingerprint(std::string_view app, int nodes) noexcept;
 [[nodiscard]] std::uint64_t key_fingerprint(std::string_view app, int nodes,
                                             std::uint32_t run) noexcept;
 
-/// The routing key of a request: run-scoped requests hash (app, nodes,
-/// run); dataset-scoped ones hash (app, nodes); stateless ones return 0
-/// (handled wherever they arrive).
+/// The key of a request: run-scoped requests hash (app, nodes, run);
+/// dataset-scoped ones hash (app, nodes); stateless ones return 0.
 [[nodiscard]] std::uint64_t request_key(const api::Request& req) noexcept;
 
-/// Owner shard of a key. Deterministic in (key, nshards) alone.
+/// Slice of a key among `nshards`. Deterministic in (key, nshards) alone.
 [[nodiscard]] std::size_t shard_of(std::uint64_t key, std::size_t nshards);
 
 struct ServerStats {
   std::uint64_t connections = 0;
-  std::uint64_t requests = 0;   ///< decoded request frames
-  std::uint64_t local = 0;      ///< answered on the receiving shard
-  std::uint64_t forwarded = 0;  ///< hopped to the owner shard
-  // Robustness counters. Invariant: requests == local + forwarded +
-  // shed_overload + undecodable frames; deadline sheds are a subset of
-  // local/forwarded (the request was admitted, then expired).
-  std::uint64_t shed_overload = 0;     ///< refused by the admission gate
+  // Invariant: requests == local + undecodable frames; deadline sheds
+  // are a subset of local (the request was handled, then found expired).
+  std::uint64_t requests = 0;   ///< handled request frames
+  std::uint64_t local = 0;      ///< decoded and answered on the receiving shard
+  std::uint64_t forwarded = 0;  ///< always 0: no request leaves its shard
+  std::uint64_t shed_overload = 0;     ///< always 0: the server has no admission gate
   std::uint64_t shed_deadline = 0;     ///< answered DeadlineExceeded
   std::uint64_t evicted_stalled = 0;   ///< connections dropped by I/O timeouts
   std::uint64_t shutdown_aborted = 0;  ///< answered ShuttingDown at drain expiry
@@ -136,7 +119,7 @@ class Server {
   /// and the acceptor. Throws on bind failure or campaign errors.
   void start();
 
-  /// Graceful shutdown: stop accepting, drain in-flight requests
+  /// Graceful shutdown: stop accepting, answer buffered requests
   /// (bounded by drain_timeout_ms), flush, close, join. Idempotent;
   /// also run by the destructor.
   void stop();
@@ -152,7 +135,6 @@ class Server {
 
   void acceptor_main();
   void shard_main(Shard& shard);
-  void wake(Shard& shard) const noexcept;
   [[nodiscard]] std::string encoded_stats_response() const;
 
   ServerOptions opt_;
@@ -164,15 +146,11 @@ class Server {
   std::atomic<bool> running_{false};
   /// Lifecycle: 0 = serving, 1 = draining (no new reads), 2 = exit.
   std::atomic<int> phase_{0};
-  /// Cross-shard operations posted but not yet answered-and-queued.
-  std::atomic<std::uint64_t> inflight_{0};
   std::atomic<std::uint64_t> next_conn_shard_{0};
 
   mutable std::atomic<std::uint64_t> stat_connections_{0};
   mutable std::atomic<std::uint64_t> stat_requests_{0};
   mutable std::atomic<std::uint64_t> stat_local_{0};
-  mutable std::atomic<std::uint64_t> stat_forwarded_{0};
-  mutable std::atomic<std::uint64_t> stat_shed_overload_{0};
   mutable std::atomic<std::uint64_t> stat_shed_deadline_{0};
   mutable std::atomic<std::uint64_t> stat_evicted_{0};
   mutable std::atomic<std::uint64_t> stat_shutdown_aborted_{0};

@@ -1,7 +1,10 @@
-# Drives the dfv CLI with invalid arguments and asserts the contract
-# machinery rejects them: exit code 2 and a ContractError message on
-# stderr. Usage:
-#   cmake -DDFV_BIN=<path> -DARGS="<args>" -DEXPECT="<regex>" -P cli_contract_test.cmake
+# Drives a dfv binary with invalid arguments and asserts they are
+# rejected: exit code 2 and a stderr message matching EXPECT. By default
+# the rejection must come from the contract machinery (a ContractError);
+# with -DPARSER=1 it must come from the argument parser, which prints the
+# usage text. Usage:
+#   cmake -DDFV_BIN=<path> -DARGS="<args>" -DEXPECT="<regex>" [-DPARSER=1]
+#         -P cli_contract_test.cmake
 separate_arguments(args_list UNIX_COMMAND "${ARGS}")
 execute_process(
   COMMAND "${DFV_BIN}" ${args_list}
@@ -9,11 +12,15 @@ execute_process(
   OUTPUT_VARIABLE out
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "dfv ${ARGS}: expected exit code 2, got '${rc}'\nstderr: ${err}")
+  message(FATAL_ERROR "${DFV_BIN} ${ARGS}: expected exit code 2, got '${rc}'\nstderr: ${err}")
 endif()
-if(NOT err MATCHES "error: contract violation")
-  message(FATAL_ERROR "dfv ${ARGS}: stderr lacks a contract violation:\n${err}")
+if(PARSER)
+  if(NOT err MATCHES "usage: ")
+    message(FATAL_ERROR "${DFV_BIN} ${ARGS}: stderr lacks the usage text:\n${err}")
+  endif()
+elseif(NOT err MATCHES "error: contract violation")
+  message(FATAL_ERROR "${DFV_BIN} ${ARGS}: stderr lacks a contract violation:\n${err}")
 endif()
 if(NOT err MATCHES "${EXPECT}")
-  message(FATAL_ERROR "dfv ${ARGS}: stderr does not match '${EXPECT}':\n${err}")
+  message(FATAL_ERROR "${DFV_BIN} ${ARGS}: stderr does not match '${EXPECT}':\n${err}")
 endif()

@@ -1,13 +1,15 @@
 // dfv::api session layer: every request type handled, results
-// bit-identical to calling the analysis layer directly, contract
-// violations surfaced as structured ErrorResponses, and a canonical
-// wire codec (round-trips exactly; version skew and truncation are
-// structured errors, never crashes).
+// bit-identical to calling the analysis layer directly, one model
+// registry shared safely by concurrent sessions, contract violations
+// surfaced as structured ErrorResponses, and a canonical wire codec
+// (round-trips exactly; version skew and truncation are structured
+// errors, never crashes).
 #include "api/session.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/deviation.hpp"
@@ -97,7 +99,7 @@ TEST_F(ApiSession, DeviationBitIdenticalToDirectCallAndCached) {
       analysis::analyze_deviation(session_->campaign().dataset("MILC", 128));
   EXPECT_EQ(resp.result.cv_mape, direct.cv_mape);  // bitwise
   EXPECT_EQ(resp.result.survival, direct.survival);
-  // Second call is answered from the session cache — and stays identical.
+  // Second call is answered from the model registry — and stays identical.
   const auto again = std::get<DeviationResponse>(session_->handle(req));
   EXPECT_EQ(encode_response(Response{again}), encode_response(Response{resp}));
 }
@@ -192,6 +194,57 @@ TEST_F(ApiSession, CompiledInferenceToggleIsByteInvisible) {
   CompiledToggleGuard on(true);
   for (std::size_t i = 0; i < std::size(reqs); ++i)
     EXPECT_EQ(encode_response(session_->handle(reqs[i])), want[i]) << "request " << i;
+}
+
+TEST(ApiRegistry, ConcurrentSessionsShareOneBuildPerModel) {
+  // Eight sessions over one campaign, one per thread, ask for the same
+  // models at once. Each model is built once for the campaign, and every
+  // answer equals a fresh single-session answer byte for byte.
+  const Request reqs[] = {
+      Request{ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5)},
+      Request{DeviationRequest{}.app("UMT").nodes(128)},
+      Request{ForecastEvalRequest{}.app("MILC").nodes(128).m(3).k(5)},
+  };
+  std::vector<std::string> want;
+  {
+    Session fresh(small_options());
+    for (const Request& req : reqs) want.push_back(encode_response(fresh.handle(req)));
+  }
+
+  const auto campaign = ResidentCampaign::load(small_options());
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      Session session(small_options(), campaign);
+      // Rotate the order per thread so different keys race each other too.
+      for (std::size_t i = 0; i < std::size(reqs); ++i)
+        got[std::size_t(t)].push_back(
+            encode_response(session.handle(reqs[(i + std::size_t(t)) % std::size(reqs)])));
+    });
+  for (auto& th : threads) th.join();
+
+  for (std::size_t t = 0; t < got.size(); ++t)
+    for (std::size_t i = 0; i < std::size(reqs); ++i)
+      EXPECT_EQ(got[t][i], want[(i + t) % std::size(reqs)]) << "thread " << t << " request " << i;
+  // The MILC feature tables, one forecaster, one deviation, one eval.
+  EXPECT_EQ(campaign->models_built(), 4u);
+}
+
+TEST(ApiRegistry, FailedBuildLeavesNoEntryAndRetries) {
+  // A window longer than every run cannot be trained: the error reaches
+  // each caller, and the registry keeps nothing for the key.
+  const auto campaign = ResidentCampaign::load(small_options());
+  Session session(small_options(), campaign);
+  const auto req = ForecastRequest{}.app("MILC").nodes(128).run(0).center(12).m(400).k(400);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    const auto resp = session.handle(req);
+    const auto* err = std::get_if<ErrorResponse>(&resp);
+    ASSERT_NE(err, nullptr);
+    EXPECT_EQ(err->code, ErrorCode::Contract);
+  }
+  EXPECT_EQ(campaign->models_built(), 1u);  // only the dataset's feature tables
 }
 
 // ---------------------------------------------------------------------------

@@ -284,6 +284,33 @@ TEST_F(CompiledAttentionTest, StridedRowBatchMatchesContiguous) {
     EXPECT_EQ(got[r], compiled.predict_one(x_.row(r), ws)) << "strided row " << r;
 }
 
+TEST_F(CompiledAttentionTest, OneScratchServesModelsOfDifferentShapes) {
+  // A serving session keeps one Scratch for every model it answers with.
+  // A wider but shorter model sizes it first; the fixture's longer model
+  // must still get buffers that fit its history (one score per step).
+  constexpr int kWideM = 2;
+  constexpr int kWideF = 12;
+  Rng rng(46);
+  Matrix xw(60, std::size_t(kWideM) * std::size_t(kWideF));
+  std::vector<double> yw(60);
+  for (std::size_t i = 0; i < xw.rows(); ++i) {
+    for (std::size_t c = 0; c < xw.cols(); ++c) xw(i, c) = rng.normal();
+    yw[i] = 0.3 * xw(i, 5) + rng.normal() * 0.1;
+  }
+  AttentionParams params;
+  params.epochs = 2;
+  AttentionForecaster wide(kWideM, kWideF, params);
+  wide.fit(xw, yw);
+  const CompiledAttention wide_compiled = wide.compile();
+  const CompiledAttention long_compiled = model_->compile();
+  CompiledAttention::Scratch ws;
+  for (std::size_t r = 0; r < 20; ++r) {
+    EXPECT_EQ(wide_compiled.predict_one(xw.row(r), ws), wide.predict_one(xw.row(r)));
+    EXPECT_EQ(long_compiled.predict_one(x_.row(r), ws), model_->predict_one(x_.row(r)));
+    EXPECT_GE(ws.scores.size(), std::size_t(kM));
+  }
+}
+
 TEST_F(CompiledAttentionTest, ToggledPredictMatchesReference) {
   std::vector<double> ref;
   {

@@ -1,7 +1,8 @@
-// dfv serve: deterministic shard routing, handshake versioning,
-// byte-identical responses across shard counts, concurrent clients
-// (exercised under TSan in tier-1), and graceful shutdown that drains
-// in-flight requests without ever emitting a torn frame.
+// dfv serve: stable request keys, handshake versioning, byte-identical
+// responses across shard counts with every request answered on the
+// shard that read it, concurrent clients (exercised under TSan in
+// tier-1), and graceful shutdown that drains in-flight requests without
+// ever emitting a torn frame.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
@@ -152,13 +153,15 @@ TEST_F(ServeEndToEnd, OneShardAndEightShardsAnswerByteIdentically) {
     const std::string r8 = c8.call_raw(req);
     EXPECT_EQ(r1, r8);  // byte-identical encoded payloads
   }
-  // The 8-shard server actually exercised the cross-shard path.
+  // Both servers answered every request on the shard that read it.
   c1.close();
   c8.close();
   one.stop();
   eight.stop();
-  EXPECT_GT(eight.stats().forwarded, 0u);
-  EXPECT_EQ(one.stats().forwarded, 0u);
+  for (const Server* s : {&one, &eight}) {
+    EXPECT_EQ(s->stats().forwarded, 0u);
+    EXPECT_EQ(s->stats().local, s->stats().requests);
+  }
 }
 
 TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
@@ -198,7 +201,19 @@ TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.requests, std::uint64_t(kClients) * kRounds * reqs.size());
-  EXPECT_EQ(stats.local + stats.forwarded, stats.requests);
+  EXPECT_EQ(stats.local, stats.requests);
+
+  // The wire-level StatsRequest reports the same counters.
+  Client probe;
+  ASSERT_EQ(probe.connect(server.port()), std::nullopt);
+  const auto resp = probe.call(api::StatsRequest{});
+  const auto* wire_stats = std::get_if<api::StatsResponse>(&resp);
+  ASSERT_NE(wire_stats, nullptr);
+  EXPECT_EQ(wire_stats->shards, 4u);
+  EXPECT_EQ(wire_stats->requests, stats.requests + 1);  // the probe counts itself
+  EXPECT_EQ(wire_stats->forwarded, 0u);
+  EXPECT_EQ(wire_stats->shed_overload, 0u);
+  probe.close();
   server.stop();
 }
 
@@ -218,8 +233,10 @@ TEST_F(ServeEndToEnd, CompiledInferenceTogglePreservesServedBytes) {
   const bool prev = ml::compiled_enabled();
   std::vector<std::string> want;
   {
+    // The reference loads its own campaign, and so builds its own models:
+    // sharing the suite's campaign would share its model registry too.
     ml::set_compiled_enabled(false);
-    api::Session reference(small_options(), shared_campaign());
+    api::Session reference(small_options());
     want.reserve(reqs.size());
     for (const auto& req : reqs) want.push_back(api::encode_response(reference.handle(req)));
   }
@@ -283,7 +300,7 @@ TEST_F(ServeEndToEnd, GracefulShutdownDrainsWithoutTornFrames) {
   // Every request the server counted was answered or cleanly dropped at
   // a frame boundary; stats stayed consistent through the drain.
   const auto stats = server.stats();
-  EXPECT_EQ(stats.local + stats.forwarded, stats.requests);
+  EXPECT_EQ(stats.local, stats.requests);
 }
 
 TEST_F(ServeEndToEnd, StopIsIdempotentAndRestartIsNotRequired) {

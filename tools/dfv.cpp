@@ -378,7 +378,6 @@ int cmd_serve(const cli::ParsedArgs& a) {
   opt.port = std::uint16_t(port);
   opt.session = make_session_options(a);
 
-  opt.max_inflight = a.get_int("max-inflight");
   const int request_timeout = a.get_int("request-timeout-ms");
   DFV_CHECK_MSG(request_timeout >= 0, "--request-timeout-ms must be non-negative");
   opt.default_deadline_ms = std::uint32_t(request_timeout);
@@ -411,12 +410,11 @@ int cmd_serve(const cli::ParsedArgs& a) {
   const auto s = server.stats();
   std::cout << "served " << s.requests << " request" << (s.requests == 1 ? "" : "s")
             << " on " << s.connections << " connection"
-            << (s.connections == 1 ? "" : "s") << " (" << s.local << " local, "
-            << s.forwarded << " cross-shard)\n";
-  if (s.shed_overload + s.shed_deadline + s.evicted_stalled + s.shutdown_aborted > 0)
-    std::cout << "robustness: shed " << s.shed_overload << " overloaded, "
-              << s.shed_deadline << " past-deadline; evicted " << s.evicted_stalled
-              << " stalled; aborted " << s.shutdown_aborted << " at shutdown\n";
+            << (s.connections == 1 ? "" : "s") << "\n";
+  if (s.shed_deadline + s.evicted_stalled + s.shutdown_aborted > 0)
+    std::cout << "robustness: shed " << s.shed_deadline << " past-deadline; evicted "
+              << s.evicted_stalled << " stalled; aborted " << s.shutdown_aborted
+              << " at shutdown\n";
   return 0;
 }
 
@@ -523,12 +521,10 @@ int main(int argc, char** argv) {
               timed_phase("simulate", cmd_simulate));
   app.command("serve", "sharded resident query server over the dfv::api wire protocol",
               with_faults({days_arg,
-                           {"shards", ArgType::Int, "8", "shard threads (keyspace slices)"},
+                           {"shards", ArgType::Int, "8", "shard threads"},
                            {"port", ArgType::Int, "0", "TCP port (0 = kernel-assigned)"},
                            {"duration", ArgType::Double, "0",
                             "stop after this many seconds (0 = run until SIGINT)"},
-                           {"max-inflight", ArgType::Int, "64",
-                            "per-shard forwarded requests before shedding Overloaded"},
                            {"request-timeout-ms", ArgType::Int, "0",
                             "server-side deadline for requests that carry none (0 = off)"},
                            {"drain-timeout-ms", ArgType::Int, "10000",
