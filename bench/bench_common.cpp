@@ -26,10 +26,10 @@ std::string cache_dir() {
 #endif
 }
 
-core::VariabilityStudy make_study() {
+sim::CampaignResult load_campaign() {
   set_log_level(LogLevel::Warn);
   (void)exec::configure_threads(0);  // size the pool from DFV_THREADS (or hardware)
-  return core::VariabilityStudy(paper_campaign_config(), cache_dir());
+  return sim::run_campaign_cached(paper_campaign_config(), cache_dir());
 }
 
 PhaseTimer::PhaseTimer(std::string phase)

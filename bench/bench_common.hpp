@@ -7,7 +7,7 @@
 #include <chrono>
 #include <string>
 
-#include "core/study.hpp"
+#include "sim/campaign.hpp"
 
 namespace dfv::bench {
 
@@ -19,8 +19,9 @@ namespace dfv::bench {
 /// the build-tree default).
 [[nodiscard]] std::string cache_dir();
 
-/// Study over the canonical campaign (generates or loads the cache).
-[[nodiscard]] core::VariabilityStudy make_study();
+/// The canonical campaign, generated on first use and loaded from the
+/// shared cache after that. Also quiets logging and sizes the pool.
+[[nodiscard]] sim::CampaignResult load_campaign();
 
 /// Print the standard bench header (experiment id + paper reference).
 void print_header(const std::string& experiment, const std::string& description);
@@ -32,7 +33,7 @@ void print_mpi_breakdown(const sim::Dataset& ds);
 /// Scope guard that prints "[phase] wall-clock X s on N threads" to
 /// stderr on destruction, so each bench phase reports the speedup the
 /// dfv::exec pool delivered. Usage:
-///   { PhaseTimer t("campaign"); auto& res = study.campaign(); ... }
+///   { PhaseTimer t("campaign"); const auto campaign = load_campaign(); ... }
 class PhaseTimer {
  public:
   explicit PhaseTimer(std::string phase);

@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "ml/gbr.hpp"
 #include "ml/rfe.hpp"
@@ -93,31 +94,7 @@ std::string json_number(double v) {
   return os.str();
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      DFV_CHECK_MSG(i + 1 < argc, "bench_store: " << arg << " needs a value");
-      return argv[++i];
-    };
-    if (arg == "--runs") opt.runs = std::stoull(next());
-    else if (arg == "--campaign-days") opt.campaign_days = std::stoi(next());
-    else if (arg == "--dir") opt.dir = next();
-    else if (arg == "--json") opt.json_path = next();
-    else DFV_CHECK_MSG(false, "bench_store: unknown argument " << arg);
-  }
-  DFV_CHECK_MSG(opt.runs >= 1024, "bench_store: --runs must be at least 1024");
-  DFV_CHECK_MSG(opt.campaign_days >= 1, "bench_store: --campaign-days must be >= 1");
-  return opt;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  set_log_level(LogLevel::Warn);
-  const Options opt = parse_args(argc, argv);
-
+int run_bench(const Options& opt) {
   std::vector<std::pair<std::string, double>> metrics;
   const auto put = [&](const std::string& name, double v) {
     metrics.emplace_back(name, v);
@@ -327,4 +304,35 @@ int main(int argc, char** argv) {
     out << "\n}\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  set_log_level(LogLevel::Warn);
+  cli::App app("bench_store", "out-of-core column-store benchmark");
+  app.command("", "run the append, cold-open, out-of-core and in-RAM training phases",
+              {{"runs", cli::ArgType::Int, "1000000", "runs in the longitudinal store"},
+               {"campaign-days", cli::ArgType::Int, "120", "days of the cold-open campaign"},
+               {"dir", cli::ArgType::String, Options{}.dir, "scratch directory (wiped)"},
+               {"json", cli::ArgType::String, "", "also write the metrics as JSON here"}},
+              [](const cli::ParsedArgs& a) {
+                const int runs = a.get_int("runs");
+                Options opt;
+                opt.campaign_days = a.get_int("campaign-days");
+                opt.dir = a.get("dir");
+                opt.json_path = a.get("json");
+                if (runs < 1024 || opt.campaign_days < 1) {
+                  std::cerr << "bench_store: need --runs >= 1024 and --campaign-days >= 1\n";
+                  return 2;
+                }
+                opt.runs = std::uint64_t(runs);
+                return run_bench(opt);
+              });
+  try {
+    return app.run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "bench_store: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -15,13 +15,13 @@ int main() {
   using namespace dfv;
   bench::print_header("Figure 1",
                       "Relative performance vs. best run, 128-node datasets over time");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
   bench::PhaseTimer timer("fig01");
 
   std::vector<Series> series;
   Table t({"app", "runs", "best (s)", "median rel.", "worst rel."});
   for (const char* app : {"MILC", "AMG", "UMT", "miniVite"}) {
-    const sim::Dataset& ds = study.dataset(app, 128);
+    const sim::Dataset& ds = campaign.dataset(app, 128);
     std::vector<double> rel;
     double best = 1e300;
     for (const auto& run : ds.runs) best = std::min(best, run.total_time_s());

@@ -11,10 +11,10 @@
 int main() {
   using namespace dfv;
   bench::print_header("Figure 3", "Mean time per step behavior of each application");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
 
-  std::cout << line_plot({Series{"AMG 128", study.dataset("AMG", 128).mean_step_curve()},
-                          Series{"AMG 512", study.dataset("AMG", 512).mean_step_curve()}},
+  std::cout << line_plot({Series{"AMG 128", campaign.dataset("AMG", 128).mean_step_curve()},
+                          Series{"AMG 512", campaign.dataset("AMG", 512).mean_step_curve()}},
                          {.width = 70,
                           .height = 12,
                           .title = "AMG: mean time per step (s)",
@@ -23,8 +23,8 @@ int main() {
             << "\n";
 
   std::cout << line_plot(
-                   {Series{"MILC 128", study.dataset("MILC", 128).mean_step_curve()},
-                    Series{"MILC 512", study.dataset("MILC", 512).mean_step_curve()}},
+                   {Series{"MILC 128", campaign.dataset("MILC", 128).mean_step_curve()},
+                    Series{"MILC 512", campaign.dataset("MILC", 512).mean_step_curve()}},
                    {.width = 70,
                     .height = 12,
                     .title = "MILC: mean time per step (s) — first 20 steps are warmup",
@@ -32,7 +32,7 @@ int main() {
                     .y_from_zero = true})
             << "\n";
 
-  std::cout << line_plot({Series{"UMT 128", study.dataset("UMT", 128).mean_step_curve()}},
+  std::cout << line_plot({Series{"UMT 128", campaign.dataset("UMT", 128).mean_step_curve()}},
                          {.width = 40,
                           .height = 10,
                           .title = "UMT: mean time per step (s)",
@@ -40,7 +40,7 @@ int main() {
                           .y_from_zero = true})
             << "\n";
   std::cout << line_plot(
-                   {Series{"miniVite 128", study.dataset("miniVite", 128).mean_step_curve()}},
+                   {Series{"miniVite 128", campaign.dataset("miniVite", 128).mean_step_curve()}},
                    {.width = 40,
                     .height = 10,
                     .title = "miniVite: mean time per step (s)",
@@ -51,7 +51,7 @@ int main() {
   // Numeric summary of the shapes the paper reports.
   Table t({"dataset", "steps", "first-step mean (s)", "last-step mean (s)"});
   for (const auto& spec : apps::paper_datasets()) {
-    const auto curve = study.dataset(spec.app, spec.nodes).mean_step_curve();
+    const auto curve = campaign.dataset(spec.app, spec.nodes).mean_step_curve();
     t.add_row({spec.label(), std::to_string(curve.size()), format_double(curve.front(), 2),
                format_double(curve.back(), 2)});
   }

@@ -11,9 +11,9 @@ int main() {
   using namespace dfv;
   bench::print_header("Figure 4",
                       "Compute/MPI split and MPI routine breakdown: AMG & MILC, 512 nodes");
-  auto study = bench::make_study();
-  bench::print_mpi_breakdown(study.dataset("AMG", 512));
-  bench::print_mpi_breakdown(study.dataset("MILC", 512));
+  const auto campaign = bench::load_campaign();
+  bench::print_mpi_breakdown(campaign.dataset("AMG", 512));
+  bench::print_mpi_breakdown(campaign.dataset("MILC", 512));
   std::cout << "Shape to match: MPI time varies strongly between best and worst runs\n"
                "while compute time stays nearly constant; AMG dominated by Iprobe /\n"
                "Test / Testall / Waitall + Allreduce, MILC by Wait / Isend / Irecv +\n"

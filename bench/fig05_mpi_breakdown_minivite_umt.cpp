@@ -11,14 +11,14 @@ int main() {
   using namespace dfv;
   bench::print_header(
       "Figure 5", "Compute/MPI split and MPI routine breakdown: miniVite & UMT, 128 nodes");
-  auto study = bench::make_study();
-  bench::print_mpi_breakdown(study.dataset("miniVite", 128));
-  bench::print_mpi_breakdown(study.dataset("UMT", 128));
+  const auto campaign = bench::load_campaign();
+  bench::print_mpi_breakdown(campaign.dataset("miniVite", 128));
+  bench::print_mpi_breakdown(campaign.dataset("UMT", 128));
 
   // The worst/best ratios the paper calls out.
   Table t({"dataset", "worst / best total time", "paper"});
   for (const char* app : {"miniVite", "UMT"}) {
-    const auto& ds = study.dataset(app, 128);
+    const auto& ds = campaign.dataset(app, 128);
     double best = 1e300, worst = 0.0;
     for (const auto& run : ds.runs) {
       best = std::min(best, run.total_time_s());

@@ -12,8 +12,8 @@ int main() {
   using namespace dfv;
   bench::print_header("Figure 7",
                       "Mean step-time trend vs. mean counter trends (AMG, 128 nodes)");
-  auto study = bench::make_study();
-  const sim::Dataset& amg = study.dataset("AMG", 128);
+  const auto campaign = bench::load_campaign();
+  const sim::Dataset& amg = campaign.dataset("AMG", 128);
 
   const auto time_curve = amg.mean_step_curve();
   const auto flit_curve = amg.mean_counter_curve(mon::Counter::RT_FLIT_TOT);

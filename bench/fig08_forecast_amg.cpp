@@ -12,7 +12,7 @@
 int main() {
   using namespace dfv;
   bench::print_header("Figure 8", "Forecasting MAPE: AMG, m={3,8}, k={5,10}");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
 
   analysis::ForecastConfig fcfg;  // defaults: 3-fold run-grouped CV
   for (int nodes : {128, 512}) {
@@ -22,7 +22,8 @@ int main() {
       for (int m : {3, 8})
         for (auto fs : {analysis::FeatureSet::App, analysis::FeatureSet::AppPlacement}) {
           const analysis::WindowConfig wcfg{m, k, fs};
-          const auto eval = study.forecast("AMG", nodes, wcfg, fcfg);
+          const auto eval =
+              analysis::evaluate_forecast(campaign.dataset("AMG", nodes), wcfg, fcfg);
           t.add_row({std::to_string(m), std::to_string(k), analysis::to_string(fs),
                      format_double(eval.mape_attention, 2),
                      format_double(eval.mape_persistence, 2),

@@ -16,7 +16,7 @@ int main() {
   using namespace dfv;
   bench::print_header("Figure 9",
                       "Counter relevance for deviation prediction (RFE + GBR, 10-fold CV)");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
 
   std::vector<std::string> labels;
   for (int c = 0; c < mon::kNumCounters; ++c)
@@ -24,7 +24,7 @@ int main() {
 
   Table mape_t({"dataset", "samples", "GBR CV MAPE (%)", "linear baseline MAPE (%)"});
   for (const auto& spec : apps::paper_datasets()) {
-    const auto res = study.deviation(spec.app, spec.nodes);
+    const auto res = analysis::analyze_deviation(campaign.dataset(spec.app, spec.nodes));
     std::cout << bar_chart(labels, res.survival, 48,
                            spec.label() + ": relevance (RFE survival score, 10-fold CV)")
               << "\n";

@@ -14,7 +14,7 @@ int main() {
   using namespace dfv;
   bench::print_header("Figure 10",
                       "Forecasting MAPE: MILC, m={10,30}, k={20,40}, feature ablation");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
 
   analysis::ForecastConfig fcfg;
   const std::vector<analysis::FeatureSet> feature_sets = {
@@ -30,7 +30,8 @@ int main() {
       for (int m : {10, 30}) {
         for (std::size_t f = 0; f < feature_sets.size(); ++f) {
           const analysis::WindowConfig wcfg{m, k, feature_sets[f]};
-          const auto eval = study.forecast("MILC", nodes, wcfg, fcfg);
+          const auto eval =
+              analysis::evaluate_forecast(campaign.dataset("MILC", nodes), wcfg, fcfg);
           t.add_row({std::to_string(m), std::to_string(k),
                      analysis::to_string(feature_sets[f]),
                      format_double(eval.mape_attention, 2),

@@ -13,12 +13,13 @@
 int main() {
   using namespace dfv;
   bench::print_header("Figure 11", "Forecasting-model feature importances (AMG & MILC)");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
   analysis::ForecastConfig fcfg;
 
   for (int nodes : {128, 512}) {
     const analysis::WindowConfig wcfg{8, 10, analysis::FeatureSet::AppPlacement};
-    const auto imp = study.forecast_importance("AMG", nodes, wcfg, fcfg);
+    const auto imp =
+        analysis::forecast_feature_importance(campaign.dataset("AMG", nodes), wcfg, fcfg);
     std::cout << bar_chart(analysis::feature_names(wcfg.features), imp, 48,
                            "AMG " + std::to_string(nodes) +
                                " nodes (m=8, k=10, app+placement): permutation importance")
@@ -26,7 +27,8 @@ int main() {
   }
   for (int nodes : {128, 512}) {
     const analysis::WindowConfig wcfg{30, 40, analysis::FeatureSet::AppPlacementIoSys};
-    const auto imp = study.forecast_importance("MILC", nodes, wcfg, fcfg);
+    const auto imp =
+        analysis::forecast_feature_importance(campaign.dataset("MILC", nodes), wcfg, fcfg);
     std::cout << bar_chart(analysis::feature_names(wcfg.features), imp, 48,
                            "MILC " + std::to_string(nodes) +
                                " nodes (m=30, k=40, all features): permutation importance")

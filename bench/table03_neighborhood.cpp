@@ -18,12 +18,13 @@ int main() {
   using namespace dfv;
   bench::print_header("Table III",
                       "Users highly correlated with performance optimality (tau = 1)");
-  auto study = bench::make_study();
+  const auto campaign = bench::load_campaign();
 
   std::map<int, int> list_count;
   Table t({"Application", "No. of nodes", "Highly correlated users"});
   for (const auto& spec : apps::paper_datasets()) {
-    const auto res = study.neighborhood(spec.app, spec.nodes, /*tau=*/1.0);
+    const auto res =
+        analysis::analyze_neighborhood(campaign.dataset(spec.app, spec.nodes), /*tau=*/1.0);
     const auto blamed = analysis::blamed_users(res, /*top_k=*/9, /*min_mi=*/3e-3);
     std::ostringstream cell;
     cell << "User-[";

@@ -10,7 +10,7 @@
 #include "common/table.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
-#include "core/study.hpp"
+#include "sim/campaign.hpp"
 
 using namespace dfv;
 
@@ -20,9 +20,9 @@ int main() {
   sim::CampaignConfig cfg = sim::CampaignConfig::small(/*seed=*/3);
   cfg.days = 14;
   cfg.datasets = {{"MILC", 128}};
-  core::VariabilityStudy study(cfg);
+  const sim::CampaignResult campaign = sim::run_campaign(cfg);
 
-  const sim::Dataset& milc = study.dataset("MILC", 128);
+  const sim::Dataset& milc = campaign.dataset("MILC", 128);
   std::cout << "campaign generated " << milc.num_runs() << " MILC-128 runs of "
             << milc.steps_per_run() << " steps each\n\n";
 

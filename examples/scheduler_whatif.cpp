@@ -15,7 +15,7 @@
 #include "common/table.hpp"
 #include "common/log.hpp"
 #include "common/stats.hpp"
-#include "core/study.hpp"
+#include "sim/campaign.hpp"
 
 using namespace dfv;
 
@@ -36,10 +36,10 @@ int main() {
   sim::CampaignConfig cfg = sim::CampaignConfig::small(/*seed=*/5);
   cfg.days = 12;
   cfg.datasets = {{"MILC", 128}};
-  core::VariabilityStudy study(cfg);
+  const sim::CampaignResult campaign = sim::run_campaign(cfg);
 
   // Step 1+2: learn who to avoid from historical data.
-  const auto blame = study.neighborhood("MILC", 128);
+  const auto blame = analysis::analyze_neighborhood(campaign.dataset("MILC", 128));
   const std::vector<int> blamed = analysis::blamed_users(blame, /*top_k=*/4);
   std::cout << "learned blamed users (top MI, negatively correlated):";
   for (int u : blamed) std::cout << " User-" << u;

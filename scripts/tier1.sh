@@ -76,8 +76,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # forecast grid nests cell/fold tasks over the shared window cache;
   # both are race-checked, including the 1/2/8-thread identity sweeps.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_attention
-  # Compiled inference fans predict_many chunks across the pool and flips
-  # the route toggle concurrently with readers; race-checked with the
+  # Compiled inference fans predict_many chunks across the pool, and the
+  # models' batch predict methods route through it; race-checked with the
   # 1/2/8-thread bit-identity sweeps.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_compiled
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_forecast

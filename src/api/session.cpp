@@ -99,16 +99,12 @@ class Memo {
   std::size_t builds_ = 0;
 };
 
-/// A trained attention model plus its compiled snapshot and the training
+/// The compiled snapshot of a trained attention model plus the training
 /// metadata the response reports. Compiling at build time moves the
 /// operand packing out of the per-request path.
 struct ResidentForecaster {
-  ml::AttentionForecaster model;
   ml::CompiledAttention compiled;
   std::uint32_t windows = 0;
-
-  ResidentForecaster(ml::AttentionForecaster m, std::uint32_t w)
-      : model(std::move(m)), compiled(model.compile()), windows(w) {}
 };
 
 std::string dataset_key(const std::string& app, int nodes) {
@@ -158,7 +154,7 @@ const ResidentForecaster& forecaster(const ResidentCampaign& c, const std::strin
     ml::AttentionForecaster model(wcfg.m, analysis::feature_count(wcfg.features),
                                   fcfg.attention);
     model.fit(views.all(), index.y);
-    return ResidentForecaster(std::move(model), std::uint32_t(index.size()));
+    return ResidentForecaster{model.compile(), std::uint32_t(index.size())};
   });
 }
 
@@ -185,8 +181,7 @@ std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
                     ? sim::run_campaign(opt.config)
                     : sim::run_campaign_cached(opt.config, opt.cache_dir, opt.cache_format);
   // Apply the degraded-data policy at the load boundary so every request
-  // downstream sees repaired (or flagged) telemetry, exactly like
-  // core::VariabilityStudy does for the batch pipeline.
+  // downstream sees repaired (or flagged) telemetry.
   if (opt.config.faults.enabled()) {
     for (auto& ds : rc->result_.datasets) {
       rc->repair_reports_.push_back(ds.repair(opt.repair));
@@ -330,11 +325,9 @@ Response Session::on(const ForecastRequest& q) {
   }
 
   ForecastResponse resp;
-  // Compiled and reference paths are bit-identical (pinned by
-  // test_compiled and the serve A/B goldens); the compiled one skips the
-  // per-call operand packing and reuses this session's scratch arena.
-  resp.predicted = ml::compiled_enabled() ? rf.compiled.predict_one(window, scratch_)
-                                          : rf.model.predict_one(window);
+  // The compiled forward reuses this session's scratch arena; it is
+  // bit-identical to the reference forward (pinned by test_compiled).
+  resp.predicted = rf.compiled.predict_one(window, scratch_);
   // Persistence baseline, summed in the same (reverse) order as the
   // window index builds it so the two paths agree bitwise.
   const sim::RunRecord& run = ds.runs[q.run_index];

@@ -469,10 +469,10 @@ void AttentionForecaster::fit_reference(const Matrix& x, std::span<const double>
 }
 
 std::vector<double> AttentionForecaster::predict(const RowBatch& x) const {
-  // The compiled snapshot packs the same operand tables this body builds
-  // per call and replays the same kernel sequence — bit-identical, just
-  // without the per-call transpose work.
-  if (compiled_enabled()) return compile().predict_many(x);
+  return compile().predict_many(x);
+}
+
+std::vector<double> AttentionForecaster::predict_reference(const RowBatch& x) const {
   const std::size_t d = std::size_t(params_.d_model);
   const std::size_t h = std::size_t(params_.d_hidden);
   const std::size_t f = std::size_t(feat_dim_);

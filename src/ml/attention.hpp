@@ -56,8 +56,12 @@ class AttentionForecaster {
 
   [[nodiscard]] double predict_one(std::span<const double> window) const;
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const;
-  /// Batched prediction over strided window views.
+  /// Batched prediction over strided window views, through compile().
   [[nodiscard]] std::vector<double> predict(const RowBatch& x) const;
+  /// The same forward pass, packing its operands per call instead of
+  /// through compile(). Kept as the test oracle the compiled route must
+  /// match bit for bit.
+  [[nodiscard]] std::vector<double> predict_reference(const RowBatch& x) const;
 
   /// Permutation importance per feature dimension (shuffling a feature
   /// across samples at all m time positions simultaneously) measured as
@@ -74,10 +78,9 @@ class AttentionForecaster {
   [[nodiscard]] std::vector<double> attention_weights(std::span<const double> window) const;
 
   /// Snapshot the fitted model into the pre-packed inference layout
-  /// (see ml/compiled.hpp); predictions are bit-identical to this
-  /// model's predict_* methods. Requires a fitted model. The batch
-  /// predict path takes this route itself while `compiled_enabled()`
-  /// (the default).
+  /// (see ml/compiled.hpp); predictions are bit-identical to
+  /// predict_reference. Requires a fitted model. Every predict method
+  /// takes this route.
   [[nodiscard]] CompiledAttention compile() const;
 
  private:

@@ -1,9 +1,6 @@
 #include "ml/compiled.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -13,18 +10,6 @@
 namespace dfv::ml {
 
 namespace {
-
-std::atomic<bool>& compiled_flag() {
-  // First touch reads the environment; later set_compiled_enabled calls
-  // overwrite at runtime (tests and the serve A/B toggle).
-  static std::atomic<bool> flag{[]() noexcept {
-    const char* env = std::getenv("DFV_COMPILED");
-    if (env == nullptr) return true;
-    const std::string_view v(env);
-    return !(v == "0" || v == "off" || v == "OFF" || v == "false" || v == "FALSE");
-  }()};
-  return flag;
-}
 
 // At -O3, GCC's -fsplit-paths duplicates the join after the child-select
 // ternary, which replaces the cmov with data-dependent branches and makes
@@ -64,14 +49,6 @@ std::uint32_t flatten_subtree(std::span<const RegressionTree::Node> tree,
 }
 
 }  // namespace
-
-bool compiled_enabled() noexcept {
-  return compiled_flag().load(std::memory_order_relaxed);
-}
-
-void set_compiled_enabled(bool on) noexcept {
-  compiled_flag().store(on, std::memory_order_relaxed);
-}
 
 CompiledGbr::CompiledGbr(const GradientBoostedRegressor& model) : f0_(model.f0_) {
   DFV_CHECK(model.params_.learning_rate > 0.0);

@@ -16,13 +16,17 @@
 //    fused bias + positional-embedding init rows) and rides the same
 //    target_clones kernels from matrix.{hpp,cpp}.
 //
+// The models' own batch predict methods always take this route. The
+// per-row walks (GradientBoostedRegressor::predict_one/predict_binned)
+// and AttentionForecaster::predict_reference stay as test oracles.
+//
 // Bit-identity contract: every compiled prediction is bit-identical to
-// the reference predict_* path for any thread count. Flattening only
-// reorders storage; payload = learning_rate * leaf_value is the exact
-// IEEE multiply the reference loop performs at query time, and the
-// attention forward replays the reference kernel sequence on identical
-// operands. tests/test_compiled.cpp pins this with EXPECT_EQ on doubles
-// across 1/2/8 threads.
+// those oracles for any thread count. Flattening only reorders storage;
+// payload = learning_rate * leaf_value is the exact IEEE multiply the
+// per-tree walk performs at query time, and the attention forward
+// replays the reference kernel sequence on identical operands.
+// tests/test_compiled.cpp pins this with EXPECT_EQ on doubles across
+// 1/2/8 threads.
 #pragma once
 
 #include <cstdint>
@@ -37,15 +41,6 @@ namespace dfv::ml {
 
 class GradientBoostedRegressor;
 class AttentionForecaster;
-
-/// Process-wide toggle for the compiled inference fast path. Initialized
-/// once from the environment (DFV_COMPILED=0/off/false disables; default
-/// on) so serve deployments can A/B the compiled path without a rebuild;
-/// tests flip it at runtime to compare against the reference path.
-/// Because compiled predictions are bit-identical to the reference, the
-/// toggle can never change a result — only the route that computes it.
-[[nodiscard]] bool compiled_enabled() noexcept;
-void set_compiled_enabled(bool on) noexcept;
 
 /// Inference-only snapshot of a fitted GradientBoostedRegressor. Owns no
 /// training state; cheap to build (one pass over the fitted trees) and
@@ -71,13 +66,14 @@ class CompiledGbr {
 
   /// Bit-identical to GradientBoostedRegressor::predict_one(x).
   [[nodiscard]] double predict_one(std::span<const double> x) const;
-  /// Bit-identical to GradientBoostedRegressor::predict(x).
+  /// Bit-identical to predict_one on every row of `x`.
   [[nodiscard]] std::vector<double> predict(const Matrix& x) const;
   /// Bit-identical to GradientBoostedRegressor::predict_binned(data, r).
   [[nodiscard]] double predict_binned(const BinnedDataset& data, std::size_t r) const;
   /// Batched uint8-code prediction for a row view; bit-identical to
-  /// predict_rows on the reference model for any thread count (rows are
-  /// independent; chunking never changes per-row accumulation order).
+  /// GradientBoostedRegressor::predict_binned on each row for any thread
+  /// count (rows are independent; chunking never changes per-row
+  /// accumulation order).
   [[nodiscard]] std::vector<double> predict_many(const BinnedDataset& data,
                                                  std::span<const std::size_t> rows) const;
 
@@ -123,12 +119,13 @@ class CompiledAttention {
   /// forward pass standardizes with only exist after fit).
   explicit CompiledAttention(const AttentionForecaster& model);
 
-  /// Bit-identical to AttentionForecaster::predict_one(window).
+  /// Bit-identical to AttentionForecaster::predict_reference on the
+  /// one-window batch.
   [[nodiscard]] double predict_one(std::span<const double> window) const;
   /// Same, reusing a caller-owned arena (no allocation after warmup).
   [[nodiscard]] double predict_one(std::span<const double> window, Scratch& ws) const;
   /// Slab-batched prediction over strided window views; bit-identical to
-  /// AttentionForecaster::predict(x) for any thread count.
+  /// AttentionForecaster::predict_reference(x) for any thread count.
   [[nodiscard]] std::vector<double> predict_many(const RowBatch& x) const;
 
   [[nodiscard]] int history() const noexcept { return m_; }

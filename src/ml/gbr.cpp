@@ -174,14 +174,9 @@ double GradientBoostedRegressor::predict_one(std::span<const double> x) const {
 
 std::vector<double> GradientBoostedRegressor::predict(const Matrix& x) const {
   DFV_CHECK(params_.learning_rate > 0.0);
-  // Flatten-then-predict is bit-identical to the per-tree walk below and
-  // pays for the one-pass compile after a few dozen rows.
-  if (compiled_enabled()) return compile().predict(x);
-  std::vector<double> out(x.rows());
-  exec::parallel_for(0, x.rows(), 128, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) out[r] = predict_one(x.row(r));
-  });
-  return out;
+  // Flatten-then-predict is bit-identical to predict_one per row and pays
+  // for the one-pass compile after a few dozen rows.
+  return compile().predict(x);
 }
 
 double GradientBoostedRegressor::predict_binned(const BinnedDataset& data,
@@ -195,12 +190,7 @@ double GradientBoostedRegressor::predict_binned(const BinnedDataset& data,
 std::vector<double> GradientBoostedRegressor::predict_rows(
     const BinnedDataset& data, std::span<const std::size_t> rows) const {
   DFV_CHECK(params_.learning_rate > 0.0);
-  if (compiled_enabled()) return compile().predict_many(data, rows);
-  std::vector<double> out(rows.size());
-  exec::parallel_for(0, rows.size(), 128, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) out[i] = predict_binned(data, rows[i]);
-  });
-  return out;
+  return compile().predict_many(data, rows);
 }
 
 std::vector<double> GradientBoostedRegressor::feature_importances() const {

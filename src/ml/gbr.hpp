@@ -62,9 +62,9 @@ class GradientBoostedRegressor {
   [[nodiscard]] std::size_t tree_count() const noexcept { return trees_.size(); }
 
   /// Snapshot the fitted ensemble into the flattened inference layout
-  /// (see ml/compiled.hpp); predictions are bit-identical to this
-  /// model's predict_* methods. The batch predict paths take this route
-  /// themselves while `compiled_enabled()` (the default).
+  /// (see ml/compiled.hpp); predictions are bit-identical to the per-row
+  /// predict_one/predict_binned walks. The batch predict paths always
+  /// take this route.
   [[nodiscard]] CompiledGbr compile() const;
 
  private:

@@ -1,5 +1,6 @@
 // dfv::api session layer: every request type handled, results
-// bit-identical to calling the analysis layer directly, one model
+// bit-identical to calling the analysis layer directly, the repair
+// policy applied once when a faulted campaign loads, one model
 // registry shared safely by concurrent sessions, contract violations
 // surfaced as structured ErrorResponses, and a canonical wire codec
 // (round-trips exactly; version skew and truncation are structured
@@ -17,24 +18,9 @@
 #include "analysis/neighborhood.hpp"
 #include "api/wire.hpp"
 #include "common/log.hpp"
-#include "ml/compiled.hpp"
 
 namespace dfv::api {
 namespace {
-
-/// Pin the compiled-inference toggle for a scope, restoring on exit.
-class CompiledToggleGuard {
- public:
-  explicit CompiledToggleGuard(bool on) : prev_(ml::compiled_enabled()) {
-    ml::set_compiled_enabled(on);
-  }
-  ~CompiledToggleGuard() { ml::set_compiled_enabled(prev_); }
-  CompiledToggleGuard(const CompiledToggleGuard&) = delete;
-  CompiledToggleGuard& operator=(const CompiledToggleGuard&) = delete;
-
- private:
-  bool prev_;
-};
 
 SessionOptions small_options() {
   SessionOptions opt;
@@ -171,29 +157,42 @@ TEST_F(ApiSession, TwoSessionsAnswerByteIdentically) {
     EXPECT_EQ(encode_response(other.handle(req)), encode_response(session_->handle(req)));
 }
 
-TEST_F(ApiSession, CompiledInferenceToggleIsByteInvisible) {
-  // Golden A/B for the compiled fast path (ml/compiled.hpp): a session
-  // answering with the reference predict routes (toggle off) must
-  // produce byte-identical responses to one answering with the compiled
-  // path, across every request type whose handler runs model inference
-  // (point forecast -> CompiledAttention; eval + deviation -> GBR
-  // predict_rows inside RFE/CV).
-  const Request reqs[] = {
-      Request{ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5)},
-      Request{ForecastRequest{}.app("UMT").nodes(128).run(0).center(14).m(5).k(9)},
-      Request{ForecastEvalRequest{}.app("UMT").nodes(128).m(3).k(5)},
-      Request{DeviationRequest{}.app("MILC").nodes(128)},
-  };
-  std::vector<std::string> want;
-  {
-    CompiledToggleGuard off(false);
-    Session reference(small_options());
-    for (const Request& req : reqs)
-      want.push_back(encode_response(reference.handle(req)));
-  }
-  CompiledToggleGuard on(true);
-  for (std::size_t i = 0; i < std::size(reqs); ++i)
-    EXPECT_EQ(encode_response(session_->handle(reqs[i])), want[i]) << "request " << i;
+TEST(ApiRepair, LoadAppliesRepairPolicyToFaultedCampaign) {
+  // A faulted campaign is repaired once, at ResidentCampaign::load: the
+  // summary reports exactly what Dataset::repair reports on the raw runs.
+  SessionOptions opt;
+  opt.config = sim::CampaignConfig::small(13);
+  opt.config.days = 3;
+  opt.config.datasets = {{"MILC", 128}};
+  opt.config.faults.rate = 0.08;
+
+  sim::CampaignResult raw = sim::run_campaign(opt.config);
+  ASSERT_EQ(raw.datasets.size(), 1u);
+  sim::Dataset& ds = raw.datasets[0];
+  const sim::RepairReport want = ds.repair(faults::RepairPolicy::Repair);
+  ASSERT_TRUE(want.any_anomaly());  // the fault rate must leave something to repair
+
+  Session session(opt);
+  const auto resp = std::get<CampaignSummaryResponse>(session.handle(CampaignSummaryRequest{}));
+  EXPECT_TRUE(resp.faulted);
+  ASSERT_EQ(resp.rows.size(), 1u);
+  const CampaignSummaryRow& row = resp.rows[0];
+  EXPECT_EQ(row.label, "MILC-128");
+  EXPECT_EQ(row.runs, ds.num_runs());
+  EXPECT_EQ(row.steps_per_run, std::uint32_t(ds.steps_per_run()));
+  EXPECT_EQ(row.runs_dropped, std::uint32_t(want.runs_dropped));
+  EXPECT_EQ(row.bad_steps, std::uint32_t(want.bad_steps));
+  EXPECT_EQ(row.imputed_steps, std::uint32_t(want.imputed_steps));
+  EXPECT_EQ(row.wrapped_cells, std::uint32_t(want.wrapped_cells));
+  EXPECT_EQ(row.profiles_missing, std::uint32_t(want.profiles_missing));
+
+  // Strict refuses degraded telemetry: the load fails as a contract error.
+  opt.repair = faults::RepairPolicy::Strict;
+  Session strict(opt);
+  const auto refused = strict.handle(CampaignSummaryRequest{});
+  const auto* err = std::get_if<ErrorResponse>(&refused);
+  ASSERT_NE(err, nullptr);
+  EXPECT_EQ(err->code, ErrorCode::Contract);
 }
 
 TEST(ApiRegistry, ConcurrentSessionsShareOneBuildPerModel) {

@@ -1,8 +1,10 @@
 // Bit-identity contract of the compiled inference path (ml/compiled.hpp):
-// every CompiledGbr/CompiledAttention prediction must equal the reference
-// predict_* result bit for bit, for any thread count, for batch and
-// single-row APIs alike. All comparisons here are EXPECT_EQ on doubles —
-// no tolerances anywhere.
+// every CompiledGbr/CompiledAttention prediction, and every model predict
+// method that routes through it, must equal the oracle bit for bit — the
+// per-tree GBR walks (predict_one/predict_binned) and the attention
+// AttentionForecaster::predict_reference forward — for any thread count,
+// for batch and single-row APIs alike. All comparisons here are EXPECT_EQ
+// on doubles — no tolerances anywhere.
 #include "ml/compiled.hpp"
 
 #include <gtest/gtest.h>
@@ -18,21 +20,6 @@
 
 namespace dfv::ml {
 namespace {
-
-/// Force the reference path for the enclosed scope regardless of the
-/// DFV_COMPILED environment, then restore the prior setting.
-class CompiledToggleGuard {
- public:
-  explicit CompiledToggleGuard(bool on) : prev_(compiled_enabled()) {
-    set_compiled_enabled(on);
-  }
-  ~CompiledToggleGuard() { set_compiled_enabled(prev_); }
-  CompiledToggleGuard(const CompiledToggleGuard&) = delete;
-  CompiledToggleGuard& operator=(const CompiledToggleGuard&) = delete;
-
- private:
-  bool prev_;
-};
 
 /// Run `fn` under pool widths 1, 2, and 8 (restoring the default after)
 /// and hand it the width for failure messages.
@@ -123,22 +110,21 @@ TEST_F(CompiledGbrTest, PredictManyHandlesShuffledSubsets) {
     EXPECT_EQ(got[i], gbr_->predict_binned(*binned_, fold[i]));
 }
 
-TEST_F(CompiledGbrTest, ToggledBatchPathsMatchReference) {
-  // The public predict/predict_rows entry points must give the same bits
-  // whichever route the toggle selects.
-  std::vector<double> ref_rows, ref_mat;
-  {
-    CompiledToggleGuard off(false);
-    ref_rows = gbr_->predict_rows(*binned_, rows_);
-    ref_mat = gbr_->predict(x_);
-  }
-  CompiledToggleGuard on(true);
-  const std::vector<double> got_rows = gbr_->predict_rows(*binned_, rows_);
-  const std::vector<double> got_mat = gbr_->predict(x_);
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    EXPECT_EQ(got_rows[i], ref_rows[i]);
-    EXPECT_EQ(got_mat[i], ref_mat[i]);
-  }
+TEST_F(CompiledGbrTest, BatchPredictMatchesPerRowWalk) {
+  // The public predict/predict_rows entry points run the compiled kernel;
+  // the per-tree predict_binned/predict_one walks are the oracle.
+  for_thread_counts([&](int threads) {
+    const std::vector<double> got_rows = gbr_->predict_rows(*binned_, rows_);
+    const std::vector<double> got_mat = gbr_->predict(x_);
+    ASSERT_EQ(got_rows.size(), rows_.size());
+    ASSERT_EQ(got_mat.size(), x_.rows());
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      EXPECT_EQ(got_rows[i], gbr_->predict_binned(*binned_, rows_[i]))
+          << "row " << i << " at " << threads << " threads";
+      EXPECT_EQ(got_mat[i], gbr_->predict_one(x_.row(i)))
+          << "row " << i << " at " << threads << " threads";
+    }
+  });
 }
 
 TEST(CompiledGbrEdge, EmptyEnsemblePredictsZero) {
@@ -230,25 +216,27 @@ class CompiledAttentionTest : public ::testing::Test {
   std::unique_ptr<AttentionForecaster> model_;
 };
 
+/// The reference forward over every row of `x`, as one batch.
+std::vector<double> reference_predict(const AttentionForecaster& model, const Matrix& x) {
+  const auto ptrs = row_pointers(x);
+  return model.predict_reference(RowBatch{ptrs, 1, x.cols(), x.cols()});
+}
+
 TEST_F(CompiledAttentionTest, PredictOneBitIdentical) {
   const CompiledAttention compiled = model_->compile();
   EXPECT_EQ(compiled.history(), kM);
   EXPECT_EQ(compiled.feat_dim(), kF);
+  const std::vector<double> want = reference_predict(*model_, x_);
   CompiledAttention::Scratch ws;
   for (std::size_t r = 0; r < x_.rows(); ++r) {
-    const double want = model_->predict_one(x_.row(r));
-    EXPECT_EQ(compiled.predict_one(x_.row(r)), want);       // fresh scratch
-    EXPECT_EQ(compiled.predict_one(x_.row(r), ws), want);   // reused scratch
+    EXPECT_EQ(compiled.predict_one(x_.row(r)), want[r]);      // fresh scratch
+    EXPECT_EQ(compiled.predict_one(x_.row(r), ws), want[r]);  // reused scratch
   }
 }
 
 TEST_F(CompiledAttentionTest, PredictManyBitIdenticalAcrossThreadCounts) {
   const CompiledAttention compiled = model_->compile();
-  std::vector<double> want;
-  {
-    CompiledToggleGuard off(false);
-    want = model_->predict(x_);
-  }
+  const std::vector<double> want = reference_predict(*model_, x_);
   const auto ptrs = row_pointers(x_);
   const RowBatch rb{ptrs, 1, x_.cols(), x_.cols()};
   for_thread_counts([&](int threads) {
@@ -303,23 +291,26 @@ TEST_F(CompiledAttentionTest, OneScratchServesModelsOfDifferentShapes) {
   wide.fit(xw, yw);
   const CompiledAttention wide_compiled = wide.compile();
   const CompiledAttention long_compiled = model_->compile();
+  const std::vector<double> wide_want = reference_predict(wide, xw);
+  const std::vector<double> long_want = reference_predict(*model_, x_);
   CompiledAttention::Scratch ws;
   for (std::size_t r = 0; r < 20; ++r) {
-    EXPECT_EQ(wide_compiled.predict_one(xw.row(r), ws), wide.predict_one(xw.row(r)));
-    EXPECT_EQ(long_compiled.predict_one(x_.row(r), ws), model_->predict_one(x_.row(r)));
+    EXPECT_EQ(wide_compiled.predict_one(xw.row(r), ws), wide_want[r]);
+    EXPECT_EQ(long_compiled.predict_one(x_.row(r), ws), long_want[r]);
     EXPECT_GE(ws.scores.size(), std::size_t(kM));
   }
 }
 
-TEST_F(CompiledAttentionTest, ToggledPredictMatchesReference) {
-  std::vector<double> ref;
-  {
-    CompiledToggleGuard off(false);
-    ref = model_->predict(x_);
-  }
-  CompiledToggleGuard on(true);
+TEST_F(CompiledAttentionTest, PredictMatchesReference) {
+  // The model's own predict entry points run the compiled forward; the
+  // per-call packing in predict_reference is the oracle.
+  const std::vector<double> want = reference_predict(*model_, x_);
   const std::vector<double> got = model_->predict(x_);
-  for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(got[i], ref[i]);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]);
+    EXPECT_EQ(model_->predict_one(x_.row(i)), want[i]);
+  }
 }
 
 TEST_F(CompiledAttentionTest, RejectsWrongWindowLength) {
@@ -333,20 +324,6 @@ TEST(CompiledAttentionEdge, RefusesUnfittedModel) {
   // of producing NaNs at serve time.
   const AttentionForecaster model(3, 2);
   EXPECT_THROW((void)model.compile(), ContractError);
-}
-
-// ---------------------------------------------------------------------------
-// Toggle plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(CompiledToggle, SetAndRestore) {
-  const bool prev = compiled_enabled();
-  set_compiled_enabled(false);
-  EXPECT_FALSE(compiled_enabled());
-  set_compiled_enabled(true);
-  EXPECT_TRUE(compiled_enabled());
-  set_compiled_enabled(prev);
-  EXPECT_EQ(compiled_enabled(), prev);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include "api/wire.hpp"
 #include "common/log.hpp"
-#include "ml/compiled.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 
@@ -215,42 +214,6 @@ TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
   EXPECT_EQ(wire_stats->shed_overload, 0u);
   probe.close();
   server.stop();
-}
-
-TEST_F(ServeEndToEnd, CompiledInferenceTogglePreservesServedBytes) {
-  // Golden A/B for the compiled serve hot path (ml/compiled.hpp): the
-  // bytes a server emits with the compiled path enabled (the default)
-  // must equal the reference-path bytes computed with the toggle off —
-  // point forecasts ride CompiledAttention, deviation rides the GBR
-  // predict_rows route inside RFE/CV.
-  std::vector<api::Request> reqs;
-  for (std::uint32_t r = 0; r < 4; ++r)
-    reqs.push_back(api::ForecastRequest{}.app("MILC").nodes(128).run(r).center(
-        int(10 + r)).m(3).k(5));
-  reqs.push_back(api::ForecastRequest{}.app("UMT").nodes(128).run(1).center(12).m(5).k(9));
-  reqs.push_back(api::DeviationRequest{}.app("UMT").nodes(128));
-
-  const bool prev = ml::compiled_enabled();
-  std::vector<std::string> want;
-  {
-    // The reference loads its own campaign, and so builds its own models:
-    // sharing the suite's campaign would share its model registry too.
-    ml::set_compiled_enabled(false);
-    api::Session reference(small_options());
-    want.reserve(reqs.size());
-    for (const auto& req : reqs) want.push_back(api::encode_response(reference.handle(req)));
-  }
-  ml::set_compiled_enabled(true);
-
-  Server server(server_options(2));
-  server.start();
-  Client client;
-  ASSERT_EQ(client.connect(server.port()), std::nullopt);
-  for (std::size_t i = 0; i < reqs.size(); ++i)
-    EXPECT_EQ(client.call_raw(reqs[i]), want[i]) << "request " << i;
-  client.close();
-  server.stop();
-  ml::set_compiled_enabled(prev);
 }
 
 TEST_F(ServeEndToEnd, GracefulShutdownDrainsWithoutTornFrames) {

@@ -1,15 +1,18 @@
-// End-to-end integration: a small campaign through every analysis via
-// the VariabilityStudy facade. This is the miniature of what the bench
-// binaries do at Cori scale.
-#include "core/study.hpp"
-
+// End-to-end integration: a small campaign through every analysis, with
+// the same calls the bench binaries make at Cori scale (load the
+// campaign, read a dataset, hand it to the analysis layer).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
+#include "analysis/deviation.hpp"
+#include "analysis/forecast.hpp"
+#include "analysis/neighborhood.hpp"
 #include "common/log.hpp"
+#include "sim/campaign.hpp"
 
-namespace dfv::core {
+namespace dfv {
 namespace {
 
 class StudyIntegration : public ::testing::Test {
@@ -19,37 +22,33 @@ class StudyIntegration : public ::testing::Test {
     sim::CampaignConfig cfg = sim::CampaignConfig::small(2026);
     cfg.days = 8;
     cfg.datasets = {{"MILC", 128}, {"UMT", 128}};
-    study_ = new VariabilityStudy(cfg);
-    (void)study_->campaign();  // generate once for all tests
+    campaign_.emplace(sim::run_campaign(cfg));  // generate once for all tests
   }
-  static void TearDownTestSuite() {
-    delete study_;
-    study_ = nullptr;
-  }
-  static VariabilityStudy* study_;
+  static void TearDownTestSuite() { campaign_.reset(); }
+  static const sim::Dataset& milc() { return campaign_->dataset("MILC", 128); }
+  static std::optional<sim::CampaignResult> campaign_;
 };
 
-VariabilityStudy* StudyIntegration::study_ = nullptr;
+std::optional<sim::CampaignResult> StudyIntegration::campaign_;
 
 TEST_F(StudyIntegration, CampaignShape) {
-  const auto& milc = study_->dataset("MILC", 128);
-  EXPECT_GE(milc.num_runs(), 8u);
-  EXPECT_EQ(milc.steps_per_run(), 80);
+  const sim::Dataset& ds = milc();
+  EXPECT_GE(ds.num_runs(), 8u);
+  EXPECT_EQ(ds.steps_per_run(), 80);
   // Mean step curve shows the warmup/steady structure.
-  const auto curve = milc.mean_step_curve();
+  const auto curve = ds.mean_step_curve();
   EXPECT_LT(curve[5], 0.6 * curve[50]);
 }
 
 TEST_F(StudyIntegration, RunsVaryAcrossCampaign) {
-  const auto& milc = study_->dataset("MILC", 128);
-  const auto totals = milc.total_times();
+  const auto totals = milc().total_times();
   const double best = *std::min_element(totals.begin(), totals.end());
   const double worst = *std::max_element(totals.begin(), totals.end());
   EXPECT_GT(worst / best, 1.05);  // some variability even in a short window
 }
 
 TEST_F(StudyIntegration, NeighborhoodAnalysisRuns) {
-  const auto res = study_->neighborhood("MILC", 128);
+  const auto res = analysis::analyze_neighborhood(milc());
   EXPECT_FALSE(res.ranked.empty());
   EXPECT_GT(res.optimal_fraction, 0.0);
   const auto blamed = analysis::blamed_users(res, 9, 1e-4);
@@ -60,7 +59,7 @@ TEST_F(StudyIntegration, DeviationAnalysisRuns) {
   analysis::DeviationConfig cfg;
   cfg.rfe.folds = 4;
   cfg.rfe.gbr.n_trees = 25;
-  const auto res = study_->deviation("MILC", 128, cfg);
+  const auto res = analysis::analyze_deviation(milc(), cfg);
   EXPECT_EQ(res.relevance.size(), std::size_t(mon::kNumCounters));
   EXPECT_GT(res.cv_mape, 0.0);
   EXPECT_LT(res.cv_mape, 50.0);
@@ -74,7 +73,7 @@ TEST_F(StudyIntegration, ForecastRuns) {
   cfg.folds = 3;
   cfg.attention.epochs = 12;
   const analysis::WindowConfig wcfg{10, 20, analysis::FeatureSet::App};
-  const auto eval = study_->forecast("MILC", 128, wcfg, cfg);
+  const auto eval = analysis::evaluate_forecast(milc(), wcfg, cfg);
   EXPECT_GT(eval.windows, 50u);
   EXPECT_GT(eval.mape_attention, 0.0);
   EXPECT_LT(eval.mape_attention, 80.0);
@@ -82,4 +81,4 @@ TEST_F(StudyIntegration, ForecastRuns) {
 }
 
 }  // namespace
-}  // namespace dfv::core
+}  // namespace dfv
