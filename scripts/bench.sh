@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
-# Perf trajectory runners. Four modes:
+# Perf trajectory runners. Five modes:
 #
 #   scripts/bench.sh [ml]        # model-training microbenchmarks  -> BENCH_ml.json
 #   scripts/bench.sh ml-predict  # compiled-inference benchmarks   -> BENCH_ml.json
 #   scripts/bench.sh serve       # dfv serve load generator        -> BENCH_serve.json
 #   scripts/bench.sh store       # out-of-core column store        -> BENCH_store.json
+#   scripts/bench.sh net         # routing + flow-model benchmarks -> BENCH_net.json
 #
-#   DFV_BENCH_MIN_TIME=1.0 scripts/bench.sh        # longer per-bench min time (ml*)
+#   DFV_BENCH_MIN_TIME=1.0 scripts/bench.sh        # longer per-bench min time (ml*, net)
 #   DFV_BENCH_SECONDS=5 scripts/bench.sh serve     # longer per-phase window (serve)
 #   DFV_BENCH_STORE_RUNS=100000 scripts/bench.sh store   # smaller longitudinal store
 #
@@ -14,11 +15,13 @@
 # committed numbers reflect optimized code, and the context block records
 # the git SHA, compiler, and project build type they were taken under.
 #
-# Both JSON files keep two snapshots: "baseline" (frozen numbers from
+# Every JSON file keeps two snapshots: "baseline" (frozen numbers from
 # before the corresponding fast path landed; a metric name with no
 # recorded baseline is initialized from its first run) and "current"
 # (refreshed every run), so speedups are always readable from the
-# committed file.
+# committed file. A ratio is printed only when the baseline was recorded
+# on a host with as many CPUs as this one (`baseline_host_cpus`);
+# otherwise the run says to re-baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -55,6 +58,11 @@ try:
         doc = json.load(f)
 except (FileNotFoundError, json.JSONDecodeError):
     doc = {}
+# The baseline's host: files from before this field existed carry it as
+# the last run's context.
+base_cpus = doc.get("baseline_host_cpus", doc.get("context", {}).get("host_cpus", int(cpus)))
+doc["baseline_host_cpus"] = base_cpus
+same_host = base_cpus == int(cpus)
 
 doc.setdefault("schema", schema)
 doc["note"] = note
@@ -79,10 +87,14 @@ with open(out_path, "w") as f:
 def scalar(v):
     return list(v.values())[0] if isinstance(v, dict) else v
 
+if not same_host:
+    print(f"{out_path}: baseline recorded on a {base_cpus}-CPU host, this one has {cpus}: "
+          f"no ratios. Re-baseline: remove \"baseline\" and \"baseline_host_cpus\", "
+          f"run at the baseline commit on this host, then at the change.")
 for name, v in sorted(current.items()):
     base = baseline.get(name)
     line = f"{name}: {scalar(v)}"
-    if base is not None and scalar(base):
+    if same_host and base is not None and scalar(base):
         ratio = scalar(v) / scalar(base)
         if not re.search(higher_re, name):
             ratio = 1.0 / ratio if ratio else 0.0
@@ -169,8 +181,37 @@ PY
       '_per_sec$|_speedup$|_identical$|^runs$|^features$|^campaign_runs$|^rss_reset_ok$'
     echo "wrote BENCH_store.json"
     ;;
+  net)
+    # Routing and the flow model, innermost to outermost: one UGAL path
+    # choice, one MILC-128 transfer phase, one 512-node background route,
+    # and a whole instrumented MILC-128 run on a loaded Cori. Each value
+    # is the median of 5 repetitions: BM_ClusterMilcStep times only 3
+    # iterations, and one repetition of it swings by 20% on a shared host.
+    FILTER='^(BM_UgalChoice|BM_FlowTransferMilcStep|BM_BackgroundRoute512NodeJob|BM_ClusterMilcStep)'
+    cmake --build "$BUILD" -j --target micro_benchmarks >/dev/null
+    gbench=$(mktemp)
+    "./$BUILD/bench/micro_benchmarks" \
+      --benchmark_filter="$FILTER" \
+      --benchmark_min_time="${DFV_BENCH_MIN_TIME:-0.5}" \
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true \
+      --benchmark_format=json >"$gbench" 2>/dev/null
+    python3 - "$gbench" >"$raw" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    raw = json.load(f)
+print(json.dumps({
+    b["run_name"].split("/")[0]: {f"real_time_{b['time_unit']}": round(b["real_time"], 3)}
+    for b in raw["benchmarks"] if b.get("aggregate_name") == "median"
+}))
+PY
+    rm -f "$gbench"
+    merge_snapshot BENCH_net.json dfv-bench-net-v1 \
+      "baseline = the commit before the campaign fast path (allocation-free paths, indexed max-min heap), same host; current = last scripts/bench.sh net run" \
+      '_items_per_sec$'
+    echo "wrote BENCH_net.json"
+    ;;
   *)
-    echo "usage: scripts/bench.sh [ml|ml-predict|serve|store]" >&2
+    echo "usage: scripts/bench.sh [ml|ml-predict|serve|store|net]" >&2
     exit 2
     ;;
 esac

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
-#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -36,7 +35,7 @@ int chunk_count(double bytes, const FlowModelParams& p) {
   return int(std::min<double>(n, p.max_chunks));
 }
 
-/// Demands per routing wave. Within a wave, paths are chosen in parallel
+/// Demands per routing wave. Within a wave, paths are chosen independently
 /// against a frozen load snapshot; the snapshot is refreshed between waves
 /// so adaptive routing still reacts to earlier demands. The wave structure
 /// (and hence every result) depends only on the input order, never on the
@@ -56,19 +55,21 @@ void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy 
   // sequence per demand regardless of scheduling.
   const std::uint64_t seed = rng();
 
-  std::vector<std::vector<Path>> wave_paths(std::min(kRoutingWave, demands.size()));
+  // max_chunks path slots per demand of a wave: filled in parallel (each
+  // demand owns its slots), applied serially in demand order.
+  const std::size_t slots = std::size_t(params_.max_chunks);
+  std::vector<Path> wave_paths(std::min(kRoutingWave, demands.size()) * slots);
   for (std::size_t wave_lo = 0; wave_lo < demands.size(); wave_lo += kRoutingWave) {
     const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, demands.size());
     exec::parallel_for(wave_lo, wave_hi, 8, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        auto& slot = wave_paths[i - wave_lo];
-        slot.clear();
         const Demand& d = demands[i];
         if (d.bytes <= 0.0 || d.src == d.dst) continue;
         Rng dr(exec::substream_seed(seed, i));
+        Path* slot = &wave_paths[(i - wave_lo) * slots];
         const int chunks = chunk_count(d.bytes, params_);
         for (int c = 0; c < chunks; ++c)
-          slot.push_back(chooser_.choose(d.src, d.dst, policy, out.link_rate, dr));
+          slot[c] = chooser_.choose(d.src, d.dst, policy, out.link_rate, dr);
       }
     });
     // Apply in demand order so accumulation is independent of scheduling.
@@ -82,10 +83,11 @@ void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy 
         }
         continue;
       }
-      const auto& slot = wave_paths[i - wave_lo];
-      const double chunk_rate = d.bytes / dt / double(slot.size());
-      for (const Path& p : slot)
-        for (LinkId id : p.links) out.link_rate[std::size_t(id)] += chunk_rate;
+      const Path* slot = &wave_paths[(i - wave_lo) * slots];
+      const int chunks = chunk_count(d.bytes, params_);
+      const double chunk_rate = d.bytes / dt / double(chunks);
+      for (int c = 0; c < chunks; ++c)
+        for (LinkId id : slot[c].links) out.link_rate[std::size_t(id)] += chunk_rate;
       out.inject_rate[std::size_t(d.src)] += d.bytes / dt;
       out.eject_rate[std::size_t(d.dst)] += d.bytes / dt;
     }
@@ -108,12 +110,12 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
   std::vector<double>& est_rate = scratch_rate_;
   constexpr double kSelfRateDt = 0.1;
 
-  // Internal flow list; a message may be split into several chunk-flows.
+  // Flow table: a message may be split into several chunk-flows; message
+  // i owns flows [flow_begin[i], flow_begin[i + 1]), in message order.
   struct Flow {
-    std::size_t msg = 0;
     double bytes = 0.0;
-    std::vector<std::size_t> resources;  ///< link ids, then L+r (inject), L+R+r (eject)
     double rate = 0.0;
+    Path path;
   };
   std::vector<Flow> flows;
   flows.reserve(messages.size());
@@ -122,67 +124,26 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
   // before any routing so both the wave structure and the per-message RNG
   // substreams are functions of the input alone.
   result.messages.resize(messages.size());
-  std::vector<std::pair<std::size_t, std::size_t>> msg_flows(messages.size(), {0, 0});
+  std::vector<std::uint32_t> flow_begin(messages.size() + 1, 0);
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Demand& d = messages[i];
     result.messages[i].demand = d;
+    flow_begin[i] = std::uint32_t(flows.size());
     if (d.bytes <= 0.0) continue;
     const int chunks = d.src == d.dst ? 1 : chunk_count(d.bytes, params_);
     const double chunk_bytes = d.bytes / double(chunks);
-    msg_flows[i].first = flows.size();
-    for (int c = 0; c < chunks; ++c) {
-      Flow f;
-      f.msg = i;
-      f.bytes = chunk_bytes;
-      flows.push_back(std::move(f));
-    }
-    msg_flows[i].second = flows.size();
+    for (int c = 0; c < chunks; ++c) flows.push_back({chunk_bytes, 0.0, {}});
     if (ours != nullptr) {
       ours->inject_bytes[std::size_t(d.src)] += d.bytes;
       ours->eject_bytes[std::size_t(d.dst)] += d.bytes;
     }
   }
-
-  // Wave-parallel routing. One draw seeds per-message substreams; each
-  // message routes its chunks sequentially from its own stream against the
-  // load snapshot frozen at the wave boundary, so results are bit-identical
-  // for any thread count. Self-load (est_rate) and byte accounting are
-  // applied serially in message order between waves.
-  const std::uint64_t phase_seed = rng();
-  for (std::size_t wave_lo = 0; wave_lo < messages.size(); wave_lo += kRoutingWave) {
-    const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, messages.size());
-    exec::parallel_for(wave_lo, wave_hi, 8, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Demand& d = messages[i];
-        if (d.bytes <= 0.0 || d.src == d.dst) continue;
-        Rng mr(exec::substream_seed(phase_seed, i));
-        for (std::size_t fi = msg_flows[i].first; fi < msg_flows[i].second; ++fi) {
-          Path p = chooser_.choose(d.src, d.dst, policy, est_rate, mr);
-          Flow& f = flows[fi];
-          f.resources.reserve(p.links.size() + 2);
-          for (LinkId id : p.links) f.resources.push_back(std::size_t(id));
-          if (fi == msg_flows[i].first) result.messages[i].path = std::move(p);
-        }
-      }
-    });
-    for (std::size_t i = wave_lo; i < wave_hi; ++i) {
-      const Demand& d = messages[i];
-      if (d.bytes <= 0.0) continue;
-      for (std::size_t fi = msg_flows[i].first; fi < msg_flows[i].second; ++fi) {
-        Flow& f = flows[fi];
-        for (std::size_t r : f.resources) {
-          est_rate[r] += f.bytes / kSelfRateDt;
-          if (ours != nullptr) ours->link_bytes[r] += f.bytes;
-        }
-        f.resources.push_back(L + std::size_t(d.src));
-        f.resources.push_back(L + R + std::size_t(d.dst));
-      }
-    }
-  }
+  flow_begin[messages.size()] = std::uint32_t(flows.size());
 
   // Dense-index the touched resources in first-touch (flow) order via an
   // epoch-stamped lookup table: no O(refs log refs) sort, no O(L+2R) clear
-  // per call. `refs` flattens each flow's resources as dense ids.
+  // per call. Resource ids are links, then L+r (inject), L+R+r (eject);
+  // `refs` lists each flow's resources as dense ids, flow by flow.
   if (res_stamp_.size() != L + 2 * R) {
     res_stamp_.assign(L + 2 * R, 0);
     res_dense_.assign(L + 2 * R, 0);
@@ -192,19 +153,55 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
     std::fill(res_stamp_.begin(), res_stamp_.end(), 0u);
     res_epoch_ = 1;
   }
-  std::vector<std::size_t> used;  // dense id -> raw resource id
+  std::vector<std::uint32_t> used;  // dense id -> raw resource id
   std::vector<std::uint32_t> refs;
   std::vector<std::uint32_t> flow_off(flows.size() + 1, 0);
   refs.reserve(flows.size() * 8);
-  for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-    flow_off[fi] = std::uint32_t(refs.size());
-    for (std::size_t r : flows[fi].resources) {
-      if (res_stamp_[r] != res_epoch_) {
-        res_stamp_[r] = res_epoch_;
-        res_dense_[r] = std::uint32_t(used.size());
-        used.push_back(r);
+  const auto dense = [&](std::size_t r) {
+    if (res_stamp_[r] != res_epoch_) {
+      res_stamp_[r] = res_epoch_;
+      res_dense_[r] = std::uint32_t(used.size());
+      used.push_back(std::uint32_t(r));
+    }
+    return res_dense_[r];
+  };
+
+  // Wave-parallel routing. One draw seeds per-message substreams; each
+  // message routes its chunks sequentially from its own stream against the
+  // load snapshot frozen at the wave boundary, so results are bit-identical
+  // for any thread count. Self-load (est_rate), byte accounting and the
+  // dense resource lists are built serially in message order between waves.
+  // A wave is one chunk, so it routes inline: with allocation-free paths a
+  // wave is tens of microseconds of work, and handing it to the pool cost
+  // more than it saved (BM_FlowTransferMilcStep ran no faster on 4 threads
+  // than on 1). Chunks write disjoint slots, so the grain cannot change
+  // results.
+  const std::uint64_t phase_seed = rng();
+  for (std::size_t wave_lo = 0; wave_lo < messages.size(); wave_lo += kRoutingWave) {
+    const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, messages.size());
+    exec::parallel_for(wave_lo, wave_hi, kRoutingWave, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Demand& d = messages[i];
+        if (d.bytes <= 0.0 || d.src == d.dst) continue;
+        Rng mr(exec::substream_seed(phase_seed, i));
+        for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi)
+          flows[fi].path = chooser_.choose(d.src, d.dst, policy, est_rate, mr);
+        result.messages[i].path = flows[flow_begin[i]].path;
       }
-      refs.push_back(res_dense_[r]);
+    });
+    for (std::size_t i = wave_lo; i < wave_hi; ++i) {
+      const Demand& d = messages[i];
+      for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi) {
+        const Flow& f = flows[fi];
+        flow_off[fi] = std::uint32_t(refs.size());
+        for (LinkId id : f.path.links) {
+          est_rate[std::size_t(id)] += f.bytes / kSelfRateDt;
+          if (ours != nullptr) ours->link_bytes[std::size_t(id)] += f.bytes;
+          refs.push_back(dense(std::size_t(id)));
+        }
+        refs.push_back(dense(L + std::size_t(d.src)));
+        refs.push_back(dense(L + R + std::size_t(d.dst)));
+      }
     }
   }
   flow_off[flows.size()] = std::uint32_t(refs.size());
@@ -246,29 +243,72 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
         radj_items[cursor[refs[k]]++] = std::uint32_t(fi);
   }
 
-  // Progressive-filling max-min fairness with a lazy min-heap over
-  // (residual/nflows, resource). Water-filling shares are non-decreasing,
-  // so a popped entry is either current (freeze its flows) or stale
-  // (re-push the recomputed share). The pop cap guards pathological
-  // inputs; stragglers fall back to a per-flow bottleneck approximation.
+  // Progressive-filling max-min fairness over an indexed min-heap holding
+  // each resource still crossed by an unfrozen flow once, keyed by
+  // (share, dense id) with share = residual / nflows as of its last keying.
+  // The top is frozen when its key is current; an out-of-date top is
+  // re-keyed in place. Re-keying lazily, at the top, rather than on every
+  // residual change is what fixes the freeze order: an eager re-key can
+  // round a tied share a hair below the level just frozen and so reorder
+  // freezes between tied resources. A resource leaves the heap when its
+  // last flow freezes. Each pop either freezes a flow or re-keys, each
+  // re-key follows a change, and every unfrozen flow keeps its inject and
+  // eject resources in the heap, so the loop ends with every flow frozen.
+  constexpr std::uint32_t kOut = std::numeric_limits<std::uint32_t>::max();
+  std::vector<double> key(U);
+  std::vector<std::uint32_t> heap(U);
+  std::vector<std::uint32_t> at(U);  ///< heap position of a resource, or kOut
+  const auto before = [&key](std::uint32_t a, std::uint32_t b) {
+    return key[a] < key[b] || (key[a] == key[b] && a < b);
+  };
+  const auto place = [&heap, &at](std::size_t pos, std::uint32_t u) {
+    heap[pos] = u;
+    at[u] = std::uint32_t(pos);
+  };
+  const auto sift_up = [&](std::size_t pos) {
+    const std::uint32_t u = heap[pos];
+    for (; pos > 0 && before(u, heap[(pos - 1) / 2]); pos = (pos - 1) / 2)
+      place(pos, heap[(pos - 1) / 2]);
+    place(pos, u);
+  };
+  const auto sift_down = [&](std::size_t pos) {
+    const std::uint32_t u = heap[pos];
+    const std::size_t n = heap.size();
+    for (std::size_t c = 2 * pos + 1; c < n; pos = c, c = 2 * pos + 1) {
+      if (c + 1 < n && before(heap[c + 1], heap[c])) ++c;
+      if (!before(heap[c], u)) break;
+      place(pos, heap[c]);
+    }
+    place(pos, u);
+  };
+  const auto erase_at = [&](std::size_t pos) {
+    at[heap[pos]] = kOut;
+    const std::uint32_t last = heap.back();
+    heap.pop_back();
+    if (pos == heap.size()) return;
+    place(pos, last);
+    sift_up(pos);
+    sift_down(at[last]);
+  };
+  for (std::uint32_t u = 0; u < U; ++u) {
+    key[u] = residual[u] / double(nflows[u]);
+    place(u, u);
+  }
+  for (std::size_t pos = U / 2; pos-- > 0;) sift_down(pos);
+
   std::vector<char> done(flows.size(), 0);
   std::size_t remaining = flows.size();
-  using HeapEntry = std::pair<double, std::uint32_t>;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
-  for (std::size_t u = 0; u < U; ++u)
-    if (nflows[u] > 0) heap.push({residual[u] / double(nflows[u]), std::uint32_t(u)});
-  std::size_t pops = 0;
-  const std::size_t pop_cap = 64 * U + refs.size() + 1024;
-  while (remaining > 0 && !heap.empty() && pops++ < pop_cap) {
-    const auto [share, u] = heap.top();
-    heap.pop();
-    if (nflows[u] <= 0) continue;
+  while (!heap.empty()) {
+    const std::uint32_t u = heap[0];
     const double cur = residual[u] / double(nflows[u]);
-    if (cur != share) {
-      heap.push({cur, u});
+    if (cur != key[u]) {
+      key[u] = cur;
+      sift_down(0);
       continue;
     }
+    const double share = key[u];
     DFV_CHECK(std::isfinite(share));
+    erase_at(0);
     for (std::uint32_t k = radj_off[u]; k < radj_off[u + 1]; ++k) {
       const std::uint32_t fi = radj_items[k];
       if (done[fi]) continue;
@@ -276,31 +316,28 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
       done[fi] = 1;
       --remaining;
       for (std::uint32_t kk = flow_off[fi]; kk < flow_off[fi + 1]; ++kk) {
-        residual[refs[kk]] -= share;
-        --nflows[refs[kk]];
+        const std::uint32_t r = refs[kk];
+        residual[r] -= share;
+        --nflows[r];
+        if (at[r] != kOut && nflows[r] == 0) erase_at(at[r]);
       }
     }
   }
-  if (remaining > 0) {
-    for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-      if (done[fi]) continue;
-      double share = std::numeric_limits<double>::infinity();
-      for (std::uint32_t k = flow_off[fi]; k < flow_off[fi + 1]; ++k) {
-        const std::uint32_t u = refs[k];
-        if (nflows[u] > 0) share = std::min(share, residual[u] / double(nflows[u]));
-      }
-      flows[fi].rate = std::isfinite(share) ? std::max(share, 1.0) : 1.0;
-    }
-  }
+  DFV_CHECK_MSG(remaining == 0, "max-min solve left flows without a rate");
 
-  // Message completion time: max over its chunk flows.
-  for (const Flow& f : flows) {
-    RoutedMessage& m = result.messages[f.msg];
+  // Message completion time: max over its chunk flows, with the path
+  // latency of the message's first chunk.
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    RoutedMessage& m = result.messages[i];
+    if (flow_begin[i] == flow_begin[i + 1]) continue;
     const double latency =
         m.path.links.empty() ? 2.0e-7 : topo_->path_latency(m.path) + 2.0e-7;
-    const double t = latency + f.bytes / std::max(f.rate, 1.0);
-    m.time = std::max(m.time, t);
-    m.rate = m.rate == 0.0 ? f.rate : std::min(m.rate, f.rate);
+    for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi) {
+      const Flow& f = flows[fi];
+      const double t = latency + f.bytes / std::max(f.rate, 1.0);
+      m.time = std::max(m.time, t);
+      m.rate = m.rate == 0.0 ? f.rate : std::min(m.rate, f.rate);
+    }
   }
   for (const RoutedMessage& m : result.messages)
     result.makespan = std::max(result.makespan, m.time);

@@ -53,8 +53,7 @@ PacketStats PacketSim::run() {
       // Path chosen per-packet when it enters the network, against the
       // *current* backlog state — the approximation of Aries' per-hop
       // back-pressure-driven adaptive choice.
-      Path path = chooser_.choose(p.src, p.dst, params_.policy, queue_rate_, rng_);
-      p.path = std::move(path.links);
+      p.path = chooser_.choose(p.src, p.dst, params_.policy, queue_rate_, rng_).links;
       p.routed = true;
     }
 

@@ -79,7 +79,7 @@ class PacketSim {
     RouterId src = kInvalidRouter;
     RouterId dst = kInvalidRouter;
     double inject_time = 0.0;
-    std::vector<LinkId> path;  ///< chosen when the packet enters the network
+    LinkList path;  ///< chosen when the packet enters the network
     std::uint16_t hop = 0;
     bool routed = false;
   };

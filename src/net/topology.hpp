@@ -6,9 +6,13 @@
 // control behaves and what the per-tile Aries counters observe.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "net/config.hpp"
 
 namespace dfv::net {
@@ -27,10 +31,37 @@ struct LinkInfo {
   double latency = 0.0;   ///< seconds
 };
 
+/// Fixed-capacity inline list of directed links: building, copying and
+/// choosing routes never touches the heap. Pushing past the capacity is
+/// a ContractError.
+class LinkList {
+ public:
+  /// Longest dragonfly route: Valiant is 2 intra + blue + 2 intra + blue
+  /// + 2 intra hops; a minimal route is at most 5.
+  static constexpr std::size_t kCapacity = 8;
+
+  void push_back(LinkId id) {
+    DFV_CHECK_MSG(size_ < kCapacity, "a dragonfly path holds at most 8 links");
+    ids_[size_++] = id;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] LinkId operator[](std::size_t i) const noexcept { return ids_[i]; }
+  [[nodiscard]] LinkId& front() noexcept { return ids_[0]; }
+  [[nodiscard]] LinkId& back() noexcept { return ids_[size_ - 1]; }
+  [[nodiscard]] const LinkId* begin() const noexcept { return ids_.data(); }
+  [[nodiscard]] const LinkId* end() const noexcept { return ids_.data() + size_; }
+
+ private:
+  std::array<LinkId, kCapacity> ids_{};
+  std::uint8_t size_ = 0;
+};
+
 /// A route through the network: the ordered list of directed links.
 /// An empty path means source and destination routers coincide.
 struct Path {
-  std::vector<LinkId> links;
+  LinkList links;
 
   [[nodiscard]] std::size_t hops() const noexcept { return links.size(); }
 };

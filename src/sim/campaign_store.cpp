@@ -5,9 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/integrity.hpp"
+#include "exec/exec.hpp"
 
 namespace dfv::sim {
 
@@ -72,17 +74,13 @@ struct Staging {
         u8.emplace_back();
     }
   }
-  void flush_into(store::ColumnStore& cs) {
-    if (rows == 0) {
-      cs.publish();
-      return;
-    }
-    store::AppendChunk chunk;
-    chunk.rows = rows;
-    for (const auto& col : f64) chunk.f64.emplace_back(col.data(), col.size());
-    for (const auto& col : u8) chunk.u8.emplace_back(col.data(), col.size());
-    cs.append(chunk);
-    cs.publish();
+  /// The staged rows as one append chunk (views into this buffer).
+  [[nodiscard]] store::AppendChunk chunk() const {
+    store::AppendChunk c;
+    c.rows = rows;
+    for (const auto& col : f64) c.f64.emplace_back(col.data(), col.size());
+    for (const auto& col : u8) c.u8.emplace_back(col.data(), col.size());
+    return c;
   }
 };
 
@@ -170,22 +168,39 @@ bool campaign_store_exists(const std::string& dir) {
 bool save_campaign_store(const CampaignResult& result, const std::string& dir) {
   DFV_CHECK_MSG(!result.datasets.empty(), "campaign store: nothing to save");
   try {
+    // An entry directory without META was never committed (a writer died
+    // mid-publish): clear it, or its sub-stores would refuse the rewrite
+    // and the entry could never be committed again.
+    std::error_code ec;
+    if (!campaign_store_exists(dir)) fs::remove_all(dir, ec);
     fs::create_directories(dir);
+    // Datasets publish in parallel: each writes only its own sub-store
+    // directories, so no byte depends on the order, and the datasets'
+    // column syncs overlap instead of queueing one behind another. META
+    // is still written strictly after every sub-store is published.
+    const std::size_t n = result.datasets.size();
+    std::vector<std::size_t> steps_rows(n, 0), neigh_rows(n, 0);
+    exec::parallel_for(0, n, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Dataset& ds = result.datasets[i];
+        const std::string base = dir + "/" + ds.spec.label();
+        Staging runs(runs_schema()), steps(steps_schema()), neigh(neigh_schema());
+        stage_dataset(ds, runs, steps, neigh);
+        // One append and one publish per sub-store.
+        (void)store::ColumnStore::create(base + "/runs", runs_schema(), {}, runs.chunk());
+        (void)store::ColumnStore::create(base + "/steps", steps_schema(), {}, steps.chunk());
+        (void)store::ColumnStore::create(base + "/neigh", neigh_schema(), {}, neigh.chunk());
+        steps_rows[i] = steps.rows;
+        neigh_rows[i] = neigh.rows;
+      }
+    });
     std::ostringstream meta;
     meta << kMetaMagic << ' ' << kMetaVersion << '\n';
-    meta << "datasets " << result.datasets.size() << '\n';
-    for (const Dataset& ds : result.datasets) {
-      const std::string base = dir + "/" + ds.spec.label();
-      Staging runs(runs_schema()), steps(steps_schema()), neigh(neigh_schema());
-      stage_dataset(ds, runs, steps, neigh);
-      store::ColumnStore runs_cs = store::ColumnStore::create(base + "/runs", runs_schema());
-      store::ColumnStore steps_cs = store::ColumnStore::create(base + "/steps", steps_schema());
-      store::ColumnStore neigh_cs = store::ColumnStore::create(base + "/neigh", neigh_schema());
-      runs.flush_into(runs_cs);
-      steps.flush_into(steps_cs);
-      neigh.flush_into(neigh_cs);
-      meta << "dataset " << ds.spec.app << ' ' << ds.spec.nodes << ' '
-           << ds.runs.size() << ' ' << steps.rows << ' ' << neigh.rows << '\n';
+    meta << "datasets " << n << '\n';
+    for (std::size_t i = 0; i < n; ++i) {
+      const Dataset& ds = result.datasets[i];
+      meta << "dataset " << ds.spec.app << ' ' << ds.spec.nodes << ' ' << ds.runs.size()
+           << ' ' << steps_rows[i] << ' ' << neigh_rows[i] << '\n';
     }
     std::string text = meta.str();
     append_checksum_footer(text);

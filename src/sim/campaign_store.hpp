@@ -29,8 +29,9 @@ namespace dfv::sim {
 [[nodiscard]] bool campaign_store_exists(const std::string& dir);
 
 /// Publish `result` as a campaign-store entry at `dir`: every sub-store
-/// is written and published first, META strictly last. Returns false on
-/// I/O failure (the entry is then not committed).
+/// is written and published once, META strictly last. A directory at
+/// `dir` without META (a publish that was interrupted) is cleared first.
+/// Returns false on I/O failure (the entry is then not committed).
 [[nodiscard]] bool save_campaign_store(const CampaignResult& result,
                                        const std::string& dir);
 

@@ -292,7 +292,7 @@ void StorePin::snapshot_to(const std::string& dest_dir) const {
 // -------------------------------------------------------------- ColumnStore
 
 ColumnStore ColumnStore::create(const std::string& dir, std::vector<ColumnSpec> specs,
-                                const StoreOptions& opts) {
+                                const StoreOptions& opts, const AppendChunk& first) {
   namespace fs = std::filesystem;
   DFV_CHECK_MSG(!specs.empty(), "store: a store needs at least one column");
   DFV_CHECK_MSG(opts.segment_rows > 0, "store: segment_rows must be positive");
@@ -316,7 +316,8 @@ ColumnStore ColumnStore::create(const std::string& dir, std::vector<ColumnSpec> 
     s.cols_[c].file = AppendFile::open(column_path(dir, s.specs_[c].name));
     s.cols_[c].file.truncate_to(0);  // drop stale bytes from a dead store
   }
-  s.publish();  // epoch 1, rows 0: readers can pin immediately
+  if (first.rows > 0) s.append(first);
+  s.publish();  // epoch 1: readers can pin immediately
   return s;
 }
 

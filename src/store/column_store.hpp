@@ -121,11 +121,13 @@ class StorePin {
 /// serialized internally; pins may be taken from any thread.
 class ColumnStore {
  public:
-  /// Create a fresh store (directory is created; a row-0 MANIFEST is
-  /// published immediately so readers can pin an empty store).
+  /// Create a fresh store (directory is created) holding the rows of
+  /// `first` (none by default) and publish it once, as epoch 1, so
+  /// readers can pin it immediately.
   [[nodiscard]] static ColumnStore create(const std::string& dir,
                                           std::vector<ColumnSpec> specs,
-                                          const StoreOptions& opts = {});
+                                          const StoreOptions& opts = {},
+                                          const AppendChunk& first = {});
   /// Open an existing store for appending. Bytes beyond the committed
   /// extent (torn writes from a crashed writer) are truncated away;
   /// a column file *shorter* than the committed extent is corruption and

@@ -5,11 +5,13 @@
 #include "common/check.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 
+#include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "exec/exec.hpp"
 
@@ -170,6 +172,50 @@ TEST_F(CampaignTest, BitIdenticalAcrossThreadCounts) {
   exec::ThreadPool::instance().resize(exec::resolve_threads());
 
   expect_bit_identical(a, b);
+}
+
+// The simulator's output pinned across commits: FNV-1a over the bit
+// patterns of every RunRecord field that BitIdenticalAcrossThreadCounts
+// compares, for a 1-day small campaign. A change that moves any output
+// bit (routing, rate solve, counters, scheduling) changes this digest.
+TEST_F(CampaignTest, GoldenDigest) {
+  CampaignConfig cfg = CampaignConfig::small(42);
+  cfg.days = 1;
+  const CampaignResult res = run_campaign(cfg);
+
+  std::uint64_t h = kFnvBasis;
+  const auto put_f = [&h](double v) {
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    h = fnv1a64_update(h, &u, sizeof u);
+  };
+  const auto put_i = [&h](std::int64_t v) { h = fnv1a64_update(h, &v, sizeof v); };
+  std::size_t runs = 0;
+  for (const Dataset& ds : res.datasets) {
+    put_i(std::int64_t(ds.runs.size()));
+    for (const RunRecord& run : ds.runs) {
+      ++runs;
+      put_i(run.job_id);
+      put_f(run.submit_time_s);
+      put_f(run.start_time_s);
+      put_f(run.end_time_s);
+      put_i(run.num_routers);
+      put_i(run.num_groups);
+      put_i(std::int64_t(run.step_times.size()));
+      for (double v : run.step_times) put_f(v);
+      for (const auto& ctr : run.step_counters)
+        for (double v : ctr) put_f(v);
+      for (const auto& ldms : run.step_ldms) {
+        for (double v : ldms.io) put_f(v);
+        for (double v : ldms.sys) put_f(v);
+      }
+      put_f(run.profile.compute_s);
+      for (double v : run.profile.routine_s) put_f(v);
+      put_i(std::int64_t(run.neighborhood_users.size()));
+      for (int u : run.neighborhood_users) put_i(u);
+    }
+  }
+  EXPECT_GT(runs, 0u);
+  EXPECT_EQ(h, 0x68cf4d5addd07aaaull) << std::hex << h;
 }
 
 TEST_F(CampaignTest, ThreadCountInvariantCacheEntries) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "apps/registry.hpp"
 #include "common/check.hpp"
+#include "common/integrity.hpp"
+#include "sched/allocator.hpp"
+#include "sched/placement.hpp"
+#include "sched/workload.hpp"
 
 namespace dfv::net {
 namespace {
@@ -147,6 +154,84 @@ TEST_F(FlowModelTest, FairnessBetweenIdenticalFlows) {
   const TransferResult res = model_.transfer(demands, RoutingPolicy::Minimal, bg_, rng_);
   const double r0 = res.messages[0].rate, r1 = res.messages[1].rate;
   EXPECT_NEAR(r0 / r1, 1.0, 0.75);  // chunk paths differ, rates same order
+}
+
+/// FNV-1a over the bit patterns of a value sequence.
+struct BitHash {
+  std::uint64_t h = kFnvBasis;
+  void add(double v) {
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    h = fnv1a64_update(h, &u, sizeof u);
+  }
+  void add(std::int64_t v) { h = fnv1a64_update(h, &v, sizeof v); }
+  void add(const std::vector<double>& vs) {
+    for (double v : vs) add(v);
+  }
+};
+
+/// Hash of one transfer: every message's path links, rate and time, the
+/// makespan, and the job byte totals the call accumulated.
+std::uint64_t transfer_hash(const FlowModel& flow, std::span<const Demand> demands,
+                            const RateLoads& bg) {
+  ByteLoads ours;
+  ours.resize(flow.topology());
+  Rng rng(4);
+  const TransferResult res = flow.transfer(demands, RoutingPolicy::Ugal, bg, rng, &ours);
+  EXPECT_EQ(res.messages.size(), demands.size());
+  BitHash h;
+  for (const RoutedMessage& m : res.messages) {
+    h.add(std::int64_t(m.path.hops()));
+    for (LinkId id : m.path.links) h.add(std::int64_t(id));
+    h.add(m.rate);
+    h.add(m.time);
+  }
+  h.add(res.makespan);
+  h.add(ours.link_bytes);
+  h.add(ours.inject_bytes);
+  h.add(ours.eject_bytes);
+  return h.h;
+}
+
+// The simulator's output pinned across commits, not just across thread
+// counts: the MILC-128 phase of BM_FlowTransferMilcStep on Cori, against
+// an idle machine and against a fixed routed background. A refactor of
+// routing or of the max-min solve must leave every bit of these hashes
+// unchanged; the idle phase's many tied shares make it sensitive to the
+// solve's freeze order.
+TEST_F(FlowModelTest, GoldenTransfer) {
+  const Topology topo(DragonflyConfig::cori());
+  const FlowModel flow(topo);
+
+  sched::NodeAllocator alloc(topo);
+  Rng rng(3);
+  const auto placement =
+      sched::make_placement(alloc.allocate(128, sched::AllocPolicy::Clustered, rng), topo);
+  const auto milc = apps::make_milc(128);
+  const auto spec = milc->step(40, placement, topo, rng);
+  ASSERT_FALSE(spec.phases.empty());
+  const std::vector<Demand>& demands = spec.phases[0].demands;
+
+  RateLoads idle;
+  idle.resize(topo);
+  EXPECT_EQ(transfer_hash(flow, demands, idle), 0x4449b43cb2ffb089ull);
+
+  // Uniform-pairs background over the job's own routers, so it loads the
+  // endpoints and links the phase competes for.
+  sched::TrafficSpec traffic;
+  traffic.net_bytes_per_node_per_s = 2e9;
+  Rng bg_rng(5);
+  const auto bg_demands =
+      sched::generate_background_demands(placement, traffic, {}, topo, bg_rng);
+  RateLoads bg;
+  bg.resize(topo);
+  Rng route_rng(6);
+  flow.route_background(bg_demands, RoutingPolicy::Ugal, 1.0, route_rng, bg);
+  BitHash bg_hash;
+  bg_hash.add(bg.link_rate);
+  bg_hash.add(bg.inject_rate);
+  bg_hash.add(bg.eject_rate);
+  EXPECT_EQ(bg_hash.h, 0x01eb65a70700eff1ull);
+  EXPECT_EQ(transfer_hash(flow, demands, bg), 0x337d27efd1e50f6dull);
 }
 
 TEST_F(FlowModelTest, ParamValidation) {

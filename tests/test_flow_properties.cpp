@@ -3,8 +3,10 @@
 // machine scales (TEST_P grid).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "common/check.hpp"
 #include "net/flow_model.hpp"
@@ -116,6 +118,58 @@ TEST_P(FlowProperties, BackgroundRoutingDeterministicGivenRng) {
   model_.route_background(demands, policy_, 1.0, r2, b);
   for (std::size_t e = 0; e < a.link_rate.size(); ++e)
     ASSERT_DOUBLE_EQ(a.link_rate[e], b.link_rate[e]);
+}
+
+// Max-min fairness certificate. Single-chunk messages make each message
+// one flow, so its path and rate are the flow's. Every flow must have a
+// bottleneck: a resource on its route (links, then the source's inject
+// and the destination's eject tile) whose residual capacity the flows
+// use up, and on which no flow has a higher rate.
+TEST_P(FlowProperties, RatesAreMaxMinFair) {
+  const auto demands = random_demands(96, 5e5, rng_);
+  RateLoads bg;
+  bg.resize(topo_);
+  const double ep_bw = topo_.config().endpoint_bw;
+  for (int e = 0; e < topo_.num_links(); ++e)
+    bg.link_rate[std::size_t(e)] = rng_.uniform(0.0, 1.0) * topo_.link(LinkId(e)).capacity;
+  for (std::size_t r = 0; r < bg.inject_rate.size(); ++r) {
+    bg.inject_rate[r] = rng_.uniform(0.0, 1.0) * ep_bw;
+    bg.eject_rate[r] = rng_.uniform(0.0, 1.0) * ep_bw;
+  }
+  const auto res = model_.transfer(demands, policy_, bg, rng_);
+
+  const std::size_t L = std::size_t(topo_.num_links());
+  const std::size_t R = bg.inject_rate.size();
+  const auto route = [&](const RoutedMessage& m) {
+    std::vector<std::size_t> ids(m.path.links.begin(), m.path.links.end());
+    ids.push_back(L + std::size_t(m.demand.src));
+    ids.push_back(L + R + std::size_t(m.demand.dst));
+    return ids;
+  };
+  const auto residual = [&](std::size_t e) {
+    const double cap = e < L ? topo_.link(LinkId(e)).capacity : ep_bw;
+    const double load = e < L       ? bg.link_rate[e]
+                        : e < L + R ? bg.inject_rate[e - L]
+                                    : bg.eject_rate[e - L - R];
+    return std::max(cap * model_.params().capacity_headroom - load,
+                    cap * model_.params().min_residual_frac);
+  };
+  std::vector<double> used(L + 2 * R, 0.0), top(L + 2 * R, 0.0);
+  for (const RoutedMessage& m : res.messages)
+    for (std::size_t e : route(m)) {
+      used[e] += m.rate;
+      top[e] = std::max(top[e], m.rate);
+    }
+  for (const RoutedMessage& m : res.messages) {
+    bool bottlenecked = false;
+    for (std::size_t e : route(m))
+      if (used[e] >= residual(e) * (1.0 - 1e-9) && m.rate >= top[e] * (1.0 - 1e-9))
+        bottlenecked = true;
+    EXPECT_TRUE(bottlenecked) << to_string(policy_) << " " << m.demand.src << "->"
+                              << m.demand.dst << " rate " << m.rate;
+  }
+  for (std::size_t e = 0; e < used.size(); ++e)
+    EXPECT_LE(used[e], residual(e) * (1.0 + 1e-9)) << "resource " << e;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
+#include "exec/exec.hpp"
 #include "ml/gbr.hpp"
 #include "ml/rfe.hpp"
 #include "sim/cache_gc.hpp"
@@ -180,6 +183,35 @@ TEST_F(StoreTest, AppendBatchingIsByteAndFingerprintInvariant) {
   EXPECT_EQ(cs1.pin()->content_fingerprint(), cs2.pin()->content_fingerprint());
   EXPECT_NE(cs1.pin()->epoch(), cs2.pin()->epoch());
   EXPECT_EQ(cs1.pin()->mean("b"), cs2.pin()->mean("b"));
+}
+
+TEST_F(StoreTest, CreateWithFirstChunkPublishesOnce) {
+  const std::string two_step = scratch("store_first_two_step");
+  const std::string one_step = scratch("store_first_one_step");
+
+  ColumnStore cs1 = ColumnStore::create(two_step, fixture_specs(), small_segments());
+  append_fixture_rows(cs1, 0, 150);
+  cs1.publish();
+
+  std::vector<double> a(150), b(150);
+  std::vector<std::uint8_t> q(150);
+  for (std::uint64_t i = 0; i < 150; ++i) {
+    a[i] = val_a(i);
+    b[i] = val_b(i);
+    q[i] = val_q(i);
+  }
+  AppendChunk chunk;
+  chunk.rows = 150;
+  chunk.f64 = {a, b};
+  chunk.u8 = {q};
+  ColumnStore cs2 = ColumnStore::create(one_step, fixture_specs(), small_segments(), chunk);
+  EXPECT_EQ(cs2.published_rows(), 150u);
+
+  for (const char* col : {"a.col", "b.col", "q.col"})
+    EXPECT_EQ(slurp(fs::path(two_step) / col), slurp(fs::path(one_step) / col)) << col;
+  EXPECT_EQ(cs1.pin()->content_fingerprint(), cs2.pin()->content_fingerprint());
+  EXPECT_EQ(cs1.pin()->epoch(), 2u);
+  EXPECT_EQ(cs2.pin()->epoch(), 1u);
 }
 
 TEST_F(StoreTest, PinIsPointInTimeAcrossAppends) {
@@ -603,6 +635,28 @@ TEST_F(StoreTest, FaultedCampaignRoundTripsVerbatim) {
     expect_dataset_eq(original.datasets[i], loaded.datasets[i]);
 }
 
+TEST_F(StoreTest, CampaignStoreBytesAreThreadCountInvariant) {
+  const sim::CampaignResult campaign = sim::run_campaign(tiny_config(45));
+  const std::string one = scratch("campaign_store_t1");
+  const std::string eight = scratch("campaign_store_t8");
+  exec::ThreadPool::instance().resize(1);
+  ASSERT_TRUE(sim::save_campaign_store(campaign, one));
+  exec::ThreadPool::instance().resize(8);
+  ASSERT_TRUE(sim::save_campaign_store(campaign, eight));
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
+
+  // Datasets publish in parallel; every file must still come out the same.
+  const auto slurp_tree = [](const std::string& root) {
+    std::map<std::string, std::string> files;
+    for (const auto& e : fs::recursive_directory_iterator(root))
+      if (e.is_regular_file()) files[fs::relative(e.path(), root).string()] = slurp(e.path());
+    return files;
+  };
+  const auto t1 = slurp_tree(one);
+  ASSERT_FALSE(t1.empty());
+  EXPECT_EQ(t1, slurp_tree(eight));
+}
+
 TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
   const sim::CampaignConfig cfg = tiny_config(43);
   const std::string cache = scratch("campaign_store_cache");
@@ -638,6 +692,42 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
   EXPECT_NO_THROW((void)sim::CampaignStorePin::open(
                       (fs::path(cache) / entries[0].name).string())
                       .load_all());
+}
+
+TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
+  sim::CampaignConfig cfg = sim::CampaignConfig::small(44);
+  cfg.days = 1;
+  const std::string cache = scratch("campaign_store_interrupted");
+
+  const sim::CampaignResult first =
+      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  const auto entries = sim::list_cache_entries(cache);
+  ASSERT_EQ(entries.size(), 1u);
+  const fs::path entry = fs::path(cache) / entries[0].name;
+  ASSERT_TRUE(sim::campaign_store_exists(entry.string()));
+  // Each sub-store is published exactly once.
+  EXPECT_EQ(ColumnStore::open_pin((entry / "MILC-128" / "steps").string())->epoch(), 1u);
+
+  // A writer that died after the sub-stores but before META: the entry
+  // reads as absent, so the next call regenerates and must commit again.
+  fs::remove(entry / "META");
+  ASSERT_FALSE(sim::campaign_store_exists(entry.string()));
+  const sim::CampaignResult second =
+      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  ASSERT_TRUE(sim::campaign_store_exists(entry.string()));
+  for (std::size_t i = 0; i < first.datasets.size(); ++i)
+    expect_dataset_eq(first.datasets[i], second.datasets[i]);
+
+  // The third call loads the entry instead of regenerating it: no file
+  // of the entry is rewritten.
+  const fs::path col = entry / "MILC-128" / "steps" / "step_time.col";
+  const auto old_time = fs::last_write_time(col) - std::chrono::hours(1);
+  fs::last_write_time(col, old_time);
+  const sim::CampaignResult third =
+      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  EXPECT_EQ(fs::last_write_time(col), old_time);
+  for (std::size_t i = 0; i < first.datasets.size(); ++i)
+    expect_dataset_eq(first.datasets[i], third.datasets[i]);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -191,6 +192,63 @@ TEST_P(PathProperties, PathLatencyPositiveForDistinctRouters) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PathProperties, ::testing::Values(2, 3, 4, 6, 8));
+
+// Every route fits Path's inline bound at Cori scale: all ordered group
+// pairs, every blue copy and every intra-group order, with endpoints and
+// Valiant choices drawn from a seeded stream. The bound is tight: some
+// Valiant route takes all 8 links.
+TEST(Topology, CoriPathsFitInlineBound) {
+  const Topology topo(DragonflyConfig::cori());
+  const int G = topo.config().groups;
+  const int rpg = topo.config().routers_per_group();
+  const int K = topo.blue_copies();
+  constexpr IntraOrder kOrders[] = {IntraOrder::RowFirst, IntraOrder::ColFirst};
+  Rng rng(2024);
+  const auto router_in = [&](GroupId g) {
+    return topo.router_at(g, 0, 0) + RouterId(rng.uniform_index(std::uint64_t(rpg)));
+  };
+  std::size_t longest_minimal = 0, longest_valiant = 0;
+  for (GroupId ga = 0; ga < G; ++ga)
+    for (GroupId gb = 0; gb < G; ++gb) {
+      if (ga == gb) {
+        for (IntraOrder o : kOrders) {
+          const RouterId src = router_in(ga), dst = router_in(gb);
+          const Path p = topo.minimal_path(src, dst, 0, o, o);
+          ASSERT_TRUE(topo.path_connects(p, src, dst));
+          longest_minimal = std::max(longest_minimal, p.hops());
+        }
+        continue;
+      }
+      for (int k = 0; k < K; ++k) {
+        for (IntraOrder o1 : kOrders)
+          for (IntraOrder o2 : kOrders) {
+            const RouterId src = router_in(ga), dst = router_in(gb);
+            const Path p = topo.minimal_path(src, dst, k, o1, o2);
+            ASSERT_TRUE(topo.path_connects(p, src, dst));
+            longest_minimal = std::max(longest_minimal, p.hops());
+          }
+        for (IntraOrder o : kOrders) {
+          GroupId via = GroupId(rng.uniform_index(std::uint64_t(G)));
+          while (via == ga || via == gb) via = GroupId(rng.uniform_index(std::uint64_t(G)));
+          const int k2 = int(rng.uniform_index(std::uint64_t(K)));
+          const RouterId src = router_in(ga), dst = router_in(gb);
+          const Path p = topo.valiant_path(src, dst, via, k, k2, o);
+          ASSERT_TRUE(topo.path_connects(p, src, dst));
+          longest_valiant = std::max(longest_valiant, p.hops());
+        }
+      }
+    }
+  EXPECT_EQ(longest_minimal, 5u);
+  EXPECT_EQ(longest_valiant, LinkList::kCapacity);
+}
+
+TEST(Topology, NinthLinkIsAContractError) {
+  Path p;
+  for (std::size_t i = 0; i < LinkList::kCapacity; ++i) p.links.push_back(LinkId(i));
+  EXPECT_EQ(p.hops(), LinkList::kCapacity);
+  EXPECT_THROW(p.links.push_back(LinkId(8)), ContractError);
+  EXPECT_EQ(p.hops(), LinkList::kCapacity);
+}
 
 TEST(Topology, PathConnectsRejectsBrokenPaths) {
   const Topology topo(DragonflyConfig::small(4));
