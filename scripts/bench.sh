@@ -58,9 +58,13 @@ try:
         doc = json.load(f)
 except (FileNotFoundError, json.JSONDecodeError):
     doc = {}
-# The baseline's host: files from before this field existed carry it as
-# the last run's context.
-base_cpus = doc.get("baseline_host_cpus", doc.get("context", {}).get("host_cpus", int(cpus)))
+# The baseline's host: a file without a baseline takes this run's as its
+# new baseline; files from before this field existed carry it as the last
+# run's context.
+if "baseline" in doc:
+    base_cpus = doc.get("baseline_host_cpus", doc.get("context", {}).get("host_cpus", int(cpus)))
+else:
+    base_cpus = int(cpus)
 doc["baseline_host_cpus"] = base_cpus
 same_host = base_cpus == int(cpus)
 

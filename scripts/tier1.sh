@@ -72,9 +72,10 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # GBR/RFE suites race-check them end to end.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_gbr
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_rfe
-  # The attention fast path runs slab-parallel minibatches and the
-  # forecast grid nests cell/fold tasks over the shared window cache;
-  # both are race-checked, including the 1/2/8-thread identity sweeps.
+  # The attention fast path runs slab-parallel minibatches, and the
+  # forecast grid runs one task per (cell, fold) pair over the shared
+  # window cache with each fold's fit inline in its task; both are
+  # race-checked, including the 1/2/8-thread identity sweeps.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_attention
   # Compiled inference fans predict_many chunks across the pool, and the
   # models' batch predict methods route through it; race-checked with the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "analysis/window_cache.hpp"
 #include "common/check.hpp"
@@ -100,69 +101,51 @@ double dataset_mean_step(const sim::Dataset& ds) {
   return n > 0 ? mean_step / double(n) : 0.0;
 }
 
-/// One (m, k, feature-set) cell evaluated against the shared cache: the
-/// fold design matrices are strided views into the cached per-run
-/// feature tables, never materialized copies.
-ForecastEval evaluate_forecast_cached(const StepFeatureCache& cache,
-                                      const WindowIndex& index, double mean_step,
-                                      const WindowConfig& wcfg,
-                                      const ForecastConfig& fcfg) {
-  ForecastEval eval;
-  eval.windows = index.size();
-  DFV_CHECK_MSG(index.size() >= std::size_t(2 * fcfg.folds),
-                "too few forecasting windows for CV: " << index.size() << " windows < 2*"
-                                                       << fcfg.folds << " folds at (m="
-                                                       << wcfg.m << ", k=" << wcfg.k << ")");
-  const WindowViews views = make_window_views(cache, index, wcfg.features);
+/// The windows of one (m, k) and their run-grouped CV splits, shared by
+/// every feature-set cell at that (m, k).
+struct FoldedIndex {
+  WindowIndex index;
+  std::vector<ml::FoldSplit> folds;
+};
 
-  Rng rng(fcfg.seed);
-  const auto folds = ml::group_kfold(index.run_of, std::size_t(fcfg.folds), rng);
-  // Fold-parallel CV: each fold trains from its own substream seed and
-  // writes a private partial; partials combine in fold order, so the
-  // result is identical for any thread count.
-  struct FoldPartial {
-    double attention = 0.0, persistence = 0.0, mean = 0.0;
-  };
-  std::vector<FoldPartial> parts(folds.size());
-  ml::run_folds(folds.size(), [&](std::size_t fold_i) {
-    const auto& fold = folds[fold_i];
-    std::vector<const double*> train_ptrs, test_ptrs;
-    const ml::RowBatch x_train = views.select(fold.train, train_ptrs);
-    std::vector<double> y_train(fold.train.size());
-    for (std::size_t i = 0; i < fold.train.size(); ++i) y_train[i] = index.y[fold.train[i]];
+/// One fold's MAPEs: the attention forecaster and the two baselines.
+struct FoldPartial {
+  double attention = 0.0, persistence = 0.0, mean = 0.0;
+};
 
-    ml::AttentionParams ap = fcfg.attention;
-    ap.seed = exec::substream_seed(fcfg.attention.seed, fold_i);
-    ml::AttentionForecaster model(wcfg.m, feature_count(wcfg.features), ap);
-    model.fit(x_train, y_train);
+/// Train on one fold's training windows and score its test windows. The
+/// design matrices are strided views into the cached per-run feature
+/// tables, never materialized copies; the model seed is the fold's
+/// substream, so the result does not depend on which task runs it.
+FoldPartial evaluate_fold(const WindowViews& views, const WindowIndex& index,
+                          const ml::FoldSplit& fold, std::size_t fold_i, double mean_step,
+                          const WindowConfig& wcfg, const ForecastConfig& fcfg) {
+  std::vector<const double*> train_ptrs, test_ptrs;
+  const ml::RowBatch x_train = views.select(fold.train, train_ptrs);
+  std::vector<double> y_train(fold.train.size());
+  for (std::size_t i = 0; i < fold.train.size(); ++i) y_train[i] = index.y[fold.train[i]];
 
-    const std::vector<double> pred = model.predict(views.select(fold.test, test_ptrs));
-    std::vector<double> y_test(fold.test.size()), persist(fold.test.size()),
-        mean_pred(fold.test.size());
-    for (std::size_t i = 0; i < fold.test.size(); ++i) {
-      y_test[i] = index.y[fold.test[i]];
-      persist[i] = index.persistence[fold.test[i]];
-      mean_pred[i] = mean_step * double(wcfg.k);
-    }
-    parts[fold_i] = {ml::mape(y_test, pred), ml::mape(y_test, persist),
-                     ml::mape(y_test, mean_pred)};
-  });
-  for (const FoldPartial& p : parts) {
-    eval.mape_attention += p.attention / double(folds.size());
-    eval.mape_persistence += p.persistence / double(folds.size());
-    eval.mape_mean += p.mean / double(folds.size());
+  ml::AttentionParams ap = fcfg.attention;
+  ap.seed = exec::substream_seed(fcfg.attention.seed, fold_i);
+  ml::AttentionForecaster model(wcfg.m, feature_count(wcfg.features), ap);
+  model.fit(x_train, y_train);
+
+  const std::vector<double> pred = model.predict(views.select(fold.test, test_ptrs));
+  std::vector<double> y_test(fold.test.size()), persist(fold.test.size()),
+      mean_pred(fold.test.size());
+  for (std::size_t i = 0; i < fold.test.size(); ++i) {
+    y_test[i] = index.y[fold.test[i]];
+    persist[i] = index.persistence[fold.test[i]];
+    mean_pred[i] = mean_step * double(wcfg.k);
   }
-  return eval;
+  return {ml::mape(y_test, pred), ml::mape(y_test, persist), ml::mape(y_test, mean_pred)};
 }
 
 }  // namespace
 
 ForecastEval evaluate_forecast(const sim::Dataset& ds, const WindowConfig& wcfg,
                                const ForecastConfig& fcfg) {
-  DFV_CHECK(wcfg.m >= 1 && wcfg.k >= 1 && fcfg.folds >= 1);
-  const StepFeatureCache cache(ds);
-  const WindowIndex index = build_window_index(ds, cache, wcfg.m, wcfg.k);
-  return evaluate_forecast_cached(cache, index, dataset_mean_step(ds), wcfg, fcfg);
+  return evaluate_forecast_grid(ds, {&wcfg, 1}, fcfg).front().eval;
 }
 
 std::vector<ForecastGridCell> evaluate_forecast_grid(const sim::Dataset& ds,
@@ -170,36 +153,62 @@ std::vector<ForecastGridCell> evaluate_forecast_grid(const sim::Dataset& ds,
                                                      const ForecastConfig& fcfg) {
   DFV_CHECK(fcfg.folds >= 1);
   for (const WindowConfig& c : cells) DFV_CHECK(c.m >= 1 && c.k >= 1);
-  // Features and window indices are shared across the whole grid: the
-  // cache is built once, and cells differing only in feature set reuse
-  // the same (m, k) index (window admission never depends on features).
+  // Features, window indices and fold splits are shared across the whole
+  // grid: the cache is built once, and cells differing only in feature
+  // set reuse the same (m, k) index and splits (window admission never
+  // depends on features, and every cell's splits come from a fresh
+  // Rng(fcfg.seed) over the same run ids).
   const StepFeatureCache cache(ds);
   const double mean_step = dataset_mean_step(ds);
-  std::vector<std::pair<int, int>> mks;
+  std::vector<FoldedIndex> indices;
   std::vector<std::size_t> index_of(cells.size());
-  std::vector<WindowIndex> indices;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::pair<int, int> mk{cells[i].m, cells[i].k};
-    const auto it = std::find(mks.begin(), mks.end(), mk);
-    if (it == mks.end()) {
-      index_of[i] = mks.size();
-      mks.push_back(mk);
-      indices.push_back(build_window_index(ds, cache, mk.first, mk.second));
-    } else {
-      index_of[i] = std::size_t(it - mks.begin());
-    }
+    const WindowConfig& c = cells[i];
+    const auto it = std::find_if(indices.begin(), indices.end(), [&](const FoldedIndex& fi) {
+      return fi.index.m == c.m && fi.index.k == c.k;
+    });
+    index_of[i] = std::size_t(it - indices.begin());
+    if (it != indices.end()) continue;
+    WindowIndex index = build_window_index(ds, cache, c.m, c.k);
+    DFV_CHECK_MSG(index.size() >= std::size_t(2 * fcfg.folds),
+                  "too few forecasting windows for CV: "
+                      << index.size() << " windows < 2*" << fcfg.folds << " folds at (m="
+                      << c.m << ", k=" << c.k << ")");
+    Rng rng(fcfg.seed);
+    auto folds = ml::group_kfold(index.run_of, std::size_t(fcfg.folds), rng);
+    indices.push_back({std::move(index), std::move(folds)});
   }
+  std::vector<WindowViews> views(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i)
+    views[i] = make_window_views(cache, indices[index_of[i]].index, cells[i].features);
+
+  // One task per (cell, fold), cell-major. Each task writes only its own
+  // slot, and slots combine per cell in fold order, so every cell's
+  // numbers are identical for any thread count and to evaluating it
+  // alone. Fits nested inside a task run inline.
+  const std::size_t nfolds = std::size_t(fcfg.folds);
+  std::vector<FoldPartial> parts(cells.size() * nfolds);
+  exec::parallel_for(0, parts.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t t = lo; t < hi; ++t) {
+      const std::size_t i = t / nfolds, fold_i = t % nfolds;
+      const FoldedIndex& fi = indices[index_of[i]];
+      parts[t] = evaluate_fold(views[i], fi.index, fi.folds[fold_i], fold_i, mean_step,
+                               cells[i], fcfg);
+    }
+  });
 
   std::vector<ForecastGridCell> out(cells.size());
-  // One task per (m, k, feature-set) cell; cells are fully independent, so
-  // each slot holds exactly what a standalone evaluate_forecast would
-  // return (inner fold tasks run inline when cells already occupy the
-  // pool).
-  exec::parallel_for(0, cells.size(), 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i)
-      out[i] = {cells[i],
-                evaluate_forecast_cached(cache, indices[index_of[i]], mean_step, cells[i], fcfg)};
-  });
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ForecastEval& eval = out[i].eval;
+    out[i].window = cells[i];
+    eval.windows = indices[index_of[i]].index.size();
+    for (std::size_t f = 0; f < nfolds; ++f) {
+      const FoldPartial& p = parts[i * nfolds + f];
+      eval.mape_attention += p.attention / double(nfolds);
+      eval.mape_persistence += p.persistence / double(nfolds);
+      eval.mape_mean += p.mean / double(nfolds);
+    }
+  }
   return out;
 }
 

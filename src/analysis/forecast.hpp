@@ -66,7 +66,7 @@ struct ForecastEval {
 };
 
 /// Cross-validated forecasting MAPE for one (m, k, feature set) cell of
-/// Fig. 8 / Fig. 10.
+/// Fig. 8 / Fig. 10: the one-cell evaluate_forecast_grid.
 [[nodiscard]] ForecastEval evaluate_forecast(const sim::Dataset& ds,
                                              const WindowConfig& wcfg,
                                              const ForecastConfig& fcfg);
@@ -77,10 +77,11 @@ struct ForecastGridCell {
   ForecastEval eval;
 };
 
-/// Evaluate a whole (m, k, feature-set) ablation grid. Cells are
-/// independent and run as parallel tasks on the dfv::exec pool; the
-/// result order matches `cells`, and every cell's numbers are identical
-/// to evaluating it alone.
+/// Evaluate a whole (m, k, feature-set) ablation grid. Every (cell, fold)
+/// pair is one task on the dfv::exec pool, and fold results combine per
+/// cell in fold order; the result order matches `cells`, and every
+/// cell's numbers are identical to evaluating it alone. Throws
+/// ContractError when an (m, k) has fewer than 2 * folds windows.
 [[nodiscard]] std::vector<ForecastGridCell> evaluate_forecast_grid(
     const sim::Dataset& ds, std::span<const WindowConfig> cells,
     const ForecastConfig& fcfg);

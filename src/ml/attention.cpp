@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -61,11 +60,9 @@ struct AttentionForecaster::Workspace {
   std::vector<double> d_scores;  ///< S x m (slab-wide d(alpha)/d(score) scratch)
   std::vector<double> grad;      ///< GradLayout::total
 
-  // Shared per-minibatch tables (owned by the caller, same for all slabs).
-  const double* wt_embed = nullptr;   ///< f x d transposed embed weights
-  const double* wt_head = nullptr;    ///< d x h transposed head weights
-  const double* init_embed = nullptr; ///< m x d (b_embed + pos_embed)
-  double inv_b = 1.0;                 ///< 1 / minibatch size
+  // Shared per-minibatch state (owned by the caller, same for all slabs).
+  const KernelTables* tables = nullptr;
+  double inv_b = 1.0;  ///< 1 / minibatch size
 
   void init(std::size_t S, std::size_t m, std::size_t d, std::size_t h,
             std::size_t f, std::size_t gsize) {
@@ -110,6 +107,24 @@ AttentionForecaster::AttentionForecaster(int m, int feat_dim, AttentionParams pa
   b_out_ = 0.0;
 }
 
+// dfv-lint: allow(contract): private packing of the model's own weights; no caller input to validate
+void AttentionForecaster::pack_tables(KernelTables& t) const {
+  const std::size_t d = std::size_t(params_.d_model);
+  const std::size_t h = std::size_t(params_.d_hidden);
+  const std::size_t f = std::size_t(feat_dim_);
+  const std::size_t m = std::size_t(m_);
+  t.wt_embed.resize(f * d);
+  t.wt_head.resize(d * h);
+  t.init_embed.resize(m * d);
+  for (std::size_t j = 0; j < d; ++j)
+    for (std::size_t c = 0; c < f; ++c) t.wt_embed[c * d + j] = w_embed_[j * f + c];
+  for (std::size_t k = 0; k < h; ++k)
+    for (std::size_t j = 0; j < d; ++j) t.wt_head[j * h + k] = w_head_[k * d + j];
+  for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t j = 0; j < d; ++j)
+      t.init_embed[i * d + j] = b_embed_[j] + pos_embed_[i * d + j];
+}
+
 void AttentionForecaster::forward_slab(Workspace& ws, std::size_t rows) const {
   const std::size_t d = std::size_t(params_.d_model);
   const std::size_t h = std::size_t(params_.d_hidden);
@@ -121,8 +136,8 @@ void AttentionForecaster::forward_slab(Workspace& ws, std::size_t rows) const {
 
   // e_(b,i) = tanh(W_e x_(b,i) + b_e + p_i): all the slab's steps go
   // through the blocked kernels as one (rows*m) x f operand.
-  affine_rows(ws.xs.data(), steps, f, ws.wt_embed, d, ws.init_embed, m,
-              ws.pre.data());
+  affine_rows(ws.xs.data(), steps, f, ws.tables->wt_embed.data(), d,
+              ws.tables->init_embed.data(), m, ws.pre.data());
   tanh_rows(ws.pre.data(), steps * d, ws.embed.data());
 
   // scores = (q . e_i) / sqrt(d), then per-sample softmax + context.
@@ -145,8 +160,8 @@ void AttentionForecaster::forward_slab(Workspace& ws, std::size_t rows) const {
   }
 
   // FC head: hidden = relu(W_h c + b_h), y = b_o + w_o . hidden.
-  affine_rows(ws.context.data(), rows, d, ws.wt_head, h, b_head_.data(), 1,
-              ws.hidden.data());
+  affine_rows(ws.context.data(), rows, d, ws.tables->wt_head.data(), h, b_head_.data(),
+              1, ws.hidden.data());
   for (std::size_t i = 0; i < rows * h; ++i)
     ws.hidden[i] = ws.hidden[i] > 0.0 ? ws.hidden[i] : 0.0;
   matvec_rows(ws.hidden.data(), rows, h, w_out_.data(), b_out_, ws.y_hat.data());
@@ -338,19 +353,9 @@ void AttentionForecaster::fit_impl(const RowBatch& x, std::span<const double> y,
   const std::size_t mf = m * f;
   const GradLayout L(m, d, h, f);
 
-  // Standardize every window once into a contiguous buffer; the
-  // per-epoch minibatch gather is then a plain row copy. Elementwise, so
-  // parallel chunking cannot change any value.
-  const auto& mu = scaler_.means();
-  const auto& sd = scaler_.stddevs();
-  std::vector<double> xstd(n * mf);
-  exec::parallel_for(0, n, 64, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      double* row = xstd.data() + r * mf;
-      x.gather(r, row);
-      for (std::size_t c = 0; c < mf; ++c) row[c] = (row[c] - mu[c]) / sd[c];
-    }
-  });
+  // Windows stay in the caller's views: each slab standardizes its own
+  // rows into its arena every epoch, so a fit holds no copy of its
+  // training set.
   std::vector<double> tz(n);
   for (std::size_t i = 0; i < n; ++i) tz[i] = scaler_.transform_target(y[i]);
 
@@ -361,16 +366,7 @@ void AttentionForecaster::fit_impl(const RowBatch& x, std::span<const double> y,
   for (Workspace& ws : slabs) ws.init(kSlabRows, m, d, h, f, L.total);
 
   // Kernel-side weight tables, refreshed after every Adam step.
-  std::vector<double> wt_embed(f * d), wt_head(d * h), init_embed(m * d);
-  auto refresh_tables = [&] {
-    for (std::size_t j = 0; j < d; ++j)
-      for (std::size_t c = 0; c < f; ++c) wt_embed[c * d + j] = w_embed_[j * f + c];
-    for (std::size_t k = 0; k < h; ++k)
-      for (std::size_t j = 0; j < d; ++j) wt_head[j * h + k] = w_head_[k * d + j];
-    for (std::size_t i = 0; i < m; ++i)
-      for (std::size_t j = 0; j < d; ++j)
-        init_embed[i * d + j] = b_embed_[j] + pos_embed_[i * d + j];
-  };
+  KernelTables tables;
 
   // Adam over the flat gradient; b_out is excluded from weight decay.
   struct Region {
@@ -403,7 +399,7 @@ void AttentionForecaster::fit_impl(const RowBatch& x, std::span<const double> y,
       const std::size_t bsz = end - start;
       const double inv_b = 1.0 / double(bsz);
       const std::size_t nslabs = (bsz + kSlabRows - 1) / kSlabRows;
-      refresh_tables();
+      pack_tables(tables);
 
       // One task per slab; each writes only its own arena.
       exec::parallel_for(0, nslabs, 1, [&](std::size_t lo, std::size_t hi) {
@@ -411,14 +407,11 @@ void AttentionForecaster::fit_impl(const RowBatch& x, std::span<const double> y,
           Workspace& ws = slabs[s];
           const std::size_t sb = start + s * kSlabRows;
           const std::size_t rows = std::min(kSlabRows, end - sb);
-          ws.wt_embed = wt_embed.data();
-          ws.wt_head = wt_head.data();
-          ws.init_embed = init_embed.data();
+          ws.tables = &tables;
           ws.inv_b = inv_b;
           for (std::size_t b = 0; b < rows; ++b) {
             const std::size_t row = order[sb + b];
-            std::memcpy(ws.xs.data() + b * mf, xstd.data() + row * mf,
-                        mf * sizeof(double));
+            scaler_.transform_row(x, row, ws.xs.data() + b * mf);
             ws.tz[b] = tz[row];
           }
           std::fill(ws.grad.begin(), ws.grad.end(), 0.0);
@@ -481,18 +474,8 @@ std::vector<double> AttentionForecaster::predict_reference(const RowBatch& x) co
   DFV_CHECK(x.row_len() == mf);
   const std::size_t n = x.size();
   const GradLayout L(m, d, h, f);
-
-  std::vector<double> wt_embed(f * d), wt_head(d * h), init_embed(m * d);
-  for (std::size_t j = 0; j < d; ++j)
-    for (std::size_t c = 0; c < f; ++c) wt_embed[c * d + j] = w_embed_[j * f + c];
-  for (std::size_t k = 0; k < h; ++k)
-    for (std::size_t j = 0; j < d; ++j) wt_head[j * h + k] = w_head_[k * d + j];
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < d; ++j)
-      init_embed[i * d + j] = b_embed_[j] + pos_embed_[i * d + j];
-
-  const auto& mu = scaler_.means();
-  const auto& sd = scaler_.stddevs();
+  KernelTables tables;
+  pack_tables(tables);
   std::vector<double> out(n);
   // Rows are independent through the whole forward pass (the 4-row
   // blocking keeps per-row accumulators), so any chunking gives the
@@ -500,16 +483,11 @@ std::vector<double> AttentionForecaster::predict_reference(const RowBatch& x) co
   exec::parallel_for(0, n, 4 * kSlabRows, [&](std::size_t lo, std::size_t hi) {
     Workspace ws;
     ws.init(kSlabRows, m, d, h, f, L.total);
-    ws.wt_embed = wt_embed.data();
-    ws.wt_head = wt_head.data();
-    ws.init_embed = init_embed.data();
+    ws.tables = &tables;
     for (std::size_t s = lo; s < hi; s += kSlabRows) {
       const std::size_t rows = std::min(kSlabRows, hi - s);
-      for (std::size_t b = 0; b < rows; ++b) {
-        double* row = ws.xs.data() + b * mf;
-        x.gather(s + b, row);
-        for (std::size_t c = 0; c < mf; ++c) row[c] = (row[c] - mu[c]) / sd[c];
-      }
+      for (std::size_t b = 0; b < rows; ++b)
+        scaler_.transform_row(x, s + b, ws.xs.data() + b * mf);
       forward_slab(ws, rows);
       for (std::size_t b = 0; b < rows; ++b)
         out[s + b] = scaler_.inverse_target(ws.y_hat[b]);
@@ -538,25 +516,12 @@ std::vector<double> AttentionForecaster::attention_weights(
   const std::size_t f = std::size_t(feat_dim_);
   const std::size_t m = std::size_t(m_);
   const GradLayout L(m, d, h, f);
-
-  std::vector<double> wt_embed(f * d), wt_head(d * h), init_embed(m * d);
-  for (std::size_t j = 0; j < d; ++j)
-    for (std::size_t c = 0; c < f; ++c) wt_embed[c * d + j] = w_embed_[j * f + c];
-  for (std::size_t k = 0; k < h; ++k)
-    for (std::size_t j = 0; j < d; ++j) wt_head[j * h + k] = w_head_[k * d + j];
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < d; ++j)
-      init_embed[i * d + j] = b_embed_[j] + pos_embed_[i * d + j];
-
+  KernelTables tables;
+  pack_tables(tables);
   Workspace ws;
   ws.init(1, m, d, h, f, L.total);
-  ws.wt_embed = wt_embed.data();
-  ws.wt_head = wt_head.data();
-  ws.init_embed = init_embed.data();
-  const auto& mu = scaler_.means();
-  const auto& sd = scaler_.stddevs();
-  for (std::size_t i = 0; i < window.size(); ++i)
-    ws.xs[i] = (window[i] - mu[i]) / sd[i];
+  ws.tables = &tables;
+  scaler_.transform_row(window, ws.xs.data());
   forward_slab(ws, 1);
   return {ws.alpha.begin(), ws.alpha.begin() + long(m)};
 }

@@ -43,7 +43,8 @@ class AttentionForecaster {
   /// fixed kSlabRows-sample slabs whose forward/backward passes run as
   /// parallel tasks through the blocked matrix kernels, and whose
   /// partial gradients combine in slab order — bit-identical for any
-  /// thread count and to fit_reference.
+  /// thread count and to fit_reference. Each slab standardizes its rows
+  /// straight from `x`, so a fit keeps no copy of its training windows.
   void fit(const Matrix& x, std::span<const double> y);
   /// Same, over strided window views (no materialized design matrix).
   void fit(const RowBatch& x, std::span<const double> y);
@@ -87,6 +88,15 @@ class AttentionForecaster {
   friend class CompiledAttention;
 
   struct Workspace;  // per-slab forward/backward arena (defined in .cpp)
+
+  /// The forward kernels' operands packed from the current weights.
+  struct KernelTables {
+    std::vector<double> wt_embed;    ///< f x d transposed embed weights
+    std::vector<double> wt_head;     ///< d x h transposed head weights
+    std::vector<double> init_embed;  ///< m x d fused b_embed + pos_embed
+  };
+  /// (Re)pack `t` from the current weights; buffers are reused across calls.
+  void pack_tables(KernelTables& t) const;
 
   void fit_impl(const RowBatch& x, std::span<const double> y, bool batched);
   /// Batched forward/backward over one slab of `rows` samples whose

@@ -1,6 +1,7 @@
 #include "ml/compiled.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -179,21 +180,13 @@ CompiledAttention::CompiledAttention(const AttentionForecaster& model)
   // The scaler statistics only exist after fit; compiling an unfitted
   // forecaster is a logic error (the reference path would fault too).
   DFV_CHECK(scaler_.means().size() == m * f && scaler_.stddevs().size() == m * f);
-  // Pack once what the reference predict packs per call: the layouts
-  // below are byte-for-byte the ones predict builds, so the kernels see
-  // identical operands.
-  wt_embed_.resize(f * d_);
-  wt_head_.resize(d_ * h_);
-  init_embed_.resize(m * d_);
-  for (std::size_t j = 0; j < d_; ++j)
-    for (std::size_t c = 0; c < f; ++c)
-      wt_embed_[c * d_ + j] = model.w_embed_[j * f + c];
-  for (std::size_t k = 0; k < h_; ++k)
-    for (std::size_t j = 0; j < d_; ++j)
-      wt_head_[j * h_ + k] = model.w_head_[k * d_ + j];
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < d_; ++j)
-      init_embed_[i * d_ + j] = model.b_embed_[j] + model.pos_embed_[i * d_ + j];
+  // Pack once what the reference predict packs per call, through the
+  // same routine, so the kernels see identical operands.
+  AttentionForecaster::KernelTables tables;
+  model.pack_tables(tables);
+  wt_embed_ = std::move(tables.wt_embed);
+  wt_head_ = std::move(tables.wt_head);
+  init_embed_ = std::move(tables.init_embed);
 }
 
 // dfv-lint: allow(contract): private arena sizing; the predict entry points validate shapes
@@ -267,9 +260,7 @@ double CompiledAttention::predict_one(std::span<const double> window,
   const std::size_t mf = std::size_t(m_) * std::size_t(feat_dim_);
   DFV_CHECK(window.size() == mf);
   ensure(ws, 1);
-  const auto& mu = scaler_.means();
-  const auto& sd = scaler_.stddevs();
-  for (std::size_t c = 0; c < mf; ++c) ws.xs[c] = (window[c] - mu[c]) / sd[c];
+  scaler_.transform_row(window, ws.xs.data());
   forward(ws, 1);
   return scaler_.inverse_target(ws.y_hat[0]);
 }
@@ -280,8 +271,6 @@ std::vector<double> CompiledAttention::predict_many(const RowBatch& x) const {
   const std::size_t mf = m * f;
   DFV_CHECK(x.row_len() == mf);
   const std::size_t n = x.size();
-  const auto& mu = scaler_.means();
-  const auto& sd = scaler_.stddevs();
   std::vector<double> out(n);
   // Rows are independent through the whole forward pass, so any chunking
   // gives the same bits; chunks only amortize the arena.
@@ -290,11 +279,8 @@ std::vector<double> CompiledAttention::predict_many(const RowBatch& x) const {
     ensure(ws, kSlabRows);
     for (std::size_t s = lo; s < hi; s += kSlabRows) {
       const std::size_t rows = std::min(kSlabRows, hi - s);
-      for (std::size_t b = 0; b < rows; ++b) {
-        double* row = ws.xs.data() + b * mf;
-        x.gather(s + b, row);
-        for (std::size_t c = 0; c < mf; ++c) row[c] = (row[c] - mu[c]) / sd[c];
-      }
+      for (std::size_t b = 0; b < rows; ++b)
+        scaler_.transform_row(x, s + b, ws.xs.data() + b * mf);
       forward(ws, rows);
       for (std::size_t b = 0; b < rows; ++b)
         out[s + b] = scaler_.inverse_target(ws.y_hat[b]);

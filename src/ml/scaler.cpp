@@ -57,9 +57,24 @@ void StandardScaler::fit(const RowBatch& x) {
 void StandardScaler::transform(Matrix& x) const {
   DFV_CHECK(x.cols() == mean_.size());
   for (std::size_t r = 0; r < x.rows(); ++r) {
-    auto row = x.row(r);
-    for (std::size_t c = 0; c < x.cols(); ++c) row[c] = (row[c] - mean_[c]) / std_[c];
+    const auto row = x.row(r);
+    transform_row(row, row.data());
   }
+}
+
+void StandardScaler::transform_row(std::span<const double> row, double* out) const {
+  DFV_CHECK(row.size() == mean_.size());
+  for (std::size_t c = 0; c < row.size(); ++c) out[c] = (row[c] - mean_[c]) / std_[c];
+}
+
+void StandardScaler::transform_row(const RowBatch& x, std::size_t r, double* out) const {
+  DFV_CHECK(x.row_len() == mean_.size() && r < x.size());
+  const double* src = x.base[r];
+  const double* mu = mean_.data();
+  const double* sd = std_.data();
+  for (std::size_t g = 0; g < x.groups; ++g, src += x.stride, mu += x.width, sd += x.width,
+                   out += x.width)
+    for (std::size_t c = 0; c < x.width; ++c) out[c] = (src[c] - mu[c]) / sd[c];
 }
 
 Matrix StandardScaler::fit_transform(Matrix x) {

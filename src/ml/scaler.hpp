@@ -2,6 +2,7 @@
 // in the analysis pipeline train on standardized features.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ml/matrix.hpp"
@@ -16,6 +17,12 @@ class StandardScaler {
   void fit(const RowBatch& x);
   /// Transform in place; constant columns map to zero.
   void transform(Matrix& x) const;
+  /// Standardize one row into out[0 .. row.size()): out[c] =
+  /// (row[c] - mean[c]) / std[c]. `out` may alias `row`.
+  void transform_row(std::span<const double> row, double* out) const;
+  /// Same for logical row `r` of a strided batch, read straight from the
+  /// views (no gathered copy): the values equal gather-then-transform.
+  void transform_row(const RowBatch& x, std::size_t r, double* out) const;
   [[nodiscard]] Matrix fit_transform(Matrix x);
 
   [[nodiscard]] const std::vector<double>& means() const noexcept { return mean_; }

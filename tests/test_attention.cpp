@@ -4,10 +4,39 @@
 
 #include "common/check.hpp"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
+#include "common/integrity.hpp"
 #include "common/rng.hpp"
 #include "ml/metrics.hpp"
+
+// Global allocation hook: while `g_recording` is set, remember the largest
+// single request. FitMakesNoPerWindowCopy reads it around one fit.
+namespace {
+std::atomic<bool> g_recording{false};
+std::atomic<std::size_t> g_largest{0};
+
+void* counted_alloc(std::size_t n) {
+  if (g_recording.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (n > seen && !g_largest.compare_exchange_weak(seen, n, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace dfv::ml {
 namespace {
@@ -175,6 +204,58 @@ TEST(Attention, StridedViewFitMatchesDenseFit) {
   const std::vector<double> pa = a.predict(views);
   const std::vector<double> pb = b.predict(dense);
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(pa[i], pb[i]) << "row " << i;
+}
+
+/// n windows of m steps, each a strided view (width f) into a wider
+/// table, with a target driven by the last two steps' first feature.
+struct StridedSamples {
+  std::size_t m, f;
+  Matrix table;
+  std::vector<const double*> base;
+  std::vector<double> y;
+
+  StridedSamples(std::size_t n, std::size_t m_, std::size_t f_, std::size_t stride, Rng& rng)
+      : m(m_), f(f_), table(n * m_, stride), base(n), y(n) {
+    for (std::size_t r = 0; r < table.rows(); ++r)
+      for (std::size_t c = 0; c < stride; ++c) table(r, c) = rng.uniform(-1, 1);
+    for (std::size_t i = 0; i < n; ++i) base[i] = table.row(i * m).data();
+    for (std::size_t i = 0; i < n; ++i)
+      y[i] = 60.0 + 2.0 * table(i * m + m - 1, 0) + table(i * m + m - 2, 0);
+  }
+  [[nodiscard]] RowBatch views() const { return {base, m, f, table.cols()}; }
+};
+
+TEST(Attention, GoldenFitDigest) {
+  // Pins the fit's output bits across commits: an FNV-1a hash of the
+  // predictions of a model trained on strided window views.
+  Rng rng(17);
+  const StridedSamples s(131, 4, 3, 7, rng);
+  AttentionForecaster model(4, 3, fast_params(29));
+  model.fit(s.views(), s.y);
+  std::uint64_t h = kFnvBasis;
+  for (double p : model.predict(s.views())) {
+    const auto u = std::bit_cast<std::uint64_t>(p);
+    h = fnv1a64_update(h, &u, sizeof u);
+  }
+  EXPECT_EQ(h, 0x68acfee0446b894dull) << "0x" << std::hex << h;
+}
+
+TEST(Attention, FitMakesNoPerWindowCopy) {
+  // Training reads the strided views slab by slab; no allocation may hold
+  // a copy of the training set (n * m * f doubles) or any sizable share
+  // of it.
+  const std::size_t n = 4000, m = 10, f = 13;
+  Rng rng(19);
+  const StridedSamples s(n, m, f, 23, rng);
+  AttentionParams p = fast_params();
+  p.epochs = 1;
+  AttentionForecaster model(int(m), int(f), p);
+  g_largest = 0;
+  const RowBatch views = s.views();
+  g_recording = true;
+  model.fit(views, s.y);
+  g_recording = false;
+  EXPECT_LT(g_largest.load(), n * m * f * sizeof(double) / 4);
 }
 
 TEST(Attention, InputValidation) {

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "analysis/window_cache.hpp"
 #include "common/check.hpp"
+#include "common/integrity.hpp"
 #include "common/stats.hpp"
 #include "exec/exec.hpp"
 #include "ml/metrics.hpp"
@@ -132,6 +134,38 @@ TEST(Forecast, GridAndImportanceBitIdenticalAcrossThreadCounts) {
     for (std::size_t f = 0; f < imps[0].size(); ++f)
       EXPECT_EQ(imps[v][f], imps[0][f]) << "importance " << f << " variant " << v;
   }
+}
+
+TEST(Forecast, GoldenGridDigest) {
+  // Pins the grid's output bits across commits: an FNV-1a hash of every
+  // cell's three MAPEs and window count over two (m, k) indices and two
+  // feature sets, equal at every pool width.
+  testutil::SyntheticSpec spec;
+  spec.runs = 18;
+  spec.steps = 14;
+  spec.phi = 0.8;
+  const sim::Dataset ds = testutil::make_planted_dataset(spec);
+  ForecastConfig fcfg = fast_config();
+  fcfg.attention.epochs = 6;
+  const WindowConfig cells[] = {{2, 3, FeatureSet::App},
+                                {2, 3, FeatureSet::AppPlacementIo},
+                                {4, 5, FeatureSet::App},
+                                {4, 5, FeatureSet::AppPlacementIo}};
+  for (int threads : {1, 3, 8}) {
+    exec::ThreadPool::instance().resize(threads);
+    std::uint64_t h = kFnvBasis;
+    for (const ForecastGridCell& cell : evaluate_forecast_grid(ds, cells, fcfg)) {
+      for (double v : {cell.eval.mape_attention, cell.eval.mape_persistence,
+                       cell.eval.mape_mean}) {
+        const auto u = std::bit_cast<std::uint64_t>(v);
+        h = fnv1a64_update(h, &u, sizeof u);
+      }
+      const auto w = std::uint64_t(cell.eval.windows);
+      h = fnv1a64_update(h, &w, sizeof w);
+    }
+    EXPECT_EQ(h, 0x6462e118018a04ccull) << "threads " << threads << ": 0x" << std::hex << h;
+  }
+  exec::ThreadPool::instance().resize(4);
 }
 
 TEST(Forecast, TooFewWindowsForFoldsReportsShape) {
