@@ -36,10 +36,10 @@ struct SessionOptions {
   sim::CampaignConfig config;
   std::string cache_dir;
   faults::RepairPolicy repair = faults::RepairPolicy::Repair;
-  /// Cache entry format: Store opens resident campaigns by mmap (large
-  /// campaigns stay off-heap until a dataset is materialized); Auto
-  /// prefers an existing store entry and otherwise picks by size.
-  sim::CacheFormat cache_format = sim::CacheFormat::Auto;
+  /// Cache entry format. The column store is the only one, so this has a
+  /// single value; it stays because perfbench sets it, and goes away when
+  /// ROADMAP item 1 rewrites perfbench.
+  sim::CacheFormat cache_format = sim::CacheFormat::Store;
 };
 
 /// One campaign loaded into memory, repaired per policy, then immutable,

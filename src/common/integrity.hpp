@@ -1,6 +1,7 @@
-// File integrity for the on-disk campaign cache: a FNV-1a 64 checksum
-// footer appended to text artifacts, and atomic publish via
-// write-to-temp + rename so readers never observe a half-written file.
+// File integrity for on-disk text artifacts (dataset CSV exports, store
+// MANIFESTs, campaign-store META): a FNV-1a 64 checksum footer, and
+// atomic publish via write-to-temp + rename so readers never observe a
+// half-written file.
 #pragma once
 
 #include <cstddef>

@@ -115,7 +115,7 @@ struct FaultSpec {
 ///           runs beyond repair (truncated or mostly damaged).
 ///  Drop   — excise: flag every anomalous step unusable (consumers skip
 ///           it), drop truncated and mostly-damaged runs. No imputation.
-///  Keep   — parse/flag nothing; raw pass-through (cache-internal).
+///  Keep   — parse/flag nothing; raw pass-through (reloads verbatim).
 enum class RepairPolicy : int { Strict = 0, Repair, Drop, Keep };
 
 [[nodiscard]] const char* to_string(RepairPolicy p) noexcept;

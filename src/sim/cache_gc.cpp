@@ -1,6 +1,8 @@
 #include "sim/cache_gc.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -23,11 +25,11 @@ namespace {
   std::error_code ec;
   if (fs::exists(entry / "MANIFEST", ec)) return "store";
   if (!fs::exists(entry / "META", ec)) return "other";
-  // Both campaign formats carry a META commit point; the store format
-  // nests per-dataset sub-stores, the CSV format holds .csv blobs.
+  // A campaign store nests per-dataset sub-stores under its META. A META
+  // beside flat files only is a CSV entry left by an older build.
   for (const auto& sub : fs::directory_iterator(entry, ec))
     if (sub.is_directory(ec)) return "campaign-store";
-  return "campaign-csv";
+  return "other";
 }
 
 [[nodiscard]] std::uintmax_t tree_bytes(const fs::path& entry) {
@@ -101,15 +103,35 @@ std::vector<std::string> evict_cache_lru(const std::string& cache_dir,
   return evicted;
 }
 
+std::uintmax_t parse_cache_budget(std::string_view text) {
+  const char* first = text.data();
+  const char* last = first + text.size();
+  // Plain integers parse exactly; anything else ("5e9", "1.5") as a double.
+  std::uintmax_t whole = 0;
+  if (const auto r = std::from_chars(first, last, whole); r.ec == std::errc() && r.ptr == last)
+    return whole;
+  double v = 0.0;
+  const auto r = std::from_chars(first, last, v);
+  DFV_CHECK_MSG(r.ec == std::errc() && r.ptr == last,
+                "cache budget '" << text << "' is not a byte count");
+  DFV_CHECK_MSG(!std::signbit(v) && v < 0x1p64,
+                "cache budget '" << text << "' is outside [0, 2^64) bytes");
+  return std::uintmax_t(v);
+}
+
 void enforce_cache_budget_from_env(const std::string& cache_dir) {
   DFV_CHECK_MSG(!cache_dir.empty(), "cache dir must not be empty");
   const char* env = std::getenv("DFV_CACHE_MAX_BYTES");
   if (env == nullptr || *env == '\0') return;
-  char* end = nullptr;
-  const unsigned long long budget = std::strtoull(env, &end, 10);
-  if (end == env || budget == 0) return;
-  const std::vector<std::string> evicted =
-      evict_cache_lru(cache_dir, std::uintmax_t(budget));
+  std::uintmax_t budget = 0;
+  try {
+    budget = parse_cache_budget(env);
+  } catch (const ContractError& e) {
+    DFV_LOG_WARN("cache: ignoring DFV_CACHE_MAX_BYTES (" << e.what() << ")");
+    return;
+  }
+  if (budget == 0) return;
+  const std::vector<std::string> evicted = evict_cache_lru(cache_dir, budget);
   if (!evicted.empty())
     DFV_LOG_INFO("cache: budget " << budget << " bytes, evicted " << evicted.size()
                                   << " entries");

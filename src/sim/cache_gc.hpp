@@ -1,6 +1,6 @@
 // Size accounting and LRU eviction for the on-disk cache directory.
-// Entries are the direct subdirectories of the cache root (CSV campaign
-// blobs, campaign-store entries, longitudinal stores); recency is the
+// Entries are the direct subdirectories of the cache root (campaign-store
+// entries, longitudinal stores, anything else); recency is the
 // mtime of the entry's commit-point file (META / MANIFEST), which load
 // paths touch on every cache hit. `dfv cache` fronts this module, and
 // run_campaign_cached enforces the DFV_CACHE_MAX_BYTES budget after
@@ -10,13 +10,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace dfv::sim {
 
 struct CacheEntryInfo {
   std::string name;           ///< directory name under the cache root
-  std::string kind;           ///< "campaign-csv" | "campaign-store" | "store" | "other"
+  std::string kind;           ///< "campaign-store" | "store" | "other"
   std::uintmax_t bytes = 0;   ///< recursive size
   std::filesystem::file_time_type mtime{};  ///< commit-point recency
 };
@@ -34,7 +35,13 @@ void touch_cache_entry(const std::string& entry_dir);
 [[nodiscard]] std::vector<std::string> evict_cache_lru(const std::string& cache_dir,
                                                        std::uintmax_t max_bytes);
 
-/// Apply the DFV_CACHE_MAX_BYTES env budget (unset or 0 = unlimited).
+/// Parse a cache budget in bytes: a plain integer or a decimal double
+/// such as "5e9" (a fraction is truncated). Throws ContractError on
+/// malformed, negative, NaN or out-of-range (>= 2^64) input.
+[[nodiscard]] std::uintmax_t parse_cache_budget(std::string_view text);
+
+/// Apply the DFV_CACHE_MAX_BYTES env budget (unset or 0 = unlimited). A
+/// value parse_cache_budget rejects logs a warning and evicts nothing.
 void enforce_cache_budget_from_env(const std::string& cache_dir);
 
 }  // namespace dfv::sim

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "exec/exec.hpp"
 #include "sim/cache_gc.hpp"
@@ -284,29 +282,24 @@ std::uint64_t config_fingerprint(const CampaignConfig& cfg) {
   mix(std::uint64_t(cfg.faults.kinds));
   mix_d(cfg.faults.spike_magnitude);
   mix_d(cfg.faults.truncate_min_keep);
-  // Version tag: bump when the generator's behavior or the cache format
-  // changes so stale caches are not reused. 08: quality/profile_missing
-  // CSV columns + integrity footers.
+  // Version tag: bump when the generator's behavior changes so stale
+  // entries are not reused (08: quality/profile_missing columns +
+  // integrity footers). Retiring the CSV cache format did not bump it:
+  // the entry name campaign_<fingerprint>.store must stay stable, because
+  // perfbench builds that name itself and checks it with
+  // campaign_store_exists.
   mix(0xDFC0DE08);
   return h;
 }
 
-/// Auto-format threshold: campaigns at or above this many total runs are
-/// published as column stores (mmap open amortizes the extra files).
-constexpr std::size_t kStoreAutoRuns = 4096;
-
 CampaignResult run_campaign_cached(const CampaignConfig& cfg, const std::string& cache_dir,
-                                   CacheFormat format) {
+                                   CacheFormat /*format*/) {
   DFV_CHECK_MSG(!cache_dir.empty(), "cache_dir must not be empty");
   std::ostringstream dir_name;
-  dir_name << cache_dir << "/campaign_" << std::hex << config_fingerprint(cfg);
-  const fs::path dir(dir_name.str());
-  const fs::path meta = dir / "META";
-  const std::string store_dir = dir_name.str() + ".store";
+  dir_name << cache_dir << "/campaign_" << std::hex << config_fingerprint(cfg) << ".store";
+  const std::string store_dir = dir_name.str();
 
-  // Store-format entries are preferred on read: they carry the same
-  // content and open by mmap instead of a full text parse.
-  if (format != CacheFormat::Csv && campaign_store_exists(store_dir)) {
+  if (campaign_store_exists(store_dir)) {
     try {
       DFV_LOG_INFO("loading campaign store from " << store_dir);
       CampaignResult result = CampaignStorePin::open(store_dir).load_all();
@@ -324,60 +317,9 @@ CampaignResult run_campaign_cached(const CampaignConfig& cfg, const std::string&
     }
   }
 
-  if (format != CacheFormat::Store && fs::exists(meta)) {
-    // Trust nothing: every entry must carry a matching integrity footer.
-    // Any corruption (bit flips, partial writes, zero-byte files) evicts
-    // the whole entry and regenerates it from scratch.
-    try {
-      DFV_LOG_INFO("loading cached campaign from " << dir.string());
-      CampaignResult result;
-      for (const auto& spec : cfg.datasets) {
-        // Keep: cached faulted telemetry must round-trip verbatim; repair
-        // policy is applied downstream, not at the cache boundary.
-        Dataset ds = load_dataset((dir / (spec.label() + ".csv")).string(),
-                                  /*require_checksum=*/true, faults::RepairPolicy::Keep);
-        ds.spec = spec;
-        result.datasets.push_back(std::move(ds));
-      }
-      touch_cache_entry(dir.string());
-      return result;
-    } catch (const ContractError& e) {
-      DFV_LOG_WARN("campaign cache entry " << dir.string() << " is corrupt ("
-                                           << e.what() << "); evicting and regenerating");
-      std::error_code ec;
-      fs::remove_all(dir, ec);
-    }
-  }
-
   CampaignResult result = run_campaign(cfg);
-  std::size_t total_runs = 0;
-  for (const auto& ds : result.datasets) total_runs += ds.runs.size();
-  const bool as_store =
-      format == CacheFormat::Store ||
-      (format == CacheFormat::Auto && total_runs >= kStoreAutoRuns);
-  if (as_store) {
-    if (!save_campaign_store(result, store_dir))
-      DFV_LOG_WARN("failed to publish campaign store entry " << store_dir);
-  } else {
-    std::error_code ec;
-    fs::create_directories(dir, ec);
-    if (!ec) {
-      // Publish datasets first (each one atomically), then META last: the
-      // META file is the commit point a reader keys on, so a crash mid-
-      // publish leaves no entry rather than a half-written one.
-      bool ok = true;
-      for (const auto& ds : result.datasets)
-        ok = ok && save_dataset(ds, (dir / (ds.spec.label() + ".csv")).string());
-      if (ok) {
-        std::ostringstream m;
-        m << "format=dfc0de08\n";
-        m << "datasets=" << result.datasets.size() << "\n";
-        ok = atomic_write_file(meta.string(), m.str());
-      }
-      if (!ok)
-        DFV_LOG_WARN("failed to publish campaign cache entry " << dir.string());
-    }
-  }
+  if (!save_campaign_store(result, store_dir))
+    DFV_LOG_WARN("failed to publish campaign store entry " << store_dir);
   enforce_cache_budget_from_env(cache_dir);
   return result;
 }

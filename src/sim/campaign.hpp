@@ -98,23 +98,22 @@ struct CampaignResult {
 /// Run the full campaign.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
-/// On-disk format for campaign cache entries.
+/// On-disk format for campaign cache entries. The column store is the
+/// only one; the enum and its single value stay because perfbench still
+/// names them, and go away when ROADMAP item 1 rewrites perfbench.
 enum class CacheFormat {
-  Auto,   ///< read whichever format exists; write the column store for
-          ///< large campaigns (>= 4096 runs total), CSV otherwise
-  Csv,    ///< one checksummed CSV blob per dataset (the legacy format)
   Store,  ///< mmap'd column-store entry (see sim/campaign_store.hpp)
 };
 
-/// Run the campaign, or load it from `cache_dir` if a cache produced with
-/// an identical configuration exists there (benches share one campaign).
-/// Store-format entries open by mmap and materialize per dataset; both
-/// formats verify integrity and evict+regenerate corrupt entries. After a
-/// publish the DFV_CACHE_MAX_BYTES budget (if set) is enforced by LRU
-/// eviction over the cache directory.
+/// Run the campaign, or load it from `cache_dir` if a column-store entry
+/// `campaign_<fingerprint>.store` produced with an identical
+/// configuration exists there (benches share one campaign). A corrupt
+/// entry is evicted and regenerated. After a publish the
+/// DFV_CACHE_MAX_BYTES budget (if set) is enforced by LRU eviction over
+/// the cache directory.
 [[nodiscard]] CampaignResult run_campaign_cached(const CampaignConfig& config,
                                                  const std::string& cache_dir,
-                                                 CacheFormat format = CacheFormat::Auto);
+                                                 CacheFormat format = CacheFormat::Store);
 
 /// Stable hash of a configuration (names the cache directory entry).
 [[nodiscard]] std::uint64_t config_fingerprint(const CampaignConfig& config);

@@ -1,10 +1,10 @@
-// Column-store cache format for campaigns: each dataset becomes three
-// sub-stores (per-run scalars, per-step telemetry, neighborhood lists)
-// under one entry directory, with a checksummed META as the commit
-// point. Against the CSV blob format this opens in O(MANIFEST parse +
-// mmap) instead of O(full text parse) — datasets materialize lazily,
-// one at a time, straight off the mappings — and it is the substrate
-// `dfv serve` uses to bring campaigns resident by mmap.
+// Column-store cache format for campaigns, the only campaign-cache
+// format: each dataset becomes three sub-stores (per-run scalars,
+// per-step telemetry, neighborhood lists) under one entry directory,
+// with a checksummed META as the commit point. Opening costs O(META +
+// MANIFEST parse + mmap); run_campaign_cached then materializes every
+// dataset straight off the mappings (load_all), checking segment CRCs
+// as it goes, instead of parsing text.
 //
 // Layout:
 //   <dir>/META                    "dfv-campaign-store" + dataset table,

@@ -167,7 +167,7 @@ std::string join_ints(const std::vector<int>& v) {
 }
 
 std::string fmt(double v) {
-  // Shortest round-trip representation: cache entries must reproduce the
+  // Shortest round-trip representation: an export must reload as the
   // in-memory dataset bit-exactly (including NaN placeholders).
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), v);
@@ -175,7 +175,7 @@ std::string fmt(double v) {
 }
 
 /// Strict full-consumption numeric parse; accepts nan/inf spellings
-/// (degraded telemetry round-trips through the cache).
+/// (degraded telemetry round-trips through an export).
 double parse_num(const std::string& cell, std::size_t row, const char* what) {
   DFV_CHECK_MSG(!cell.empty(),
                 "dataset CSV data row " << row << ": empty '" << what << "' field");

@@ -112,7 +112,7 @@ struct Dataset {
 void inject_faults(Dataset& ds, const faults::FaultSpec& spec, std::uint64_t stream_seed);
 
 /// Serialize a dataset to CSV (one row per run-step plus run metadata
-/// columns) and back; used both for the on-disk campaign cache and so the
+/// columns) and back; used for the `dfv campaign --out` export, so the
 /// generated data can be inspected with external tools.
 ///
 /// Parsing validates structure (column count per row, full numeric
@@ -127,8 +127,8 @@ void inject_faults(Dataset& ds, const faults::FaultSpec& spec, std::uint64_t str
 /// Atomic (temp + rename) write with a trailing integrity checksum.
 [[nodiscard]] bool save_dataset(const Dataset& ds, const std::string& path);
 /// Load and verify: a checksum mismatch always throws ContractError; a
-/// missing footer throws only when `require_checksum` is set (the
-/// campaign cache requires it; ad-hoc CSVs need not carry one).
+/// missing footer throws only when `require_checksum` is set (exports
+/// written by save_dataset carry one; ad-hoc CSVs need not).
 [[nodiscard]] Dataset load_dataset(
     const std::string& path, bool require_checksum = false,
     faults::RepairPolicy policy = faults::RepairPolicy::Strict);

@@ -1,12 +1,13 @@
-// Integrity layer (FNV-1a footers, atomic publish) and the hardened
-// campaign cache: corruption is detected by checksum, the entry is
-// evicted, and the campaign regenerates transparently.
+// Integrity layer (FNV-1a footers, atomic publish) behind the dataset CSV
+// export, and the hardened campaign cache: a damaged column-store entry
+// is evicted and the campaign regenerates transparently.
 #include "common/integrity.hpp"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -181,39 +182,15 @@ void expect_same_totals(const sim::CampaignResult& a, const sim::CampaignResult&
 
 fs::path cache_entry_dir(const std::string& cache, const sim::CampaignConfig& cfg) {
   std::ostringstream os;
-  os << "campaign_" << std::hex << sim::config_fingerprint(cfg);
+  os << "campaign_" << std::hex << sim::config_fingerprint(cfg) << ".store";
   return fs::path(cache) / os.str();
 }
 
-TEST_F(CacheIntegrityTest, CorruptCacheEntryIsEvictedAndRegenerated) {
-  const std::string cache = testing::TempDir() + "/dfv_cache_corrupt";
-  fs::remove_all(cache);
-  const sim::CampaignConfig cfg = tiny_config(19);
-
-  const sim::CampaignResult fresh = sim::run_campaign_cached(cfg, cache);
-  const fs::path entry = cache_entry_dir(cache, cfg);
-  ASSERT_TRUE(fs::exists(entry / "META"));
-  const fs::path victim = entry / "MILC-128.csv";
-  ASSERT_TRUE(fs::exists(victim));
-
-  // Flip one byte in the middle of a published dataset.
-  std::string raw = slurp(victim);
-  raw[raw.size() / 2] ^= 0x10;
-  spit(victim, raw);
-
-  // The next load detects the mismatch, evicts the entry, and regenerates
-  // the identical campaign (generation is deterministic).
-  const sim::CampaignResult regen = sim::run_campaign_cached(cfg, cache);
-  expect_same_totals(fresh, regen);
-
-  // The republished entry verifies again and left no temp files behind.
-  EXPECT_NO_THROW((void)sim::load_dataset(victim.string(), /*require_checksum=*/true,
-                                          faults::RepairPolicy::Keep));
-  for (const auto& e : fs::recursive_directory_iterator(cache))
-    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
-  // And a third call loads the healthy entry cleanly.
-  expect_same_totals(fresh, sim::run_campaign_cached(cfg, cache));
-  fs::remove_all(cache);
+std::map<std::string, std::string> slurp_tree(const fs::path& root) {
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(root))
+    if (e.is_regular_file()) files[fs::relative(e.path(), root).string()] = slurp(e.path());
+  return files;
 }
 
 TEST_F(CacheIntegrityTest, PartialCacheEntryIsRegenerated) {
@@ -223,12 +200,15 @@ TEST_F(CacheIntegrityTest, PartialCacheEntryIsRegenerated) {
 
   const sim::CampaignResult fresh = sim::run_campaign_cached(cfg, cache);
   const fs::path entry = cache_entry_dir(cache, cfg);
+  const auto published = slurp_tree(entry);
 
-  // Simulate a lost dataset file with META intact (e.g. manual deletion).
-  fs::remove(entry / "UMT-128.csv");
+  // Simulate a lost sub-store with META intact (e.g. manual deletion).
+  ASSERT_TRUE(fs::exists(entry / "META"));
+  ASSERT_TRUE(fs::remove_all(entry / "UMT-128" / "steps") > 0);
   const sim::CampaignResult regen = sim::run_campaign_cached(cfg, cache);
   expect_same_totals(fresh, regen);
-  EXPECT_TRUE(fs::exists(entry / "UMT-128.csv"));
+  // The regenerated entry is the one first published, byte for byte.
+  EXPECT_EQ(slurp_tree(entry), published);
   fs::remove_all(cache);
 }
 

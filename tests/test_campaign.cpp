@@ -111,25 +111,6 @@ TEST_F(CampaignTest, FingerprintSensitivity) {
   EXPECT_NE(config_fingerprint(base), config_fingerprint(other));
 }
 
-TEST_F(CampaignTest, CacheRoundTrip) {
-  namespace fs = std::filesystem;
-  const std::string cache = testing::TempDir() + "/dfv_campaign_cache";
-  fs::remove_all(cache);
-  const CampaignConfig cfg = tiny_config(11);
-
-  const CampaignResult fresh = run_campaign_cached(cfg, cache);
-  // A second call loads from disk and matches.
-  const CampaignResult loaded = run_campaign_cached(cfg, cache);
-  ASSERT_EQ(loaded.datasets.size(), fresh.datasets.size());
-  for (std::size_t d = 0; d < fresh.datasets.size(); ++d) {
-    ASSERT_EQ(loaded.datasets[d].num_runs(), fresh.datasets[d].num_runs());
-    for (std::size_t r = 0; r < fresh.datasets[d].runs.size(); ++r)
-      EXPECT_NEAR(loaded.datasets[d].runs[r].total_time_s(),
-                  fresh.datasets[d].runs[r].total_time_s(), 1e-6);
-  }
-  fs::remove_all(cache);
-}
-
 void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
   ASSERT_EQ(a.datasets.size(), b.datasets.size());
   for (std::size_t d = 0; d < a.datasets.size(); ++d) {
@@ -159,6 +140,19 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
       EXPECT_EQ(p.neighborhood_users, q.neighborhood_users);
     }
   }
+}
+
+TEST_F(CampaignTest, CacheRoundTrip) {
+  namespace fs = std::filesystem;
+  const std::string cache = testing::TempDir() + "/dfv_campaign_cache";
+  fs::remove_all(cache);
+  const CampaignConfig cfg = tiny_config(11);
+
+  const CampaignResult fresh = run_campaign_cached(cfg, cache);
+  // A second call loads from disk and matches bit for bit.
+  const CampaignResult loaded = run_campaign_cached(cfg, cache);
+  expect_bit_identical(fresh, loaded);
+  fs::remove_all(cache);
 }
 
 TEST_F(CampaignTest, BitIdenticalAcrossThreadCounts) {

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -661,16 +662,14 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
   const sim::CampaignConfig cfg = tiny_config(43);
   const std::string cache = scratch("campaign_store_cache");
 
-  const sim::CampaignResult first =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
-  // Exactly one entry: the store directory (no CSV blob alongside).
+  const sim::CampaignResult first = sim::run_campaign_cached(cfg, cache);
+  // Exactly one entry: the store directory.
   const auto entries = sim::list_cache_entries(cache);
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].kind, "campaign-store");
 
-  // Auto format prefers the existing store entry on read.
-  const sim::CampaignResult second =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Auto);
+  // The second call loads the committed entry.
+  const sim::CampaignResult second = sim::run_campaign_cached(cfg, cache);
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], second.datasets[i]);
 
@@ -684,14 +683,15 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
     f.seekp(8);
     f.put('\x7f');
   }
-  const sim::CampaignResult third =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  const sim::CampaignResult third = sim::run_campaign_cached(cfg, cache);
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], third.datasets[i]);
-  // The republished entry verifies clean again.
+  // The republished entry verifies clean again and left no temp files.
   EXPECT_NO_THROW((void)sim::CampaignStorePin::open(
                       (fs::path(cache) / entries[0].name).string())
                       .load_all());
+  for (const auto& e : fs::recursive_directory_iterator(cache))
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
 }
 
 TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
@@ -699,8 +699,7 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
   cfg.days = 1;
   const std::string cache = scratch("campaign_store_interrupted");
 
-  const sim::CampaignResult first =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  const sim::CampaignResult first = sim::run_campaign_cached(cfg, cache);
   const auto entries = sim::list_cache_entries(cache);
   ASSERT_EQ(entries.size(), 1u);
   const fs::path entry = fs::path(cache) / entries[0].name;
@@ -712,8 +711,7 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
   // reads as absent, so the next call regenerates and must commit again.
   fs::remove(entry / "META");
   ASSERT_FALSE(sim::campaign_store_exists(entry.string()));
-  const sim::CampaignResult second =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  const sim::CampaignResult second = sim::run_campaign_cached(cfg, cache);
   ASSERT_TRUE(sim::campaign_store_exists(entry.string()));
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], second.datasets[i]);
@@ -723,8 +721,7 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
   const fs::path col = entry / "MILC-128" / "steps" / "step_time.col";
   const auto old_time = fs::last_write_time(col) - std::chrono::hours(1);
   fs::last_write_time(col, old_time);
-  const sim::CampaignResult third =
-      sim::run_campaign_cached(cfg, cache, sim::CacheFormat::Store);
+  const sim::CampaignResult third = sim::run_campaign_cached(cfg, cache);
   EXPECT_EQ(fs::last_write_time(col), old_time);
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], third.datasets[i]);
@@ -770,6 +767,67 @@ TEST_F(StoreTest, LruEvictionRespectsBudgetAndRecency) {
   EXPECT_EQ(sim::evict_cache_lru(cache, 0).size(), 1u);
   EXPECT_TRUE(sim::list_cache_entries(cache).empty());
   EXPECT_TRUE(sim::evict_cache_lru(cache, 1 << 30).empty());
+}
+
+TEST_F(StoreTest, StaleCsvEntryListsAsOtherAndIsEvictable) {
+  // A CSV campaign entry left by an older build: META beside flat .csv
+  // files, no sub-stores. It is not a campaign store, and LRU still
+  // removes it like any other entry.
+  const std::string cache = scratch("cache_stale_csv");
+  const auto now = fs::file_time_type::clock::now();
+  const fs::path stale = fs::path(cache) / "campaign_0123456789abcdef";
+  fs::create_directories(stale);
+  std::ofstream(stale / "META") << "format=dfc0de08\ndatasets=1\n";
+  std::ofstream(stale / "MILC-128.csv") << std::string(1000, 'x');
+  fs::last_write_time(stale / "META", now - std::chrono::hours(2));
+  const fs::path store = fs::path(cache) / "campaign_fedcba9876543210.store";
+  fs::create_directories(store / "MILC-128");
+  std::ofstream(store / "META") << std::string(1000, 'y');
+  fs::last_write_time(store / "META", now - std::chrono::hours(1));
+
+  const auto entries = sim::list_cache_entries(cache);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[0].name, stale.filename().string());
+  EXPECT_EQ(entries[0].kind, "other");
+  EXPECT_EQ(entries[1].kind, "campaign-store");
+
+  const auto evicted = sim::evict_cache_lru(cache, 1000);
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(evicted[0], stale.filename().string());
+  EXPECT_FALSE(fs::exists(stale));
+  EXPECT_TRUE(fs::exists(store));
+}
+
+TEST_F(StoreTest, CacheBudgetParsing) {
+  EXPECT_EQ(sim::parse_cache_budget("0"), 0u);
+  EXPECT_EQ(sim::parse_cache_budget("4096"), 4096u);
+  EXPECT_EQ(sim::parse_cache_budget("5e9"), 5000000000u);
+  EXPECT_EQ(sim::parse_cache_budget("2.5e3"), 2500u);
+  EXPECT_EQ(sim::parse_cache_budget("1.9"), 1u);
+  // Integers parse exactly up to the top of the range.
+  EXPECT_EQ(sim::parse_cache_budget("18446744073709551615"), 18446744073709551615u);
+  for (const char* bad : {"", " 5", "5 ", "5x", "abc", "-1", "-0", "-5e9", "+5", "nan",
+                          "inf", "1e30", "18446744073709551616", "1.8446744073709552e19"})
+    EXPECT_THROW((void)sim::parse_cache_budget(bad), ContractError) << "'" << bad << "'";
+}
+
+TEST_F(StoreTest, ScientificEnvBudgetKeepsFreshEntry) {
+  // DFV_CACHE_MAX_BYTES=5e9 is five gigabytes, far above a tiny
+  // campaign: the entry just published must stay.
+  sim::CampaignConfig cfg = sim::CampaignConfig::small(47);
+  cfg.days = 1;
+  const std::string cache = scratch("cache_env_budget");
+  ASSERT_EQ(setenv("DFV_CACHE_MAX_BYTES", "5e9", 1), 0);
+  (void)sim::run_campaign_cached(cfg, cache);
+  const auto kept = sim::list_cache_entries(cache);
+  // A malformed budget is ignored with a warning, not read as a tiny one.
+  ASSERT_EQ(setenv("DFV_CACHE_MAX_BYTES", "5e9bytes", 1), 0);
+  sim::enforce_cache_budget_from_env(cache);
+  const auto after_bad = sim::list_cache_entries(cache);
+  unsetenv("DFV_CACHE_MAX_BYTES");
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].kind, "campaign-store");
+  EXPECT_EQ(after_bad.size(), 1u);
 }
 
 }  // namespace

@@ -57,7 +57,6 @@ api::SessionOptions make_session_options(const cli::ParsedArgs& a) {
                    .build();
   opt.cache_dir = a.get("cache");
   opt.repair = faults::parse_repair_policy(a.get("repair-policy"));
-  if (a.flag("store")) opt.cache_format = sim::CacheFormat::Store;
   return opt;
 }
 
@@ -315,14 +314,13 @@ int cmd_faults(const cli::ParsedArgs& a) {
 }
 
 /// Inspect and garbage-collect the on-disk cache: `--ls` lists entries
-/// with format, size, and recency; `--evict-lru --max-bytes N` evicts
+/// with kind, size, and recency; `--evict-lru --max-bytes N` evicts
 /// least-recently-used entries until the directory fits the budget.
 int cmd_cache(const cli::ParsedArgs& a) {
   const std::string cache_dir = a.get("cache");
   if (a.flag("evict-lru")) {
-    const double budget = a.get_double("max-bytes");
-    DFV_CHECK_MSG(budget >= 0.0, "--max-bytes must be non-negative");
-    const auto evicted = sim::evict_cache_lru(cache_dir, std::uintmax_t(budget));
+    const auto evicted =
+        sim::evict_cache_lru(cache_dir, sim::parse_cache_budget(a.get("max-bytes")));
     for (const auto& name : evicted) std::cout << "evicted " << name << "\n";
     std::cout << evicted.size() << " entr" << (evicted.size() == 1 ? "y" : "ies")
               << " evicted\n";
@@ -456,11 +454,8 @@ int main(int argc, char** argv) {
                            "degraded-data policy: strict | repair | drop"};
   const std::vector<ArgSpec> fault_args{fault_rate_arg, fault_seed_arg, fault_kinds_arg,
                                         repair_arg};
-  const ArgSpec store_arg{"store", ArgType::Flag, "",
-                          "cache the campaign as an mmap'd column store"};
-  auto with_faults = [&fault_args, &store_arg](std::vector<ArgSpec> args) {
+  auto with_faults = [&fault_args](std::vector<ArgSpec> args) {
     args.insert(args.end(), fault_args.begin(), fault_args.end());
-    args.push_back(store_arg);
     return args;
   };
 
