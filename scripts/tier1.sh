@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: static analysis (dfv-lint + strict warnings), then
-# configure + build + full ctest, then rebuild the concurrency-sensitive
-# targets under ThreadSanitizer and run the exec pool and campaign
-# determinism tests with real data races fatal.
+# configure + build + full ctest, then rebuild the wire decoder's tests
+# under ASan+UBSan and the concurrency-sensitive targets under
+# ThreadSanitizer, with every sanitizer report fatal.
 #
 #   scripts/tier1.sh            # full run
 #   DFV_SKIP_TSAN=1 scripts/tier1.sh   # skip the TSan stage
@@ -50,6 +50,18 @@ echo "strict build: clean"
 # scripts/bench.sh store.
 ./build/bench/bench_store --runs 20000 --campaign-days 3 >/dev/null
 echo "bench smoke: OK"
+
+# Sanitizer stage for the wire decoder: it reads untrusted network bytes,
+# so the adversarial corpus (truncations, byte flips, forged lengths) and
+# the api suite run under AddressSanitizer + UndefinedBehaviorSanitizer
+# with every report fatal.
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api) ==="
+cmake --preset asan
+cmake --build build-asan -j --target test_wire_adversarial test_api
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ./build-asan/tests/test_wire_adversarial
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  ./build-asan/tests/test_api
 
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   echo "=== ThreadSanitizer pass (exec, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="

@@ -166,6 +166,8 @@ struct SimulateRequest {
   SimulateRequest& packet_count(int v) { packets = v; return *this; }
 };
 
+/// The position of an alternative is its wire tag (request tag = index
+/// + 1; see api/wire.cpp): append new requests at the end, never reorder.
 using Request =
     std::variant<CampaignSummaryRequest, ExportRequest, RunLookupRequest,
                  NeighborhoodRequest, DeviationRequest, ForecastRequest,
@@ -291,6 +293,10 @@ struct StatsResponse {
   std::uint64_t shutdown_aborted = 0;  ///< requests answered ShuttingDown at drain expiry
 };
 
+/// The position of an alternative is its wire tag (response tag = index,
+/// so ErrorResponse is 0): append new responses at the end, never
+/// reorder. serve::RetryClient peeks at tag 0 to spot an ErrorResponse
+/// until the v3 cleanup deletes its Overloaded branch.
 using Response =
     std::variant<ErrorResponse, CampaignSummaryResponse, ExportResponse,
                  RunLookupResponse, NeighborhoodResponse, DeviationResponse,

@@ -362,16 +362,32 @@ Response Session::on(const TopologyRequest& q) {
   return TopologyResponse{net::Topology(cfg).describe()};
 }
 
+namespace {
+
+net::TrafficPattern parse_traffic_pattern(const std::string& name) {
+  if (name == "uniform") return net::TrafficPattern::Uniform;
+  if (name == "adversarial") return net::TrafficPattern::AdversarialShift;
+  if (name == "hotspot") return net::TrafficPattern::Hotspot;
+  DFV_CHECK_MSG(false, "unknown traffic pattern '"
+                           << name << "' (expected uniform | adversarial | hotspot)");
+}
+
+net::RoutingPolicy parse_routing_policy(const std::string& name) {
+  for (auto cand : {net::RoutingPolicy::Minimal, net::RoutingPolicy::Valiant,
+                    net::RoutingPolicy::Ugal})
+    if (name == net::to_string(cand)) return cand;
+  DFV_CHECK_MSG(false,
+                "unknown routing policy '" << name << "' (expected minimal | valiant | ugal)");
+}
+
+}  // namespace
+
 Response Session::on(const SimulateRequest& q) {
   DFV_CHECK_MSG(q.packets > 0, "packet count must be positive");
   DFV_CHECK_MSG(q.load > 0.0, "offered load must be positive");
+  const net::TrafficPattern pattern = parse_traffic_pattern(q.pattern);
+  const net::RoutingPolicy policy = parse_routing_policy(q.policy);
   const net::Topology topo(net::DragonflyConfig::small(q.groups));
-  net::TrafficPattern pattern = net::TrafficPattern::Uniform;
-  if (q.pattern == "adversarial") pattern = net::TrafficPattern::AdversarialShift;
-  else if (q.pattern == "hotspot") pattern = net::TrafficPattern::Hotspot;
-  net::RoutingPolicy policy = net::RoutingPolicy::Ugal;
-  if (q.policy == "minimal") policy = net::RoutingPolicy::Minimal;
-  else if (q.policy == "valiant") policy = net::RoutingPolicy::Valiant;
 
   SimulateResponse resp;
   resp.pattern = net::to_string(pattern);

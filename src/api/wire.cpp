@@ -1,69 +1,159 @@
 #include "api/wire.hpp"
 
+#include <array>
 #include <bit>
-#include <cstring>
+#include <concepts>
+#include <type_traits>
+#include <utility>
 
 namespace dfv::api {
 
 namespace {
 
-// Tags are wire contract: append-only, never renumber.
-enum class ReqTag : std::uint8_t {
-  CampaignSummary = 1,
-  Export = 2,
-  RunLookup = 3,
-  Neighborhood = 4,
-  Deviation = 5,
-  Forecast = 6,
-  ForecastEval = 7,
-  ForecastGrid = 8,
-  Topology = 9,
-  Simulate = 10,
-  Stats = 11,
+// ---------------------------------------------------------------------------
+// Field lists: every wire struct names its fields once, in wire order, and
+// the Writer and the Reader both walk that one list. The C++ type of a
+// field picks its encoding (see Writer::put). Changing a list changes the
+// bytes: bump kApiVersion and re-record ApiWire.GoldenBytesEveryType.
+// ---------------------------------------------------------------------------
+
+/// `S` is `T` or `const T`, so one list serves encode (const) and decode.
+template <class S, class T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
+
+void fields(Is<RequestMeta> auto& m, auto&& f) { f(m.request_id, m.deadline_ms); }
+
+// Nested structs.
+void fields(Is<analysis::WindowConfig> auto& c, auto&& f) { f(c.m, c.k, c.features); }
+void fields(Is<CampaignSummaryRow> auto& r, auto&& f) {
+  f(r.label, r.runs, r.steps_per_run, r.runs_dropped, r.bad_steps, r.imputed_steps,
+    r.wrapped_cells, r.profiles_missing);
+}
+void fields(Is<ExportResponse::Item> auto& i, auto&& f) { f(i.path, i.ok); }
+void fields(Is<analysis::UserScore> auto& s, auto&& f) {
+  f(s.user_id, s.mi, s.presence, s.optimal_when_present, s.optimal_overall);
+}
+void fields(Is<analysis::NeighborhoodResult> auto& r, auto&& f) {
+  f(r.tau, r.mean_total_time, r.optimal_fraction, r.ranked);
+}
+void fields(Is<analysis::DeviationResult> auto& r, auto&& f) {
+  f(r.relevance, r.survival, r.cv_mape, r.cv_mape_linear, r.samples);
+}
+void fields(Is<analysis::ForecastEval> auto& e, auto&& f) {
+  f(e.mape_attention, e.mape_persistence, e.mape_mean, e.windows);
+}
+void fields(Is<analysis::ForecastGridCell> auto& c, auto&& f) { f(c.window, c.eval); }
+void fields(Is<SimulateResponse::Engine> auto& e, auto&& f) {
+  f(e.name, e.deadlocked, e.mean_latency_s, e.p99_latency_s, e.mean_hops, e.throughput_bps);
+}
+
+// Requests.
+void fields(Is<CampaignSummaryRequest> auto&, auto&&) {}
+void fields(Is<ExportRequest> auto& q, auto&& f) { f(q.dir); }
+void fields(Is<RunLookupRequest> auto& q, auto&& f) { f(q.app_name, q.node_count, q.run_index); }
+void fields(Is<NeighborhoodRequest> auto& q, auto&& f) { f(q.app_name, q.node_count, q.tau); }
+void fields(Is<DeviationRequest> auto& q, auto&& f) { f(q.app_name, q.node_count); }
+void fields(Is<ForecastRequest> auto& q, auto&& f) {
+  f(q.app_name, q.node_count, q.run_index, q.t, q.window);
+}
+void fields(Is<ForecastEvalRequest> auto& q, auto&& f) { f(q.app_name, q.node_count, q.window); }
+void fields(Is<ForecastGridRequest> auto& q, auto&& f) { f(q.app_name, q.node_count, q.cells); }
+void fields(Is<TopologyRequest> auto& q, auto&& f) { f(q.groups); }
+void fields(Is<SimulateRequest> auto& q, auto&& f) {
+  f(q.groups, q.pattern, q.policy, q.load, q.packets);
+}
+void fields(Is<StatsRequest> auto&, auto&&) {}
+
+// Responses.
+void fields(Is<ErrorResponse> auto& p, auto&& f) { f(p.code, p.message, p.retry_after_ms); }
+void fields(Is<CampaignSummaryResponse> auto& p, auto&& f) { f(p.faulted, p.rows); }
+void fields(Is<ExportResponse> auto& p, auto&& f) { f(p.items); }
+void fields(Is<RunLookupResponse> auto& p, auto&& f) {
+  f(p.job_id, p.submit_time_s, p.start_time_s, p.end_time_s, p.total_time_s, p.num_routers,
+    p.num_groups, p.steps, p.profile_missing);
+}
+void fields(Is<NeighborhoodResponse> auto& p, auto&& f) { f(p.result); }
+void fields(Is<DeviationResponse> auto& p, auto&& f) { f(p.result); }
+void fields(Is<ForecastResponse> auto& p, auto&& f) {
+  f(p.predicted, p.persistence, p.model_windows);
+}
+void fields(Is<ForecastEvalResponse> auto& p, auto&& f) { f(p.eval); }
+void fields(Is<ForecastGridResponse> auto& p, auto&& f) { f(p.cells); }
+void fields(Is<TopologyResponse> auto& p, auto&& f) { f(p.description); }
+void fields(Is<SimulateResponse> auto& p, auto&& f) {
+  f(p.pattern, p.policy, p.load, p.engines);
+}
+void fields(Is<StatsResponse> auto& p, auto&& f) {
+  f(p.shards, p.connections, p.requests, p.local, p.forwarded, p.shed_overload,
+    p.shed_deadline, p.evicted_stalled, p.shutdown_aborted);
+}
+
+/// Enums travel as a fixed-width integer and decode only inside [lo, hi].
+template <class E>
+struct EnumWire;
+template <>
+struct EnumWire<analysis::FeatureSet> {
+  using Rep = std::uint8_t;
+  static constexpr auto lo = analysis::FeatureSet::App;
+  static constexpr auto hi = analysis::FeatureSet::AppPlacementIoSys;
+  static constexpr const char* name = "feature-set code";
+};
+template <>
+struct EnumWire<ErrorCode> {
+  using Rep = std::uint32_t;
+  static constexpr auto lo = ErrorCode::Contract;
+  static constexpr auto hi = ErrorCode::ShuttingDown;
+  static constexpr const char* name = "error code";
 };
 
-enum class RespTag : std::uint8_t {
-  Error = 0,
-  CampaignSummary = 1,
-  Export = 2,
-  RunLookup = 3,
-  Neighborhood = 4,
-  Deviation = 5,
-  Forecast = 6,
-  ForecastEval = 7,
-  ForecastGrid = 8,
-  Topology = 9,
-  Simulate = 10,
-  Stats = 11,
-};
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Variant tags: the alternative's index plus the first tag, so request
+/// tags start at 1 and response tags at 0 (ErrorResponse).
+constexpr std::size_t kFirstRequestTag = 1;
+constexpr std::size_t kFirstResponseTag = 0;
 
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(char(v)); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(char((v >> (8 * i)) & 0xff));
+  /// bool -> u8; int/uint32 -> 4 bytes; uint64/size_t -> 8 bytes; double
+  /// -> its IEEE-754 bits in a u64; enums -> EnumWire::Rep; strings and
+  /// vectors -> u32 length + bytes/elements; structs -> their field list.
+  template <class T>
+  void put(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      raw(std::uint8_t(v ? 1 : 0));
+    } else if constexpr (std::is_same_v<T, double>) {
+      raw(std::bit_cast<std::uint64_t>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      raw(std::make_unsigned_t<T>(v));
+    } else if constexpr (std::is_enum_v<T>) {
+      raw(typename EnumWire<T>::Rep(v));
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      raw(std::uint32_t(v.size()));
+      buf_.append(v);
+    } else if constexpr (kIsVector<T>) {
+      raw(std::uint32_t(v.size()));
+      for (const auto& e : v) put(e);
+    } else {
+      fields(v, [this](const auto&... xs) { (put(xs), ...); });
+    }
   }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(char((v >> (8 * i)) & 0xff));
-  }
-  void i32(std::int32_t v) { u32(std::bit_cast<std::uint32_t>(v)); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(const std::string& s) {
-    u32(std::uint32_t(s.size()));
-    buf_.append(s);
-  }
-  template <typename T, typename Fn>
-  void vec(const std::vector<T>& v, Fn&& element) {
-    u32(std::uint32_t(v.size()));
-    for (const T& e : v) element(e);
-  }
-  void doubles(const std::vector<double>& v) {
-    vec(v, [&](double d) { f64(d); });
+  template <class V>
+  void put_tagged(const V& v, std::size_t first_tag) {
+    put(std::uint8_t(first_tag + v.index()));
+    std::visit([this](const auto& alt) { put(alt); }, v);
   }
   [[nodiscard]] std::string take() { return std::move(buf_); }
 
  private:
+  /// Little-endian, sizeof(U) bytes.
+  template <std::unsigned_integral U>
+  void raw(U v) {
+    for (std::size_t i = 0; i < sizeof(U); ++i) buf_.push_back(char((v >> (8 * i)) & 0xff));
+  }
   std::string buf_;
 };
 
@@ -72,50 +162,71 @@ class Reader {
  public:
   explicit Reader(std::string_view b) : b_(b) {}
 
-  [[nodiscard]] std::uint8_t u8() {
-    need(1);
-    return std::uint8_t(b_[pos_++]);
+  /// Mirrors Writer::put read for read (any non-zero u8 reads as true).
+  template <class T>
+  void get(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = raw<std::uint8_t>() != 0;
+    } else if constexpr (std::is_same_v<T, double>) {
+      v = std::bit_cast<double>(raw<std::uint64_t>());
+    } else if constexpr (std::is_integral_v<T>) {
+      v = T(raw<std::make_unsigned_t<T>>());
+    } else if constexpr (std::is_enum_v<T>) {
+      using W = EnumWire<T>;
+      using Rep = typename W::Rep;
+      const Rep code = raw<Rep>();
+      DFV_CHECK_MSG(code >= Rep(W::lo) && code <= Rep(W::hi),
+                    "wire: unknown " << W::name << " " << std::uint64_t(code));
+      v = T(code);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      const std::uint32_t n = raw<std::uint32_t>();
+      need(n);
+      v.assign(b_.substr(pos_, n));
+      pos_ += n;
+    } else if constexpr (kIsVector<T>) {
+      v.resize(count());
+      for (auto& e : v) get(e);
+    } else {
+      fields(v, [this](auto&... xs) { (get(xs), ...); });
+    }
   }
-  [[nodiscard]] std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t(std::uint8_t(b_[pos_++])) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t(std::uint8_t(b_[pos_++])) << (8 * i);
-    return v;
-  }
-  [[nodiscard]] std::int32_t i32() { return std::bit_cast<std::int32_t>(u32()); }
-  [[nodiscard]] double f64() { return std::bit_cast<double>(u64()); }
-  [[nodiscard]] bool boolean() { return u8() != 0; }
-  [[nodiscard]] std::string str() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::string s(b_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-  /// Element count of a vector; bounded so a corrupt length cannot drive
-  /// a multi-gigabyte allocation before the per-element reads fail.
-  [[nodiscard]] std::uint32_t count() {
-    const std::uint32_t n = u32();
-    DFV_CHECK_MSG(std::size_t(n) <= b_.size(), "wire: element count exceeds buffer");
-    return n;
-  }
-  [[nodiscard]] std::vector<double> doubles() {
-    const std::uint32_t n = count();
-    std::vector<double> v(n);
-    for (auto& d : v) d = f64();
-    return v;
+  /// Read a tag and decode the alternative of V it names; unknown tags
+  /// are a ContractError.
+  template <class V>
+  [[nodiscard]] V get_tagged(std::size_t first_tag, const char* what) {
+    static constexpr auto decoders = []<std::size_t... I>(std::index_sequence<I...>) {
+      return std::array<V (*)(Reader&), sizeof...(I)>{&Reader::alternative<V, I>...};
+    }(std::make_index_sequence<std::variant_size_v<V>>{});
+    const std::size_t tag = raw<std::uint8_t>();
+    DFV_CHECK_MSG(tag >= first_tag && tag - first_tag < decoders.size(),
+                  "wire: unknown " << what << " tag " << tag);
+    return decoders[tag - first_tag](*this);
   }
   void done() const {
     DFV_CHECK_MSG(pos_ == b_.size(), "wire: trailing bytes after payload");
   }
 
  private:
+  template <class V, std::size_t I>
+  [[nodiscard]] static V alternative(Reader& r) {
+    std::variant_alternative_t<I, V> v;
+    r.get(v);
+    return V(std::in_place_index<I>, std::move(v));
+  }
+  template <std::unsigned_integral U>
+  [[nodiscard]] U raw() {
+    need(sizeof(U));
+    U v = 0;
+    for (std::size_t i = 0; i < sizeof(U); ++i) v |= U(U(std::uint8_t(b_[pos_++])) << (8 * i));
+    return v;
+  }
+  /// Element count of a vector; bounded so a corrupt length cannot drive
+  /// a multi-gigabyte allocation before the per-element reads fail.
+  [[nodiscard]] std::uint32_t count() {
+    const std::uint32_t n = raw<std::uint32_t>();
+    DFV_CHECK_MSG(std::size_t(n) <= b_.size(), "wire: element count exceeds buffer");
+    return n;
+  }
   void need(std::size_t n) const {
     DFV_CHECK_MSG(pos_ + n <= b_.size(), "wire: truncated buffer");
   }
@@ -124,100 +235,24 @@ class Reader {
 };
 
 void check_version(Reader& r) {
-  const std::uint32_t v = r.u32();
+  std::uint32_t v = 0;
+  r.get(v);
   if (v != kApiVersion)
     throw VersionError(v, "wire: protocol version " + std::to_string(v) +
                               " is not the supported version " +
                               std::to_string(kApiVersion));
 }
 
-// ---- WindowConfig ----------------------------------------------------------
-
-void put_window(Writer& w, const analysis::WindowConfig& c) {
-  w.i32(c.m);
-  w.i32(c.k);
-  w.u8(std::uint8_t(enum_int(c.features)));
-}
-
-[[nodiscard]] analysis::WindowConfig get_window(Reader& r) {
-  analysis::WindowConfig c;
-  c.m = r.i32();
-  c.k = r.i32();
-  const std::uint8_t fs = r.u8();
-  DFV_CHECK_MSG(fs <= std::uint8_t(enum_int(analysis::FeatureSet::AppPlacementIoSys)),
-                "wire: unknown feature-set code " << int(fs));
-  c.features = analysis::FeatureSet(fs);
-  return c;
-}
-
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Requests.
-// ---------------------------------------------------------------------------
 
 std::string encode_request(const Request& req) { return encode_request(req, {}); }
 
 // dfv-lint: allow(contract): any in-memory Request encodes; decode validates
 std::string encode_request(const Request& req, const RequestMeta& meta) {
   Writer w;
-  w.u32(kApiVersion);
-  w.u64(meta.request_id);
-  w.u32(meta.deadline_ms);
-  std::visit(
-      [&](const auto& q) {
-        using T = std::decay_t<decltype(q)>;
-        if constexpr (std::is_same_v<T, CampaignSummaryRequest>) {
-          w.u8(std::uint8_t(ReqTag::CampaignSummary));
-        } else if constexpr (std::is_same_v<T, ExportRequest>) {
-          w.u8(std::uint8_t(ReqTag::Export));
-          w.str(q.dir);
-        } else if constexpr (std::is_same_v<T, RunLookupRequest>) {
-          w.u8(std::uint8_t(ReqTag::RunLookup));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-          w.u32(q.run_index);
-        } else if constexpr (std::is_same_v<T, NeighborhoodRequest>) {
-          w.u8(std::uint8_t(ReqTag::Neighborhood));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-          w.f64(q.tau);
-        } else if constexpr (std::is_same_v<T, DeviationRequest>) {
-          w.u8(std::uint8_t(ReqTag::Deviation));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-        } else if constexpr (std::is_same_v<T, ForecastRequest>) {
-          w.u8(std::uint8_t(ReqTag::Forecast));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-          w.u32(q.run_index);
-          w.i32(q.t);
-          put_window(w, q.window);
-        } else if constexpr (std::is_same_v<T, ForecastEvalRequest>) {
-          w.u8(std::uint8_t(ReqTag::ForecastEval));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-          put_window(w, q.window);
-        } else if constexpr (std::is_same_v<T, ForecastGridRequest>) {
-          w.u8(std::uint8_t(ReqTag::ForecastGrid));
-          w.str(q.app_name);
-          w.i32(q.node_count);
-          w.vec(q.cells, [&](const analysis::WindowConfig& c) { put_window(w, c); });
-        } else if constexpr (std::is_same_v<T, TopologyRequest>) {
-          w.u8(std::uint8_t(ReqTag::Topology));
-          w.i32(q.groups);
-        } else if constexpr (std::is_same_v<T, SimulateRequest>) {
-          w.u8(std::uint8_t(ReqTag::Simulate));
-          w.i32(q.groups);
-          w.str(q.pattern);
-          w.str(q.policy);
-          w.f64(q.load);
-          w.i32(q.packets);
-        } else if constexpr (std::is_same_v<T, StatsRequest>) {
-          w.u8(std::uint8_t(ReqTag::Stats));
-        }
-      },
-      req);
+  w.put(kApiVersion);
+  w.put(meta);
+  w.put_tagged(req, kFirstRequestTag);
   return w.take();
 }
 
@@ -225,380 +260,30 @@ Request decode_request(std::string_view bytes) {
   return decode_request_envelope(bytes).request;
 }
 
+// dfv-lint: allow(contract): Reader checks every read; done() rejects trailing bytes
 RequestEnvelope decode_request_envelope(std::string_view bytes) {
   Reader r(bytes);
   check_version(r);
   RequestEnvelope env;
-  env.meta.request_id = r.u64();
-  env.meta.deadline_ms = r.u32();
-  const auto tag = ReqTag(r.u8());
-  Request out;
-  switch (tag) {
-    case ReqTag::CampaignSummary:
-      out = CampaignSummaryRequest{};
-      break;
-    case ReqTag::Export: {
-      ExportRequest q;
-      q.dir = r.str();
-      out = q;
-      break;
-    }
-    case ReqTag::RunLookup: {
-      RunLookupRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      q.run_index = r.u32();
-      out = q;
-      break;
-    }
-    case ReqTag::Neighborhood: {
-      NeighborhoodRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      q.tau = r.f64();
-      out = q;
-      break;
-    }
-    case ReqTag::Deviation: {
-      DeviationRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      out = q;
-      break;
-    }
-    case ReqTag::Forecast: {
-      ForecastRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      q.run_index = r.u32();
-      q.t = r.i32();
-      q.window = get_window(r);
-      out = q;
-      break;
-    }
-    case ReqTag::ForecastEval: {
-      ForecastEvalRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      q.window = get_window(r);
-      out = q;
-      break;
-    }
-    case ReqTag::ForecastGrid: {
-      ForecastGridRequest q;
-      q.app_name = r.str();
-      q.node_count = r.i32();
-      const std::uint32_t n = r.count();
-      q.cells.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) q.cells.push_back(get_window(r));
-      out = q;
-      break;
-    }
-    case ReqTag::Topology: {
-      TopologyRequest q;
-      q.groups = r.i32();
-      out = q;
-      break;
-    }
-    case ReqTag::Simulate: {
-      SimulateRequest q;
-      q.groups = r.i32();
-      q.pattern = r.str();
-      q.policy = r.str();
-      q.load = r.f64();
-      q.packets = r.i32();
-      out = q;
-      break;
-    }
-    case ReqTag::Stats:
-      out = StatsRequest{};
-      break;
-    default:
-      DFV_CHECK_MSG(false, "wire: unknown request tag " << int(tag));
-  }
+  r.get(env.meta);
+  env.request = r.get_tagged<Request>(kFirstRequestTag, "request");
   r.done();
-  env.request = std::move(out);
   return env;
 }
-
-// ---------------------------------------------------------------------------
-// Responses.
-// ---------------------------------------------------------------------------
 
 // dfv-lint: allow(contract): any in-memory Response encodes; decode validates
 std::string encode_response(const Response& resp) {
   Writer w;
-  w.u32(kApiVersion);
-  std::visit(
-      [&](const auto& p) {
-        using T = std::decay_t<decltype(p)>;
-        if constexpr (std::is_same_v<T, ErrorResponse>) {
-          w.u8(std::uint8_t(RespTag::Error));
-          w.u32(std::uint32_t(p.code));
-          w.str(p.message);
-          w.u32(p.retry_after_ms);
-        } else if constexpr (std::is_same_v<T, CampaignSummaryResponse>) {
-          w.u8(std::uint8_t(RespTag::CampaignSummary));
-          w.boolean(p.faulted);
-          w.vec(p.rows, [&](const CampaignSummaryRow& row) {
-            w.str(row.label);
-            w.u32(row.runs);
-            w.u32(row.steps_per_run);
-            w.u32(row.runs_dropped);
-            w.u32(row.bad_steps);
-            w.u32(row.imputed_steps);
-            w.u32(row.wrapped_cells);
-            w.u32(row.profiles_missing);
-          });
-        } else if constexpr (std::is_same_v<T, ExportResponse>) {
-          w.u8(std::uint8_t(RespTag::Export));
-          w.vec(p.items, [&](const ExportResponse::Item& it) {
-            w.str(it.path);
-            w.boolean(it.ok);
-          });
-        } else if constexpr (std::is_same_v<T, RunLookupResponse>) {
-          w.u8(std::uint8_t(RespTag::RunLookup));
-          w.i32(p.job_id);
-          w.f64(p.submit_time_s);
-          w.f64(p.start_time_s);
-          w.f64(p.end_time_s);
-          w.f64(p.total_time_s);
-          w.i32(p.num_routers);
-          w.i32(p.num_groups);
-          w.u32(p.steps);
-          w.boolean(p.profile_missing);
-        } else if constexpr (std::is_same_v<T, NeighborhoodResponse>) {
-          w.u8(std::uint8_t(RespTag::Neighborhood));
-          w.f64(p.result.tau);
-          w.f64(p.result.mean_total_time);
-          w.f64(p.result.optimal_fraction);
-          w.vec(p.result.ranked, [&](const analysis::UserScore& s) {
-            w.i32(s.user_id);
-            w.f64(s.mi);
-            w.f64(s.presence);
-            w.f64(s.optimal_when_present);
-            w.f64(s.optimal_overall);
-          });
-        } else if constexpr (std::is_same_v<T, DeviationResponse>) {
-          w.u8(std::uint8_t(RespTag::Deviation));
-          w.doubles(p.result.relevance);
-          w.doubles(p.result.survival);
-          w.f64(p.result.cv_mape);
-          w.f64(p.result.cv_mape_linear);
-          w.u64(p.result.samples);
-        } else if constexpr (std::is_same_v<T, ForecastResponse>) {
-          w.u8(std::uint8_t(RespTag::Forecast));
-          w.f64(p.predicted);
-          w.f64(p.persistence);
-          w.u32(p.model_windows);
-        } else if constexpr (std::is_same_v<T, ForecastEvalResponse>) {
-          w.u8(std::uint8_t(RespTag::ForecastEval));
-          w.f64(p.eval.mape_attention);
-          w.f64(p.eval.mape_persistence);
-          w.f64(p.eval.mape_mean);
-          w.u64(p.eval.windows);
-        } else if constexpr (std::is_same_v<T, ForecastGridResponse>) {
-          w.u8(std::uint8_t(RespTag::ForecastGrid));
-          w.vec(p.cells, [&](const analysis::ForecastGridCell& c) {
-            put_window(w, c.window);
-            w.f64(c.eval.mape_attention);
-            w.f64(c.eval.mape_persistence);
-            w.f64(c.eval.mape_mean);
-            w.u64(c.eval.windows);
-          });
-        } else if constexpr (std::is_same_v<T, TopologyResponse>) {
-          w.u8(std::uint8_t(RespTag::Topology));
-          w.str(p.description);
-        } else if constexpr (std::is_same_v<T, SimulateResponse>) {
-          w.u8(std::uint8_t(RespTag::Simulate));
-          w.str(p.pattern);
-          w.str(p.policy);
-          w.f64(p.load);
-          w.vec(p.engines, [&](const SimulateResponse::Engine& e) {
-            w.str(e.name);
-            w.boolean(e.deadlocked);
-            w.f64(e.mean_latency_s);
-            w.f64(e.p99_latency_s);
-            w.f64(e.mean_hops);
-            w.f64(e.throughput_bps);
-          });
-        } else if constexpr (std::is_same_v<T, StatsResponse>) {
-          w.u8(std::uint8_t(RespTag::Stats));
-          w.u32(p.shards);
-          w.u64(p.connections);
-          w.u64(p.requests);
-          w.u64(p.local);
-          w.u64(p.forwarded);
-          w.u64(p.shed_overload);
-          w.u64(p.shed_deadline);
-          w.u64(p.evicted_stalled);
-          w.u64(p.shutdown_aborted);
-        }
-      },
-      resp);
+  w.put(kApiVersion);
+  w.put_tagged(resp, kFirstResponseTag);
   return w.take();
 }
 
+// dfv-lint: allow(contract): Reader checks every read; done() rejects trailing bytes
 Response decode_response(std::string_view bytes) {
   Reader r(bytes);
   check_version(r);
-  const auto tag = RespTag(r.u8());
-  Response out;
-  switch (tag) {
-    case RespTag::Error: {
-      ErrorResponse p;
-      const std::uint32_t code = r.u32();
-      DFV_CHECK_MSG(code >= std::uint32_t(enum_int(ErrorCode::Contract)) &&
-                        code <= std::uint32_t(enum_int(ErrorCode::ShuttingDown)),
-                    "wire: unknown error code " << code);
-      p.code = ErrorCode(code);
-      p.message = r.str();
-      p.retry_after_ms = r.u32();
-      out = p;
-      break;
-    }
-    case RespTag::CampaignSummary: {
-      CampaignSummaryResponse p;
-      p.faulted = r.boolean();
-      const std::uint32_t n = r.count();
-      p.rows.resize(n);
-      for (auto& row : p.rows) {
-        row.label = r.str();
-        row.runs = r.u32();
-        row.steps_per_run = r.u32();
-        row.runs_dropped = r.u32();
-        row.bad_steps = r.u32();
-        row.imputed_steps = r.u32();
-        row.wrapped_cells = r.u32();
-        row.profiles_missing = r.u32();
-      }
-      out = p;
-      break;
-    }
-    case RespTag::Export: {
-      ExportResponse p;
-      const std::uint32_t n = r.count();
-      p.items.resize(n);
-      for (auto& it : p.items) {
-        it.path = r.str();
-        it.ok = r.boolean();
-      }
-      out = p;
-      break;
-    }
-    case RespTag::RunLookup: {
-      RunLookupResponse p;
-      p.job_id = r.i32();
-      p.submit_time_s = r.f64();
-      p.start_time_s = r.f64();
-      p.end_time_s = r.f64();
-      p.total_time_s = r.f64();
-      p.num_routers = r.i32();
-      p.num_groups = r.i32();
-      p.steps = r.u32();
-      p.profile_missing = r.boolean();
-      out = p;
-      break;
-    }
-    case RespTag::Neighborhood: {
-      NeighborhoodResponse p;
-      p.result.tau = r.f64();
-      p.result.mean_total_time = r.f64();
-      p.result.optimal_fraction = r.f64();
-      const std::uint32_t n = r.count();
-      p.result.ranked.resize(n);
-      for (auto& s : p.result.ranked) {
-        s.user_id = r.i32();
-        s.mi = r.f64();
-        s.presence = r.f64();
-        s.optimal_when_present = r.f64();
-        s.optimal_overall = r.f64();
-      }
-      out = p;
-      break;
-    }
-    case RespTag::Deviation: {
-      DeviationResponse p;
-      p.result.relevance = r.doubles();
-      p.result.survival = r.doubles();
-      p.result.cv_mape = r.f64();
-      p.result.cv_mape_linear = r.f64();
-      p.result.samples = std::size_t(r.u64());
-      out = p;
-      break;
-    }
-    case RespTag::Forecast: {
-      ForecastResponse p;
-      p.predicted = r.f64();
-      p.persistence = r.f64();
-      p.model_windows = r.u32();
-      out = p;
-      break;
-    }
-    case RespTag::ForecastEval: {
-      ForecastEvalResponse p;
-      p.eval.mape_attention = r.f64();
-      p.eval.mape_persistence = r.f64();
-      p.eval.mape_mean = r.f64();
-      p.eval.windows = std::size_t(r.u64());
-      out = p;
-      break;
-    }
-    case RespTag::ForecastGrid: {
-      ForecastGridResponse p;
-      const std::uint32_t n = r.count();
-      p.cells.resize(n);
-      for (auto& c : p.cells) {
-        c.window = get_window(r);
-        c.eval.mape_attention = r.f64();
-        c.eval.mape_persistence = r.f64();
-        c.eval.mape_mean = r.f64();
-        c.eval.windows = std::size_t(r.u64());
-      }
-      out = p;
-      break;
-    }
-    case RespTag::Topology: {
-      TopologyResponse p;
-      p.description = r.str();
-      out = p;
-      break;
-    }
-    case RespTag::Simulate: {
-      SimulateResponse p;
-      p.pattern = r.str();
-      p.policy = r.str();
-      p.load = r.f64();
-      const std::uint32_t n = r.count();
-      p.engines.resize(n);
-      for (auto& e : p.engines) {
-        e.name = r.str();
-        e.deadlocked = r.boolean();
-        e.mean_latency_s = r.f64();
-        e.p99_latency_s = r.f64();
-        e.mean_hops = r.f64();
-        e.throughput_bps = r.f64();
-      }
-      out = p;
-      break;
-    }
-    case RespTag::Stats: {
-      StatsResponse p;
-      p.shards = r.u32();
-      p.connections = r.u64();
-      p.requests = r.u64();
-      p.local = r.u64();
-      p.forwarded = r.u64();
-      p.shed_overload = r.u64();
-      p.shed_deadline = r.u64();
-      p.evicted_stalled = r.u64();
-      p.shutdown_aborted = r.u64();
-      out = p;
-      break;
-    }
-    default:
-      DFV_CHECK_MSG(false, "wire: unknown response tag " << int(tag));
-  }
+  Response out = r.get_tagged<Response>(kFirstResponseTag, "response");
   r.done();
   return out;
 }

@@ -22,6 +22,12 @@
 // the same statement (test_serve compares encoded bytes across shard
 // counts).
 //
+// Each message's layout is one field list in wire.cpp that both encode
+// and decode walk; the tag is the message's position in the
+// Request/Response variant. ApiWire.GoldenBytesEveryType
+// (tests/test_api.cpp) pins the bytes of every message type, so a layout
+// change fails it until kApiVersion is bumped and the goldens re-recorded.
+//
 // Decoding is defensive: a truncated or malformed buffer throws
 // ContractError ("wire: …"), and an envelope whose version differs from
 // kApiVersion throws VersionError, which carries the offending version

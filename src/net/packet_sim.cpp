@@ -4,19 +4,7 @@
 #include <cmath>
 #include <queue>
 
-#include "common/check.hpp"
-#include "common/stats.hpp"
-
 namespace dfv::net {
-
-const char* to_string(TrafficPattern p) noexcept {
-  switch (p) {
-    case TrafficPattern::Uniform: return "uniform";
-    case TrafficPattern::AdversarialShift: return "adversarial-shift";
-    case TrafficPattern::Hotspot: return "hotspot";
-  }
-  return "?";
-}
 
 PacketSim::PacketSim(const Topology& topo, PacketSimParams params, std::uint64_t seed)
     : topo_(&topo), params_(params), chooser_(topo, params.routing), rng_(seed) {
@@ -88,54 +76,15 @@ PacketStats PacketSim::run() {
     pending_heap_.push(Pending{depart + ser + li.latency, ev.id});
   }
 
-  if (!delivered_latencies.empty()) {
-    stats_.mean_latency = stats::mean(delivered_latencies);
-    stats_.p99_latency = stats::percentile(delivered_latencies, 0.99);
-    stats_.mean_hops = total_hops / double(delivered_latencies.size());
-  }
-  if (stats_.sim_time > 0.0) stats_.throughput = stats_.delivered_bytes / stats_.sim_time;
+  summarize_delivery(stats_, delivered_latencies, total_hops, stats_.delivered_bytes);
   return stats_;
 }
 
 PacketStats PacketSim::run_synthetic(TrafficPattern pattern, double offered_load,
                                      int packets_per_router) {
-  DFV_CHECK(offered_load > 0.0);
-  const auto& cfg = topo_->config();
-  const int R = cfg.num_routers();
-  const int G = cfg.groups;
-  const double pkt_bytes = double(params_.packet_flits) * params_.flit_bytes;
-  // Offered load is a fraction of one green link's bandwidth per router.
-  const double rate = offered_load * cfg.green_bw / pkt_bytes;  // packets/s per router
-  const RouterId hotspot = RouterId(R / 2);
-
-  for (RouterId src = 0; src < R; ++src) {
-    double t = 0.0;
-    for (int i = 0; i < packets_per_router; ++i) {
-      t += rng_.exponential(rate);
-      RouterId dst = src;
-      switch (pattern) {
-        case TrafficPattern::Uniform:
-          while (dst == src) dst = RouterId(rng_.uniform_index(std::uint64_t(R)));
-          break;
-        case TrafficPattern::AdversarialShift: {
-          const GroupId g = topo_->group_of(src);
-          const GroupId tg = GroupId((g + 1) % std::max(1, G));
-          dst = RouterId(tg * cfg.routers_per_group() +
-                         int(rng_.uniform_index(std::uint64_t(cfg.routers_per_group()))));
-          break;
-        }
-        case TrafficPattern::Hotspot:
-          if (rng_.bernoulli(0.2)) {
-            dst = hotspot;
-            if (dst == src) dst = RouterId((hotspot + 1) % R);
-          } else {
-            while (dst == src) dst = RouterId(rng_.uniform_index(std::uint64_t(R)));
-          }
-          break;
-      }
-      inject(t, src, dst);
-    }
-  }
+  generate_synthetic(*topo_, pattern, offered_load, packets_per_router,
+                     double(params_.packet_flits) * params_.flit_bytes, rng_,
+                     [this](double t, RouterId src, RouterId dst) { inject(t, src, dst); });
   return run();
 }
 

@@ -17,6 +17,7 @@
 
 #include "common/rng.hpp"
 #include "net/routing.hpp"
+#include "net/synthetic.hpp"
 #include "net/traffic.hpp"
 
 namespace dfv::net {
@@ -27,16 +28,6 @@ struct PacketSimParams {
   int packet_flits = 4;      ///< flits per packet
   double flit_bytes = 16.0;  ///< bytes per flit
 };
-
-/// Synthetic traffic patterns for throughput/latency studies.
-enum class TrafficPattern : std::uint8_t {
-  Uniform,           ///< destination router uniform over the system
-  AdversarialShift,  ///< destination in group (g+1) mod G: the worst case
-                     ///< for minimal dragonfly routing
-  Hotspot,           ///< 20% of traffic to one router, rest uniform
-};
-
-[[nodiscard]] const char* to_string(TrafficPattern p) noexcept;
 
 /// Aggregate results of one DES run.
 struct PacketStats {
@@ -63,9 +54,7 @@ class PacketSim {
   /// Process all events; returns aggregate statistics.
   [[nodiscard]] PacketStats run();
 
-  /// Convenience driver: inject `packets_per_router` packets per router
-  /// according to `pattern` with exponential inter-arrival times targeting
-  /// `offered_load` (fraction of per-router injection bandwidth), then run.
+  /// Convenience driver: inject generate_synthetic's packets, then run.
   [[nodiscard]] PacketStats run_synthetic(TrafficPattern pattern, double offered_load,
                                           int packets_per_router);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 
 namespace dfv::net {
 
@@ -236,53 +235,16 @@ VcStats VcPacketSim::run() {
     (void)try_advance(ev.packet, ev.time);
   }
   stats_.deadlocked = stats_.delivered < stats_.injected;
-  if (!latencies_.empty()) {
-    stats_.mean_latency = stats::mean(latencies_);
-    stats_.p99_latency = stats::percentile(latencies_, 0.99);
-    stats_.mean_hops = total_hops_ / double(latencies_.size());
-  }
-  const double bytes =
-      double(stats_.delivered) * params_.packet_flits * params_.flit_bytes;
-  if (stats_.sim_time > 0.0) stats_.throughput = bytes / stats_.sim_time;
+  summarize_delivery(stats_, latencies_, total_hops_,
+                     double(stats_.delivered) * params_.packet_flits * params_.flit_bytes);
   return stats_;
 }
 
 VcStats VcPacketSim::run_synthetic(TrafficPattern pattern, double offered_load,
                                    int packets_per_router) {
-  DFV_CHECK(offered_load > 0.0);
-  const auto& cfg = topo_->config();
-  const int R = cfg.num_routers();
-  const int G = cfg.groups;
-  const double pkt_bytes = double(params_.packet_flits) * params_.flit_bytes;
-  const double rate = offered_load * cfg.green_bw / pkt_bytes;
-  const RouterId hotspot = RouterId(R / 2);
-
-  for (RouterId src = 0; src < R; ++src) {
-    double t = 0.0;
-    for (int i = 0; i < packets_per_router; ++i) {
-      t += rng_.exponential(rate);
-      RouterId dst = src;
-      switch (pattern) {
-        case TrafficPattern::Uniform:
-          while (dst == src) dst = RouterId(rng_.uniform_index(std::uint64_t(R)));
-          break;
-        case TrafficPattern::AdversarialShift: {
-          const GroupId tg = GroupId((topo_->group_of(src) + 1) % std::max(1, G));
-          dst = RouterId(tg * cfg.routers_per_group() +
-                         int(rng_.uniform_index(std::uint64_t(cfg.routers_per_group()))));
-          break;
-        }
-        case TrafficPattern::Hotspot:
-          if (rng_.bernoulli(0.2)) {
-            dst = hotspot == src ? RouterId((hotspot + 1) % R) : hotspot;
-          } else {
-            while (dst == src) dst = RouterId(rng_.uniform_index(std::uint64_t(R)));
-          }
-          break;
-      }
-      inject(t, src, dst);
-    }
-  }
+  generate_synthetic(*topo_, pattern, offered_load, packets_per_router,
+                     double(params_.packet_flits) * params_.flit_bytes, rng_,
+                     [this](double t, RouterId src, RouterId dst) { inject(t, src, dst); });
   return run();
 }
 

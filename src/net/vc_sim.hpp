@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "net/packet_sim.hpp"  // TrafficPattern
 #include "net/routing.hpp"
+#include "net/synthetic.hpp"
 
 namespace dfv::net {
 
@@ -66,7 +66,9 @@ class VcPacketSim {
   /// Process all events.
   [[nodiscard]] VcStats run();
 
-  /// Convenience driver mirroring PacketSim::run_synthetic.
+  /// Convenience driver: inject generate_synthetic's packets, then run.
+  /// Each inject() draws its response class from the same Rng between
+  /// the generator's draws.
   [[nodiscard]] VcStats run_synthetic(TrafficPattern pattern, double offered_load,
                                       int packets_per_router);
 

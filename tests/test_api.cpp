@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/deviation.hpp"
@@ -126,6 +128,26 @@ TEST_F(ApiSession, TopologyAndSimulateAreStateless) {
   ASSERT_EQ(sim.engines.size(), 2u);
   EXPECT_EQ(sim.engines[0].name, "source-routed");
   EXPECT_EQ(sim.engines[1].name, "credit/VC");
+}
+
+TEST(ApiSimulate, UnknownPatternOrPolicyIsAContractError) {
+  // Stateless: a bare Session answers without loading a campaign, both
+  // in process and through the encoded (served) entry point.
+  Session session{SessionOptions{}};
+  const std::pair<SimulateRequest, const char*> cases[] = {
+      {SimulateRequest{}.traffic("bogus"), "expected uniform | adversarial | hotspot"},
+      {SimulateRequest{}.routing("nonsense"), "expected minimal | valiant | ugal"},
+  };
+  for (const auto& [req, accepted] : cases) {
+    for (const Response& resp :
+         {session.handle(req),
+          decode_response(handle_encoded(session, encode_request(Request{req})))}) {
+      const auto* err = std::get_if<ErrorResponse>(&resp);
+      ASSERT_NE(err, nullptr);
+      EXPECT_EQ(err->code, ErrorCode::Contract);
+      EXPECT_NE(err->message.find(accepted), std::string::npos) << err->message;
+    }
+  }
 }
 
 TEST_F(ApiSession, ContractViolationBecomesErrorResponse) {
@@ -264,6 +286,7 @@ TEST(ApiWire, RequestRoundTripsEveryType) {
           {3, 5, analysis::FeatureSet::App})},
       Request{TopologyRequest{}.group_count(6)},
       Request{SimulateRequest{}.group_count(4).traffic("hotspot").routing("minimal")},
+      Request{StatsRequest{}},
   };
   for (const Request& req : reqs) {
     const std::string bytes = encode_request(req);
@@ -284,6 +307,166 @@ TEST(ApiWire, ResponseRoundTripsWithBitExactDoubles) {
   EXPECT_EQ(back.predicted, fr.predicted);  // bitwise through the wire
   EXPECT_EQ(back.persistence, fr.persistence);
   EXPECT_EQ(encode_response(Response{back}), bytes);
+}
+
+std::string to_hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    out.push_back(kDigits[std::uint8_t(c) >> 4]);
+    out.push_back(kDigits[std::uint8_t(c) & 0xf]);
+  }
+  return out;
+}
+
+// One request of each type (non-zero envelope meta) and one response of
+// each type, every field set away from its default (bools and the second
+// element of each vector may hold the default too), every vector with at
+// least two elements. The hex literals are the v2 wire bytes; a layout change that
+// is made identically in encode and decode fails here, so it cannot ship
+// without a kApiVersion bump and re-recorded goldens.
+TEST(ApiWire, GoldenBytesEveryType) {
+  using analysis::FeatureSet;
+  const std::vector<Request> reqs = {
+      Request{CampaignSummaryRequest{}},
+      Request{ExportRequest{}.out_dir("/data/export")},
+      Request{RunLookupRequest{}.app("UMT").nodes(256).run(7)},
+      Request{NeighborhoodRequest{}.app("MILC").nodes(512).threshold(1.0 / 3.0)},
+      Request{DeviationRequest{}.app("HACC").nodes(64)},
+      Request{ForecastRequest{}.app("AMG").nodes(128).run(3).center(-17).m(5).k(9).features(
+          FeatureSet::AppPlacementIo)},
+      Request{ForecastEvalRequest{}.app("MILC").nodes(1024).m(11).k(21).features(
+          FeatureSet::AppPlacement)},
+      Request{ForecastGridRequest{}
+                  .app("MILC")
+                  .nodes(128)
+                  .cell({3, 5, FeatureSet::AppPlacementIoSys})
+                  .cell({10, 20, FeatureSet::AppPlacement})},
+      Request{TopologyRequest{}.group_count(6)},
+      Request{SimulateRequest{}
+                  .group_count(4)
+                  .traffic("hotspot")
+                  .routing("valiant")
+                  .offered_load(0.1 + 0.2)
+                  .packet_count(123)},
+      Request{StatsRequest{}},
+  };
+  const std::vector<std::string_view> req_golden = {
+      "020000008877665544332211fa00000001",
+      "020000008977665544332211fb000000020c0000002f646174612f6578706f7274",
+      "020000008a77665544332211fc0000000303000000554d540001000007000000",
+      "020000008b77665544332211fd00000004040000004d494c4300020000555555555555d53f",
+      "020000008c77665544332211fe00000005040000004841434340000000",
+      "020000008d77665544332211ff0000000603000000414d478000000003000000efffffff05000000"
+      "0900000002",
+      "020000008e776655443322110001000007040000004d494c43000400000b0000001500000001",
+      "020000008f776655443322110101000008040000004d494c43800000000200000003000000050000"
+      "00030a0000001400000001",
+      "020000009077665544332211020100000906000000",
+      "020000009177665544332211030100000a0400000007000000686f7473706f740700000076616c69"
+      "616e74343333333333d33f7b000000",
+      "020000009277665544332211040100000b",
+  };
+
+  ErrorResponse err;
+  err.code = ErrorCode::Overloaded;
+  err.message = "shed: queue full";
+  err.retry_after_ms = 25;
+  CampaignSummaryResponse summary;
+  summary.faulted = true;
+  summary.rows = {{"MILC_128", 101, 96, 3, 17, 11, 2, 1},
+                  {"UMT_256", 202, 48, 4, 29, 23, 5, 6}};
+  ExportResponse exported;
+  exported.items = {{"/data/export/MILC_128.csv", true}, {"/data/export/UMT_256.csv", false}};
+  RunLookupResponse lookup;
+  lookup.job_id = -40213;
+  lookup.submit_time_s = 86400.0 / 7.0;
+  lookup.start_time_s = 12400.125;
+  lookup.end_time_s = 13011.7;
+  lookup.total_time_s = 611.575;
+  lookup.num_routers = 37;
+  lookup.num_groups = 5;
+  lookup.steps = 96;
+  lookup.profile_missing = true;
+  NeighborhoodResponse neigh;
+  neigh.result.tau = 1.1;
+  neigh.result.mean_total_time = 412.3;
+  neigh.result.optimal_fraction = 0.37;
+  neigh.result.ranked = {{1204, 0.0421, 0.61, 0.22, 0.37}, {-3, 1e-5, 0.05, 0.4, 0.37}};
+  DeviationResponse dev;
+  dev.result.relevance = {0.1, 0.7, 0.2};
+  dev.result.survival = {1.0 / 3.0, 2.0 / 3.0};
+  dev.result.cv_mape = 0.0712;
+  dev.result.cv_mape_linear = 0.1934;
+  dev.result.samples = 4096;
+  ForecastResponse forecast;
+  forecast.predicted = 0.1 + 0.2;
+  forecast.persistence = 1.0 / 3.0;
+  forecast.model_windows = 41;
+  ForecastEvalResponse eval;
+  eval.eval = {0.081, 0.094, 0.153, 1234};
+  ForecastGridResponse grid;
+  grid.cells = {{{3, 5, FeatureSet::AppPlacementIo}, {0.11, 0.13, 0.29, 900}},
+                {{10, 20, FeatureSet::AppPlacementIoSys}, {0.07, 0.09, 0.31, 640}}};
+  TopologyResponse topo;
+  topo.description = "dragonfly: 6 groups";
+  SimulateResponse simulate;
+  simulate.pattern = "adversarial";
+  simulate.policy = "valiant";
+  simulate.load = 0.35;
+  simulate.engines = {{"source-routed", true, 1.7e-6, 4.1e-6, 3.25, 1.5e9},
+                      {"credit/VC", false, 2.3e-6, 6.9e-6, 3.5, 1.25e9}};
+  StatsResponse stats;
+  stats.shards = 8;
+  stats.connections = 0x100000003ULL;  // exercises the high word
+  stats.requests = 42;
+  stats.local = 41;
+  stats.forwarded = 1;
+  stats.shed_overload = 2;
+  stats.shed_deadline = 3;
+  stats.evicted_stalled = 4;
+  stats.shutdown_aborted = 5;
+  const std::vector<Response> resps = {
+      Response{err},    Response{summary}, Response{exported}, Response{lookup},
+      Response{neigh},  Response{dev},     Response{forecast}, Response{eval},
+      Response{grid},   Response{topo},    Response{simulate}, Response{stats},
+  };
+  const std::vector<std::string_view> resp_golden = {
+      "02000000000500000010000000736865643a2071756575652066756c6c19000000",
+      "02000000010102000000080000004d494c435f313238650000006000000003000000110000000b00"
+      "0000020000000100000007000000554d545f323536ca00000030000000040000001d000000170000"
+      "000500000006000000",
+      "020000000202000000190000002f646174612f6578706f72742f4d494c435f3132382e6373760118"
+      "0000002f646174612f6578706f72742f554d545f3235362e63737600",
+      "0200000003eb62ffffb76ddbb66d1bc840000000001038c8409a999999d969c9409a999999991c83"
+      "4025000000050000006000000001",
+      "02000000049a9999999999f13fcdccccccccc47940ae47e17a14aed73f02000000b40400003cbd52"
+      "96218ea53f85eb51b81e85e33f295c8fc2f528cc3fae47e17a14aed73ffdfffffff168e388b5f8e4"
+      "3e9a9999999999a93f9a9999999999d93fae47e17a14aed73f",
+      "0200000005030000009a9999999999b93f666666666666e63f9a9999999999c93f02000000555555"
+      "555555d53f555555555555e53fb5a679c7293ab23f6ff085c954c1c83f0010000000000000",
+      "0200000006343333333333d33f555555555555d53f29000000",
+      "020000000723dbf97e6abcb43faaf1d24d6210b83f2fdd24068195c33fd204000000000000",
+      "020000000802000000030000000500000002295c8fc2f528bc3fa4703d0ad7a3c03f8fc2f5285c8f"
+      "d23f84030000000000000a0000001400000003ec51b81e85ebb13f0ad7a3703d0ab73fd7a3703d0a"
+      "d7d33f8002000000000000",
+      "020000000913000000647261676f6e666c793a20362067726f757073",
+      "020000000a0b000000616476657273617269616c0700000076616c69616e74666666666666d63f02"
+      "0000000d000000736f757263652d726f75746564013d7a68c47185bc3e4ae0206b5732d13e000000"
+      "0000000a40000000c00b5ad641090000006372656469742f564300fc9d375f364bc33efa6cd38ed1"
+      "f0dc3e0000000000000c40000000205fa0d241",
+      "020000000b0800000003000000010000002a00000000000000290000000000000001000000000000"
+      "000200000000000000030000000000000004000000000000000500000000000000",
+  };
+
+  ASSERT_EQ(req_golden.size(), reqs.size());
+  ASSERT_EQ(resp_golden.size(), resps.size());
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    const RequestMeta meta{0x1122334455667788ULL + i, 250 + std::uint32_t(i)};
+    EXPECT_EQ(to_hex(encode_request(reqs[i], meta)), req_golden[i]) << "request tag " << i + 1;
+  }
+  for (std::size_t i = 0; i < resps.size(); ++i)
+    EXPECT_EQ(to_hex(encode_response(resps[i])), resp_golden[i]) << "response tag " << i;
 }
 
 TEST(ApiWire, UnknownVersionIsAStructuredErrorNotACrash) {

@@ -5,7 +5,7 @@
 // from the raw decoders, ErrorResponse from the server entry point.
 //
 // Allocation bounds under attack, for the record:
-//  * Reader::str()    — validates the announced length against the
+//  * string reads     — validate the announced length against the
 //    remaining buffer *before* allocating, so a forged 4 GiB string
 //    costs nothing.
 //  * Reader::count()  — caps element counts at the buffer size, so a
@@ -48,6 +48,8 @@ std::vector<std::string> request_corpus() {
   return out;
 }
 
+/// Valid encodings of every response type; every vector holds at least two
+/// elements, so the count checks and element loops are mutated too.
 std::vector<std::string> response_corpus() {
   ErrorResponse err;
   err.code = ErrorCode::Overloaded;
@@ -61,8 +63,38 @@ std::vector<std::string> response_corpus() {
   stats.requests = 42;
   TopologyResponse topo;
   topo.description = "a small dragonfly";
-  return {encode_response(Response{err}), encode_response(Response{dev}),
-          encode_response(Response{stats}), encode_response(Response{topo})};
+  CampaignSummaryResponse summary;
+  summary.faulted = true;
+  summary.rows = {{"MILC-128", 40, 96, 1, 2, 3, 4, 5}, {"UMT-128", 38, 48, 0, 0, 0, 0, 0}};
+  ExportResponse exported;
+  exported.items = {{"/tmp/x/MILC-128.csv", true}, {"/tmp/x/UMT-128.csv", false}};
+  RunLookupResponse lookup;
+  lookup.job_id = 77;
+  lookup.total_time_s = 611.5;
+  lookup.steps = 96;
+  lookup.profile_missing = true;
+  NeighborhoodResponse neigh;
+  neigh.result.ranked = {{12, 0.04, 0.6, 0.2, 0.37}, {5, 0.01, 0.1, 0.4, 0.37}};
+  ForecastResponse forecast;
+  forecast.predicted = 0.1 + 0.2;
+  forecast.model_windows = 41;
+  ForecastEvalResponse eval;
+  eval.eval = {0.08, 0.09, 0.15, 1234};
+  ForecastGridResponse grid;
+  grid.cells = {{{3, 5, analysis::FeatureSet::AppPlacementIo}, {0.11, 0.13, 0.29, 900}},
+                {{10, 20, analysis::FeatureSet::App}, {0.07, 0.09, 0.31, 640}}};
+  SimulateResponse simulate;
+  simulate.pattern = "uniform";
+  simulate.policy = "ugal";
+  simulate.engines = {{"source-routed", false, 1.7e-6, 4.1e-6, 3.25, 1.5e9},
+                      {"credit/VC", true, 2.3e-6, 6.9e-6, 3.5, 1.25e9}};
+  std::vector<std::string> out;
+  for (const Response& resp :
+       {Response{err}, Response{dev}, Response{stats}, Response{topo}, Response{summary},
+        Response{exported}, Response{lookup}, Response{neigh}, Response{forecast},
+        Response{eval}, Response{grid}, Response{simulate}})
+    out.push_back(encode_response(resp));
+  return out;
 }
 
 TEST(WireAdversarial, EveryTruncationIsAStructuredError) {
@@ -125,11 +157,11 @@ TEST(WireAdversarial, GarbageTagsAreStructuredErrors) {
 }
 
 TEST(WireAdversarial, ForgedLengthsFailBeforeAllocating) {
-  // RunLookup whose app-name length claims ~4 GiB: Reader::str() checks
+  // RunLookup whose app-name length claims ~4 GiB: the string read checks
   // the remaining buffer first, so this is a cheap structured error,
   // not a 4 GiB allocation.
   std::string forged = std::string("\x02\x00\x00\x00", 4) + std::string(12, '\0');
-  forged.push_back('\x03');                       // ReqTag::RunLookup
+  forged.push_back('\x03');                       // request tag 3: RunLookup
   forged += std::string("\xf0\xff\xff\xff", 4);   // str length 0xfffffff0
   forged += "abc";
   EXPECT_THROW((void)decode_request_envelope(forged), ContractError);
@@ -137,7 +169,7 @@ TEST(WireAdversarial, ForgedLengthsFailBeforeAllocating) {
   // ForecastGrid whose cell count claims 1e9 entries: Reader::count()
   // caps counts at the buffer size before the element loop reserves.
   std::string counts = std::string("\x02\x00\x00\x00", 4) + std::string(12, '\0');
-  counts.push_back('\x08');                      // ReqTag::ForecastGrid
+  counts.push_back('\x08');                      // request tag 8: ForecastGrid
   counts += std::string("\x01\x00\x00\x00", 4);  // app name "a"
   counts += "a";
   counts += std::string("\x80\x00\x00\x00", 4);  // node_count = 128
