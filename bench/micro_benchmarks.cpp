@@ -19,6 +19,7 @@
 #include "ml/gbr.hpp"
 #include "ml/rfe.hpp"
 #include "mon/counter_model.hpp"
+#include "mon/ldms.hpp"
 #include "net/flow_model.hpp"
 #include "net/packet_sim.hpp"
 #include "sched/allocator.hpp"
@@ -123,6 +124,41 @@ void BM_CounterSynthesis128Routers(benchmark::State& state) {
     benchmark::DoNotOptimize(model.aggregate(routers, bg, job, 7.0));
 }
 BENCHMARK(BM_CounterSynthesis128Routers)->Unit(benchmark::kMicrosecond);
+
+// One LDMS sample on Cori: the system pass over all 97,818 directed links
+// plus the io and job-router counters. Ten 1,024-node background jobs of
+// mixed intensity fill most of the machine, as in a campaign, and one
+// MILC-128 phase runs beside them, so links sit on both sides of the
+// stall knee.
+void BM_LdmsSampleCori(benchmark::State& state) {
+  const auto& topo = cori();
+  const mon::CounterModel model(topo);
+  const mon::LdmsSampler sampler(model, mon::make_default_io_routers(topo, 1));
+  const net::FlowModel flow(topo);
+  sched::NodeAllocator alloc(topo);
+  Rng rng(11);
+  net::RateLoads bg;
+  bg.resize(topo);
+  for (int j = 0; j < 10; ++j) {
+    const auto place = sched::make_placement(
+        alloc.allocate(1024, sched::AllocPolicy::Clustered, rng), topo);
+    sched::TrafficSpec traffic;
+    traffic.net_bytes_per_node_per_s = 0.25e9 * double(1 + j % 4);
+    traffic.io_bytes_per_node_per_s = 0.05e9;
+    const auto demands = sched::generate_background_demands(
+        place, traffic, sampler.io_routers(), topo, rng);
+    flow.route_background(demands, net::RoutingPolicy::Ugal, 1.0, rng, bg);
+  }
+  const auto job_place =
+      sched::make_placement(alloc.allocate(128, sched::AllocPolicy::Clustered, rng), topo);
+  const auto spec = apps::make_milc(128)->step(40, job_place, topo, rng);
+  net::ByteLoads job;
+  job.resize(topo);
+  (void)flow.transfer(spec.phases[0].demands, net::RoutingPolicy::Ugal, bg, rng, &job);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sampler.sample(bg, job, 2.0, job_place.routers));
+}
+BENCHMARK(BM_LdmsSampleCori)->Unit(benchmark::kMicrosecond);
 
 void BM_PacketSimUniform(benchmark::State& state) {
   const net::Topology topo(net::DragonflyConfig::small(6));

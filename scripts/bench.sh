@@ -188,10 +188,11 @@ PY
   net)
     # Routing and the flow model, innermost to outermost: one UGAL path
     # choice, one MILC-128 transfer phase, one 512-node background route,
-    # and a whole instrumented MILC-128 run on a loaded Cori. Each value
-    # is the median of 5 repetitions: BM_ClusterMilcStep times only 3
-    # iterations, and one repetition of it swings by 20% on a shared host.
-    FILTER='^(BM_UgalChoice|BM_FlowTransferMilcStep|BM_BackgroundRoute512NodeJob|BM_ClusterMilcStep)'
+    # one LDMS sample over every Cori link, and a whole instrumented
+    # MILC-128 run on a loaded Cori. Each value is the median of 5
+    # repetitions: BM_ClusterMilcStep times only 3 iterations, and one
+    # repetition of it swings by 20% on a shared host.
+    FILTER='^(BM_UgalChoice|BM_FlowTransferMilcStep|BM_BackgroundRoute512NodeJob|BM_LdmsSampleCori|BM_ClusterMilcStep)'
     cmake --build "$BUILD" -j --target micro_benchmarks >/dev/null
     gbench=$(mktemp)
     "./$BUILD/bench/micro_benchmarks" \
@@ -210,7 +211,7 @@ print(json.dumps({
 PY
     rm -f "$gbench"
     merge_snapshot BENCH_net.json dfv-bench-net-v1 \
-      "baseline = the commit before the campaign fast path (allocation-free paths, indexed max-min heap), same host; current = last scripts/bench.sh net run" \
+      "baseline = the commit before two-pass routing (parallel UGAL candidate sampling) and the exact LDMS and stencil-demand trims, same host; current = last scripts/bench.sh net run" \
       '_items_per_sec$'
     echo "wrote BENCH_net.json"
     ;;

@@ -64,14 +64,23 @@ ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1
   ./build-asan/tests/test_api
 
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "=== ThreadSanitizer pass (exec, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="
+  echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="
   cmake --preset tsan
-  cmake --build build-tsan -j --target test_exec test_campaign test_faults \
+  cmake --build build-tsan -j --target test_exec test_flow_model test_flow_properties \
+    test_routing test_ldms test_comm_patterns test_campaign test_faults \
     test_cache_integrity test_store test_gbr test_rfe test_attention \
     test_compiled test_forecast test_api test_serve test_serve_chaos
   # TSan needs real concurrency to observe races; force an oversubscribed
   # pool so worker interleavings actually happen even on small machines.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_exec
+  # Routing draws each sample block's candidates on pool workers, each
+  # into its own slots of the flow model's scratch; the LDMS link pass is
+  # a chunked reduction; the stencil memo is state shared by every step.
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_flow_model
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_flow_properties
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_routing
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_ldms
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_comm_patterns
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_campaign
   # Faulted-campaign determinism (parallel injection + repair) and the
   # corrupt-cache detect/evict/regenerate path, also race-checked.

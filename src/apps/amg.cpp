@@ -63,7 +63,7 @@ class AmgModel final : public AppModel {
     PhaseSpec p2p;
     p2p.kind = PhaseSpec::Kind::PointToPoint;
     p2p.base_seconds = p2p_base_s_ * shape;
-    p2p.demands = stencil3d(placement, topo, dims_, 2.0e6 * shape);
+    p2p.demands = stencil_(placement, topo, dims_, 2.0e6 * shape);
     p2p.attribution = {{mon::MpiRoutine::Waitall, 0.33},
                        {mon::MpiRoutine::Iprobe, 0.27},
                        {mon::MpiRoutine::Test, 0.20},
@@ -86,6 +86,7 @@ class AmgModel final : public AppModel {
   AppInfo info_;
   AppCoefficients coeffs_;
   std::array<int, 3> dims_{};
+  StencilDemands<3> stencil_;
   double compute_s_ = 0.0, p2p_base_s_ = 0.0, coll_base_s_ = 0.0;
 };
 

@@ -3,6 +3,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <mutex>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,6 +51,35 @@ class DemandBuilder {
                                                  const net::Topology& topo,
                                                  const std::array<int, 4>& dims,
                                                  double bytes_per_face);
+
+/// A model's stencil exchange, memoised across steps: every step sends
+/// the same stencil over the same placement and only `bytes_per_face`
+/// changes. The router pairs and the number of node edges behind each
+/// pair are kept for the last (placement nodes, dims, nodes per router)
+/// seen; a call rebuilds each pair's bytes by adding `bytes_per_face`
+/// once per edge. The addends are equal, so that is bit for bit the sum
+/// DemandBuilder forms, and the result equals stencil3d()/stencil4d().
+/// Safe to call from several threads.
+template <std::size_t D>
+class StencilDemands {
+ public:
+  [[nodiscard]] std::vector<net::Demand> operator()(const sched::Placement& placement,
+                                                    const net::Topology& topo,
+                                                    const std::array<int, D>& dims,
+                                                    double bytes_per_face) const;
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::vector<net::NodeId> nodes_;
+  mutable std::array<int, D> dims_{};
+  mutable int nodes_per_router_ = 0;
+  /// One demand per router pair, in DemandBuilder order, with the pair's
+  /// edge count as its bytes.
+  mutable std::vector<net::Demand> edges_;
+};
+
+extern template class StencilDemands<3>;
+extern template class StencilDemands<4>;
 
 /// Irregular graph exchange (miniVite): each node exchanges with
 /// `peers_per_node` random peers; per-pair volume is lognormal with the

@@ -65,7 +65,7 @@ class MilcModel final : public AppModel {
     PhaseSpec p2p;
     p2p.kind = PhaseSpec::Kind::PointToPoint;
     p2p.base_seconds = p2p_base_s_ * shape;
-    p2p.demands = stencil4d(placement, topo, dims_, 60.0e6 * shape);
+    p2p.demands = stencil_(placement, topo, dims_, 60.0e6 * shape);
     p2p.attribution = {{mon::MpiRoutine::Wait, 0.50},
                        {mon::MpiRoutine::Isend, 0.22},
                        {mon::MpiRoutine::Irecv, 0.20},
@@ -87,6 +87,7 @@ class MilcModel final : public AppModel {
   AppInfo info_;
   AppCoefficients coeffs_;
   std::array<int, 4> dims_{};
+  StencilDemands<4> stencil_;
   double compute_s_ = 0.0, p2p_base_s_ = 0.0, coll_base_s_ = 0.0;
 };
 

@@ -50,7 +50,7 @@ class UmtModel final : public AppModel {
     PhaseSpec sweep;
     sweep.kind = PhaseSpec::Kind::PointToPoint;
     sweep.base_seconds = 26.0 * shape;
-    sweep.demands = stencil3d(placement, topo, dims_, 1.5e6 * shape);
+    sweep.demands = stencil_(placement, topo, dims_, 1.5e6 * shape);
     sweep.attribution = {{mon::MpiRoutine::Wait, 0.78}, {mon::MpiRoutine::Other, 0.22}};
     s.phases.push_back(std::move(sweep));
 
@@ -77,6 +77,7 @@ class UmtModel final : public AppModel {
   AppInfo info_;
   AppCoefficients coeffs_;
   std::array<int, 3> dims_{};
+  StencilDemands<3> stencil_;
 };
 
 }  // namespace

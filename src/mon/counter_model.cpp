@@ -9,7 +9,13 @@
 namespace dfv::mon {
 
 CounterModel::CounterModel(const net::Topology& topo, CounterModelParams params)
-    : topo_(&topo), params_(params) {}
+    : topo_(&topo), params_(params) {
+  for (const double w : {params_.in_stall_weight, params_.out_stall_weight,
+                         params_.cb_endpoint_weight, params_.cb_transit_weight})
+    DFV_CHECK_MSG(std::isfinite(w) && w >= 0.0,
+                  "counter weights must be finite and non-negative, got " << w);
+  DFV_CHECK(params_.response_fraction >= 0.0 && params_.response_fraction <= 1.0);
+}
 
 double CounterModel::link_utilization(net::LinkId e, const net::RateLoads& bg,
                                       const net::ByteLoads& job, double dt) const {

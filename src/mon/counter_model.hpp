@@ -32,6 +32,8 @@ struct CounterModelParams {
 /// Per-router Aries counter synthesis for one measurement interval.
 class CounterModel {
  public:
+  /// Throws ContractError unless every weight is finite and >= 0 and
+  /// response_fraction lies in [0, 1].
   explicit CounterModel(const net::Topology& topo, CounterModelParams params = {});
 
   /// Utilization of directed link `e` over an interval of `dt` seconds:

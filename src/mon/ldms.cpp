@@ -67,18 +67,31 @@ LdmsFeatures LdmsSampler::sample(const net::RateLoads& bg, const net::ByteLoads&
 
   // ---- sys aggregate: system totals (one pass over links + router
   // endpoint arrays) minus the instrumented job's routers ----------------
+  // Capacities come from the link-class ranges, which saves loading each
+  // link's 32-byte LinkInfo. A link carrying under 0.14 of its capacity has u <= 0.15 even after
+  // rounding, so stall_fraction(u) is exactly 0 and its stall term, +0
+  // with the finite weights CounterModel enforces, would leave the sum
+  // unchanged: such links skip the divisions. Chunk boundaries and the
+  // per-element order are those of a plain pass over every link.
   const auto& prm = model_->params();
+  const double stall_cycles = cycles * (prm.in_stall_weight + prm.out_stall_weight);
+  const auto classes = topo.link_classes();
   const Acc link_tot = exec::parallel_reduce(
       0, std::size_t(topo.num_links()), 16384, Acc{},
       [&](std::size_t lo, std::size_t hi) {
         Acc p{};
-        for (std::size_t idx = lo; idx < hi; ++idx) {
-          const double bytes = bg.link_rate[idx] * dt + job.link_bytes[idx];
-          if (bytes <= 0.0) continue;
-          const double u = bytes / (topo.link(net::LinkId(int(idx))).capacity * dt);
-          p[0] += bytes / flit;
-          p[1] += cycles * (prm.in_stall_weight + prm.out_stall_weight) *
-                  net::stall_fraction(u);
+        for (const net::LinkClassRange& cls : classes) {
+          const std::size_t a = std::max(lo, std::size_t(cls.begin));
+          const std::size_t b = std::min(hi, std::size_t(cls.end));
+          const double cap_dt = cls.capacity * dt;
+          const double quiet_bytes = 0.14 * cls.capacity * dt;
+          for (std::size_t idx = a; idx < b; ++idx) {
+            const double bytes = bg.link_rate[idx] * dt + job.link_bytes[idx];
+            if (bytes <= 0.0) continue;
+            p[0] += bytes / flit;
+            if (bytes < quiet_bytes) continue;
+            p[1] += stall_cycles * net::stall_fraction(bytes / cap_dt);
+          }
         }
         return p;
       },

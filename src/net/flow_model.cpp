@@ -42,7 +42,59 @@ int chunk_count(double bytes, const FlowModelParams& p) {
 /// thread count.
 constexpr std::size_t kRoutingWave = 64;
 
+/// Demands whose candidates are drawn in one parallel pass. Candidate
+/// draws read no load, so a block may span waves; it bounds the scratch.
+constexpr std::size_t kSampleBlock = 8 * kRoutingWave;
+
 }  // namespace
+
+template <typename Apply>
+void FlowModel::route_waves(std::span<const Demand> demands, RoutingPolicy policy,
+                            std::uint64_t seed, std::span<const double> link_rate,
+                            Apply&& apply) const {
+  const std::size_t chunks_max = std::size_t(params_.max_chunks);
+  const std::size_t per = std::size_t(chooser_.max_candidates());
+  const std::size_t block = std::min(kSampleBlock, demands.size());
+  if (cand_draws_.size() < block * chunks_max) {
+    cand_draws_.resize(block * chunks_max);
+    cand_paths_.resize(block * chunks_max * per);
+  }
+  const auto slots = [&](std::size_t k) {
+    return std::span(cand_paths_).subspan(k * per, per);
+  };
+  std::vector<Path> wave_paths(std::min(kRoutingWave, demands.size()) * chunks_max);
+  for (std::size_t block_lo = 0; block_lo < demands.size(); block_lo += kSampleBlock) {
+    const std::size_t block_hi = std::min(block_lo + kSampleBlock, demands.size());
+    // Pass 1: draw the block's candidates on the pool. Chunk c of demand
+    // i owns decision k = (i - block_lo) * max_chunks + c.
+    exec::parallel_for(block_lo, block_hi, kRoutingWave, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        const Demand& d = demands[i];
+        if (d.bytes <= 0.0 || d.src == d.dst) continue;
+        Rng dr(exec::substream_seed(seed, i));
+        const std::size_t k = (i - block_lo) * chunks_max;
+        for (int c = 0, n = chunk_count(d.bytes, params_); c < n; ++c)
+          cand_draws_[k + std::size_t(c)] =
+              chooser_.sample(d.src, d.dst, policy, dr, slots(k + std::size_t(c)));
+      }
+    });
+    // Pass 2, serial: each wave picks against the rates as they stand
+    // before it, then is applied in demand order.
+    for (std::size_t wave_lo = block_lo; wave_lo < block_hi; wave_lo += kRoutingWave) {
+      const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, block_hi);
+      for (std::size_t i = wave_lo; i < wave_hi; ++i) {
+        const Demand& d = demands[i];
+        if (d.bytes <= 0.0 || d.src == d.dst) continue;
+        const std::size_t k = (i - block_lo) * chunks_max;
+        for (int c = 0, n = chunk_count(d.bytes, params_); c < n; ++c)
+          wave_paths[(i - wave_lo) * chunks_max + std::size_t(c)] = chooser_.pick(
+              policy, slots(k + std::size_t(c)), cand_draws_[k + std::size_t(c)], link_rate);
+      }
+      for (std::size_t i = wave_lo; i < wave_hi; ++i)
+        apply(i, &wave_paths[(i - wave_lo) * chunks_max]);
+    }
+  }
+}
 
 void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy policy,
                                  double dt, Rng& rng, RateLoads& out) const {
@@ -51,47 +103,21 @@ void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy 
   if (demands.empty()) return;
 
   // One draw from the caller's stream; each demand routes from its own
-  // substream so wave-parallel execution consumes exactly the same random
-  // sequence per demand regardless of scheduling.
-  const std::uint64_t seed = rng();
-
-  // max_chunks path slots per demand of a wave: filled in parallel (each
-  // demand owns its slots), applied serially in demand order.
-  const std::size_t slots = std::size_t(params_.max_chunks);
-  std::vector<Path> wave_paths(std::min(kRoutingWave, demands.size()) * slots);
-  for (std::size_t wave_lo = 0; wave_lo < demands.size(); wave_lo += kRoutingWave) {
-    const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, demands.size());
-    exec::parallel_for(wave_lo, wave_hi, 8, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Demand& d = demands[i];
-        if (d.bytes <= 0.0 || d.src == d.dst) continue;
-        Rng dr(exec::substream_seed(seed, i));
-        Path* slot = &wave_paths[(i - wave_lo) * slots];
-        const int chunks = chunk_count(d.bytes, params_);
-        for (int c = 0; c < chunks; ++c)
-          slot[c] = chooser_.choose(d.src, d.dst, policy, out.link_rate, dr);
-      }
-    });
-    // Apply in demand order so accumulation is independent of scheduling.
-    for (std::size_t i = wave_lo; i < wave_hi; ++i) {
-      const Demand& d = demands[i];
-      if (d.bytes <= 0.0 || d.src == d.dst) {
-        if (d.src == d.dst && d.bytes > 0.0) {
-          // Same-router traffic only touches the processor tiles.
-          out.inject_rate[std::size_t(d.src)] += d.bytes / dt;
-          out.eject_rate[std::size_t(d.dst)] += d.bytes / dt;
-        }
-        continue;
-      }
-      const Path* slot = &wave_paths[(i - wave_lo) * slots];
+  // substream, so it draws the same candidates however the sampling pass
+  // is scheduled.
+  route_waves(demands, policy, rng(), out.link_rate, [&](std::size_t i, const Path* paths) {
+    const Demand& d = demands[i];
+    if (d.bytes <= 0.0) return;
+    if (d.src != d.dst) {
       const int chunks = chunk_count(d.bytes, params_);
       const double chunk_rate = d.bytes / dt / double(chunks);
       for (int c = 0; c < chunks; ++c)
-        for (LinkId id : slot[c].links) out.link_rate[std::size_t(id)] += chunk_rate;
-      out.inject_rate[std::size_t(d.src)] += d.bytes / dt;
-      out.eject_rate[std::size_t(d.dst)] += d.bytes / dt;
+        for (LinkId id : paths[c].links) out.link_rate[std::size_t(id)] += chunk_rate;
     }
-  }
+    // Same-router traffic only touches the processor tiles.
+    out.inject_rate[std::size_t(d.src)] += d.bytes / dt;
+    out.eject_rate[std::size_t(d.dst)] += d.bytes / dt;
+  });
 }
 
 TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPolicy policy,
@@ -112,33 +138,34 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
 
   // Flow table: a message may be split into several chunk-flows; message
   // i owns flows [flow_begin[i], flow_begin[i + 1]), in message order.
+  // The decomposition is fixed before any routing, so both the wave
+  // structure and the per-message RNG substreams are functions of the
+  // input alone.
   struct Flow {
     double bytes = 0.0;
     double rate = 0.0;
     Path path;
   };
-  std::vector<Flow> flows;
-  flows.reserve(messages.size());
-
-  // Skeleton pass: fix the flow decomposition (message -> chunk-flows)
-  // before any routing so both the wave structure and the per-message RNG
-  // substreams are functions of the input alone.
-  result.messages.resize(messages.size());
   std::vector<std::uint32_t> flow_begin(messages.size() + 1, 0);
   for (std::size_t i = 0; i < messages.size(); ++i) {
     const Demand& d = messages[i];
+    const int chunks = d.bytes <= 0.0 ? 0 : d.src == d.dst ? 1 : chunk_count(d.bytes, params_);
+    flow_begin[i + 1] = flow_begin[i] + std::uint32_t(chunks);
+  }
+  std::vector<Flow> flows(flow_begin[messages.size()]);
+  result.messages.resize(messages.size());
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    const Demand& d = messages[i];
     result.messages[i].demand = d;
-    flow_begin[i] = std::uint32_t(flows.size());
     if (d.bytes <= 0.0) continue;
-    const int chunks = d.src == d.dst ? 1 : chunk_count(d.bytes, params_);
-    const double chunk_bytes = d.bytes / double(chunks);
-    for (int c = 0; c < chunks; ++c) flows.push_back({chunk_bytes, 0.0, {}});
+    const double chunk_bytes = d.bytes / double(flow_begin[i + 1] - flow_begin[i]);
+    for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi)
+      flows[fi].bytes = chunk_bytes;
     if (ours != nullptr) {
       ours->inject_bytes[std::size_t(d.src)] += d.bytes;
       ours->eject_bytes[std::size_t(d.dst)] += d.bytes;
     }
   }
-  flow_begin[messages.size()] = std::uint32_t(flows.size());
 
   // Dense-index the touched resources in first-touch (flow) order via an
   // epoch-stamped lookup table: no O(refs log refs) sort, no O(L+2R) clear
@@ -166,44 +193,30 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
     return res_dense_[r];
   };
 
-  // Wave-parallel routing. One draw seeds per-message substreams; each
-  // message routes its chunks sequentially from its own stream against the
-  // load snapshot frozen at the wave boundary, so results are bit-identical
-  // for any thread count. Self-load (est_rate), byte accounting and the
-  // dense resource lists are built serially in message order between waves.
-  // A wave is one chunk, so it routes inline: with allocation-free paths a
-  // wave is tens of microseconds of work, and handing it to the pool cost
-  // more than it saved (BM_FlowTransferMilcStep ran no faster on 4 threads
-  // than on 1). Chunks write disjoint slots, so the grain cannot change
-  // results.
-  const std::uint64_t phase_seed = rng();
-  for (std::size_t wave_lo = 0; wave_lo < messages.size(); wave_lo += kRoutingWave) {
-    const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, messages.size());
-    exec::parallel_for(wave_lo, wave_hi, kRoutingWave, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Demand& d = messages[i];
-        if (d.bytes <= 0.0 || d.src == d.dst) continue;
-        Rng mr(exec::substream_seed(phase_seed, i));
-        for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi)
-          flows[fi].path = chooser_.choose(d.src, d.dst, policy, est_rate, mr);
-        result.messages[i].path = flows[flow_begin[i]].path;
+  // Two-pass routing (route_waves). One draw seeds per-message
+  // substreams; each message's chunks draw their candidates in sequence
+  // from its own stream, on the pool, a block of waves at a time. Draws
+  // read no load, so they are the same for any thread count. Then, wave by
+  // wave, every chunk picks its path against the load snapshot frozen at
+  // the wave boundary, and the wave's self-load (est_rate), byte
+  // accounting and dense resource lists are applied serially in message
+  // order before the next wave picks.
+  route_waves(messages, policy, rng(), est_rate, [&](std::size_t i, const Path* paths) {
+    const Demand& d = messages[i];
+    for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi) {
+      Flow& f = flows[fi];
+      if (d.src != d.dst) f.path = paths[fi - flow_begin[i]];
+      flow_off[fi] = std::uint32_t(refs.size());
+      for (LinkId id : f.path.links) {
+        est_rate[std::size_t(id)] += f.bytes / kSelfRateDt;
+        if (ours != nullptr) ours->link_bytes[std::size_t(id)] += f.bytes;
+        refs.push_back(dense(std::size_t(id)));
       }
-    });
-    for (std::size_t i = wave_lo; i < wave_hi; ++i) {
-      const Demand& d = messages[i];
-      for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi) {
-        const Flow& f = flows[fi];
-        flow_off[fi] = std::uint32_t(refs.size());
-        for (LinkId id : f.path.links) {
-          est_rate[std::size_t(id)] += f.bytes / kSelfRateDt;
-          if (ours != nullptr) ours->link_bytes[std::size_t(id)] += f.bytes;
-          refs.push_back(dense(std::size_t(id)));
-        }
-        refs.push_back(dense(L + std::size_t(d.src)));
-        refs.push_back(dense(L + R + std::size_t(d.dst)));
-      }
+      refs.push_back(dense(L + std::size_t(d.src)));
+      refs.push_back(dense(L + R + std::size_t(d.dst)));
     }
-  }
+    if (flow_begin[i] != flow_begin[i + 1]) result.messages[i].path = flows[flow_begin[i]].path;
+  });
   flow_off[flows.size()] = std::uint32_t(refs.size());
   const std::size_t U = used.size();
 

@@ -77,14 +77,28 @@ class FlowModel {
                                          const RateLoads& bg) const;
 
  private:
+  /// Route `demands` in waves, in two passes per block of waves: draw
+  /// every chunk's candidates on the pool (demand i from
+  /// `substream_seed(seed, i)`), then, wave by wave, pick each chunk's
+  /// path against `link_rate` as it stands before the wave and call
+  /// `apply(i, paths)` for the wave's demands in order. `paths` holds
+  /// demand i's chunk paths; it is meaningful only for a demand with
+  /// bytes > 0 and src != dst.
+  template <typename Apply>
+  void route_waves(std::span<const Demand> demands, RoutingPolicy policy, std::uint64_t seed,
+                   std::span<const double> link_rate, Apply&& apply) const;
+
   const Topology* topo_;
   FlowModelParams params_;
   PathChooser chooser_;
-  /// Scratch buffers reused across transfer() calls (link rates plus the
-  /// epoch-stamped resource->dense-index table of the max-min solve).
-  /// FlowModel is therefore not safe for concurrent transfer() calls on
-  /// one instance; transfer() itself parallelizes internally via dfv::exec.
+  /// Scratch buffers reused across transfer() and route_background()
+  /// calls: link rates, the epoch-stamped resource->dense-index table of
+  /// the max-min solve, and one sample block's routing candidates.
+  /// FlowModel is therefore not safe for concurrent calls on one
+  /// instance; each call parallelizes internally via dfv::exec.
   mutable std::vector<double> scratch_rate_;
+  mutable std::vector<Candidates> cand_draws_;
+  mutable std::vector<Path> cand_paths_;
   mutable std::vector<std::uint32_t> res_stamp_;
   mutable std::vector<std::uint32_t> res_dense_;
   mutable std::uint32_t res_epoch_ = 0;

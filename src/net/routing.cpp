@@ -1,6 +1,9 @@
 #include "net/routing.hpp"
 
+#include <array>
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/check.hpp"
 
@@ -13,6 +16,15 @@ const char* to_string(RoutingPolicy p) noexcept {
     case RoutingPolicy::Ugal: return "ugal";
   }
   return "?";
+}
+
+PathChooser::PathChooser(const Topology& topo, RoutingParams params)
+    : topo_(&topo), params_(params) {
+  DFV_CHECK_MSG(params_.minimal_candidates >= 1,
+                "routing needs at least one minimal candidate per decision");
+  DFV_CHECK(params_.valiant_candidates >= 0);
+  DFV_CHECK(std::isfinite(params_.congestion_weight) && params_.congestion_weight >= 0.0);
+  DFV_CHECK(std::isfinite(params_.valiant_hop_penalty) && params_.valiant_hop_penalty >= 0.0);
 }
 
 double PathChooser::path_cost(const Path& p, std::span<const double> link_rate,
@@ -51,10 +63,15 @@ Path PathChooser::sample_valiant(RouterId src, RouterId dst, Rng& rng) const {
   return topo_->valiant_path(src, dst, via, k1, k2, order);
 }
 
-Path PathChooser::choose(RouterId src, RouterId dst, RoutingPolicy policy,
-                         std::span<const double> link_rate, Rng& rng) const {
+int PathChooser::max_candidates() const noexcept {
+  return params_.minimal_candidates + params_.valiant_candidates;
+}
+
+Candidates PathChooser::sample(RouterId src, RouterId dst, RoutingPolicy policy, Rng& rng,
+                               std::span<Path> slots) const {
   DFV_CHECK(src >= 0 && src < topo_->config().num_routers());
   DFV_CHECK(dst >= 0 && dst < topo_->config().num_routers());
+  DFV_CHECK(slots.size() >= std::size_t(max_candidates()));
   if (src == dst) return {};
 
   const bool can_valiant = topo_->config().groups > 2 ||
@@ -63,39 +80,57 @@ Path PathChooser::choose(RouterId src, RouterId dst, RoutingPolicy policy,
 
   switch (policy) {
     case RoutingPolicy::Minimal:
-      return sample_minimal(src, dst, rng);
+      break;
     case RoutingPolicy::Valiant:
-      if (!can_valiant) return sample_minimal(src, dst, rng);
-      // Intra-group pairs still get a minimal route: Valiant through a
-      // remote group for local traffic is not what Cray XC does.
-      if (topo_->group_of(src) == topo_->group_of(dst) && topo_->config().groups < 2)
-        return sample_minimal(src, dst, rng);
-      return sample_valiant(src, dst, rng);
+      // Every pair that can detour does, intra-group pairs included: they
+      // leave through a random other group and come back. On two groups
+      // only intra-group pairs can detour, on one group none can. So the
+      // Valiant rows of ablation_routing (packet DES, 9 groups) price a
+      // detour on every packet, local traffic too, against minimal and
+      // UGAL routing.
+      if (!can_valiant) break;
+      slots[0] = sample_valiant(src, dst, rng);
+      return {1, 0};
     case RoutingPolicy::Ugal: {
-      Path best;
-      double best_cost = std::numeric_limits<double>::infinity();
-      for (int i = 0; i < params_.minimal_candidates; ++i) {
-        Path p = sample_minimal(src, dst, rng);
-        const double c = path_cost(p, link_rate, /*non_minimal=*/false);
-        if (c < best_cost) {
-          best_cost = c;
-          best = std::move(p);
-        }
-      }
-      if (can_valiant && topo_->group_of(src) != topo_->group_of(dst)) {
-        for (int i = 0; i < params_.valiant_candidates; ++i) {
-          Path p = sample_valiant(src, dst, rng);
-          const double c = path_cost(p, link_rate, /*non_minimal=*/true);
-          if (c < best_cost) {
-            best_cost = c;
-            best = std::move(p);
-          }
-        }
-      }
-      return best;
+      int n = 0;
+      for (int i = 0; i < params_.minimal_candidates; ++i)
+        slots[std::size_t(n++)] = sample_minimal(src, dst, rng);
+      if (can_valiant && topo_->group_of(src) != topo_->group_of(dst))
+        for (int i = 0; i < params_.valiant_candidates; ++i)
+          slots[std::size_t(n++)] = sample_valiant(src, dst, rng);
+      return {n, params_.minimal_candidates};
     }
   }
-  return sample_minimal(src, dst, rng);
+  slots[0] = sample_minimal(src, dst, rng);
+  return {1, 1};
+}
+
+Path PathChooser::pick(RoutingPolicy policy, std::span<const Path> slots, Candidates c,
+                       std::span<const double> link_rate) const {
+  if (c.count == 0) return {};
+  if (policy != RoutingPolicy::Ugal) return slots[0];
+  int best = -1;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < c.count; ++i) {
+    const double cost = path_cost(slots[std::size_t(i)], link_rate, /*non_minimal=*/i >= c.minimal);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = i;
+    }
+  }
+  return best < 0 ? Path{} : slots[std::size_t(best)];
+}
+
+Path PathChooser::choose(RouterId src, RouterId dst, RoutingPolicy policy,
+                         std::span<const double> link_rate, Rng& rng) const {
+  std::array<Path, 8> local;
+  std::vector<Path> heap;
+  std::span<Path> slots(local);
+  if (std::size_t(max_candidates()) > local.size()) {
+    heap.resize(std::size_t(max_candidates()));
+    slots = heap;
+  }
+  return pick(policy, slots, sample(src, dst, policy, rng, slots), link_rate);
 }
 
 }  // namespace dfv::net

@@ -31,16 +31,46 @@ struct RoutingParams {
   double valiant_hop_penalty = 0.35;
 };
 
+/// What one routing decision drew: `count` candidate paths, of which the
+/// first `minimal` are costed as minimal routes and the rest as
+/// non-minimal ones. `count` is 0 only for src == dst.
+struct Candidates {
+  int count = 0;
+  int minimal = 0;
+};
+
 /// Chooses paths given the current link-load estimate.
+///
+/// A decision has two parts. sample() draws the candidate paths; its
+/// draws depend only on (src, dst, policy) and the Rng, never on load.
+/// pick() compares the candidates against a load estimate. choose() is
+/// pick(sample()), so a caller may draw many decisions' candidates ahead
+/// of time (in parallel, each from its own stream) and pick later against
+/// whatever load it has by then, with exactly the results of choose().
 class PathChooser {
  public:
-  PathChooser(const Topology& topo, RoutingParams params = {})
-      : topo_(&topo), params_(params) {}
+  /// Throws ContractError unless minimal_candidates >= 1,
+  /// valiant_candidates >= 0, and both cost weights are finite and >= 0.
+  PathChooser(const Topology& topo, RoutingParams params = {});
 
   /// Pick a path for (src, dst) under `policy`. `link_rate` is the current
   /// per-link load estimate in bytes/s (may be empty => uncongested).
   [[nodiscard]] Path choose(RouterId src, RouterId dst, RoutingPolicy policy,
                             std::span<const double> link_rate, Rng& rng) const;
+
+  /// Slots one sample() call may fill: the most candidates a decision draws.
+  [[nodiscard]] int max_candidates() const noexcept;
+
+  /// Draw the candidates choose() would draw, in its order, into `slots`
+  /// (at least max_candidates() long), consuming `rng` exactly as it does.
+  [[nodiscard]] Candidates sample(RouterId src, RouterId dst, RoutingPolicy policy, Rng& rng,
+                                  std::span<Path> slots) const;
+
+  /// choose()'s verdict over sampled candidates: the only candidate under
+  /// Minimal and Valiant; under UGAL the cheapest, minimal candidates
+  /// first, an earlier one kept on ties. An empty path when none won.
+  [[nodiscard]] Path pick(RoutingPolicy policy, std::span<const Path> slots, Candidates c,
+                          std::span<const double> link_rate) const;
 
   /// Cost used for comparisons: hops + congestion_weight * sum(util).
   [[nodiscard]] double path_cost(const Path& p, std::span<const double> link_rate,

@@ -31,6 +31,14 @@ struct LinkInfo {
   double latency = 0.0;   ///< seconds
 };
 
+/// The contiguous LinkId range [begin, end) of one link class; every link
+/// in it has this capacity (the same double its LinkInfo holds).
+struct LinkClassRange {
+  LinkId begin = 0;
+  LinkId end = 0;
+  double capacity = 0.0;
+};
+
 /// Fixed-capacity inline list of directed links: building, copying and
 /// choosing routes never touches the heap. Pushing past the capacity is
 /// a ContractError.
@@ -103,6 +111,13 @@ class Topology {
   [[nodiscard]] int num_links() const noexcept { return int(links_.size()); }
   [[nodiscard]] const LinkInfo& link(LinkId id) const { return links_[std::size_t(id)]; }
   [[nodiscard]] const std::vector<LinkInfo>& links() const noexcept { return links_; }
+  /// Green, black and blue link ranges in LinkId order; together they
+  /// cover [0, num_links()).
+  [[nodiscard]] std::array<LinkClassRange, 3> link_classes() const noexcept {
+    return {{{green_base_, black_base_, cfg_.green_bw},
+             {black_base_, blue_base_, cfg_.black_bw},
+             {blue_base_, num_links(), cfg_.blue_bw}}};
+  }
 
   /// Directed green link within group g, row `row`, from column c1 to c2 (c1 != c2).
   [[nodiscard]] LinkId green_link(GroupId g, int row, int c1, int c2) const;

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <set>
 
 #include "common/check.hpp"
+#include "exec/exec.hpp"
 #include "sched/allocator.hpp"
 
 namespace dfv::apps {
@@ -122,6 +126,88 @@ TEST_F(PatternsTest, IrregularExchangeEndpointsWithinJob) {
     EXPECT_TRUE(allowed.count(d.dst));
     EXPECT_NE(d.src, d.dst);
   }
+}
+
+/// Demands as (src, dst, bit pattern of bytes) triples, for exact equality.
+std::vector<std::array<std::uint64_t, 3>> bits_of(const std::vector<net::Demand>& ds) {
+  std::vector<std::array<std::uint64_t, 3>> out;
+  for (const net::Demand& d : ds)
+    out.push_back({std::uint64_t(d.src), std::uint64_t(d.dst),
+                   std::bit_cast<std::uint64_t>(d.bytes)});
+  return out;
+}
+
+TEST(Patterns, StencilMemoMatchesFreshBuild) {
+  const net::Topology topo(net::DragonflyConfig::small(6));
+  net::DragonflyConfig wide = net::DragonflyConfig::small(6);
+  wide.nodes_per_router = 4;  // same node ids, different routers
+  const net::Topology topo_wide(wide);
+  sched::NodeAllocator alloc(topo);
+  Rng rng(13);
+  const auto p1 =
+      sched::make_placement(alloc.allocate(64, sched::AllocPolicy::Clustered, rng), topo);
+  const auto p2 =
+      sched::make_placement(alloc.allocate(64, sched::AllocPolicy::Fragmented, rng), topo);
+
+  const StencilDemands<3> memo3;
+  const StencilDemands<4> memo4;
+  // Face sizes like the models': a per-step shape times a base volume.
+  const auto face = [](int step) { return 2.0e6 * (1.0 + 0.12 * std::sin(0.7 * step)); };
+
+  // Repeated steps on one placement, then a new placement, then a new
+  // topology, then back: every call equals a fresh DemandBuilder pass.
+  for (const auto& [place, net_topo] :
+       {std::pair{&p1, &topo}, std::pair{&p2, &topo}, std::pair{&p2, &topo_wide},
+        std::pair{&p1, &topo}})
+    for (int step = 0; step < 4; ++step) {
+      const std::array<int, 3> d3{4, 4, 4};
+      EXPECT_EQ(bits_of(memo3(*place, *net_topo, d3, face(step))),
+                bits_of(stencil3d(*place, *net_topo, d3, face(step))));
+      const std::array<int, 4> d4{4, 4, 2, 2};
+      EXPECT_EQ(bits_of(memo4(*place, *net_topo, d4, face(step) * 30.0)),
+                bits_of(stencil4d(*place, *net_topo, d4, face(step) * 30.0)));
+    }
+
+  // Shapes: a flat or degenerate grid changes the edge counts per pair.
+  for (const std::array<int, 3>& d3 :
+       {std::array{8, 4, 2}, std::array{16, 2, 2}, std::array{64, 1, 1},
+        std::array{4, 4, 4}}) {
+    const auto got = memo3(p1, topo, d3, 1.0 / 3.0);
+    EXPECT_FALSE(got.empty());
+    EXPECT_EQ(bits_of(got), bits_of(stencil3d(p1, topo, d3, 1.0 / 3.0)));
+  }
+  EXPECT_EQ(bits_of(memo4(p2, topo, {2, 2, 4, 4}, 0.1)),
+            bits_of(stencil4d(p2, topo, {2, 2, 4, 4}, 0.1)));
+
+  // No positive face, no demand; the memo still serves the next step.
+  EXPECT_TRUE(memo3(p1, topo, {4, 4, 4}, 0.0).empty());
+  EXPECT_TRUE(memo3(p1, topo, {4, 4, 4}, -5.0).empty());
+  EXPECT_TRUE(stencil3d(p1, topo, {4, 4, 4}, 0.0).empty());
+  EXPECT_EQ(bits_of(memo3(p1, topo, {4, 4, 4}, 7.0)),
+            bits_of(stencil3d(p1, topo, {4, 4, 4}, 7.0)));
+  EXPECT_THROW((void)memo3(p1, topo, {4, 4, 2}, 1.0), ContractError);
+}
+
+TEST(Patterns, StencilMemoSharedAcrossThreads) {
+  // Pool tasks alternate two placements through one memo, so it rebuilds
+  // under contention; every call still equals a fresh build.
+  const net::Topology topo(net::DragonflyConfig::small(6));
+  sched::NodeAllocator alloc(topo);
+  Rng rng(17);
+  const std::array places{
+      sched::make_placement(alloc.allocate(64, sched::AllocPolicy::Clustered, rng), topo),
+      sched::make_placement(alloc.allocate(64, sched::AllocPolicy::Fragmented, rng), topo)};
+  const std::array<int, 3> dims{4, 4, 4};
+  std::array<std::vector<std::array<std::uint64_t, 3>>, 2> want;
+  for (std::size_t p = 0; p < 2; ++p)
+    want[p] = bits_of(stencil3d(places[p], topo, dims, 3.0e5));
+  const StencilDemands<3> memo;
+  std::vector<char> ok(64, 0);
+  exec::parallel_for(0, ok.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i)
+      ok[i] = bits_of(memo(places[i % 2], topo, dims, 3.0e5)) == want[i % 2];
+  });
+  EXPECT_EQ(std::count(ok.begin(), ok.end(), 1), 64);
 }
 
 }  // namespace

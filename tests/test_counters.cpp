@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/check.hpp"
@@ -132,6 +133,31 @@ TEST_F(CounterModelTest, ResponseFractionSplitsVcs) {
 
 TEST_F(CounterModelTest, RejectsNonPositiveDt) {
   EXPECT_THROW((void)model_.router_counters(0, bg_, job_, 0.0), ContractError);
+}
+
+TEST(CounterModelParams, RejectsNonFiniteOrNegativeWeights) {
+  const net::Topology topo(net::DragonflyConfig::small(2));
+  const double kBad[] = {-0.1, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()};
+  for (double CounterModelParams::*field :
+       {&CounterModelParams::in_stall_weight, &CounterModelParams::out_stall_weight,
+        &CounterModelParams::cb_endpoint_weight, &CounterModelParams::cb_transit_weight})
+    for (const double bad : kBad) {
+      CounterModelParams p;
+      p.*field = bad;
+      EXPECT_THROW(CounterModel(topo, p), ContractError) << bad;
+    }
+  for (const double bad : {-0.01, 1.01, std::numeric_limits<double>::quiet_NaN()}) {
+    CounterModelParams p;
+    p.response_fraction = bad;
+    EXPECT_THROW(CounterModel(topo, p), ContractError) << bad;
+  }
+  CounterModelParams edge;
+  edge.in_stall_weight = 0.0;
+  edge.response_fraction = 1.0;
+  EXPECT_NO_THROW(CounterModel(topo, edge));
+  edge.response_fraction = 0.0;
+  EXPECT_NO_THROW(CounterModel(topo, edge));
 }
 
 }  // namespace

@@ -43,6 +43,29 @@ TEST(Topology, LinkCountsMatchFormula) {
   EXPECT_EQ(topo.num_links(), green + black + blue);
 }
 
+TEST(Topology, LinkClassRangesCoverEveryLink) {
+  for (const DragonflyConfig& cfg : {DragonflyConfig::small(4), DragonflyConfig::cori()}) {
+    const Topology topo(cfg);
+    const auto classes = topo.link_classes();
+    const LinkType types[] = {LinkType::Green, LinkType::Black, LinkType::Blue};
+    LinkId next = 0;
+    for (std::size_t k = 0; k < classes.size(); ++k) {
+      EXPECT_EQ(classes[k].begin, next);
+      for (LinkId id = classes[k].begin; id < classes[k].end; ++id) {
+        ASSERT_EQ(topo.link(id).type, types[k]) << id;
+        ASSERT_EQ(topo.link(id).capacity, classes[k].capacity) << id;
+      }
+      next = classes[k].end;
+    }
+    EXPECT_EQ(next, topo.num_links());
+  }
+  // Cori's per-link arrays: 48,960 green + 16,320 black + 32,538 blue.
+  const auto cori = Topology(DragonflyConfig::cori()).link_classes();
+  EXPECT_EQ(cori[0].end - cori[0].begin, 48960);
+  EXPECT_EQ(cori[1].end - cori[1].begin, 16320);
+  EXPECT_EQ(cori[2].end - cori[2].begin, 32538);
+}
+
 TEST(Topology, CoordinateRoundTrip) {
   const Topology topo(DragonflyConfig::small(4));
   for (RouterId r = 0; r < topo.config().num_routers(); ++r) {
