@@ -51,17 +51,18 @@ echo "strict build: clean"
 ./build/bench/bench_store --runs 20000 --campaign-days 3 >/dev/null
 echo "bench smoke: OK"
 
-# Sanitizer stage for the wire decoder: it reads untrusted network bytes,
-# so the adversarial corpus (truncations, byte flips, forged lengths) and
-# the api suite run under AddressSanitizer + UndefinedBehaviorSanitizer
-# with every report fatal.
-echo "=== ASan+UBSan pass (test_wire_adversarial, test_api) ==="
+# Sanitizer stage for the readers of outside bytes: the wire decoder
+# reads untrusted network bytes, so the adversarial corpus (truncations,
+# byte flips, forged lengths) and the api suite run under AddressSanitizer
+# + UndefinedBehaviorSanitizer with every report fatal; so do the dataset
+# CSV import and the CSV parser under it, which read files from anywhere.
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv) ==="
 cmake --preset asan
-cmake --build build-asan -j --target test_wire_adversarial test_api
-ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ./build-asan/tests/test_wire_adversarial
-ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-  ./build-asan/tests/test_api
+cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset test_table_csv
+for t in test_wire_adversarial test_api test_dataset test_table_csv; do
+  ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    "./build-asan/tests/$t"
+done
 
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="

@@ -1,6 +1,5 @@
 #include "common/csv.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -36,15 +35,10 @@ void emit_row(std::ostream& os, const std::vector<std::string>& row) {
 
 }  // namespace
 
-std::size_t Csv::col(const std::string& name) const {
-  const std::size_t i = col_if(name);
-  DFV_CHECK_MSG(i != npos, "no CSV column named '" << name << "'");
-  return i;
-}
-
-std::size_t Csv::col_if(const std::string& name) const noexcept {
+std::size_t Csv::col(const std::string& name, bool optional) const {
   for (std::size_t i = 0; i < header.size(); ++i)
     if (header[i] == name) return i;
+  DFV_CHECK_MSG(optional, "no CSV column named '" << name << "'");
   return npos;
 }
 
@@ -53,13 +47,6 @@ std::string Csv::str() const {
   emit_row(os, header);
   for (const auto& r : rows) emit_row(os, r);
   return os.str();
-}
-
-bool write_csv(const Csv& csv, const std::string& path) {
-  std::ofstream f(path);
-  if (!f) return false;
-  f << csv.str();
-  return bool(f);
 }
 
 Csv parse_csv(const std::string& text) {
@@ -107,7 +94,8 @@ Csv parse_csv(const std::string& text) {
       case '\r':
         break;
       case '\n':
-        if (row_has_content || !cell.empty() || !row.empty()) end_row();
+        DFV_CHECK_MSG(!in_quotes, "CSV ends inside a quoted field (truncated input?)");
+  if (row_has_content || !cell.empty() || !row.empty()) end_row();
         break;
       default:
         cell += c;
@@ -115,6 +103,7 @@ Csv parse_csv(const std::string& text) {
         break;
     }
   }
+  DFV_CHECK_MSG(!in_quotes, "CSV ends inside a quoted field (truncated input?)");
   if (row_has_content || !cell.empty() || !row.empty()) end_row();
 
   Csv csv;
@@ -124,14 +113,6 @@ Csv parse_csv(const std::string& text) {
                     std::make_move_iterator(all.end()));
   }
   return csv;
-}
-
-Csv read_csv(const std::string& path) {
-  std::ifstream f(path);
-  DFV_CHECK_MSG(bool(f), "cannot open CSV file '" << path << "'");
-  std::ostringstream os;
-  os << f.rdbuf();
-  return parse_csv(os.str());
 }
 
 }  // namespace dfv

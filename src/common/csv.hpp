@@ -1,4 +1,4 @@
-// Minimal CSV read/write used to export campaign datasets so they can be
+// Minimal CSV text format used to export campaign datasets so they can be
 // inspected outside the benchmarks (the paper's datasets are tabular).
 #pragma once
 
@@ -12,21 +12,15 @@ struct Csv {
   std::vector<std::string> header;
   std::vector<std::vector<std::string>> rows;
 
-  /// Column index for a header name; throws ContractError if absent.
-  [[nodiscard]] std::size_t col(const std::string& name) const;
-  /// Column index for a header name, or npos if absent (optional columns).
-  [[nodiscard]] std::size_t col_if(const std::string& name) const noexcept;
+  /// Column index for a header name; an absent column throws
+  /// ContractError, or gives npos when `optional`.
+  [[nodiscard]] std::size_t col(const std::string& name, bool optional = false) const;
   static constexpr std::size_t npos = std::size_t(-1);
   [[nodiscard]] std::string str() const;
 };
 
-/// Write to a file (overwrites). Returns false on I/O failure.
-[[nodiscard]] bool write_csv(const Csv& csv, const std::string& path);
-
-/// Parse from a string. Handles quoted fields with embedded commas/quotes.
+/// Parse from a string. Handles quoted fields with embedded commas/quotes;
+/// throws ContractError when the text ends inside a quoted field.
 [[nodiscard]] Csv parse_csv(const std::string& text);
-
-/// Read and parse a file; throws ContractError if the file cannot be read.
-[[nodiscard]] Csv read_csv(const std::string& path);
 
 }  // namespace dfv

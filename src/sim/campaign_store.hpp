@@ -9,13 +9,13 @@
 // Layout:
 //   <dir>/META                    "dfv-campaign-store" + dataset table,
 //                                 `#dfv-crc` footer, written last
-//   <dir>/<label>/runs/           store::ColumnStore (job/placement/
-//                                 profile scalars, one row per run)
-//   <dir>/<label>/steps/          step times + 13 counters + 8 LDMS
-//                                 features + quality, one row per step
-//   <dir>/<label>/neigh/          flattened neighborhood user ids
+//   <dir>/<label>/runs/           store::ColumnStore, one row per run
+//   <dir>/<label>/steps/          one row per run step
+//   <dir>/<label>/neigh/          one row per neighborhood user
+// whose columns are the store entries of sim/record_fields.hpp.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -43,9 +43,6 @@ class CampaignStorePin {
   [[nodiscard]] static CampaignStorePin open(const std::string& dir);
 
   [[nodiscard]] std::size_t num_datasets() const noexcept { return specs_.size(); }
-  [[nodiscard]] const std::vector<apps::DatasetSpec>& specs() const noexcept {
-    return specs_;
-  }
 
   /// Materialize one dataset from the pinned columns (bit-exact round
   /// trip of what save_campaign_store was given, including NaNs, quality
@@ -56,14 +53,9 @@ class CampaignStorePin {
   [[nodiscard]] CampaignResult load_all() const;
 
  private:
-  struct DatasetPins {
-    std::shared_ptr<const store::StorePin> runs;
-    std::shared_ptr<const store::StorePin> steps;
-    std::shared_ptr<const store::StorePin> neigh;
-  };
-
   std::vector<apps::DatasetSpec> specs_;
-  std::vector<DatasetPins> pins_;
+  /// Each dataset's runs/, steps/ and neigh/ sub-stores.
+  std::vector<std::array<std::shared_ptr<const store::StorePin>, 3>> pins_;
 };
 
 }  // namespace dfv::sim

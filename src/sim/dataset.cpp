@@ -6,11 +6,14 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
 #include "common/integrity.hpp"
 #include "exec/exec.hpp"
+#include "sim/record_fields.hpp"
 
 namespace dfv::sim {
 
@@ -157,106 +160,66 @@ void inject_faults(Dataset& ds, const faults::FaultSpec& spec, std::uint64_t str
 
 namespace {
 
-std::string join_ints(const std::vector<int>& v) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) os << ';';
-    os << v[i];
+using record::Scope;
+
+/// A value's CSV text; doubles take their shortest round-trip form, so an
+/// export reloads as the in-memory dataset bit-exactly (NaNs included).
+template <class T>
+void append_cell(std::string& cell, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    cell += v;
+  } else {
+    char buf[32];
+    using Text = std::conditional_t<std::is_same_v<T, bool>, int, T>;
+    cell.append(buf, std::to_chars(buf, buf + sizeof buf, Text(v)).ptr);
   }
-  return os.str();
 }
 
-std::string fmt(double v) {
-  // Shortest round-trip representation: an export must reload as the
-  // in-memory dataset bit-exactly (including NaN placeholders).
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-  return std::string(buf, res.ptr);
-}
-
-/// Strict full-consumption numeric parse; accepts nan/inf spellings
-/// (degraded telemetry round-trips through an export).
-double parse_num(const std::string& cell, std::size_t row, const char* what) {
-  DFV_CHECK_MSG(!cell.empty(),
-                "dataset CSV data row " << row << ": empty '" << what << "' field");
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  DFV_CHECK_MSG(end == cell.c_str() + cell.size(),
-                "dataset CSV data row " << row << ": field '" << what
-                                        << "' is not a number: '" << cell << "'");
-  return v;
-}
-
-long parse_long(const std::string& cell, std::size_t row, const char* what) {
-  DFV_CHECK_MSG(!cell.empty(),
-                "dataset CSV data row " << row << ": empty '" << what << "' field");
-  char* end = nullptr;
-  const long v = std::strtol(cell.c_str(), &end, 10);
-  DFV_CHECK_MSG(end == cell.c_str() + cell.size(),
-                "dataset CSV data row " << row << ": field '" << what
-                                        << "' is not an integer: '" << cell << "'");
-  return v;
-}
-
-int parse_int(const std::string& cell, std::size_t row, const char* what) {
-  return int(parse_long(cell, row, what));
-}
-
-std::vector<int> split_ints(const std::string& s, std::size_t row) {
-  std::vector<int> out;
-  std::istringstream is(s);
-  std::string tok;
-  while (std::getline(is, tok, ';'))
-    if (!tok.empty()) out.push_back(parse_int(tok, row, "neighborhood"));
-  return out;
+/// One cell as `T`, consumed in full. Numbers accept nan/inf spellings
+/// (degraded telemetry round-trips); integers must fit their type.
+template <class T>
+[[nodiscard]] T parse_cell(const std::string& cell, std::size_t row, const record::Name& name) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return cell;
+  } else {
+    char* end = nullptr;
+    const double v = std::strtod(cell.c_str(), &end);
+    DFV_CHECK_MSG(!cell.empty() && end == cell.c_str() + cell.size() &&
+                      record::representable<T>(v),
+                  "dataset CSV data row " << row << ": field '" << name.str() << "' is not "
+                                          << (std::is_same_v<T, double> ? "a number"
+                                                                        : "an integer in range")
+                                          << ": '" << cell << "'");
+    return T(v);
+  }
 }
 
 }  // namespace
 
 std::string dataset_to_csv(const Dataset& ds) {
-  for (const auto& r : ds.runs) DFV_CHECK(r.step_counters.size() == r.step_times.size());
   Csv csv;
-  csv.header = {"app",        "nodes",     "run",        "job_id",    "submit_s",
-                "start_s",    "end_s",     "num_routers", "num_groups", "neighborhood",
-                "compute_s",  "step",      "step_time"};
-  for (int c = 0; c < mon::kNumCounters; ++c)
-    csv.header.push_back(mon::counter_name(mon::counter_from_index(c)));
-  for (const char* n : mon::ldms_io_feature_names()) csv.header.emplace_back(n);
-  for (const char* n : mon::ldms_sys_feature_names()) csv.header.emplace_back(n);
-  for (int r = 0; r < mon::kNumRoutines; ++r)
-    csv.header.push_back(std::string("mpi_") +
-                         mon::routine_name(static_cast<mon::MpiRoutine>(r)));
-  csv.header.emplace_back("quality");
-  csv.header.emplace_back("profile_missing");
-
-  for (std::size_t ri = 0; ri < ds.runs.size(); ++ri) {
-    const RunRecord& run = ds.runs[ri];
-    for (int t = 0; t < run.steps(); ++t) {
-      std::vector<std::string> row = {
-          ds.spec.app,
-          std::to_string(ds.spec.nodes),
-          std::to_string(ri),
-          std::to_string(run.job_id),
-          fmt(run.submit_time_s),
-          fmt(run.start_time_s),
-          fmt(run.end_time_s),
-          std::to_string(run.num_routers),
-          std::to_string(run.num_groups),
-          join_ints(run.neighborhood_users),
-          fmt(run.profile.compute_s),
-          std::to_string(t),
-          fmt(run.step_times[std::size_t(t)]),
-      };
-      for (int c = 0; c < mon::kNumCounters; ++c)
-        row.push_back(fmt(run.step_counters[std::size_t(t)][std::size_t(c)]));
-      const auto& l = run.step_ldms[std::size_t(t)];
-      for (double v : l.io) row.push_back(fmt(v));
-      for (double v : l.sys) row.push_back(fmt(v));
-      for (int r = 0; r < mon::kNumRoutines; ++r)
-        row.push_back(fmt(run.profile.routine_s[std::size_t(r)]));
-      row.push_back(std::to_string(int(run.quality(t))));
-      row.push_back(run.profile_missing ? "1" : "0");
-      csv.rows.push_back(std::move(row));
+  record::fields([&](const auto& field) {
+    if (field.csv) csv.header.push_back(field.csv.str());
+  });
+  for (std::size_t r = 0; r < ds.runs.size(); ++r) {
+    const RunRecord& run = ds.runs[r];
+    DFV_CHECK_MSG(!record::ragged(run), "dataset CSV export: run " << r << " is ragged");
+    record::Cursor<const Dataset, const RunRecord> c{ds, run, r};
+    for (std::size_t t = 0; t < run.step_times.size(); ++t) {
+      std::vector<std::string>& row = csv.rows.emplace_back();
+      record::fields([&](const auto& field) {
+        if (!field.csv) return;
+        std::string& cell = row.emplace_back();
+        if constexpr (std::remove_cvref_t<decltype(field)>::scope == Scope::Neigh) {
+          for (c.row = 0; c.row < record::rows(run, Scope::Neigh); ++c.row) {
+            if (c.row > 0) cell += ';';
+            append_cell(cell, field.get(c));
+          }
+        } else {
+          c.row = t;
+          append_cell(cell, field.get(c));
+        }
+      });
     }
   }
   return csv.str();
@@ -266,80 +229,71 @@ Dataset dataset_from_csv(const std::string& text, faults::RepairPolicy policy) {
   const Csv csv = parse_csv(text);
   Dataset ds;
   if (csv.rows.empty()) return ds;
-  DFV_CHECK_MSG(!csv.header.empty(), "dataset CSV has no header row");
-  for (std::size_t i = 0; i < csv.rows.size(); ++i)
+  // Each CSV entry's column, in list order; npos for an optional column
+  // the file lacks.
+  std::vector<std::size_t> columns;
+  record::fields([&](const auto& field) {
+    if (field.csv) columns.push_back(csv.col(field.csv.str(), field.csv_optional));
+  });
+
+  // List order puts a row's run index before its run values and its step
+  // index before its step values. Run values come from the run's first row.
+  RunRecord run;
+  record::Cursor<Dataset, RunRecord> c{ds, run};
+  for (std::size_t i = 0; i < csv.rows.size(); ++i) {
+    const std::size_t rn = i + 1;
     DFV_CHECK_MSG(csv.rows[i].size() == csv.header.size(),
-                  "dataset CSV data row " << (i + 1) << " has " << csv.rows[i].size()
+                  "dataset CSV data row " << rn << " has " << csv.rows[i].size()
                                           << " fields, expected " << csv.header.size()
                                           << " (truncated or malformed line?)");
-
-  const std::size_t c_app = csv.col("app"), c_nodes = csv.col("nodes"),
-                    c_run = csv.col("run"), c_job = csv.col("job_id"),
-                    c_submit = csv.col("submit_s"), c_start = csv.col("start_s"),
-                    c_end = csv.col("end_s"), c_nr = csv.col("num_routers"),
-                    c_ng = csv.col("num_groups"), c_nb = csv.col("neighborhood"),
-                    c_comp = csv.col("compute_s"), c_step = csv.col("step"),
-                    c_time = csv.col("step_time");
-  const std::size_t c_counters0 =
-      csv.col(mon::counter_name(mon::counter_from_index(0)));
-  const std::size_t c_io0 = csv.col("IO_RT_FLIT_TOT");
-  const std::size_t c_sys0 = csv.col("SYS_RT_FLIT_TOT");
-  const std::size_t c_mpi0 = csv.col("mpi_Allreduce");
-  // Quality columns are optional so pre-fault CSVs still load.
-  const std::size_t c_q = csv.col_if("quality");
-  const std::size_t c_pm = csv.col_if("profile_missing");
-
-  ds.spec.app = csv.rows.front()[c_app];
-  ds.spec.nodes = parse_int(csv.rows.front()[c_nodes], 1, "nodes");
-
-  long current_run = -1;
-  for (std::size_t i = 0; i < csv.rows.size(); ++i) {
-    const auto& row = csv.rows[i];
-    const std::size_t rn = i + 1;
-    DFV_CHECK_MSG(row[c_app] == ds.spec.app,
-                  "dataset CSV data row " << rn << ": app changed mid-file ('"
-                                          << row[c_app] << "' vs '" << ds.spec.app << "')");
-    const long run_idx = parse_long(row[c_run], rn, "run");
-    if (run_idx != current_run) {
-      current_run = run_idx;
-      RunRecord r;
-      r.job_id = parse_int(row[c_job], rn, "job_id");
-      r.submit_time_s = parse_num(row[c_submit], rn, "submit_s");
-      r.start_time_s = parse_num(row[c_start], rn, "start_s");
-      r.end_time_s = parse_num(row[c_end], rn, "end_s");
-      r.num_routers = parse_int(row[c_nr], rn, "num_routers");
-      r.num_groups = parse_int(row[c_ng], rn, "num_groups");
-      r.neighborhood_users = split_ints(row[c_nb], rn);
-      r.profile.compute_s = parse_num(row[c_comp], rn, "compute_s");
-      for (int k = 0; k < mon::kNumRoutines; ++k)
-        r.profile.routine_s[std::size_t(k)] =
-            parse_num(row[c_mpi0 + std::size_t(k)], rn, "mpi routine");
-      if (c_pm != Csv::npos) r.profile_missing = parse_int(row[c_pm], rn, "profile_missing") != 0;
-      ds.runs.push_back(std::move(r));
-    }
-    RunRecord& r = ds.runs.back();
-    const int step = parse_int(row[c_step], rn, "step");
-    DFV_CHECK_MSG(step == r.steps(),
-                  "dataset CSV data row " << rn << ": step index " << step
-                                          << " out of order (expected " << r.steps() << ")");
-    r.step_times.push_back(parse_num(row[c_time], rn, "step_time"));
-    mon::CounterVec cv{};
-    for (int k = 0; k < mon::kNumCounters; ++k)
-      cv[std::size_t(k)] = parse_num(row[c_counters0 + std::size_t(k)], rn, "counter");
-    r.step_counters.push_back(cv);
-    mon::LdmsFeatures lf;
-    for (int k = 0; k < mon::kNumIoFeatures; ++k)
-      lf.io[std::size_t(k)] = parse_num(row[c_io0 + std::size_t(k)], rn, "ldms io");
-    for (int k = 0; k < mon::kNumSysFeatures; ++k)
-      lf.sys[std::size_t(k)] = parse_num(row[c_sys0 + std::size_t(k)], rn, "ldms sys");
-    r.step_ldms.push_back(lf);
-    if (c_q != Csv::npos) {
-      const int q = parse_int(row[c_q], rn, "quality");
-      DFV_CHECK_MSG(q >= 0 && q <= 255,
-                    "dataset CSV data row " << rn << ": quality " << q << " out of range");
-      r.step_quality.push_back(std::uint8_t(q));
-    }
+    bool first_row_of_run = false;
+    std::size_t j = 0;
+    record::fields([&](const auto& field) {
+      using F = std::remove_cvref_t<decltype(field)>;
+      if (!field.csv) return;
+      const std::size_t col = columns[j++];
+      if (col == Csv::npos) return;
+      const std::string& cell = csv.rows[i][col];
+      const auto value = [&] { return parse_cell<typename F::Type>(cell, rn, field.csv); };
+      if constexpr (F::role == record::Role::Index && F::scope == Scope::Run) {
+        // Runs are numbered 0, 1, ... in file order, each run's rows together.
+        const std::size_t v = value();
+        first_row_of_run = v == (i == 0 ? 0 : c.run_index + 1);
+        DFV_CHECK_MSG(first_row_of_run || (i > 0 && v == c.run_index),
+                      "dataset CSV data row " << rn << ": run index " << v << " out of sequence");
+        if (first_row_of_run && i > 0) ds.runs.push_back(std::exchange(run, {}));
+        c.run_index = v;
+      } else if constexpr (F::role == record::Role::Index) {
+        const std::size_t v = value();
+        DFV_CHECK_MSG(v == run.step_times.size(), "dataset CSV data row "
+                                                      << rn << ": step index " << v
+                                                      << " out of order (expected "
+                                                      << run.step_times.size() << ")");
+        record::resize_rows(run, Scope::Step, v + 1);
+        c.row = v;
+      } else if constexpr (F::scope == Scope::Dataset) {
+        if (i == 0) field.set(c, value());
+        DFV_CHECK_MSG(value() == field.get(c), "dataset CSV data row "
+                                                   << rn << ": " << field.csv.str()
+                                                   << " changed mid-file ('" << cell << "' vs '"
+                                                   << field.get(c) << "')");
+      } else if constexpr (F::scope == Scope::Step) {
+        field.set(c, value());
+      } else if constexpr (F::scope == Scope::Neigh) {
+        std::istringstream users(cell);
+        std::string user;
+        while (first_row_of_run && std::getline(users, user, ';')) {
+          if (user.empty()) continue;
+          c.row = run.neighborhood_users.size();
+          record::resize_rows(run, Scope::Neigh, c.row + 1);
+          field.set(c, parse_cell<typename F::Type>(user, rn, field.csv));
+        }
+      } else if (first_row_of_run) {
+        field.set(c, value());
+      }
+    });
   }
+  ds.runs.push_back(std::move(run));
   if (policy != faults::RepairPolicy::Keep) (void)ds.repair(policy);
   return ds;
 }

@@ -115,10 +115,12 @@ void inject_faults(Dataset& ds, const faults::FaultSpec& spec, std::uint64_t str
 /// columns) and back; used for the `dfv campaign --out` export, so the
 /// generated data can be inspected with external tools.
 ///
-/// Parsing validates structure (column count per row, full numeric
-/// consumption of every numeric field) and throws ContractError with the
+/// Parsing validates structure (column count, one app and node count,
+/// runs and steps numbered 0, 1, ... in order, every number consumed in
+/// full and every integer in range) and throws ContractError with the
 /// offending row on malformed input; the repair `policy` is then applied
 /// to the parsed dataset (default Strict: any telemetry anomaly throws).
+/// Writing throws ContractError on a ragged run.
 [[nodiscard]] std::string dataset_to_csv(const Dataset& ds);
 [[nodiscard]] Dataset dataset_from_csv(
     const std::string& csv_text,

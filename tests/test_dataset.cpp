@@ -7,6 +7,7 @@
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "sim/campaign_store.hpp"
 
 namespace dfv::sim {
 namespace {
@@ -167,6 +168,30 @@ TEST(Dataset, MalformedCsvRejected) {
     std::string cut = good.substr(0, good.size() - 25);
     EXPECT_THROW((void)dataset_from_csv(cut), ContractError);
   }
+  // Replace field `col` of data row `row` (1-based) and expect a rejection
+  // that names the row.
+  const auto expect_row_rejected = [&](std::size_t row, int col, const std::string& value) {
+    auto bad = lines;
+    std::size_t b = 0;
+    for (int skip = 0; skip < col; ++skip) b = bad[row].find(',', b) + 1;
+    bad[row].replace(b, bad[row].find(',', b) - b, value);
+    try {
+      (void)dataset_from_csv(join_lines(bad));
+      ADD_FAILURE() << "accepted field " << col << " = " << value;
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("row " + std::to_string(row)), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_row_rejected(2, 1, "256");   // nodes differs from the first row
+  expect_row_rejected(4, 0, "AMG");   // app differs from the first row
+  expect_row_rejected(4, 2, "7");     // run index skips (0 then 7)
+  expect_row_rejected(5, 2, "0");     // run index goes back
+  expect_row_rejected(1, 2, "1");     // the first run is not run 0
+  // Integers outside their type, never wrapped into it.
+  expect_row_rejected(1, 3, "4294967297");  // job_id
+  expect_row_rejected(1, 3, "-2147483649");
+  expect_row_rejected(4, 8, "99999999999999999999");  // num_groups
 }
 
 TEST(Dataset, DegradedTelemetryRoundTripsUnderKeep) {
@@ -192,6 +217,22 @@ TEST(Dataset, DegradedTelemetryRoundTripsUnderKeep) {
   const Dataset fixed = dataset_from_csv(text, faults::RepairPolicy::Repair);
   EXPECT_TRUE(fixed.runs[0].step_usable(2));
   EXPECT_TRUE(std::isfinite(fixed.runs[0].step_counters[2][0]));
+}
+
+TEST(Dataset, RaggedTelemetryRejectedByBothWriters) {
+  const std::string dir = testing::TempDir() + "/dfv_ragged_store";
+  const auto expect_rejected = [&](const Dataset& ds, const char* what) {
+    EXPECT_THROW((void)dataset_to_csv(ds), ContractError) << what;
+    CampaignResult result;
+    result.datasets.push_back(ds);
+    EXPECT_FALSE(save_campaign_store(result, dir)) << what;
+  };
+  Dataset short_ldms = make_synthetic(2, 4, 21);
+  short_ldms.runs[1].step_ldms.pop_back();
+  expect_rejected(short_ldms, "short step_ldms");
+  Dataset short_quality = make_synthetic(2, 4, 21);
+  short_quality.runs[0].step_quality.assign(3, faults::kQualityOk);
+  expect_rejected(short_quality, "short step_quality");
 }
 
 TEST(Dataset, EmptyDatasetHandled) {

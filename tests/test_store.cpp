@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -14,12 +15,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "exec/exec.hpp"
@@ -636,6 +639,66 @@ TEST_F(StoreTest, FaultedCampaignRoundTripsVerbatim) {
     expect_dataset_eq(original.datasets[i], loaded.datasets[i]);
 }
 
+// Both persisted formats of a run record pinned byte for byte: one small
+// faulted campaign (NaN cells, quality bits and lost profiles all
+// present), hashed once as a campaign-store entry (every file's relative
+// path and bytes, in sorted path order) and once as the CSV export of
+// each dataset. A layout change to either format moves its digest.
+class RecordFormatGolden : public StoreTest {
+ protected:
+  static const sim::CampaignResult& campaign() {
+    static const sim::CampaignResult c = [] {
+      sim::CampaignResult r = sim::run_campaign(tiny_config());
+      // One all-ok run of each dataset loses its quality vector, so the
+      // "predates fault tracking" encoding is pinned too.
+      for (sim::Dataset& ds : r.datasets)
+        for (sim::RunRecord& run : ds.runs)
+          if (std::ranges::all_of(run.step_quality,
+                                  [](std::uint8_t q) { return q == faults::kQualityOk; })) {
+            run.step_quality.clear();
+            break;
+          }
+      bool nan = false, bad_step = false, lost_profile = false, untracked = false;
+      for (const sim::Dataset& ds : r.datasets)
+        for (const sim::RunRecord& run : ds.runs) {
+          lost_profile |= run.profile_missing;
+          untracked |= run.step_quality.empty();
+          for (std::uint8_t q : run.step_quality) bad_step |= q != faults::kQualityOk;
+          for (const auto& ctr : run.step_counters)
+            for (double v : ctr) nan |= std::isnan(v);
+        }
+      EXPECT_TRUE(nan && bad_step && lost_profile && untracked)
+          << "fixture lost its degraded cells";
+      return r;
+    }();
+    return c;
+  }
+};
+
+TEST_F(RecordFormatGolden, CampaignStoreEntryDigest) {
+  const std::string dir = scratch("campaign_store_golden");
+  ASSERT_TRUE(sim::save_campaign_store(campaign(), dir));
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir))
+    if (e.is_regular_file()) files[fs::relative(e.path(), dir).generic_string()] = slurp(e.path());
+  ASSERT_FALSE(files.empty());
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [path, bytes] : files) {
+    h = fnv1a64_update(h, path.data(), path.size() + 1);  // NUL-terminated name
+    h = fnv1a64_update(h, bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(h, 0x266defadb6d79944ull) << std::hex << h;
+}
+
+TEST_F(RecordFormatGolden, CsvExportDigest) {
+  std::uint64_t h = kFnvBasis;
+  for (const sim::Dataset& ds : campaign().datasets) {
+    const std::string text = sim::dataset_to_csv(ds);
+    h = fnv1a64_update(h, text.data(), text.size());
+  }
+  EXPECT_EQ(h, 0xcdbb5cc768736337ull) << std::hex << h;
+}
+
 TEST_F(StoreTest, CampaignStoreBytesAreThreadCountInvariant) {
   const sim::CampaignResult campaign = sim::run_campaign(tiny_config(45));
   const std::string one = scratch("campaign_store_t1");
@@ -692,6 +755,57 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
                       .load_all());
   for (const auto& e : fs::recursive_directory_iterator(cache))
     EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+}
+
+/// Republish the sub-store at `dir` with row `row` of F64 column `name`
+/// set to `v`: a well-formed store (fresh CRCs) holding a bad value.
+void rewrite_f64_cell(const fs::path& dir, const std::string& name, std::size_t row, double v) {
+  const auto pin = ColumnStore::open_pin(dir.string());
+  const std::vector<ColumnSpec> specs(pin->columns().begin(), pin->columns().end());
+  std::vector<std::vector<double>> f64;
+  std::vector<std::vector<std::uint8_t>> u8;
+  for (const ColumnSpec& s : specs) {
+    if (s.kind == ColumnKind::U8) {
+      const auto col = pin->u8(s.name);
+      u8.emplace_back(col.begin(), col.end());
+    } else {
+      const auto col = pin->f64(s.name);
+      f64.emplace_back(col.begin(), col.end());
+      if (s.name == name) f64.back().at(row) = v;
+    }
+  }
+  AppendChunk chunk;
+  chunk.rows = pin->rows();
+  for (const auto& c : f64) chunk.f64.emplace_back(c);
+  for (const auto& c : u8) chunk.u8.emplace_back(c);
+  fs::remove_all(dir);
+  (void)ColumnStore::create(dir.string(), specs, {}, chunk);
+}
+
+TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
+  const sim::CampaignConfig cfg = tiny_config(48);
+  const std::string cache = scratch("campaign_store_bad_ints");
+  const sim::CampaignResult first = sim::run_campaign_cached(cfg, cache);
+  const auto entries = sim::list_cache_entries(cache);
+  ASSERT_EQ(entries.size(), 1u);
+  const fs::path entry = fs::path(cache) / entries[0].name;
+  const fs::path runs = entry / "MILC-128" / "runs";
+
+  // Each bad value is rejected at load with a ContractError...
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const auto& [column, v] : std::vector<std::pair<std::string, double>>{
+           {"steps", -1.0}, {"steps", nan}, {"steps", 2.5}, {"steps", 1e300},
+           {"neigh_count", -1.0}, {"job_id", 4294967297.0}, {"num_groups", nan}}) {
+    rewrite_f64_cell(runs, column, 0, v);
+    EXPECT_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all(), ContractError)
+        << column << " = " << v;
+  }
+  // ...which the cache treats as a corrupt entry: evict and regenerate.
+  rewrite_f64_cell(runs, "steps", 0, -1.0);
+  const sim::CampaignResult second = sim::run_campaign_cached(cfg, cache);
+  for (std::size_t i = 0; i < first.datasets.size(); ++i)
+    expect_dataset_eq(first.datasets[i], second.datasets[i]);
+  EXPECT_NO_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all());
 }
 
 TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {

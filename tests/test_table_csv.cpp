@@ -64,6 +64,7 @@ TEST(Csv, ColumnLookup) {
   c.header = {"x", "y", "z"};
   EXPECT_EQ(c.col("y"), 1u);
   EXPECT_THROW((void)c.col("missing"), ContractError);
+  EXPECT_EQ(c.col("missing", /*optional=*/true), Csv::npos);
 }
 
 TEST(Csv, ParseHandlesCrLf) {
@@ -78,15 +79,15 @@ TEST(Csv, EmptyCellsPreserved) {
   EXPECT_EQ(parsed.rows[0][1], "");
 }
 
-TEST(Csv, FileRoundTrip) {
-  Csv c;
-  c.header = {"k", "v"};
-  c.rows = {{"key", "value"}};
-  const std::string path = testing::TempDir() + "/dfv_csv_test.csv";
-  ASSERT_TRUE(write_csv(c, path));
-  const Csv back = read_csv(path);
-  EXPECT_EQ(back.rows, c.rows);
-  EXPECT_THROW((void)read_csv("/nonexistent/never.csv"), ContractError);
+TEST(Csv, UnterminatedQuoteRejected) {
+  // A file cut inside a quoted field must not parse as if the quote closed.
+  EXPECT_THROW((void)parse_csv("a,b\n1,\"2"), ContractError);
+  EXPECT_THROW((void)parse_csv("a,b\n1,\"2\n3,4\n"), ContractError);
+  EXPECT_THROW((void)parse_csv("\""), ContractError);
+  // A closed quote at end of input, and an escaped quote, still parse.
+  const Csv ok = parse_csv("a,b\n1,\"2 \"\"x\"\"\"");
+  ASSERT_EQ(ok.rows.size(), 1u);
+  EXPECT_EQ(ok.rows[0][1], "2 \"x\"");
 }
 
 }  // namespace
