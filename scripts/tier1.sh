@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Tier-1 verification: static analysis (dfv-lint + strict warnings), then
-# configure + build + full ctest, then rebuild the wire decoder's tests
-# under ASan+UBSan and the concurrency-sensitive targets under
-# ThreadSanitizer, with every sanitizer report fatal.
+# Tier-1 verification: static analysis (dfv-lint + strict warnings) and a
+# Release build under -Werror, then configure + build + full ctest, then
+# rebuild the wire decoder's tests under ASan+UBSan and the
+# concurrency-sensitive targets under ThreadSanitizer, with every
+# sanitizer report fatal.
 #
 #   scripts/tier1.sh            # full run
 #   DFV_SKIP_TSAN=1 scripts/tier1.sh   # skip the TSan stage
@@ -26,6 +27,14 @@ cmake --preset lint >/dev/null
 cmake --build --preset lint -j
 echo "strict build: clean"
 
+# Release stage: scripts/bench.sh measures the release preset, whose -O3
+# inlining raises warnings the default build never sees. Every dfv library
+# (micro_benchmarks links them all) must compile there under -Werror.
+echo "=== release build (-Werror) ==="
+cmake --preset release >/dev/null
+cmake --build build-release -j --target micro_benchmarks
+echo "release build: clean"
+
 (cd build && ctest --output-on-failure -j)
 
 # Benchmark smoke run: the perf binaries must build and execute (one
@@ -34,6 +43,12 @@ echo "strict build: clean"
 # meaningless; scripts/bench.sh produces the real trajectory.
 ./build/bench/micro_benchmarks \
   --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid' \
+  --benchmark_min_time=0.01 >/dev/null
+# Flow-model, background-routing and LDMS smoke on Cori: the pool regions
+# that overlap routing's picks with its draws, and the LDMS sample's one
+# region.
+./build/bench/micro_benchmarks \
+  --benchmark_filter='BM_FlowTransferMilcStep|BM_BackgroundRoute512NodeJob|BM_LdmsSampleCori' \
   --benchmark_min_time=0.01 >/dev/null
 # Compiled-inference smoke (BM_ForecastOne is excluded: it would build a
 # second campaign; the serve smoke below covers that path end to end).

@@ -1,9 +1,12 @@
 #include "exec/exec.hpp"
 
+#include <charconv>
 #include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "common/check.hpp"
+#include "common/log.hpp"
 
 namespace dfv::exec {
 
@@ -25,13 +28,23 @@ constexpr std::uint32_t unpack_end(std::uint64_t v) noexcept {
 }  // namespace
 
 int resolve_threads(int flag) {
+  DFV_CHECK_MSG(flag >= 0 && flag <= kMaxThreads,
+                "thread count " << flag << " is outside [0, " << kMaxThreads
+                                << "] (0 = DFV_THREADS or hardware)");
   if (flag > 0) return flag;
   if (const char* env = std::getenv("DFV_THREADS"); env != nullptr && *env != '\0') {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+    const std::string_view text(env);
+    int v = 0;
+    const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec == std::errc() && end == text.data() + text.size() && v >= 1 && v <= kMaxThreads)
+      return v;
+    static std::atomic<bool> warned{false};  // the pool and the CLI both resolve
+    if (!warned.exchange(true))
+      DFV_LOG_WARN("DFV_THREADS='" << text << "' is not a thread count in [1, "
+                                   << kMaxThreads << "]; using the hardware count");
   }
   const unsigned hc = std::thread::hardware_concurrency();
-  return hc > 0 ? int(hc) : 1;
+  return hc > 0 ? int(std::min<unsigned>(hc, kMaxThreads)) : 1;
 }
 
 ThreadPool& ThreadPool::instance() {
@@ -40,7 +53,7 @@ ThreadPool& ThreadPool::instance() {
 }
 
 ThreadPool::ThreadPool(int n) {
-  DFV_CHECK(n >= 1);
+  DFV_CHECK(n >= 1 && n <= kMaxThreads);
   size_ = n;
   lanes_ = std::vector<Lane>(std::size_t(n));
   spawn();
@@ -68,7 +81,8 @@ void ThreadPool::join_all() {
 }
 
 void ThreadPool::resize(int n) {
-  DFV_CHECK_MSG(n >= 1, "thread pool size must be >= 1");
+  DFV_CHECK_MSG(n >= 1 && n <= kMaxThreads,
+                "thread pool size must be in [1, " << kMaxThreads << "]");
   DFV_CHECK_MSG(!in_parallel_region(), "cannot resize the pool inside a parallel region");
   std::lock_guard<std::mutex> run_lock(run_mu_);
   if (n == size_) return;

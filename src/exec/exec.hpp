@@ -36,8 +36,13 @@
 
 namespace dfv::exec {
 
+/// Most lanes a pool may have; also the cap on `dfv serve --shards`.
+inline constexpr int kMaxThreads = 256;
+
 /// Resolve a thread count: `flag` (>0) wins, then DFV_THREADS, then the
-/// hardware concurrency (at least 1).
+/// hardware concurrency, capped to [1, kMaxThreads]. A flag outside
+/// [0, kMaxThreads] is a ContractError; a DFV_THREADS that is not a whole
+/// number in [1, kMaxThreads] logs a warning and is ignored.
 [[nodiscard]] int resolve_threads(int flag = 0);
 
 /// Seed for the RNG substream of task `index` under a parent `seed`
@@ -63,9 +68,9 @@ class ThreadPool {
   /// Total lanes (worker threads + the calling thread). >= 1.
   [[nodiscard]] int size() const noexcept { return size_; }
 
-  /// Re-create the pool with `n` lanes (n >= 1). Must not be called from
-  /// inside a parallel region. Thread count never affects results — only
-  /// wall-clock — so this is a pure resource knob.
+  /// Re-create the pool with `n` lanes (1 <= n <= kMaxThreads). Must not
+  /// be called from inside a parallel region. Thread count never affects
+  /// results — only wall-clock — so this is a pure resource knob.
   void resize(int n);
 
   /// Execute fn(chunk) for every chunk in [0, nchunks), blocking until all

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -43,56 +42,100 @@ int chunk_count(double bytes, const FlowModelParams& p) {
 constexpr std::size_t kRoutingWave = 64;
 
 /// Demands whose candidates are drawn in one parallel pass. Candidate
-/// draws read no load, so a block may span waves; it bounds the scratch.
+/// draws read no load, so a block may span waves; two blocks bound the
+/// candidate scratch.
 constexpr std::size_t kSampleBlock = 8 * kRoutingWave;
+
+/// Doubles per task of the initial link-rate copy.
+constexpr std::size_t kCopyGrain = 16384;
 
 }  // namespace
 
 template <typename Apply>
 void FlowModel::route_waves(std::span<const Demand> demands, RoutingPolicy policy,
-                            std::uint64_t seed, std::span<const double> link_rate,
-                            Apply&& apply) const {
+                            std::uint64_t seed, std::span<const double> initial_rate,
+                            std::span<double> link_rate, Apply&& apply) const {
+  DFV_CHECK(initial_rate.empty() || initial_rate.size() == link_rate.size());
+  const std::size_t n = demands.size();
   const std::size_t chunks_max = std::size_t(params_.max_chunks);
   const std::size_t per = std::size_t(chooser_.max_candidates());
-  const std::size_t block = std::min(kSampleBlock, demands.size());
-  if (cand_draws_.size() < block * chunks_max) {
-    cand_draws_.resize(block * chunks_max);
-    cand_paths_.resize(block * chunks_max * per);
+  // Decisions per half of the two-block candidate buffer.
+  const std::size_t half = std::min(kSampleBlock, n) * chunks_max;
+  if (cand_draws_.size() < 2 * half) {
+    cand_draws_.resize(2 * half);
+    cand_paths_.resize(2 * half * per);
   }
   const auto slots = [&](std::size_t k) {
     return std::span(cand_paths_).subspan(k * per, per);
   };
-  std::vector<Path> wave_paths(std::min(kRoutingWave, demands.size()) * chunks_max);
-  for (std::size_t block_lo = 0; block_lo < demands.size(); block_lo += kSampleBlock) {
-    const std::size_t block_hi = std::min(block_lo + kSampleBlock, demands.size());
-    // Pass 1: draw the block's candidates on the pool. Chunk c of demand
-    // i owns decision k = (i - block_lo) * max_chunks + c.
-    exec::parallel_for(block_lo, block_hi, kRoutingWave, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Demand& d = demands[i];
-        if (d.bytes <= 0.0 || d.src == d.dst) continue;
-        Rng dr(exec::substream_seed(seed, i));
-        const std::size_t k = (i - block_lo) * chunks_max;
-        for (int c = 0, n = chunk_count(d.bytes, params_); c < n; ++c)
-          cand_draws_[k + std::size_t(c)] =
-              chooser_.sample(d.src, d.dst, policy, dr, slots(k + std::size_t(c)));
-      }
-    });
-    // Pass 2, serial: each wave picks against the rates as they stand
-    // before it, then is applied in demand order.
+  // Chunk c of demand i in block b owns decision
+  // k = (b % 2) * half + (i - b * kSampleBlock) * max_chunks + c.
+  const auto decision = [&](std::size_t i) {
+    const std::size_t b = i / kSampleBlock;
+    return (b % 2) * half + (i - b * kSampleBlock) * chunks_max;
+  };
+  const auto draw = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      const Demand& d = demands[i];
+      if (d.bytes <= 0.0 || d.src == d.dst) continue;
+      Rng dr(exec::substream_seed(seed, i));
+      const std::size_t k = decision(i);
+      for (int c = 0, nc = chunk_count(d.bytes, params_); c < nc; ++c)
+        cand_draws_[k + std::size_t(c)] =
+            chooser_.sample(d.src, d.dst, policy, dr, slots(k + std::size_t(c)));
+    }
+  };
+  // Serial: each wave picks against the rates as they stand before it,
+  // then is applied in demand order.
+  std::vector<Path> wave_paths(std::min(kRoutingWave, n) * chunks_max);
+  const auto pick_apply = [&](std::size_t block_lo, std::size_t block_hi) {
     for (std::size_t wave_lo = block_lo; wave_lo < block_hi; wave_lo += kRoutingWave) {
       const std::size_t wave_hi = std::min(wave_lo + kRoutingWave, block_hi);
       for (std::size_t i = wave_lo; i < wave_hi; ++i) {
         const Demand& d = demands[i];
         if (d.bytes <= 0.0 || d.src == d.dst) continue;
-        const std::size_t k = (i - block_lo) * chunks_max;
-        for (int c = 0, n = chunk_count(d.bytes, params_); c < n; ++c)
+        const std::size_t k = decision(i);
+        for (int c = 0, nc = chunk_count(d.bytes, params_); c < nc; ++c)
           wave_paths[(i - wave_lo) * chunks_max + std::size_t(c)] = chooser_.pick(
               policy, slots(k + std::size_t(c)), cand_draws_[k + std::size_t(c)], link_rate);
       }
       for (std::size_t i = wave_lo; i < wave_hi; ++i)
         apply(i, &wave_paths[(i - wave_lo) * chunks_max]);
     }
+  };
+
+  // Region b: task 0 picks and applies block b - 1 (none in region 0); the
+  // next tasks draw block b, one wave each (none past the last block);
+  // region 0's last tasks copy the initial rates. The draws and the copy
+  // write what no concurrent task reads, and the picks of block b - 1 read
+  // the rates only after region b - 1 has finished, so no result depends
+  // on which lane runs which task. The last region is the lone pick/apply
+  // task, which the pool runs inline; so is a region whose draws are one
+  // wave's, since that draw costs less than moving the picks to a worker.
+  const std::size_t blocks = exec::num_chunks(n, kSampleBlock);
+  const std::size_t copies = exec::num_chunks(initial_rate.size(), kCopyGrain);
+  for (std::size_t b = 0; b <= blocks; ++b) {
+    const std::size_t lo = std::min(b * kSampleBlock, n);
+    const std::size_t hi = std::min(lo + kSampleBlock, n);
+    const std::size_t serial = b > 0 ? 1 : 0;
+    const std::size_t draws = exec::num_chunks(hi - lo, kRoutingWave);
+    const std::size_t tasks = serial + draws + (b == 0 ? copies : 0);
+    const auto task = [&](std::size_t t) {
+      if (t < serial) {
+        pick_apply((b - 1) * kSampleBlock, lo);
+      } else if (t < serial + draws) {
+        const std::size_t w = lo + (t - serial) * kRoutingWave;
+        draw(w, std::min(w + kRoutingWave, hi));
+      } else {
+        const std::size_t e = (t - serial - draws) * kCopyGrain;
+        std::copy_n(initial_rate.data() + e, std::min(kCopyGrain, initial_rate.size() - e),
+                    link_rate.data() + e);
+      }
+    };
+    const std::size_t grain = serial == 1 && draws == 1 ? 2 : 1;
+    exec::parallel_for(0, tasks, grain, [&](std::size_t t_lo, std::size_t t_hi) {
+      for (std::size_t t = t_lo; t < t_hi; ++t) task(t);
+    });
   }
 }
 
@@ -105,7 +148,7 @@ void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy 
   // One draw from the caller's stream; each demand routes from its own
   // substream, so it draws the same candidates however the sampling pass
   // is scheduled.
-  route_waves(demands, policy, rng(), out.link_rate, [&](std::size_t i, const Path* paths) {
+  route_waves(demands, policy, rng(), {}, out.link_rate, [&](std::size_t i, const Path* paths) {
     const Demand& d = demands[i];
     if (d.bytes <= 0.0) return;
     if (d.src != d.dst) {
@@ -131,8 +174,9 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
 
   // Effective load seen by the adaptive path chooser: background plus our
   // own already-routed chunks (estimated as if transferred over ~100 ms).
-  // A reused scratch buffer avoids reallocating ~1 MB per phase.
-  scratch_rate_.assign(bg.link_rate.begin(), bg.link_rate.end());
+  // A reused scratch buffer avoids reallocating ~1 MB per phase;
+  // route_waves copies the background into it alongside the first draws.
+  scratch_rate_.resize(L);
   std::vector<double>& est_rate = scratch_rate_;
   constexpr double kSelfRateDt = 0.1;
 
@@ -144,7 +188,6 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
   struct Flow {
     double bytes = 0.0;
     double rate = 0.0;
-    Path path;
   };
   std::vector<std::uint32_t> flow_begin(messages.size() + 1, 0);
   for (std::size_t i = 0; i < messages.size(); ++i) {
@@ -201,21 +244,25 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
   // the wave boundary, and the wave's self-load (est_rate), byte
   // accounting and dense resource lists are applied serially in message
   // order before the next wave picks.
-  route_waves(messages, policy, rng(), est_rate, [&](std::size_t i, const Path* paths) {
+  // The flow table keeps no path: the solve reads only the dense refs, and
+  // a message reports its first chunk's path.
+  route_waves(messages, policy, rng(), bg.link_rate, est_rate,
+              [&](std::size_t i, const Path* paths) {
     const Demand& d = messages[i];
+    const bool routed = d.src != d.dst;
     for (std::uint32_t fi = flow_begin[i]; fi < flow_begin[i + 1]; ++fi) {
-      Flow& f = flows[fi];
-      if (d.src != d.dst) f.path = paths[fi - flow_begin[i]];
+      const double bytes = flows[fi].bytes;
       flow_off[fi] = std::uint32_t(refs.size());
-      for (LinkId id : f.path.links) {
-        est_rate[std::size_t(id)] += f.bytes / kSelfRateDt;
-        if (ours != nullptr) ours->link_bytes[std::size_t(id)] += f.bytes;
-        refs.push_back(dense(std::size_t(id)));
-      }
+      if (routed)
+        for (LinkId id : paths[fi - flow_begin[i]].links) {
+          est_rate[std::size_t(id)] += bytes / kSelfRateDt;
+          if (ours != nullptr) ours->link_bytes[std::size_t(id)] += bytes;
+          refs.push_back(dense(std::size_t(id)));
+        }
       refs.push_back(dense(L + std::size_t(d.src)));
       refs.push_back(dense(L + R + std::size_t(d.dst)));
     }
-    if (flow_begin[i] != flow_begin[i + 1]) result.messages[i].path = flows[flow_begin[i]].path;
+    if (routed && flow_begin[i] != flow_begin[i + 1]) result.messages[i].path = paths[0];
   });
   flow_off[flows.size()] = std::uint32_t(refs.size());
   const std::size_t U = used.size();
@@ -256,72 +303,62 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
         radj_items[cursor[refs[k]]++] = std::uint32_t(fi);
   }
 
-  // Progressive-filling max-min fairness over an indexed min-heap holding
-  // each resource still crossed by an unfrozen flow once, keyed by
-  // (share, dense id) with share = residual / nflows as of its last keying.
-  // The top is frozen when its key is current; an out-of-date top is
-  // re-keyed in place. Re-keying lazily, at the top, rather than on every
-  // residual change is what fixes the freeze order: an eager re-key can
-  // round a tied share a hair below the level just frozen and so reorder
-  // freezes between tied resources. A resource leaves the heap when its
-  // last flow freezes. Each pop either freezes a flow or re-keys, each
-  // re-key follows a change, and every unfrozen flow keeps its inject and
-  // eject resources in the heap, so the loop ends with every flow frozen.
-  constexpr std::uint32_t kOut = std::numeric_limits<std::uint32_t>::max();
-  std::vector<double> key(U);
-  std::vector<std::uint32_t> heap(U);
-  std::vector<std::uint32_t> at(U);  ///< heap position of a resource, or kOut
-  const auto before = [&key](std::uint32_t a, std::uint32_t b) {
-    return key[a] < key[b] || (key[a] == key[b] && a < b);
+  // Progressive-filling max-min fairness over a lazy min-heap of inline
+  // (share, dense id) entries, one per resource, with share = residual /
+  // nflows as of the entry's last keying. The top is frozen when its key
+  // is current; an out-of-date top is re-keyed in place, and a top whose
+  // last flow froze elsewhere is dropped. Dead entries below the top never
+  // change which live entry is least, so each step acts on the least live
+  // (share, id), as an index-tracked heap that erases resources eagerly
+  // would. Re-keying lazily, at the top, rather than on every residual
+  // change is what fixes the freeze order: an eager re-key can round a
+  // tied share a hair below the level just frozen and so reorder freezes
+  // between tied resources. Each pop freezes a flow, re-keys after a
+  // change or drops a dead entry, and every unfrozen flow keeps its inject
+  // and eject resources live, so the loop ends with every flow frozen.
+  struct Entry {
+    double share;
+    std::uint32_t u;
   };
-  const auto place = [&heap, &at](std::size_t pos, std::uint32_t u) {
-    heap[pos] = u;
-    at[u] = std::uint32_t(pos);
+  const auto before = [](const Entry& a, const Entry& b) {
+    return a.share < b.share || (a.share == b.share && a.u < b.u);
   };
-  const auto sift_up = [&](std::size_t pos) {
-    const std::uint32_t u = heap[pos];
-    for (; pos > 0 && before(u, heap[(pos - 1) / 2]); pos = (pos - 1) / 2)
-      place(pos, heap[(pos - 1) / 2]);
-    place(pos, u);
-  };
+  std::vector<Entry> heap(U);
   const auto sift_down = [&](std::size_t pos) {
-    const std::uint32_t u = heap[pos];
+    const Entry e = heap[pos];
     const std::size_t n = heap.size();
     for (std::size_t c = 2 * pos + 1; c < n; pos = c, c = 2 * pos + 1) {
       if (c + 1 < n && before(heap[c + 1], heap[c])) ++c;
-      if (!before(heap[c], u)) break;
-      place(pos, heap[c]);
+      if (!before(heap[c], e)) break;
+      heap[pos] = heap[c];
     }
-    place(pos, u);
+    heap[pos] = e;
   };
-  const auto erase_at = [&](std::size_t pos) {
-    at[heap[pos]] = kOut;
-    const std::uint32_t last = heap.back();
+  const auto pop = [&] {
+    heap[0] = heap.back();
     heap.pop_back();
-    if (pos == heap.size()) return;
-    place(pos, last);
-    sift_up(pos);
-    sift_down(at[last]);
+    if (!heap.empty()) sift_down(0);
   };
-  for (std::uint32_t u = 0; u < U; ++u) {
-    key[u] = residual[u] / double(nflows[u]);
-    place(u, u);
-  }
+  for (std::uint32_t u = 0; u < U; ++u) heap[u] = {residual[u] / double(nflows[u]), u};
   for (std::size_t pos = U / 2; pos-- > 0;) sift_down(pos);
 
   std::vector<char> done(flows.size(), 0);
   std::size_t remaining = flows.size();
-  while (!heap.empty()) {
-    const std::uint32_t u = heap[0];
-    const double cur = residual[u] / double(nflows[u]);
-    if (cur != key[u]) {
-      key[u] = cur;
+  while (remaining > 0) {
+    DFV_CHECK_MSG(!heap.empty(), "max-min solve left flows without a rate");
+    const std::uint32_t u = heap[0].u;
+    if (nflows[u] == 0) {
+      pop();
+      continue;
+    }
+    const double share = residual[u] / double(nflows[u]);
+    if (share != heap[0].share) {
+      heap[0].share = share;
       sift_down(0);
       continue;
     }
-    const double share = key[u];
     DFV_CHECK(std::isfinite(share));
-    erase_at(0);
+    pop();
     for (std::uint32_t k = radj_off[u]; k < radj_off[u + 1]; ++k) {
       const std::uint32_t fi = radj_items[k];
       if (done[fi]) continue;
@@ -332,11 +369,9 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
         const std::uint32_t r = refs[kk];
         residual[r] -= share;
         --nflows[r];
-        if (at[r] != kOut && nflows[r] == 0) erase_at(at[r]);
       }
     }
   }
-  DFV_CHECK_MSG(remaining == 0, "max-min solve left flows without a rate");
 
   // Message completion time: max over its chunk flows, with the path
   // latency of the message's first chunk.

@@ -77,23 +77,27 @@ class FlowModel {
                                          const RateLoads& bg) const;
 
  private:
-  /// Route `demands` in waves, in two passes per block of waves: draw
-  /// every chunk's candidates on the pool (demand i from
-  /// `substream_seed(seed, i)`), then, wave by wave, pick each chunk's
-  /// path against `link_rate` as it stands before the wave and call
-  /// `apply(i, paths)` for the wave's demands in order. `paths` holds
+  /// Route `demands` in waves, in two passes per sample block of waves:
+  /// draw every chunk's candidates (demand i from `substream_seed(seed,
+  /// i)`), then, wave by wave, pick each chunk's path against `link_rate`
+  /// as it stands before the wave and call `apply(i, paths)` for the
+  /// wave's demands in order. Block b's draws fill one half of a
+  /// two-block candidate buffer in the same pool region as the picks and
+  /// applies of block b - 1 read the other; region 0 also copies
+  /// `initial_rate` (when not empty) into `link_rate`. `paths` holds
   /// demand i's chunk paths; it is meaningful only for a demand with
   /// bytes > 0 and src != dst.
   template <typename Apply>
   void route_waves(std::span<const Demand> demands, RoutingPolicy policy, std::uint64_t seed,
-                   std::span<const double> link_rate, Apply&& apply) const;
+                   std::span<const double> initial_rate, std::span<double> link_rate,
+                   Apply&& apply) const;
 
   const Topology* topo_;
   FlowModelParams params_;
   PathChooser chooser_;
   /// Scratch buffers reused across transfer() and route_background()
   /// calls: link rates, the epoch-stamped resource->dense-index table of
-  /// the max-min solve, and one sample block's routing candidates.
+  /// the max-min solve, and two sample blocks' routing candidates.
   /// FlowModel is therefore not safe for concurrent calls on one
   /// instance; each call parallelizes internally via dfv::exec.
   mutable std::vector<double> scratch_rate_;

@@ -18,6 +18,7 @@
 #include "api/wire.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "exec/exec.hpp"
 #include "serve/protocol.hpp"
 
 namespace dfv::serve {
@@ -182,7 +183,9 @@ struct Server::Shard {
 };
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
-  DFV_CHECK_MSG(opt_.shards >= 1, "serve: server needs at least one shard");
+  DFV_CHECK_MSG(opt_.shards >= 1 && opt_.shards <= exec::kMaxThreads,
+                "serve: shard count " << opt_.shards << " is outside [1, " << exec::kMaxThreads
+                                      << "]");
   DFV_CHECK_MSG(opt_.listen_backlog >= 1, "serve: listen backlog must be positive");
   DFV_CHECK_MSG(opt_.drain_timeout_ms > 0, "serve: drain timeout must be positive");
 }

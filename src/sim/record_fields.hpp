@@ -33,8 +33,14 @@ struct Name {
 
   [[nodiscard]] explicit operator bool() const noexcept { return text != nullptr; }
   [[nodiscard]] std::string str() const {
-    if (suffix != nullptr) return text + std::string(suffix(std::size_t(index)));
-    return text + (index < 0 ? "" : (index < 10 ? "0" : "") + std::to_string(index));
+    std::string s = text;
+    if (suffix != nullptr) {
+      s += suffix(std::size_t(index));
+    } else if (index >= 0) {
+      if (index < 10) s += '0';
+      s += std::to_string(index);
+    }
+    return s;
   }
 };
 

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -21,6 +26,63 @@ class ExecTest : public ::testing::Test {
 TEST_F(ExecTest, ResolveThreadsPrecedence) {
   EXPECT_EQ(resolve_threads(3), 3);  // flag wins over everything
   EXPECT_GE(resolve_threads(0), 1);  // env/hardware fallback is sane
+}
+
+/// Sets DFV_THREADS for one scope and restores the old value after.
+class ScopedThreadsEnv {
+ public:
+  explicit ScopedThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("DFV_THREADS")) old_ = old;
+    ::setenv("DFV_THREADS", value, 1);
+  }
+  ~ScopedThreadsEnv() {
+    if (old_) {
+      ::setenv("DFV_THREADS", old_->c_str(), 1);
+    } else {
+      ::unsetenv("DFV_THREADS");
+    }
+  }
+  ScopedThreadsEnv(const ScopedThreadsEnv&) = delete;
+  ScopedThreadsEnv& operator=(const ScopedThreadsEnv&) = delete;
+
+ private:
+  std::optional<std::string> old_;
+};
+
+// Only counts are resolved here; no pool of the rejected size is started.
+TEST_F(ExecTest, ResolveThreadsBoundsTheFlag) {
+  EXPECT_EQ(resolve_threads(1), 1);
+  EXPECT_EQ(resolve_threads(kMaxThreads), kMaxThreads);
+  EXPECT_THROW((void)resolve_threads(-1), ContractError);
+  EXPECT_THROW((void)resolve_threads(kMaxThreads + 1), ContractError);
+  EXPECT_THROW((void)resolve_threads(100000), ContractError);
+  EXPECT_THROW(ThreadPool::instance().resize(kMaxThreads + 1), ContractError);
+  EXPECT_EQ(ThreadPool::instance().size(), 4);
+}
+
+TEST_F(ExecTest, ResolveThreadsValidatesTheEnvironment) {
+  const unsigned hc = std::thread::hardware_concurrency();
+  const int hardware = hc > 0 ? int(std::min<unsigned>(hc, kMaxThreads)) : 1;
+  {
+    const ScopedThreadsEnv env("3");
+    EXPECT_EQ(resolve_threads(0), 3);
+    EXPECT_EQ(resolve_threads(5), 5);  // the flag still wins
+  }
+  {
+    const ScopedThreadsEnv env(std::to_string(kMaxThreads).c_str());
+    EXPECT_EQ(resolve_threads(0), kMaxThreads);
+  }
+  // Malformed or out of range: a warning, then the hardware count.
+  for (const std::string& bad : std::vector<std::string>{
+           "3x", "x3", " 3", "3.0", "0", "-2", "100000", "99999999999999999999",
+           std::to_string(kMaxThreads + 1)}) {
+    const ScopedThreadsEnv env(bad.c_str());
+    EXPECT_EQ(resolve_threads(0), hardware) << "DFV_THREADS=" << bad;
+  }
+  {
+    const ScopedThreadsEnv env("");
+    EXPECT_EQ(resolve_threads(0), hardware);
+  }
 }
 
 TEST_F(ExecTest, PoolLifecycleResize) {

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
 
 #include "apps/registry.hpp"
 #include "common/check.hpp"
 #include "common/integrity.hpp"
+#include "exec/exec.hpp"
 #include "sched/allocator.hpp"
 #include "sched/placement.hpp"
 #include "sched/workload.hpp"
@@ -192,12 +194,26 @@ std::uint64_t transfer_hash(const FlowModel& flow, std::span<const Demand> deman
   return h.h;
 }
 
+/// Hash of routed background load: link, inject and eject rates.
+std::uint64_t load_hash(const RateLoads& loads) {
+  BitHash h;
+  h.add(loads.link_rate);
+  h.add(loads.inject_rate);
+  h.add(loads.eject_rate);
+  return h.h;
+}
+
+/// Pool widths the golden cases run at: serial, even splits, and 3, which
+/// splits a region's tasks unevenly across lanes.
+constexpr int kWidths[] = {1, 2, 3, 8};
+
 // The simulator's output pinned across commits, not just across thread
 // counts: the MILC-128 phase of BM_FlowTransferMilcStep on Cori, against
 // an idle machine and against a fixed routed background. A refactor of
 // routing or of the max-min solve must leave every bit of these hashes
 // unchanged; the idle phase's many tied shares make it sensitive to the
-// solve's freeze order.
+// solve's freeze order. Each width runs the same sample-ahead regions with
+// another split of their tasks across lanes.
 TEST_F(FlowModelTest, GoldenTransfer) {
   const Topology topo(DragonflyConfig::cori());
   const FlowModel flow(topo);
@@ -211,10 +227,6 @@ TEST_F(FlowModelTest, GoldenTransfer) {
   ASSERT_FALSE(spec.phases.empty());
   const std::vector<Demand>& demands = spec.phases[0].demands;
 
-  RateLoads idle;
-  idle.resize(topo);
-  EXPECT_EQ(transfer_hash(flow, demands, idle), 0x4449b43cb2ffb089ull);
-
   // Uniform-pairs background over the job's own routers, so it loads the
   // endpoints and links the phase competes for.
   sched::TrafficSpec traffic;
@@ -222,16 +234,50 @@ TEST_F(FlowModelTest, GoldenTransfer) {
   Rng bg_rng(5);
   const auto bg_demands =
       sched::generate_background_demands(placement, traffic, {}, topo, bg_rng);
-  RateLoads bg;
-  bg.resize(topo);
-  Rng route_rng(6);
-  flow.route_background(bg_demands, RoutingPolicy::Ugal, 1.0, route_rng, bg);
-  BitHash bg_hash;
-  bg_hash.add(bg.link_rate);
-  bg_hash.add(bg.inject_rate);
-  bg_hash.add(bg.eject_rate);
-  EXPECT_EQ(bg_hash.h, 0x01eb65a70700eff1ull);
-  EXPECT_EQ(transfer_hash(flow, demands, bg), 0x337d27efd1e50f6dull);
+
+  for (const int width : kWidths) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    exec::ThreadPool::instance().resize(width);
+    RateLoads idle;
+    idle.resize(topo);
+    EXPECT_EQ(transfer_hash(flow, demands, idle), 0x4449b43cb2ffb089ull);
+
+    RateLoads bg;
+    bg.resize(topo);
+    Rng route_rng(6);
+    flow.route_background(bg_demands, RoutingPolicy::Ugal, 1.0, route_rng, bg);
+    EXPECT_EQ(load_hash(bg), 0x01eb65a70700eff1ull);
+    EXPECT_EQ(transfer_hash(flow, demands, bg), 0x337d27efd1e50f6dull);
+  }
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
+}
+
+// Background routing over more than two sample blocks (a 2048-node job's
+// uniform pairs), so middle regions pick and apply one block while they
+// draw the next: the load is pinned across commits and equal at pool
+// widths 1 and 8.
+TEST_F(FlowModelTest, GoldenBackgroundManyBlocks) {
+  const Topology topo(DragonflyConfig::cori());
+  const FlowModel flow(topo);
+  sched::NodeAllocator alloc(topo);
+  Rng rng(5);
+  const auto placement =
+      sched::make_placement(alloc.allocate(2048, sched::AllocPolicy::Clustered, rng), topo);
+  sched::TrafficSpec traffic;
+  traffic.net_bytes_per_node_per_s = 1e9;
+  const auto demands = sched::generate_background_demands(placement, traffic, {}, topo, rng);
+  ASSERT_GT(demands.size(), 1024u);  // at least three blocks of 512
+
+  for (const int width : {1, 8}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    exec::ThreadPool::instance().resize(width);
+    RateLoads out;
+    out.resize(topo);
+    Rng route_rng(6);
+    flow.route_background(demands, RoutingPolicy::Ugal, 1.0, route_rng, out);
+    EXPECT_EQ(load_hash(out), 0xaaccf138a674d942ull);
+  }
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
 }
 
 TEST_F(FlowModelTest, ParamValidation) {

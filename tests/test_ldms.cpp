@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
 
 #include "apps/registry.hpp"
 #include "common/integrity.hpp"
+#include "exec/exec.hpp"
 #include "sched/allocator.hpp"
 #include "sched/placement.hpp"
 #include "sched/workload.hpp"
@@ -110,52 +112,59 @@ std::uint64_t bit_hash(std::span<const double> vs, std::uint64_t h = kFnvBasis) 
 // of an instrumented job, sampled over two interval lengths. Background
 // and job traffic overlap, so the sampled links sit on both sides of
 // stall_fraction's 0.15 knee (checked below); a change to the link pass
-// that moves a bit anywhere moves these hashes.
+// that moves a bit anywhere moves these hashes. The whole case runs at
+// pool widths 1, 2, 3 and 8: the sample's one region splits its four
+// reductions' tasks differently across lanes at each, unevenly at 3.
 TEST(Ldms, GoldenSampleCori) {
   const net::Topology topo(net::DragonflyConfig::cori());
   const CounterModel model(topo);
   const LdmsSampler sampler(model, make_default_io_routers(topo, 1));
 
-  sched::NodeAllocator alloc(topo);
-  Rng rng(11);
-  const auto bg_place =
-      sched::make_placement(alloc.allocate(512, sched::AllocPolicy::Clustered, rng), topo);
-  const auto job_place =
-      sched::make_placement(alloc.allocate(128, sched::AllocPolicy::Clustered, rng), topo);
+  for (const int width : {1, 2, 3, 8}) {
+    SCOPED_TRACE("pool width " + std::to_string(width));
+    exec::ThreadPool::instance().resize(width);
+    sched::NodeAllocator alloc(topo);
+    Rng rng(11);
+    const auto bg_place =
+        sched::make_placement(alloc.allocate(512, sched::AllocPolicy::Clustered, rng), topo);
+    const auto job_place =
+        sched::make_placement(alloc.allocate(128, sched::AllocPolicy::Clustered, rng), topo);
 
-  sched::TrafficSpec traffic;
-  traffic.net_bytes_per_node_per_s = 1.5e9;
-  traffic.io_bytes_per_node_per_s = 0.2e9;
-  const auto bg_demands = sched::generate_background_demands(
-      bg_place, traffic, sampler.io_routers(), topo, rng);
-  const net::FlowModel flow(topo);
-  net::RateLoads bg;
-  bg.resize(topo);
-  flow.route_background(bg_demands, net::RoutingPolicy::Ugal, 1.0, rng, bg);
+    sched::TrafficSpec traffic;
+    traffic.net_bytes_per_node_per_s = 1.5e9;
+    traffic.io_bytes_per_node_per_s = 0.2e9;
+    const auto bg_demands = sched::generate_background_demands(
+        bg_place, traffic, sampler.io_routers(), topo, rng);
+    const net::FlowModel flow(topo);
+    net::RateLoads bg;
+    bg.resize(topo);
+    flow.route_background(bg_demands, net::RoutingPolicy::Ugal, 1.0, rng, bg);
 
-  const auto milc = apps::make_milc(128);
-  const auto spec = milc->step(40, job_place, topo, rng);
-  net::ByteLoads job;
-  job.resize(topo);
-  (void)flow.transfer(spec.phases[0].demands, net::RoutingPolicy::Ugal, bg, rng, &job);
+    const auto milc = apps::make_milc(128);
+    const auto spec = milc->step(40, job_place, topo, rng);
+    net::ByteLoads job;
+    job.resize(topo);
+    (void)flow.transfer(spec.phases[0].demands, net::RoutingPolicy::Ugal, bg, rng, &job);
 
-  std::vector<std::uint64_t> hashes;
-  for (const double dt : {0.5, 2.0}) {
-    int below = 0, above = 0;
-    for (int e = 0; e < topo.num_links(); ++e) {
-      const double u = model.link_utilization(net::LinkId(e), bg, job, dt);
-      if (u > 0.0 && u < 0.14) ++below;
-      if (u > 0.15) ++above;
+    std::vector<std::uint64_t> hashes;
+    for (const double dt : {0.5, 2.0}) {
+      int below = 0, above = 0;
+      for (int e = 0; e < topo.num_links(); ++e) {
+        const double u = model.link_utilization(net::LinkId(e), bg, job, dt);
+        if (u > 0.0 && u < 0.14) ++below;
+        if (u > 0.15) ++above;
+      }
+      EXPECT_GT(below, 1000) << "dt " << dt;
+      EXPECT_GT(above, 100) << "dt " << dt;
+
+      const LdmsFeatures f = sampler.sample(bg, job, dt, job_place.routers);
+      const CounterVec agg = model.aggregate(job_place.routers, bg, job, dt);
+      hashes.push_back(bit_hash(agg, bit_hash(f.sys, bit_hash(f.io))));
     }
-    EXPECT_GT(below, 1000) << "dt " << dt;
-    EXPECT_GT(above, 100) << "dt " << dt;
-
-    const LdmsFeatures f = sampler.sample(bg, job, dt, job_place.routers);
-    const CounterVec agg = model.aggregate(job_place.routers, bg, job, dt);
-    hashes.push_back(bit_hash(agg, bit_hash(f.sys, bit_hash(f.io))));
+    EXPECT_EQ(hashes[0], 0x92c1f6ca2e4a79f6ull);
+    EXPECT_EQ(hashes[1], 0x79febe0c3cac31d5ull);
   }
-  EXPECT_EQ(hashes[0], 0x92c1f6ca2e4a79f6ull);
-  EXPECT_EQ(hashes[1], 0x79febe0c3cac31d5ull);
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
 }
 
 }  // namespace
