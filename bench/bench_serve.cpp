@@ -1,8 +1,9 @@
 // memtier-style load generator for `dfv serve`: start an in-process
 // sharded server, hammer it with closed-loop client threads over real
 // loopback TCP, and report aggregate QPS plus p50/p99/p999 latency for
-// the two serving hot paths (run lookup and point forecast), then for
-// lookups through a fault-injecting proxy.
+// the two serving hot paths (run lookup and point forecast), for the
+// Table III neighborhood query, then for lookups through a
+// fault-injecting proxy.
 //
 //   bench_serve [--shards N] [--clients N] [--seconds S] [--json PATH]
 //
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -116,6 +118,14 @@ class RequestRotation {
         .m(d.window.m)
         .k(d.window.k)
         .features(d.window.features);
+  }
+
+  /// A blame query at one of a few thresholds around the paper's tau = 1.
+  [[nodiscard]] api::Request neighborhood(std::uint64_t i) const {
+    static constexpr double kTaus[] = {0.9, 1.0, 1.1};
+    const DatasetShape& d = shapes_[i % shapes_.size()];
+    return api::NeighborhoodRequest{}.app(d.app).nodes(d.nodes).threshold(
+        kTaus[(i / shapes_.size()) % std::size(kTaus)]);
   }
 
  private:
@@ -243,6 +253,9 @@ int run_bench(const Options& opt) {
   phases.push_back(run_phase("forecast", opt, direct,
                              [&](std::uint64_t i) { return rotation.forecast(i); }));
   print_phase(phases.back());
+  phases.push_back(run_phase("neighborhood", opt, direct,
+                             [&](std::uint64_t i) { return rotation.neighborhood(i); }));
+  print_phase(phases.back());
 
   // Degraded mode: the same closed-loop lookup workload through a seeded
   // chaos proxy (5% of event points delay, 1% hard-disconnect), with the
@@ -292,7 +305,7 @@ int run_bench(const Options& opt) {
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Warn);
   cli::App app("bench_serve", "closed-loop load generator for dfv serve over loopback TCP");
-  app.command("", "run the lookup, forecast and degraded-lookup phases",
+  app.command("", "run the lookup, forecast, neighborhood and degraded-lookup phases",
               {{"shards", cli::ArgType::Int, "8", "server shard threads"},
                {"clients", cli::ArgType::Int, "16", "closed-loop client connections"},
                {"seconds", cli::ArgType::Double, "3", "timed window per phase"},

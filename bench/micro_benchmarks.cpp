@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "analysis/forecast.hpp"
+#include "analysis/neighborhood.hpp"
 #include "api/session.hpp"
 #include "apps/registry.hpp"
 #include "common/log.hpp"
@@ -345,6 +346,19 @@ void BM_BuildWindows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BuildWindows)->Unit(benchmark::kMillisecond);
+
+void BM_NeighborhoodQuery(benchmark::State& state) {
+  // One Table III blame query against a prebuilt per-dataset index, as
+  // a serve shard answers a NeighborhoodRequest: the optimality vector,
+  // each user's 2x2 counts and MI, and the ranking.
+  testutil::SyntheticSpec spec;
+  spec.runs = 180;
+  spec.bystander_users = 40;
+  spec.seed = 31;
+  const analysis::NeighborhoodIndex index(testutil::make_planted_dataset(spec));
+  for (auto _ : state) benchmark::DoNotOptimize(index.query(1.0).ranked.data());
+}
+BENCHMARK(BM_NeighborhoodQuery)->Unit(benchmark::kMicrosecond);
 
 void BM_ForecastGrid(benchmark::State& state) {
   // A small fig-8-shaped ablation grid end to end (CV folds included):

@@ -42,7 +42,7 @@ echo "release build: clean"
 # bench target cannot slip through tier-1. Numbers from this run are
 # meaningless; scripts/bench.sh produces the real trajectory.
 ./build/bench/micro_benchmarks \
-  --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid' \
+  --benchmark_filter='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid|BM_NeighborhoodQuery' \
   --benchmark_min_time=0.01 >/dev/null
 # Flow-model, background-routing and LDMS smoke on Cori: the pool regions
 # that overlap routing's picks with its draws, and the LDMS sample's one
@@ -71,21 +71,25 @@ echo "bench smoke: OK"
 # byte flips, forged lengths) and the api suite run under AddressSanitizer
 # + UndefinedBehaviorSanitizer with every report fatal; so do the dataset
 # CSV import and the CSV parser under it, which read files from anywhere.
-echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv) ==="
+# The neighborhood index indexes runs by id and the serve protocol frames
+# every message, so their suites run here too.
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve) ==="
 cmake --preset asan
-cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset test_table_csv
-for t in test_wire_adversarial test_api test_dataset test_table_csv; do
+cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset \
+  test_table_csv test_neighborhood test_serve
+for t in test_wire_adversarial test_api test_dataset test_table_csv test_neighborhood \
+    test_serve; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "./build-asan/tests/$t"
 done
 
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, api, serve) ==="
+  echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, neighborhood, api, serve) ==="
   cmake --preset tsan
   cmake --build build-tsan -j --target test_exec test_flow_model test_flow_properties \
     test_routing test_ldms test_comm_patterns test_campaign test_faults \
     test_cache_integrity test_store test_gbr test_rfe test_attention \
-    test_compiled test_forecast test_api test_serve test_serve_chaos
+    test_compiled test_forecast test_neighborhood test_api test_serve test_serve_chaos
   # TSan needs real concurrency to observe races; force an oversubscribed
   # pool so worker interleavings actually happen even on small machines.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_exec
@@ -123,6 +127,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # client threads share state (the model registry every session fills
   # concurrently, the fd hand-off and wake pipes, shutdown flags); the
   # session/wire layer underneath is race-checked with it.
+  # The neighborhood suite generates its campaign on the pool.
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_neighborhood
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_api
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_serve
   # Chaos stage: the retrying client against a fault-injecting proxy plus

@@ -30,7 +30,31 @@ struct NeighborhoodResult {
   std::vector<UserScore> ranked;  ///< all users, by MI descending
 };
 
-/// Run the analysis on one dataset.
+/// The tau-independent part of the analysis for one dataset, built once:
+/// the run totals and their mean, and for each user (ascending id) the
+/// sorted, deduplicated runs the user overlapped. A query is O(runs +
+/// presences): it forms the optimality vector, counts each user's
+/// present-and-optimal runs and takes the MI from the 2x2 counts, bit for
+/// bit what a per-user 0/1 column through ml::mutual_information gives.
+class NeighborhoodIndex {
+ public:
+  /// Needs at least two runs.
+  explicit NeighborhoodIndex(const sim::Dataset& ds);
+
+  /// The analysis at threshold `tau` (finite and positive): every user,
+  /// ranked by MI descending.
+  [[nodiscard]] NeighborhoodResult query(double tau) const;
+
+ private:
+  std::vector<double> totals_;      ///< per-run total time
+  double mean_total_time_ = 0.0;
+  std::vector<double> acc_;         ///< ml::count_probabilities(runs)
+  std::vector<int> users_;          ///< ascending user ids
+  std::vector<std::size_t> first_;  ///< users_[i]'s runs: runs_[first_[i], first_[i+1])
+  std::vector<std::size_t> runs_;
+};
+
+/// Run the analysis on one dataset: build the index, then one query.
 [[nodiscard]] NeighborhoodResult analyze_neighborhood(const sim::Dataset& ds,
                                                       double tau = 1.0);
 

@@ -124,6 +124,7 @@ struct ResidentCampaign::Models {
   Memo<ResidentForecaster> forecasters;       ///< per (dataset, window)
   Memo<analysis::DeviationResult> deviations;  ///< per dataset
   Memo<analysis::ForecastEval> forecast_evals;  ///< per (dataset, window)
+  Memo<analysis::NeighborhoodIndex> neighborhoods;  ///< per dataset
 };
 
 namespace {
@@ -169,7 +170,8 @@ ResidentCampaign::~ResidentCampaign() = default;
 
 std::size_t ResidentCampaign::models_built() const {
   return models_->features.builds() + models_->forecasters.builds() +
-         models_->deviations.builds() + models_->forecast_evals.builds();
+         models_->deviations.builds() + models_->forecast_evals.builds() +
+         models_->neighborhoods.builds();
 }
 
 std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
@@ -286,9 +288,14 @@ Response Session::on(const RunLookupRequest& q) {
 }
 
 Response Session::on(const NeighborhoodRequest& q) {
+  DFV_CHECK_MSG(std::isfinite(q.tau) && q.tau > 0.0,
+                "optimality threshold tau must be finite and positive, got " << q.tau);
   DFV_CHECK_MSG(q.node_count > 0, "node count must be positive");
-  return NeighborhoodResponse{
-      analysis::analyze_neighborhood(dataset(q.app_name, q.node_count), q.tau)};
+  const ResidentCampaign& c = campaign();
+  const analysis::NeighborhoodIndex& index = c.models().neighborhoods.get(
+      dataset_key(q.app_name, q.node_count),
+      [&] { return analysis::NeighborhoodIndex(c.dataset(q.app_name, q.node_count)); });
+  return NeighborhoodResponse{index.query(q.tau)};
 }
 
 Response Session::on(const DeviationRequest& q) {

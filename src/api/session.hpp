@@ -3,7 +3,8 @@
 // A ResidentCampaign is one loaded campaign plus the registry of every
 // model the requests need: step-feature tables, the attention
 // forecasters behind the point-forecast hot path, deviation GBR/RFE
-// results, and forecast evaluations. Each registry entry is built once,
+// results, forecast evaluations, and the per-dataset neighborhood
+// indexes every blame query reads. Each registry entry is built once,
 // by the first request that needs it, and is immutable after that. The
 // registry is thread-safe, so any number of Sessions over one campaign
 // share it: the CLI builds one Session per invocation, and `dfv serve`

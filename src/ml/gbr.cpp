@@ -154,11 +154,13 @@ void GradientBoostedRegressor::fit_impl(const BinnedDataset& data,
     // codes via the interleaved fixed-depth traversal. That beats the
     // old stamp-and-skip scheme (its per-row in-sample test mispredicted
     // constantly); in-sample rows land in exactly the leaf the partition
-    // assigned them, so the update is bit-identical either way.
-    exec::parallel_for(0, n, 256, [&](std::size_t lo, std::size_t hi) {
-      add_scaled_leaves(tree, data, identity ? nullptr : rows.data(), lo, hi,
-                        params_.learning_rate, f.data());
-    });
+    // assigned them, so the update is bit-identical either way. Only the
+    // next tree reads `f`, so the last tree skips the update.
+    if (t + 1 < params_.n_trees)
+      exec::parallel_for(0, n, 256, [&](std::size_t lo, std::size_t hi) {
+        add_scaled_leaves(tree, data, identity ? nullptr : rows.data(), lo, hi,
+                          params_.learning_rate, f.data());
+      });
     for (std::size_t c = 0; c < data.features(); ++c)
       gain_acc_[c] += tree.feature_gains()[c];
     trees_.push_back(std::move(tree));

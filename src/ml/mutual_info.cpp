@@ -1,5 +1,6 @@
 #include "ml/mutual_info.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -38,6 +39,30 @@ double mutual_information_binary(std::span<const double> xs, std::span<const dou
     yi[i] = ys[i] != 0.0 ? 1 : 0;
   }
   return mutual_information(xi, yi);
+}
+
+// dfv-lint: allow(contract): total over all n; n = 0 yields the lone acc[0] = 0
+std::vector<double> count_probabilities(std::size_t n) {
+  std::vector<double> acc(n + 1, 0.0);
+  const double w = n > 0 ? 1.0 / double(n) : 0.0;
+  for (std::size_t c = 1; c <= n; ++c) acc[c] = acc[c - 1] + w;
+  return acc;
+}
+
+double mutual_information(const Counts2x2& joint, std::span<const double> acc) {
+  const std::size_t cx[2] = {joint[0][0] + joint[0][1], joint[1][0] + joint[1][1]};
+  const std::size_t cy[2] = {joint[0][0] + joint[1][0], joint[0][1] + joint[1][1]};
+  DFV_CHECK_MSG(acc.size() == cx[0] + cx[1] + 1,
+                "count probabilities must cover every count up to the sample size");
+  double mi = 0.0;
+  for (std::size_t x = 0; x < 2; ++x)
+    for (std::size_t y = 0; y < 2; ++y) {
+      const std::size_t c = joint[x][y];
+      if (c == 0) continue;  // a label pair never seen has no entry to sum
+      const double p = acc[c];
+      mi += p * std::log(p / (acc[cx[x]] * acc[cy[y]]));
+    }
+  return std::max(0.0, mi);
 }
 
 // dfv-lint: allow(contract): total over all int sequences; empty input is defined as zero entropy

@@ -128,13 +128,18 @@ void write_all(int fd, const void* buf, std::size_t n, std::int64_t timeout_ms) 
   write_all_until(fd, buf, n, deadline_from(timeout_ms));
 }
 
-void write_frame(int fd, std::string_view payload, std::int64_t timeout_ms) {
+void append_frame(std::string& out, std::string_view payload) {
   DFV_CHECK_MSG(payload.size() <= kMaxFrameBytes, "serve: frame payload too large");
-  const auto deadline = deadline_from(timeout_ms);
-  std::string header;
-  put_u32(header, std::uint32_t(payload.size()));
-  write_all_until(fd, header.data(), header.size(), deadline);
-  write_all_until(fd, payload.data(), payload.size(), deadline);
+  put_u32(out, std::uint32_t(payload.size()));
+  out.append(payload.data(), payload.size());
+}
+
+void write_frame(int fd, std::string_view payload, std::int64_t timeout_ms) {
+  DFV_CHECK_MSG(timeout_ms >= 0, "serve: negative write timeout");
+  std::string frame;
+  frame.reserve(4 + payload.size());
+  append_frame(frame, payload);
+  write_all_until(fd, frame.data(), frame.size(), deadline_from(timeout_ms));
 }
 
 std::optional<std::string> read_frame(int fd, std::int64_t timeout_ms) {

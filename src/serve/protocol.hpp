@@ -95,7 +95,12 @@ class TimeoutError : public TransportError {
 /// Write all n bytes (throws PeerGoneError/TimeoutError/TransportError).
 void write_all(int fd, const void* buf, std::size_t n, std::int64_t timeout_ms = 0);
 
-/// Write one length-prefixed frame.
+/// Append one length-prefixed frame to `out`. This is the one frame
+/// encoder: write_frame and the server shards both frame through it.
+void append_frame(std::string& out, std::string_view payload);
+
+/// Write one length-prefixed frame, header and payload in one send, so a
+/// small frame leaves as one TCP segment.
 void write_frame(int fd, std::string_view payload, std::int64_t timeout_ms = 0);
 
 /// Read one frame; nullopt on clean EOF before the length prefix.

@@ -62,13 +62,6 @@ void set_nodelay(int fd) noexcept {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-void append_frame(std::string& out, std::string_view payload) {
-  DFV_CHECK_MSG(payload.size() <= kMaxFrameBytes, "serve: frame payload too large");
-  const auto len = std::uint32_t(payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back(char((len >> (8 * i)) & 0xff));
-  out.append(payload.data(), payload.size());
-}
-
 [[nodiscard]] std::uint32_t peek_u32(const std::string& buf) noexcept {
   std::uint32_t v = 0;
   for (int i = 0; i < 4; ++i)

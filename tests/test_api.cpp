@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -161,6 +163,27 @@ TEST_F(ApiSession, ContractViolationBecomesErrorResponse) {
   EXPECT_THROW(rethrow(*err), ContractError);
 }
 
+TEST(ApiNeighborhood, MeaninglessTauIsAContractErrorBeforeTheCampaignLoads) {
+  // A NaN, infinite or non-positive tau used to rank every user at MI 0.
+  // It is rejected before the session loads (here: generates and caches)
+  // its campaign.
+  SessionOptions opt = small_options();
+  opt.cache_dir =
+      (std::filesystem::path(::testing::TempDir()) / "dfv_api_bad_tau").string();
+  std::filesystem::remove_all(opt.cache_dir);
+  Session session(opt);
+  for (const double tau : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    const auto resp =
+        session.handle(NeighborhoodRequest{}.app("MILC").nodes(128).threshold(tau));
+    const auto* err = std::get_if<ErrorResponse>(&resp);
+    ASSERT_NE(err, nullptr) << tau;
+    EXPECT_EQ(err->code, ErrorCode::Contract) << tau;
+    EXPECT_NE(err->message.find("tau"), std::string::npos) << err->message;
+  }
+  EXPECT_FALSE(std::filesystem::exists(opt.cache_dir));
+}
+
 TEST_F(ApiSession, UnknownDatasetIsAContractError) {
   const auto resp = session_->handle(DeviationRequest{}.app("NOSUCH").nodes(9));
   const auto* err = std::get_if<ErrorResponse>(&resp);
@@ -225,6 +248,7 @@ TEST(ApiRegistry, ConcurrentSessionsShareOneBuildPerModel) {
       Request{ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5)},
       Request{DeviationRequest{}.app("UMT").nodes(128)},
       Request{ForecastEvalRequest{}.app("MILC").nodes(128).m(3).k(5)},
+      Request{NeighborhoodRequest{}.app("UMT").nodes(128).threshold(1.05)},
   };
   std::vector<std::string> want;
   {
@@ -249,8 +273,9 @@ TEST(ApiRegistry, ConcurrentSessionsShareOneBuildPerModel) {
   for (std::size_t t = 0; t < got.size(); ++t)
     for (std::size_t i = 0; i < std::size(reqs); ++i)
       EXPECT_EQ(got[t][i], want[(i + t) % std::size(reqs)]) << "thread " << t << " request " << i;
-  // The MILC feature tables, one forecaster, one deviation, one eval.
-  EXPECT_EQ(campaign->models_built(), 4u);
+  // The MILC feature tables, one forecaster, one deviation, one eval and
+  // one neighborhood index.
+  EXPECT_EQ(campaign->models_built(), 5u);
 }
 
 TEST(ApiRegistry, FailedBuildLeavesNoEntryAndRetries) {

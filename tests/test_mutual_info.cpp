@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -69,6 +70,34 @@ TEST(MutualInfo, SizeMismatchThrows) {
   const std::vector<int> x = {1};
   const std::vector<int> y = {1, 2};
   EXPECT_THROW((void)mutual_information(x, y), ContractError);
+}
+
+TEST(MutualInfo, CountFormMatchesColumns) {
+  // The count form reads every probability from one cumulative table, so
+  // it must equal the column form bit for bit, constant columns included.
+  Rng rng(11);
+  for (std::size_t n = 1; n <= 300; ++n) {
+    const std::vector<double> acc = count_probabilities(n);
+    ASSERT_EQ(acc.size(), n + 1);
+    for (int trial = 0; trial < 4; ++trial) {
+      // Trials 0 and 1 hold x, then y, constant; the rest are random.
+      const double px = trial == 0 ? 0.0 : rng.uniform();
+      const double py = trial == 1 ? 1.0 : rng.uniform();
+      std::vector<int> xs(n), ys(n);
+      Counts2x2 joint{};
+      for (std::size_t i = 0; i < n; ++i) {
+        xs[i] = int(rng.bernoulli(px));
+        ys[i] = int(rng.bernoulli(py));
+        ++joint[std::size_t(xs[i])][std::size_t(ys[i])];
+      }
+      const double want = mutual_information(xs, ys);
+      const double got = mutual_information(joint, acc);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "n " << n << " trial " << trial << ": " << got << " vs " << want;
+    }
+  }
+  const Counts2x2 two = {{{1, 0}, {0, 1}}};
+  EXPECT_THROW((void)mutual_information(two, count_probabilities(3)), ContractError);
 }
 
 TEST(Entropy, UniformAndDegenerate) {

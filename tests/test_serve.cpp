@@ -17,6 +17,9 @@
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 namespace dfv::serve {
 namespace {
 
@@ -91,6 +94,29 @@ TEST(ServeRouting, ShardOfIsDeterministicAndInRange) {
     }
   }
   EXPECT_THROW((void)shard_of(7, 0), ContractError);
+}
+
+TEST(ServeProtocol, FrameArrivesInOneRead) {
+  // A SOCK_SEQPACKET pair keeps send boundaries: one recv returns one
+  // send, so a frame written as a separate header and payload would
+  // arrive as 4 bytes here.
+  int sp[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET, 0, sp), 0);
+  const std::string payload =
+      api::encode_request(api::RunLookupRequest{}.app("MILC").nodes(128).run(3));
+  write_frame(sp[0], payload);
+  std::string got(4 + payload.size() + 64, '\0');
+  // dfv-lint: allow(blocking-io): one non-blocking read is what the test measures
+  const ssize_t n = ::recv(sp[1], got.data(), got.size(), MSG_DONTWAIT);
+  ::close(sp[0]);
+  ::close(sp[1]);
+  ASSERT_EQ(n, ssize_t(4 + payload.size()));
+  got.resize(std::size_t(n));
+  EXPECT_EQ(got.substr(4), payload);
+  EXPECT_EQ(std::uint32_t((unsigned char)got[0]) | std::uint32_t((unsigned char)got[1]) << 8 |
+                std::uint32_t((unsigned char)got[2]) << 16 |
+                std::uint32_t((unsigned char)got[3]) << 24,
+            std::uint32_t(payload.size()));
 }
 
 class ServeEndToEnd : public ::testing::Test {

@@ -93,13 +93,6 @@ api::Request heavy_grid() {
   return fd;
 }
 
-/// One length-prefixed frame, appended to `out` (for pipelined writes).
-void append_frame(std::string& out, std::string_view payload) {
-  const auto len = std::uint32_t(payload.size());
-  for (int i = 0; i < 4; ++i) out.push_back(char((len >> (8 * i)) & 0xff));
-  out.append(payload);
-}
-
 [[nodiscard]] std::size_t open_fd_count() {
   std::size_t n = 0;
   for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
