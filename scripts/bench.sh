@@ -109,7 +109,7 @@ PY
 
 case "$MODE" in
   ml)
-    FILTER='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_BuildWindows|BM_ForecastGrid'
+    FILTER='BM_RfeCv|BM_GbrFit$|BM_GbrFitBinned|BM_TreeFitNode|BM_AttentionFit|BM_AttentionEpoch|BM_BuildWindows|BM_ForecastGrid'
     cmake --build "$BUILD" -j --target micro_benchmarks >/dev/null
     gbench=$(mktemp)
     "./$BUILD/bench/micro_benchmarks" \

@@ -72,13 +72,15 @@ echo "bench smoke: OK"
 # + UndefinedBehaviorSanitizer with every report fatal; so do the dataset
 # CSV import and the CSV parser under it, which read files from anywhere.
 # The neighborhood index indexes runs by id and the serve protocol frames
-# every message, so their suites run here too.
-echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve) ==="
+# every message, so their suites run here too. The attention kernels load
+# and store explicit vector types through unaligned row pointers, so the
+# matrix, attention and scaler suites run here as well.
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler) ==="
 cmake --preset asan
 cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset \
-  test_table_csv test_neighborhood test_serve
+  test_table_csv test_neighborhood test_serve test_matrix test_attention test_scaler
 for t in test_wire_adversarial test_api test_dataset test_table_csv test_neighborhood \
-    test_serve; do
+    test_serve test_matrix test_attention test_scaler; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "./build-asan/tests/$t"
 done

@@ -189,7 +189,7 @@ void AttentionForecaster::backward_slab(Workspace& ws, std::size_t rows) const {
     for (std::size_t k = 0; k < h; ++k)
       dp[k] = hb[k] > 0.0 ? dyb * w_out_[k] : 0.0;
   }
-  add_colsum_periodic(ws.d_pre.data(), rows, h, 1, g + L.b_head);
+  add_colsum(ws.d_pre.data(), rows, h, g + L.b_head);
   add_matmul_tn(ws.d_pre.data(), rows, h, ws.context.data(), d, g + L.w_head);
   matmul_nn(ws.d_pre.data(), rows, h, w_head_.data(), d, ws.d_context.data());
 
@@ -214,11 +214,11 @@ void AttentionForecaster::backward_slab(Workspace& ws, std::size_t rows) const {
               ws.d_embed.data());
   add_matmul_tn(ds, steps, 1, ws.embed.data(), d, g + L.query);
 
-  // Embed backward: dz = d_embed * (1 - e^2) in place, then the three
-  // gradient reductions over all the slab's steps.
-  tanh_backward_rows(ws.embed.data(), steps * d, ws.d_embed.data());
-  add_colsum_periodic(ws.d_embed.data(), steps, d, 1, g + L.b_embed);
-  add_colsum_periodic(ws.d_embed.data(), steps, d, m, g + L.pos);
+  // Embed backward: dz = d_embed * (1 - e^2) in place together with the
+  // bias and positional column sums in one pass, then the weight
+  // gradient over all the slab's steps.
+  tanh_backward_colsums(ws.embed.data(), steps, d, m, ws.d_embed.data(), g + L.b_embed,
+                        g + L.pos);
   add_matmul_tn(ws.d_embed.data(), steps, d, ws.xs.data(), f, g + L.w_embed);
 }
 

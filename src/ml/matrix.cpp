@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/check.hpp"
 
@@ -168,128 +169,104 @@ std::vector<const double*> row_pointers(const Matrix& x) {
 
 namespace {
 
-// Fixed-width workers for the two GEMM-shaped kernels. The attention
-// shapes put 12..23 doubles on the vectorized inner loop; with the trip
-// count known at compile time GCC fully unrolls it and keeps the
-// register-blocked accumulators in vector registers, instead of paying
-// a runtime-trip prologue/epilogue on every iteration of the reduction
-// loop. always_inline makes each instantiation compile *inside* the
-// per-ISA clone that calls it, so it inherits that clone's target ISA.
-// Accumulation order per output element is identical to the generic
-// loops (ascending reduction index); only the interleaving across
-// independent output elements changes, which cannot affect any result.
+// always_inline: each helper compiles inside the per-ISA clone that calls
+// it, so it inherits that clone's target ISA.
 #define DFV_ML_INLINE inline __attribute__((always_inline))
 
-template <std::size_t D>
-DFV_ML_INLINE void affine_rows_fixed(const double* __restrict x, std::size_t n, std::size_t f,
-                                     const double* __restrict wt, const double* __restrict init,
-                                     std::size_t init_period, double* __restrict out) {
-  std::size_t r = 0;
+// Explicit GCC vector types for the 12-wide rows of the attention model
+// (d_model = 12): one v8d plus one v4d per row. Held as `double acc[12]`
+// arrays, GCC 12's SLP vectorizer rebuilds such accumulators with
+// per-iteration lane inserts (vinsertf64x4, vmovhpd) and spends more on
+// shuffles than on the multiply-adds; as vectors each accumulator stays
+// one register set for the whole reduction. Vector `+` and `*` are the
+// element-wise IEEE operations of the scalar loops (the ml target
+// compiles with -ffp-contract=off), so each lane computes exactly its
+// scalar sequence; the default clone lowers them to SSE2 halves. The
+// helpers fill references and never return vectors by value: a by-value
+// AVX-512 vector changes the psABI of the default clone (-Wpsabi).
+typedef double v8d __attribute__((vector_size(64)));
+typedef double v4d __attribute__((vector_size(32)));
+
+struct Row12 {
+  v8d lo;
+  v4d hi;
+};
+
+DFV_ML_INLINE void load12(Row12& v, const double* p) {
+  std::memcpy(&v.lo, p, sizeof v.lo);
+  std::memcpy(&v.hi, p + 8, sizeof v.hi);
+}
+
+DFV_ML_INLINE void store12(double* p, const Row12& v) {
+  std::memcpy(p, &v.lo, sizeof v.lo);
+  std::memcpy(p + 8, &v.hi, sizeof v.hi);
+}
+
+/// acc[j] += s * w[j] for the 12 lanes.
+DFV_ML_INLINE void axpy12(Row12& acc, double s, const Row12& w) {
+  acc.lo += s * w.lo;
+  acc.hi += s * w.hi;
+}
+
+/// Column view of 12 rows: v[i] = p[i * stride].
+DFV_ML_INLINE void load_col12(Row12& v, const double* p, std::size_t stride) {
+  double t[12];
+  for (std::size_t i = 0; i < 12; ++i) t[i] = p[i * stride];
+  load12(v, t);
+}
+
+DFV_ML_INLINE void store_col12(double* p, std::size_t stride, const Row12& v) {
+  double t[12];
+  store12(t, v);
+  for (std::size_t i = 0; i < 12; ++i) p[i * stride] = t[i];
+}
+
+/// Next row's seed slot: (q + 1) % period without the division.
+DFV_ML_INLINE std::size_t next_slot(std::size_t q, std::size_t period) {
+  return q + 1 >= period ? 0 : q + 1;
+}
+
+/// affine_rows at d = 12: four output rows stay in registers for the
+/// whole reduction over c and share each wt row load.
+DFV_ML_INLINE void affine_rows12(const double* __restrict x, std::size_t n, std::size_t f,
+                                 const double* __restrict wt, const double* __restrict init,
+                                 std::size_t period, double* __restrict out) {
+  std::size_t r = 0, q = 0;  // q = r % period
   for (; r + 4 <= n; r += 4) {
     const double* x0 = x + r * f;
     const double* x1 = x0 + f;
     const double* x2 = x1 + f;
     const double* x3 = x2 + f;
-    const bool p = init_period > 1;
-    const double* i0 = init + (p ? (r % init_period) * D : 0);
-    const double* i1 = init + (p ? ((r + 1) % init_period) * D : 0);
-    const double* i2 = init + (p ? ((r + 2) % init_period) * D : 0);
-    const double* i3 = init + (p ? ((r + 3) % init_period) * D : 0);
-    double a0[D], a1[D], a2[D], a3[D];
-    for (std::size_t j = 0; j < D; ++j) {
-      a0[j] = i0[j];
-      a1[j] = i1[j];
-      a2[j] = i2[j];
-      a3[j] = i3[j];
-    }
+    const std::size_t q1 = next_slot(q, period), q2 = next_slot(q1, period),
+                      q3 = next_slot(q2, period);
+    Row12 a0, a1, a2, a3, w;
+    load12(a0, init + q * 12);
+    load12(a1, init + q1 * 12);
+    load12(a2, init + q2 * 12);
+    load12(a3, init + q3 * 12);
     for (std::size_t c = 0; c < f; ++c) {
-      const double b0 = x0[c], b1 = x1[c], b2 = x2[c], b3 = x3[c];
-      const double* wc = wt + c * D;
-      for (std::size_t j = 0; j < D; ++j) {
-        a0[j] += b0 * wc[j];
-        a1[j] += b1 * wc[j];
-        a2[j] += b2 * wc[j];
-        a3[j] += b3 * wc[j];
-      }
+      load12(w, wt + c * 12);
+      axpy12(a0, x0[c], w);
+      axpy12(a1, x1[c], w);
+      axpy12(a2, x2[c], w);
+      axpy12(a3, x3[c], w);
     }
-    double* o = out + r * D;
-    for (std::size_t j = 0; j < D; ++j) {
-      o[j] = a0[j];
-      o[j + D] = a1[j];
-      o[j + 2 * D] = a2[j];
-      o[j + 3 * D] = a3[j];
-    }
+    double* o = out + r * 12;
+    store12(o, a0);
+    store12(o + 12, a1);
+    store12(o + 24, a2);
+    store12(o + 36, a3);
+    q = next_slot(q3, period);
   }
-  for (; r < n; ++r) {
+  for (; r < n; ++r, q = next_slot(q, period)) {
     const double* xr = x + r * f;
-    const double* ir = init + (init_period > 1 ? (r % init_period) * D : 0);
-    double a[D];
-    for (std::size_t j = 0; j < D; ++j) a[j] = ir[j];
+    Row12 a, w;
+    load12(a, init + q * 12);
     for (std::size_t c = 0; c < f; ++c) {
-      const double xc = xr[c];
-      const double* wc = wt + c * D;
-      for (std::size_t j = 0; j < D; ++j) a[j] += xc * wc[j];
+      load12(w, wt + c * 12);
+      axpy12(a, xr[c], w);
     }
-    double* o = out + r * D;
-    for (std::size_t j = 0; j < D; ++j) o[j] = a[j];
-  }
-}
-
-template <std::size_t D>
-DFV_ML_INLINE void add_matmul_tn_fixed(const double* __restrict a, std::size_t n, std::size_t k,
-                                       const double* __restrict b, double* __restrict out) {
-  // i-outer / r-inner: each pair of out rows lives in registers across
-  // the whole reduction; every out[i, j] still adds its r terms in
-  // ascending order, exactly like the generic r-outer loop.
-  std::size_t i = 0;
-  for (; i + 2 <= k; i += 2) {
-    double* p0 = out + i * D;
-    double* p1 = p0 + D;
-    double o0[D], o1[D];
-    for (std::size_t j = 0; j < D; ++j) {
-      o0[j] = p0[j];
-      o1[j] = p1[j];
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-      const double a0 = a[r * k + i], a1 = a[r * k + i + 1];
-      const double* br = b + r * D;
-      for (std::size_t j = 0; j < D; ++j) {
-        o0[j] += a0 * br[j];
-        o1[j] += a1 * br[j];
-      }
-    }
-    for (std::size_t j = 0; j < D; ++j) {
-      p0[j] = o0[j];
-      p1[j] = o1[j];
-    }
-  }
-  for (; i < k; ++i) {
-    double* p = out + i * D;
-    double o[D];
-    for (std::size_t j = 0; j < D; ++j) o[j] = p[j];
-    for (std::size_t r = 0; r < n; ++r) {
-      const double ar = a[r * k + i];
-      const double* br = b + r * D;
-      for (std::size_t j = 0; j < D; ++j) o[j] += ar * br[j];
-    }
-    for (std::size_t j = 0; j < D; ++j) p[j] = o[j];
-  }
-}
-
-template <std::size_t D>
-DFV_ML_INLINE void matmul_nn_fixed(const double* __restrict a, std::size_t n, std::size_t k,
-                                   const double* __restrict w, double* __restrict out) {
-  for (std::size_t r = 0; r < n; ++r) {
-    const double* ar = a + r * k;
-    double o[D];
-    for (std::size_t j = 0; j < D; ++j) o[j] = 0.0;
-    for (std::size_t kk = 0; kk < k; ++kk) {
-      const double ak = ar[kk];
-      const double* wk = w + kk * D;
-      for (std::size_t j = 0; j < D; ++j) o[j] += ak * wk[j];
-    }
-    double* orow = out + r * D;
-    for (std::size_t j = 0; j < D; ++j) orow[j] = o[j];
+    store12(out + r * 12, a);
   }
 }
 
@@ -299,23 +276,14 @@ DFV_ML_KERNEL
 void affine_rows(const double* __restrict x, std::size_t n, std::size_t f, const double* __restrict wt,
                  std::size_t d, const double* __restrict init, std::size_t init_period,
                  double* __restrict out) {
-  // Fixed-width fast paths for the widths the attention model uses
-  // (d_model, d_hidden defaults and nearby); the generic loop handles
-  // anything else with the same per-element accumulation order.
-  switch (d) {
-    case 8: return affine_rows_fixed<8>(x, n, f, wt, init, init_period, out);
-    case 12: return affine_rows_fixed<12>(x, n, f, wt, init, init_period, out);
-    case 16: return affine_rows_fixed<16>(x, n, f, wt, init, init_period, out);
-    case 24: return affine_rows_fixed<24>(x, n, f, wt, init, init_period, out);
-    case 32: return affine_rows_fixed<32>(x, n, f, wt, init, init_period, out);
-    default: break;
-  }
+  const std::size_t period = init_period > 1 ? init_period : 1;
+  if (d == 12) return affine_rows12(x, n, f, wt, init, period, out);
   // c-outer / j-inner so the j loop vectorizes over the output row; each
   // out[r, j] still receives its products in ascending c on top of the
   // init seed, exactly like the scalar j-outer dot-product loop.
-  for (std::size_t r = 0; r < n; ++r) {
+  for (std::size_t r = 0, q = 0; r < n; ++r, q = next_slot(q, period)) {
     const double* xr = x + r * f;
-    const double* ir = init + (init_period > 1 ? (r % init_period) * d : 0);
+    const double* ir = init + q * d;
     double* o = out + r * d;
     for (std::size_t j = 0; j < d; ++j) o[j] = ir[j];
     for (std::size_t c = 0; c < f; ++c) {
@@ -361,12 +329,9 @@ void matvec_rows(const double* __restrict x, std::size_t n, std::size_t f, const
 DFV_ML_KERNEL
 void matmul_nn(const double* __restrict a, std::size_t n, std::size_t k, const double* __restrict w,
                std::size_t d, double* __restrict out) {
-  switch (d) {
-    case 8: return matmul_nn_fixed<8>(a, n, k, w, out);
-    case 12: return matmul_nn_fixed<12>(a, n, k, w, out);
-    case 16: return matmul_nn_fixed<16>(a, n, k, w, out);
-    default: break;
-  }
+  // A zero seed row makes this affine_rows' sequence exactly: 0 + p0 + p1 ...
+  static constexpr double kZero12[12] = {};
+  if (d == 12) return affine_rows12(a, n, k, w, kZero12, 1, out);
   for (std::size_t r = 0; r < n; ++r) {
     const double* ar = a + r * k;
     double* o = out + r * d;
@@ -382,17 +347,55 @@ void matmul_nn(const double* __restrict a, std::size_t n, std::size_t k, const d
 DFV_ML_KERNEL
 void add_matmul_tn(const double* __restrict a, std::size_t n, std::size_t k, const double* __restrict b,
                    std::size_t d, double* __restrict out) {
-  // Fixed-width fast paths for the widths the attention model feeds in
-  // (d_model and the per-feature-set window widths); same per-element
-  // accumulation order as the generic loop below.
-  switch (d) {
-    case 12: return add_matmul_tn_fixed<12>(a, n, k, b, out);
-    case 13: return add_matmul_tn_fixed<13>(a, n, k, b, out);
-    case 15: return add_matmul_tn_fixed<15>(a, n, k, b, out);
-    case 16: return add_matmul_tn_fixed<16>(a, n, k, b, out);
-    case 19: return add_matmul_tn_fixed<19>(a, n, k, b, out);
-    case 23: return add_matmul_tn_fixed<23>(a, n, k, b, out);
-    default: break;
+  if (k == 12) {
+    // The embed weight gradient (k = d_model, d = features per step):
+    // four output columns j each keep their 12 rows out[0..11, j] in
+    // registers across the whole reduction over r, so one load of a's
+    // row feeds 4 x 12 products.
+    std::size_t j = 0;
+    for (; j + 4 <= d; j += 4) {
+      Row12 c0, c1, c2, c3, ar;
+      load_col12(c0, out + j, d);
+      load_col12(c1, out + j + 1, d);
+      load_col12(c2, out + j + 2, d);
+      load_col12(c3, out + j + 3, d);
+      for (std::size_t r = 0; r < n; ++r) {
+        load12(ar, a + r * 12);
+        const double* br = b + r * d + j;
+        axpy12(c0, br[0], ar);
+        axpy12(c1, br[1], ar);
+        axpy12(c2, br[2], ar);
+        axpy12(c3, br[3], ar);
+      }
+      store_col12(out + j, d, c0);
+      store_col12(out + j + 1, d, c1);
+      store_col12(out + j + 2, d, c2);
+      store_col12(out + j + 3, d, c3);
+    }
+    for (; j < d; ++j) {
+      Row12 c0, ar;
+      load_col12(c0, out + j, d);
+      for (std::size_t r = 0; r < n; ++r) {
+        load12(ar, a + r * 12);
+        axpy12(c0, b[r * d + j], ar);
+      }
+      store_col12(out + j, d, c0);
+    }
+    return;
+  }
+  if (d == 12) {
+    // The head and query gradients: each 12-wide out row stays in
+    // registers across the reduction over r.
+    Row12 o, br;
+    for (std::size_t i = 0; i < k; ++i) {
+      load12(o, out + i * 12);
+      for (std::size_t r = 0; r < n; ++r) {
+        load12(br, b + r * 12);
+        axpy12(o, a[r * k + i], br);
+      }
+      store12(out + i * 12, o);
+    }
+    return;
   }
   // r-outer keeps every out[i, j] accumulating in ascending r; the j
   // loop vectorizes and out rows stay cache-resident (k*d is small for
@@ -436,12 +439,10 @@ void add_tdot(const double* __restrict x, std::size_t n, std::size_t c, const do
 }
 
 DFV_ML_KERNEL
-void add_colsum_periodic(const double* __restrict x, std::size_t n, std::size_t d,
-                         std::size_t period, double* __restrict out) {
+void add_colsum(const double* __restrict x, std::size_t n, std::size_t d, double* __restrict out) {
   for (std::size_t r = 0; r < n; ++r) {
     const double* xr = x + r * d;
-    double* o = out + (period > 1 ? (r % period) * d : 0);
-    for (std::size_t j = 0; j < d; ++j) o[j] += xr[j];
+    for (std::size_t j = 0; j < d; ++j) out[j] += xr[j];
   }
 }
 
@@ -495,8 +496,53 @@ void attn_dembed(const double* __restrict a, const double* __restrict b,
 }
 
 DFV_ML_KERNEL
-void tanh_backward_rows(const double* __restrict e, std::size_t n, double* __restrict de) {
-  for (std::size_t i = 0; i < n; ++i) de[i] = de[i] * (1.0 - e[i] * e[i]);
+void tanh_backward_colsums(const double* __restrict e, std::size_t n, std::size_t d,
+                           std::size_t period, double* __restrict de, double* __restrict gb,
+                           double* __restrict gp) {
+  if (period < 1) period = 1;
+  if (d == 12) {
+    // The bias sums stay in registers across all rows; each row's dz is
+    // computed once and feeds both sums and the in-place store.
+    Row12 sb, sp, ev, dv;
+    load12(sb, gb);
+    for (std::size_t r = 0, q = 0; r < n; ++r, q = next_slot(q, period)) {
+      load12(ev, e + r * 12);
+      load12(dv, de + r * 12);
+      dv.lo = dv.lo * (1.0 - ev.lo * ev.lo);
+      dv.hi = dv.hi * (1.0 - ev.hi * ev.hi);
+      store12(de + r * 12, dv);
+      sb.lo += dv.lo;
+      sb.hi += dv.hi;
+      load12(sp, gp + q * 12);
+      sp.lo += dv.lo;
+      sp.hi += dv.hi;
+      store12(gp + q * 12, sp);
+    }
+    store12(gb, sb);
+    return;
+  }
+  for (std::size_t r = 0, q = 0; r < n; ++r, q = next_slot(q, period)) {
+    const double* er = e + r * d;
+    double* dr = de + r * d;
+    double* pr = gp + q * d;
+    for (std::size_t j = 0; j < d; ++j) {
+      const double dz = dr[j] * (1.0 - er[j] * er[j]);
+      dr[j] = dz;
+      gb[j] += dz;
+      pr[j] += dz;
+    }
+  }
+}
+
+DFV_ML_KERNEL
+void standardize_groups(const double* src, std::size_t groups, std::size_t width,
+                        std::size_t stride, const double* __restrict mean,
+                        const double* __restrict sd, double* out) {
+  // src and out carry no __restrict: StandardScaler::transform(Matrix&)
+  // standardizes rows in place (out == src).
+  for (std::size_t g = 0; g < groups; ++g, src += stride, mean += width, sd += width,
+                   out += width)
+    for (std::size_t c = 0; c < width; ++c) out[c] = (src[c] - mean[c]) / sd[c];
 }
 
 DFV_ML_KERNEL

@@ -93,10 +93,10 @@ struct RowBatch {
 
 // ---- batched kernels (attention fast path) --------------------------------
 //
-// All kernels are plain loops over raw row-major buffers, compiled per-ISA
-// via target_clones and with FP contraction disabled for the whole ml
-// target, so the vector forms produce exactly the scalar IEEE sequence
-// they document. "r ascending" etc. states the per-output-element
+// All kernels work on raw row-major buffers, compiled per-ISA via
+// target_clones and with FP contraction disabled for the whole ml target;
+// the d_model = 12 forms hold rows as explicit vector registers. Every
+// form produces exactly the scalar IEEE sequence it documents. "r ascending" etc. states the per-output-element
 // accumulation order, which is the determinism/bit-identity contract.
 
 /// out[r,:] = init[(r % init_period),:] + x[r,:] * wt, with wt stored
@@ -125,11 +125,8 @@ void add_matmul_tn(const double* a, std::size_t n, std::size_t k, const double* 
 void add_tdot(const double* x, std::size_t n, std::size_t c, const double* y,
               double* out);
 
-/// out[(r % period),:] += x[r,:], r ascending; period 1 gives plain
-/// column sums, period m folds per-(sample,step) rows onto per-step rows
-/// (the positional-embedding gradient).
-void add_colsum_periodic(const double* x, std::size_t n, std::size_t d,
-                         std::size_t period, double* out);
+/// out[:] += sum_r x[r,:], r ascending (column sums).
+void add_colsum(const double* x, std::size_t n, std::size_t d, double* out);
 
 /// out[r] = sum_j x[r,j] * y[(r/group), j], j ascending — per-row dot
 /// against a per-group vector (the attention d(alpha) reduction: group
@@ -144,9 +141,19 @@ void attn_dembed(const double* a, const double* b, const double* yg,
                  const double* q, std::size_t n, std::size_t d,
                  std::size_t group, double* de);
 
-/// de[i] = de[i] * (1 - e[i]*e[i]) — tanh backward through the stored
-/// activations, in place.
-void tanh_backward_rows(const double* e, std::size_t n, double* de);
+/// The embed backward tail in one pass over the rows: per element
+/// dz = de[r,j] * (1 - e[r,j]*e[r,j]) is stored in place into de, then
+/// gb[j] += dz and gp[(r % period), j] += dz, r ascending in both sums —
+/// the tanh backward followed by the bias column sums and the
+/// positional (period = m steps) column sums.
+void tanh_backward_colsums(const double* e, std::size_t n, std::size_t d, std::size_t period,
+                           double* de, double* gb, double* gp);
+
+/// out[g*width + c] = (src[g*stride + c] - mean[g*width + c]) / sd[g*width + c]
+/// for `groups` chunks of `width` — the standardization of one strided
+/// window (stride == width for a contiguous row). `out` may equal `src`.
+void standardize_groups(const double* src, std::size_t groups, std::size_t width,
+                        std::size_t stride, const double* mean, const double* sd, double* out);
 
 /// dst[i] += src[i] (the ordered slab-partial combine).
 void acc_add(double* dst, const double* src, std::size_t n);

@@ -64,17 +64,12 @@ void StandardScaler::transform(Matrix& x) const {
 
 void StandardScaler::transform_row(std::span<const double> row, double* out) const {
   DFV_CHECK(row.size() == mean_.size());
-  for (std::size_t c = 0; c < row.size(); ++c) out[c] = (row[c] - mean_[c]) / std_[c];
+  standardize_groups(row.data(), 1, row.size(), row.size(), mean_.data(), std_.data(), out);
 }
 
 void StandardScaler::transform_row(const RowBatch& x, std::size_t r, double* out) const {
   DFV_CHECK(x.row_len() == mean_.size() && r < x.size());
-  const double* src = x.base[r];
-  const double* mu = mean_.data();
-  const double* sd = std_.data();
-  for (std::size_t g = 0; g < x.groups; ++g, src += x.stride, mu += x.width, sd += x.width,
-                   out += x.width)
-    for (std::size_t c = 0; c < x.width; ++c) out[c] = (src[c] - mu[c]) / sd[c];
+  standardize_groups(x.base[r], x.groups, x.width, x.stride, mean_.data(), std_.data(), out);
 }
 
 Matrix StandardScaler::fit_transform(Matrix x) {

@@ -12,6 +12,7 @@
 
 #include "common/integrity.hpp"
 #include "common/rng.hpp"
+#include "exec/exec.hpp"
 #include "ml/metrics.hpp"
 
 // Global allocation hook: while `g_recording` is set, remember the largest
@@ -238,6 +239,47 @@ TEST(Attention, GoldenFitDigest) {
     h = fnv1a64_update(h, &u, sizeof u);
   }
   EXPECT_EQ(h, 0x68acfee0446b894dull) << "0x" << std::hex << h;
+}
+
+TEST(Attention, ProductionShapesMatchReference) {
+  // The forecast grids train at the default widths (d_model 12, d_hidden
+  // 16) on 13..23 features per step: the shapes the dispatched kernels
+  // serve. At each shape the batched fit must equal the per-sample
+  // reference bit for bit at 1 and 8 threads, and the predictions are
+  // pinned across commits by an FNV-1a digest.
+  const std::size_t n = 75;  // two full minibatches plus an 11-row one (partial slab)
+  std::uint64_t digest[2] = {kFnvBasis, kFnvBasis};
+  const int thread_counts[2] = {1, 8};
+  for (int ti = 0; ti < 2; ++ti) {
+    exec::ThreadPool::instance().resize(thread_counts[ti]);
+    for (const std::size_t f : {std::size_t(13), std::size_t(23)})
+      for (const std::size_t m : {std::size_t(3), std::size_t(10)}) {
+        Rng rng(hash_combine(31, f * 100 + m));
+        Matrix x(n, m * f);
+        std::vector<double> y(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t c = 0; c < m * f; ++c) x(i, c) = rng.uniform(-2, 2);
+          y[i] = 60.0 + 2.0 * x(i, (m - 1) * f) + x(i, (m - 2) * f + 1);
+        }
+        AttentionParams p;  // production widths
+        p.epochs = 20;
+        p.seed = 0x5eed + f + m;
+        AttentionForecaster fast(int(m), int(f), p), ref(int(m), int(f), p);
+        fast.fit(x, y);
+        ref.fit_reference(x, y);
+        const std::vector<double> pf = fast.predict(x), pr = ref.predict(x);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(pf[i]), std::bit_cast<std::uint64_t>(pr[i]))
+              << "f " << f << " m " << m << " row " << i << " at " << thread_counts[ti]
+              << " threads";
+          const auto u = std::bit_cast<std::uint64_t>(pf[i]);
+          digest[ti] = fnv1a64_update(digest[ti], &u, sizeof u);
+        }
+      }
+  }
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
+  EXPECT_EQ(digest[0], digest[1]);
+  EXPECT_EQ(digest[0], 0x865b559a7fb38e10ull) << "0x" << std::hex << digest[0];
 }
 
 TEST(Attention, FitMakesNoPerWindowCopy) {

@@ -13,6 +13,7 @@
 // shards), and formats the structured response. The CLI owns no analysis
 // logic of its own; an ErrorResponse is re-raised so error wording and
 // exit codes are identical to calling the library directly.
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -20,6 +21,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "api/session.hpp"
@@ -202,8 +204,17 @@ int cmd_faults(const cli::ParsedArgs& a) {
   {
     std::istringstream is(a.get("rates"));
     std::string tok;
-    while (std::getline(is, tok, ','))
-      if (!tok.empty()) rates.push_back(std::stod(tok));
+    while (std::getline(is, tok, ',')) {
+      if (tok.empty()) continue;
+      // The whole token must be one number in [0, 1]: "0.1x" and "nan"
+      // are rejected here, before any campaign is generated.
+      double rate = 0.0;
+      const auto [end, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), rate);
+      DFV_CHECK_MSG(ec == std::errc() && end == tok.data() + tok.size() && std::isfinite(rate) &&
+                        rate >= 0.0 && rate <= 1.0,
+                    "--rates: fault rate '" << tok << "' is not a number in [0, 1]");
+      rates.push_back(rate);
+    }
   }
   DFV_CHECK_MSG(!rates.empty(), "--rates needs at least one fault rate");
 
