@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -31,6 +32,7 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/log.hpp"
+#include "exec/exec.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -44,6 +46,19 @@ struct Options {
   int clients = 16;
   double seconds = 3.0;
   std::string json_path;
+
+  /// Bound every count that starts a thread, and the window, before any
+  /// thread or campaign starts.
+  void validate() const {
+    DFV_CHECK_MSG(shards >= 1 && shards <= exec::kMaxThreads,
+                  "bench_serve: shard count " << shards << " is outside [1, "
+                                              << exec::kMaxThreads << "]");
+    DFV_CHECK_MSG(clients >= 1 && clients <= exec::kMaxThreads,
+                  "bench_serve: client count " << clients << " is outside [1, "
+                                               << exec::kMaxThreads << "]");
+    DFV_CHECK_MSG(std::isfinite(seconds) && seconds > 0.0,
+                  "bench_serve: --seconds must be finite and positive, got " << seconds);
+  }
 };
 
 /// One served dataset and the forecast window its runs can fit.
@@ -316,9 +331,10 @@ int main(int argc, char** argv) {
                 opt.clients = a.get_int("clients");
                 opt.seconds = a.get_double("seconds");
                 opt.json_path = a.get("json");
-                if (opt.shards < 1 || opt.clients < 1 || !(opt.seconds > 0.0)) {
-                  std::cerr << "bench_serve: need --shards >= 1, --clients >= 1 and "
-                               "--seconds > 0\n";
+                try {
+                  opt.validate();
+                } catch (const ContractError& e) {
+                  std::cerr << "error: " << e.what() << "\n";
                   return 2;
                 }
                 return run_bench(opt);

@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -S . -G Ninja
+cmake -B build -S .
 cmake --build build -j
 
 # Fail-fast lint stage: the tree must be dfv-lint clean (zero violations,

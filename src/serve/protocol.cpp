@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -35,19 +36,21 @@ void put_u32(std::string& out, std::uint32_t v) {
   return err == ECONNRESET || err == EPIPE || err == ETIMEDOUT;
 }
 
-/// Block until fd is ready for `events` or the deadline passes. A
-/// deadline of time_point::max() skips the poll entirely (the fd is
-/// blocking, so the subsequent syscall waits).
+/// Wait until fd is ready for `events` or the deadline passes; a
+/// deadline of time_point::max() waits forever.
 void wait_ready(int fd, short events, Clock::time_point deadline, const char* verb) {
-  if (deadline == Clock::time_point::max()) return;
   while (true) {
-    const auto now = Clock::now();
-    if (now >= deadline)
-      throw TimeoutError(std::string("serve: timed out waiting to ") + verb);
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now).count();
+    int timeout_ms = -1;
+    if (deadline != Clock::time_point::max()) {
+      const auto now = Clock::now();
+      if (now >= deadline)
+        throw TimeoutError(std::string("serve: timed out waiting to ") + verb);
+      const auto left =
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now).count();
+      timeout_ms = int(std::min<long long>(left + 1, 3'600'000));
+    }
     pollfd p{fd, events, 0};
-    const int rc = ::poll(&p, 1, int(std::min<long long>(left + 1, 3'600'000)));
+    const int rc = spin_then_poll(&p, 1, timeout_ms);
     if (rc > 0) return;
     if (rc == 0) continue;  // re-check the deadline
     if (errno == EINTR) continue;
@@ -84,7 +87,8 @@ void write_all_until(int fd, const void* buf, std::size_t n,
   const auto* p = static_cast<const char*>(buf);
   std::size_t put = 0;
   while (put < n) {
-    wait_ready(fd, POLLOUT, deadline, "write");
+    // The fd is blocking, so without a deadline the send itself waits.
+    if (deadline != Clock::time_point::max()) wait_ready(fd, POLLOUT, deadline, "write");
     // send(MSG_NOSIGNAL), not write: a peer that already closed must
     // surface as EPIPE, never as a process-killing SIGPIPE.
     const ssize_t w = ::send(fd, p + put, n - put, MSG_NOSIGNAL);
@@ -101,6 +105,28 @@ void write_all_until(int fd, const void* buf, std::size_t n,
 }
 
 }  // namespace
+
+static_assert(kSpinWait < std::chrono::milliseconds(1),
+              "a spin must end before the shortest poll timeout");
+
+int spin_then_poll(pollfd* fds, nfds_t n, int timeout_ms) {
+  // Whether this thread's last wait ended within kSpinWait. A fd ready
+  // at the first try says nothing about how long waits take, so it
+  // leaves the flag as it was.
+  thread_local bool spin = true;
+  const auto start = Clock::now();
+  while (true) {
+    const int rc = ::poll(fds, n, 0);
+    if (rc != 0 || timeout_ms == 0) return rc;
+    if (!spin || Clock::now() - start >= kSpinWait) break;
+    // Yield between tries: a spinner that keeps its CPU starves the
+    // peer thread it is waiting for when threads outnumber CPUs.
+    std::this_thread::yield();
+  }
+  const int rc = ::poll(fds, n, timeout_ms);
+  spin = Clock::now() - start < kSpinWait;
+  return rc;
+}
 
 // dfv-lint: allow(contract): every u32 is a valid version to announce
 std::string hello_payload(std::uint32_t version) {

@@ -28,11 +28,14 @@
 //     desynchronize the alternation) and must be closed before reuse.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+
+#include <poll.h>
 
 namespace dfv::serve {
 
@@ -74,6 +77,21 @@ class TimeoutError : public TransportError {
   using TransportError::TransportError;
 };
 
+/// How long spin_then_poll keeps its thread on-CPU before it blocks. A
+/// busy connection's next frame arrives within tens of microseconds; a
+/// thread that sleeps for it pays the wake-up of an idle vCPU on every
+/// request, which on a virtualized host costs more than the request
+/// itself. An idle connection blocks after this long.
+inline constexpr std::chrono::microseconds kSpinWait{50};
+
+/// The one wait on a socket, for both ends of a connection: poll `fds`
+/// with a zero timeout, yielding the CPU between tries, for up to
+/// kSpinWait; then block in poll(2) for `timeout_ms` (-1 = forever, 0 =
+/// one try, no spin). A thread whose last wait outlasted kSpinWait skips
+/// the spin until a blocking wait ends within it again, so slow peers
+/// cost no spin per request. Returns what poll returns (-1, errno set).
+[[nodiscard]] int spin_then_poll(pollfd* fds, nfds_t n, int timeout_ms);
+
 [[nodiscard]] std::string hello_payload(std::uint32_t version);
 
 /// Parse a hello payload. Returns the announced version, or nullopt when
@@ -83,7 +101,8 @@ class TimeoutError : public TransportError {
 // ---------------------------------------------------------------------------
 // Blocking fd helpers (client side and tests; the server shards use
 // their own non-blocking buffers). `timeout_ms` is an overall deadline
-// for the whole call measured from entry; 0 blocks forever.
+// for the whole call measured from entry; 0 blocks forever. Every read
+// waits through spin_then_poll first, clamped to the deadline.
 // ---------------------------------------------------------------------------
 
 /// Read exactly n bytes. Returns false on clean EOF before the first

@@ -399,6 +399,23 @@ void Server::shard_main(Shard& shard) {
     }
   };
 
+  // Write as much of conn.out as the socket takes without blocking; a
+  // partial write leaves the rest for a POLLOUT pass.
+  const auto flush = [](int fd, Shard::Conn& conn) {
+    while (!conn.out.empty()) {
+      const ssize_t w = ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
+      if (w > 0) {
+        conn.out.erase(0, std::size_t(w));
+        continue;
+      }
+      if (w < 0 && errno == EINTR) continue;
+      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      conn.close_after_flush = true;  // broken pipe etc.: give up on it
+      conn.out.clear();
+      return;
+    }
+  };
+
   std::vector<pollfd> fds;
 
   while (true) {
@@ -417,24 +434,13 @@ void Server::shard_main(Shard& shard) {
       shard.conns.emplace(fd, Shard::Conn{});
     }
 
-    // Flush pending writes; evict stalled peers; reap finished
-    // connections. One `now` per pass keeps the sweep cheap.
+    // Flush what a partial write left; evict stalled peers; reap
+    // finished connections. One `now` per pass keeps the sweep cheap.
     const auto now = Clock::now();
     for (auto it = shard.conns.begin(); it != shard.conns.end();) {
       const int fd = it->first;
       Shard::Conn& conn = it->second;
-      while (!conn.out.empty()) {
-        const ssize_t w = ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
-        if (w > 0) {
-          conn.out.erase(0, std::size_t(w));
-          continue;
-        }
-        if (w < 0 && errno == EINTR) continue;
-        if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        conn.close_after_flush = true;  // broken pipe etc.: give up on it
-        conn.out.clear();
-        break;
-      }
+      flush(fd, conn);
       // Stall countdowns run only while a frame or a flush is pending;
       // an idle connection between frames never ticks.
       if (conn.in.empty())
@@ -489,7 +495,7 @@ void Server::shard_main(Shard& shard) {
       if (phase == 0 && !conn.close_after_flush) events = short(events | POLLIN);
       if (events != 0) fds.push_back(pollfd{fd, events, 0});
     }
-    const int rc = ::poll(fds.data(), nfds_t(fds.size()), 200);
+    const int rc = spin_then_poll(fds.data(), nfds_t(fds.size()), 200);
     if (rc < 0 && errno != EINTR) break;  // poll failure: shard gives up
     if (rc <= 0) continue;
 
@@ -502,13 +508,18 @@ void Server::shard_main(Shard& shard) {
 
     for (std::size_t i = 1; i < fds.size(); ++i) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      Shard::Conn& conn = shard.conns.at(fds[i].fd);
-      // Read everything available, then frame it.
+      const int fd = fds[i].fd;
+      Shard::Conn& conn = shard.conns.at(fd);
+      // Read what is available, frame it, and send the answers in the
+      // same pass. A short read means the socket is drained: poll is
+      // level-triggered, so bytes arriving later wake the next pass, and
+      // a further read here would only return EAGAIN.
       char buf[16384];
       while (true) {
-        const ssize_t r = ::read(fds[i].fd, buf, sizeof(buf));
+        const ssize_t r = ::read(fd, buf, sizeof(buf));
         if (r > 0) {
           conn.in.append(buf, std::size_t(r));
+          if (std::size_t(r) < sizeof(buf)) break;
           continue;
         }
         if (r == 0) {
@@ -521,6 +532,7 @@ void Server::shard_main(Shard& shard) {
         break;
       }
       drain_frames(conn);
+      flush(fd, conn);
     }
   }
 
@@ -534,11 +546,7 @@ void Server::shard_main(Shard& shard) {
     shard.accepted.clear();
   }
   for (auto& [fd, conn] : shard.conns) {
-    while (!conn.out.empty()) {
-      const ssize_t w = ::send(fd, conn.out.data(), conn.out.size(), MSG_NOSIGNAL);
-      if (w <= 0) break;  // EAGAIN/EPIPE/…: best effort only
-      conn.out.erase(0, std::size_t(w));
-    }
+    flush(fd, conn);  // EAGAIN/EPIPE/…: best effort only
     ::close(fd);
   }
   shard.conns.clear();
