@@ -1,15 +1,17 @@
 #!/usr/bin/env bash
-# Perf trajectory runners. Five modes:
+# Perf trajectory runners. Six modes:
 #
 #   scripts/bench.sh [ml]        # model-training microbenchmarks  -> BENCH_ml.json
 #   scripts/bench.sh ml-predict  # compiled-inference benchmarks   -> BENCH_ml.json
 #   scripts/bench.sh serve       # dfv serve load generator        -> BENCH_serve.json
 #   scripts/bench.sh store       # out-of-core column store        -> BENCH_store.json
 #   scripts/bench.sh net         # routing + flow-model benchmarks -> BENCH_net.json
+#   scripts/bench.sh pipeline    # dfv campaign end to end         -> BENCH_pipeline.json
 #
 #   DFV_BENCH_MIN_TIME=1.0 scripts/bench.sh        # longer per-bench min time (ml*, net)
 #   DFV_BENCH_SECONDS=5 scripts/bench.sh serve     # longer per-phase window (serve)
 #   DFV_BENCH_STORE_RUNS=100000 scripts/bench.sh store   # smaller longitudinal store
+#   DFV_BENCH_REPS=5 scripts/bench.sh pipeline     # more repetitions of the 10-day runs
 #
 # Measurements come from the Release preset (build-release/) so the
 # committed numbers reflect optimized code, and the context block records
@@ -215,8 +217,52 @@ PY
       '_items_per_sec$'
     echo "wrote BENCH_net.json"
     ;;
+  pipeline)
+    # The first stage of the paper's pipeline, end to end: wall time and
+    # peak RSS of `dfv campaign` generating (and publishing) the Cori
+    # campaign into an empty cache, for 10 days on 1 and 4 threads and the
+    # paper's 120 days on 4. A 10-day value is the median of
+    # DFV_BENCH_REPS runs (default 3), the 120-day value one run; peak RSS
+    # is the largest of the runs. Each run is its own process.
+    cmake --build "$BUILD" -j --target dfv >/dev/null
+    python3 - "./$BUILD/tools/dfv" "${DFV_BENCH_REPS:-3}" >"$raw" <<'PY'
+import json, shutil, statistics, subprocess, sys, tempfile
+
+dfv, reps = sys.argv[1], int(sys.argv[2])
+
+def one(days, threads):
+    """Wall seconds and peak RSS (MB) of one campaign in a fresh process."""
+    cache = tempfile.mkdtemp(prefix="dfv_pipeline_")
+    probe = ("import resource, subprocess, sys, time\n"
+             "t0 = time.monotonic()\n"
+             "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL,"
+             " stderr=subprocess.DEVNULL)\n"
+             "wall = time.monotonic() - t0\n"
+             "print(wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0)\n")
+    try:
+        out = subprocess.run([sys.executable, "-c", probe, dfv, "campaign", "--days", str(days),
+                              "--threads", str(threads), "--cache", cache],
+                             check=True, capture_output=True, text=True).stdout.split()
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
+    return float(out[0]), float(out[1])
+
+current = {}
+for days, threads, n in ((10, 1, reps), (10, 4, reps), (120, 4, 1)):
+    runs = [one(days, threads) for _ in range(n)]
+    key = f"campaign_{days}d_{threads}t"
+    current[key + "_wall_s"] = round(statistics.median(w for w, _ in runs), 2)
+    current[key + "_peak_rss_mb"] = round(max(r for _, r in runs), 1)
+    print(f"{key}: {[round(w, 2) for w, _ in runs]} s", file=sys.stderr)
+print(json.dumps(current))
+PY
+    merge_snapshot BENCH_pipeline.json dfv-bench-pipeline-v1 \
+      "dfv campaign end to end (Cori, empty cache): wall time and peak RSS; baseline = the commit before deferred step measurement (its Release build, same host); current = last scripts/bench.sh pipeline run" \
+      '^$'
+    echo "wrote BENCH_pipeline.json"
+    ;;
   *)
-    echo "usage: scripts/bench.sh [ml|ml-predict|serve|store|net]" >&2
+    echo "usage: scripts/bench.sh [ml|ml-predict|serve|store|net|pipeline]" >&2
     exit 2
     ;;
 esac

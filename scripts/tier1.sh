@@ -86,10 +86,10 @@ for t in test_wire_adversarial test_api test_dataset test_table_csv test_neighbo
 done
 
 if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
-  echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, neighborhood, api, serve) ==="
+  echo "=== ThreadSanitizer pass (exec, net, ldms, patterns, cluster, campaign, faults, cache, store, gbr, rfe, attention, compiled, forecast, neighborhood, api, serve) ==="
   cmake --preset tsan
   cmake --build build-tsan -j --target test_exec test_flow_model test_flow_properties \
-    test_routing test_ldms test_comm_patterns test_campaign test_faults \
+    test_routing test_ldms test_comm_patterns test_cluster test_campaign test_faults \
     test_cache_integrity test_store test_gbr test_rfe test_attention \
     test_compiled test_forecast test_neighborhood test_api test_serve test_serve_chaos
   # TSan needs real concurrency to observe races; force an oversubscribed
@@ -103,6 +103,9 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_routing
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_ldms
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_comm_patterns
+  # A cluster measures each step on idle workers (a deferred job) while
+  # the caller routes the next step into the other load buffers.
+  DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_cluster
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_campaign
   # Faulted-campaign determinism (parallel injection + repair) and the
   # corrupt-cache detect/evict/regenerate path, also race-checked.

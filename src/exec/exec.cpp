@@ -2,8 +2,10 @@
 
 #include <charconv>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -59,7 +61,10 @@ ThreadPool::ThreadPool(int n) {
   spawn();
 }
 
-ThreadPool::~ThreadPool() { join_all(); }
+ThreadPool::~ThreadPool() {
+  drain_deferred();
+  join_all();
+}
 
 bool ThreadPool::in_parallel_region() noexcept { return tl_region_depth > 0; }
 
@@ -86,14 +91,14 @@ void ThreadPool::resize(int n) {
   DFV_CHECK_MSG(!in_parallel_region(), "cannot resize the pool inside a parallel region");
   std::lock_guard<std::mutex> run_lock(run_mu_);
   if (n == size_) return;
+  drain_deferred();  // a pending deferred job runs to its end first
   join_all();
   size_ = n;
   lanes_ = std::vector<Lane>(std::size_t(n));
   spawn();
 }
 
-bool ThreadPool::claim(int lane, std::size_t& chunk) noexcept {
-  Lane& ln = lanes_[std::size_t(lane)];
+bool ThreadPool::claim(Lane& ln, std::size_t& chunk) noexcept {
   std::uint64_t v = ln.range.load(std::memory_order_acquire);
   while (true) {
     const std::uint32_t next = unpack_next(v);
@@ -122,7 +127,7 @@ void ThreadPool::work(int lane) {
   for (int probe = 0; probe < size_; ++probe) {
     const int victim = (lane + probe) % size_;
     std::size_t chunk = 0;
-    while (claim(victim, chunk)) {
+    while (claim(lanes_[std::size_t(victim)], chunk)) {
       // Read the region function only after a successful claim: the claim
       // synchronizes with the lane publication, which follows the fn_
       // store, so a claimed chunk always sees its own region's function.
@@ -147,30 +152,140 @@ void ThreadPool::work(int lane) {
 
 void ThreadPool::worker_main(int lane) {
   std::uint64_t seen = generation_.load(std::memory_order_acquire);
+  const auto region_or_stop = [&] {
+    return generation_.load(std::memory_order_acquire) != seen ||
+           stop_.load(std::memory_order_acquire);
+  };
+  const auto deferred_ready = [&] {
+    const std::uint64_t v = deferred_range_.range.load(std::memory_order_relaxed);
+    return unpack_next(v) < unpack_end(v);
+  };
   while (true) {
     // Brief spin before sleeping: campaign phases issue many small
     // regions back to back, and a condvar round trip per region would
-    // dominate them.
-    for (int spin = 0; spin < 4096; ++spin) {
-      if (generation_.load(std::memory_order_acquire) != seen ||
-          stop_.load(std::memory_order_acquire))
-        break;
+    // dominate them. Between regions the lane runs deferred chunks, one
+    // at a time, and looks for a new region before each.
+    for (int spin = 0; spin < 4096 && !region_or_stop(); ++spin) {
+      if (deferred_ready() && run_deferred_chunk()) {
+        spin = 0;
+        continue;
+      }
       // Periodic yield keeps oversubscribed pools (threads > cores) from
       // starving the thread that is doing the actual work.
       if ((spin & 255) == 255) std::this_thread::yield();
     }
-    if (generation_.load(std::memory_order_acquire) == seen &&
-        !stop_.load(std::memory_order_acquire)) {
+    if (!region_or_stop()) {
       std::unique_lock<std::mutex> l(start_mu_);
-      start_cv_.wait(l, [&] {
-        return generation_.load(std::memory_order_acquire) != seen ||
-               stop_.load(std::memory_order_acquire);
-      });
+      start_cv_.wait(l, [&] { return region_or_stop() || deferred_ready(); });
     }
     if (stop_.load(std::memory_order_acquire)) return;
+    if (generation_.load(std::memory_order_acquire) == seen) continue;  // deferred work
     seen = generation_.load(std::memory_order_acquire);
     work(lane);
   }
+}
+
+bool ThreadPool::publish_deferred(std::size_t nchunks,
+                                  const std::function<void(std::size_t)>* fn) {
+  if (size_ == 1 || nchunks == 0 || tl_region_depth > 0) return false;
+  DFV_CHECK_MSG(nchunks <= 0xffffffffull, "deferred job exceeds 2^32 chunks");
+  if (deferred_held_.exchange(true, std::memory_order_acquire)) return false;
+  deferred_fn_.store(fn, std::memory_order_relaxed);
+  deferred_failed_.store(false, std::memory_order_relaxed);
+  deferred_remaining_.store(std::int64_t(nchunks), std::memory_order_relaxed);
+  // The release store publishes fn and the count to any lane that claims.
+  deferred_range_.range.store(pack(0, std::uint32_t(nchunks)), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> l(start_mu_);
+  }
+  start_cv_.notify_all();
+  return true;
+}
+
+bool ThreadPool::run_deferred_chunk() {
+  std::size_t chunk = 0;
+  if (!claim(deferred_range_, chunk)) return false;
+  const std::function<void(std::size_t)>* fn = deferred_fn_.load(std::memory_order_acquire);
+  if (!deferred_failed_.load(std::memory_order_acquire)) {
+    ++tl_region_depth;
+    try {
+      (*fn)(chunk);
+    } catch (...) {
+      bool expected = false;
+      if (deferred_failed_.compare_exchange_strong(expected, true,
+                                                   std::memory_order_acq_rel)) {
+        std::lock_guard<std::mutex> l(error_mu_);
+        deferred_error_ = std::current_exception();
+      }
+    }
+    --tl_region_depth;
+  }
+  if (deferred_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    {
+      std::lock_guard<std::mutex> l(done_mu_);
+    }
+    done_cv_.notify_all();
+  }
+  return true;
+}
+
+void ThreadPool::drain_deferred() {
+  if (!deferred_held_.load(std::memory_order_acquire)) return;
+  while (run_deferred_chunk()) {
+  }
+  for (int spin = 0; spin < 16384; ++spin) {
+    if (deferred_remaining_.load(std::memory_order_acquire) == 0) return;
+    if ((spin & 255) == 255) std::this_thread::yield();
+  }
+  std::unique_lock<std::mutex> l(done_mu_);
+  done_cv_.wait(l, [&] { return deferred_remaining_.load(std::memory_order_acquire) == 0; });
+}
+
+std::exception_ptr ThreadPool::finish_deferred() {
+  drain_deferred();
+  deferred_fn_.store(nullptr, std::memory_order_relaxed);
+  std::exception_ptr err;
+  {
+    std::lock_guard<std::mutex> l(error_mu_);
+    err = std::exchange(deferred_error_, nullptr);
+  }
+  deferred_held_.store(false, std::memory_order_release);
+  return err;
+}
+
+DeferredJob::~DeferredJob() {
+  if (!pending_) return;
+  try {
+    wait();
+  } catch (...) {  // dropped: a destructor must not throw
+  }
+}
+
+void DeferredJob::post(std::size_t nchunks, std::function<void(std::size_t)> fn) {
+  wait();
+  fn_ = std::move(fn);
+  nchunks_ = nchunks;
+  pending_ = nchunks > 0;
+  published_ = pending_ && ThreadPool::instance().publish_deferred(nchunks, &fn_);
+}
+
+void DeferredJob::wait() {
+  if (!pending_) return;
+  pending_ = false;
+  if (published_) {
+    published_ = false;
+    if (const std::exception_ptr err = ThreadPool::instance().finish_deferred())
+      std::rethrow_exception(err);
+    return;
+  }
+  ++tl_region_depth;
+  try {
+    for (std::size_t c = 0; c < nchunks_; ++c) fn_(c);
+  } catch (...) {
+    --tl_region_depth;
+    throw;
+  }
+  --tl_region_depth;
 }
 
 void ThreadPool::run(std::size_t nchunks, const std::function<void(std::size_t)>& fn) {

@@ -19,6 +19,11 @@
 // Nested parallel calls are safe: a parallel region entered from inside a
 // worker (or from a caller already inside a region) executes its chunks
 // inline on the calling thread, which keeps determinism trivially intact.
+//
+// A `DeferredJob` hands chunks to lanes that have no region work: they run
+// in the background while the posting thread goes on, and `wait()` runs
+// whatever is left on the caller. Each chunk writes only its own slot, so
+// which lane ran it cannot show in a result.
 #pragma once
 
 #include <algorithm>
@@ -26,6 +31,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -85,19 +91,36 @@ class ThreadPool {
   [[nodiscard]] static bool in_parallel_region() noexcept;
 
  private:
-  explicit ThreadPool(int n);
-  void spawn();
-  void join_all();
-  void worker_main(int lane);
-  void work(int lane);
-  [[nodiscard]] bool claim(int lane, std::size_t& chunk) noexcept;
-  void finish_chunk();
+  friend class DeferredJob;
 
   struct alignas(64) Lane {
     /// Packed (next:32 | end:32) chunk cursor, updated with CAS so a
     /// concurrent steal can never tear a half-published range.
     std::atomic<std::uint64_t> range{0};
   };
+
+  explicit ThreadPool(int n);
+  void spawn();
+  void join_all();
+  void worker_main(int lane);
+  void work(int lane);
+  [[nodiscard]] static bool claim(Lane& lane, std::size_t& chunk) noexcept;
+  void finish_chunk();
+
+  /// Take the deferred-job slot for `fn` over `nchunks` chunks; false if
+  /// the pool has one lane, the caller is inside a region, or another job
+  /// holds the slot (the caller then runs its chunks itself).
+  [[nodiscard]] bool publish_deferred(std::size_t nchunks,
+                                      const std::function<void(std::size_t)>* fn);
+  /// Claim and run one chunk of the published deferred job; false if none
+  /// was left to claim.
+  [[nodiscard]] bool run_deferred_chunk();
+  /// Run the deferred job's unclaimed chunks on the caller and wait for
+  /// the claimed ones. Leaves the slot held and any exception stored.
+  void drain_deferred();
+  /// drain_deferred(), then release the slot and return the first
+  /// exception a chunk threw.
+  [[nodiscard]] std::exception_ptr finish_deferred();
 
   int size_ = 1;
   std::vector<std::thread> workers_;
@@ -119,6 +142,55 @@ class ThreadPool {
   std::exception_ptr error_;
   std::mutex done_mu_;
   std::condition_variable done_cv_;
+
+  // The deferred-job slot: at most one job at a time. Its cursor and
+  // function follow the region protocol: fn is stored before the cursor is
+  // published, and read only after a successful claim.
+  std::atomic<bool> deferred_held_{false};
+  Lane deferred_range_;
+  std::atomic<const std::function<void(std::size_t)>*> deferred_fn_{nullptr};
+  std::atomic<std::int64_t> deferred_remaining_{0};
+  std::atomic<bool> deferred_failed_{false};
+  std::exception_ptr deferred_error_;  ///< guarded by error_mu_
+};
+
+/// Chunks that run on idle lanes while the thread that posted them goes on.
+///
+/// post(n, fn) hands fn(0) ... fn(n - 1) to the process-wide pool. A worker
+/// with no region to work on runs them one at a time and looks for a new
+/// region between chunks, so regions keep priority over deferred chunks.
+/// wait() runs every chunk no lane has claimed on the caller, waits for the
+/// claimed ones and rethrows the first exception a chunk threw. On a
+/// one-lane pool, inside a parallel region, or while another job holds the
+/// pool's one deferred slot, post() hands nothing out and wait() runs every
+/// chunk inline. Chunks run with the calling thread's region depth raised,
+/// so a parallel call inside one runs inline. A chunk may run on any lane
+/// at any time before wait() returns, so it must write only what no other
+/// chunk and nothing outside the job touches until then. Resizing or
+/// destroying the pool while a job is pending first runs the job to the
+/// end; its exception, if any, still surfaces at wait().
+class DeferredJob {
+ public:
+  DeferredJob() = default;
+  DeferredJob(const DeferredJob&) = delete;
+  DeferredJob& operator=(const DeferredJob&) = delete;
+  /// Waits for a pending job; an exception it threw is dropped.
+  ~DeferredJob();
+
+  /// Post fn(chunk) for every chunk in [0, nchunks). A job still pending
+  /// on this handle is waited for first (rethrowing its exception).
+  void post(std::size_t nchunks, std::function<void(std::size_t)> fn);
+
+  /// Finish the pending job (nothing if none): see the class comment.
+  void wait();
+
+  [[nodiscard]] bool pending() const noexcept { return pending_; }
+
+ private:
+  std::function<void(std::size_t)> fn_;
+  std::size_t nchunks_ = 0;
+  bool pending_ = false;
+  bool published_ = false;  ///< in the pool's slot; else wait() runs it all
 };
 
 /// Resize the global pool according to `resolve_threads(flag)` and return

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -21,7 +22,7 @@ double CounterModel::link_utilization(net::LinkId e, const net::RateLoads& bg,
                                       const net::ByteLoads& job, double dt) const {
   const auto idx = std::size_t(e);
   const double rate = bg.link_rate[idx] + job.link_bytes[idx] / dt;
-  return rate / topo_->link(e).capacity;
+  return rate / topo_->link_capacity(e);
 }
 
 CounterVec CounterModel::router_counters(net::RouterId r, const net::RateLoads& bg,
@@ -38,7 +39,7 @@ CounterVec CounterModel::router_counters(net::RouterId r, const net::RateLoads& 
   for (net::LinkId e : ins) {
     const auto idx = std::size_t(e);
     const double bytes = bg.link_rate[idx] * dt + job.link_bytes[idx];
-    const double u = bytes / (topo_->link(e).capacity * dt);
+    const double u = bytes / (topo_->link_capacity(e) * dt);
     in_flits += bytes / flit;
     const double sf = net::stall_fraction(u);
     in_stall += params_.in_stall_weight * sf;
@@ -91,18 +92,28 @@ CounterVec CounterModel::aggregate(std::span<const net::RouterId> routers,
                                    double dt) const {
   // Chunked in index order with an ordered combine, so the floating-point
   // sum is bit-identical for any thread count.
-  return exec::parallel_reduce(
-      0, routers.size(), 8, zero_counters(),
-      [&](std::size_t lo, std::size_t hi) {
-        CounterVec part = zero_counters();
-        for (std::size_t i = lo; i < hi; ++i)
-          add_into(part, router_counters(routers[i], bg, job, dt));
-        return part;
-      },
-      [](CounterVec a, const CounterVec& b) {
-        add_into(a, b);
-        return a;
-      });
+  std::vector<CounterVec> part(exec::num_chunks(routers.size(), kAggregateGrain));
+  exec::parallel_for(0, part.size(), 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) part[c] = aggregate_chunk(c, routers, bg, job, dt);
+  });
+  return combine(part);
+}
+
+CounterVec CounterModel::aggregate_chunk(std::size_t c, std::span<const net::RouterId> routers,
+                                         const net::RateLoads& bg, const net::ByteLoads& job,
+                                         double dt) const {
+  const std::size_t lo = c * kAggregateGrain;
+  DFV_CHECK(lo < routers.size());
+  const std::size_t hi = std::min(lo + kAggregateGrain, routers.size());
+  CounterVec part = zero_counters();
+  for (std::size_t i = lo; i < hi; ++i) add_into(part, router_counters(routers[i], bg, job, dt));
+  return part;
+}
+
+CounterVec CounterModel::combine(std::span<const CounterVec> partials) noexcept {
+  CounterVec acc = zero_counters();
+  for (const CounterVec& p : partials) add_into(acc, p);
+  return acc;
 }
 
 }  // namespace dfv::mon

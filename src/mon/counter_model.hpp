@@ -47,10 +47,25 @@ class CounterModel {
 
   /// Sum of router_counters over a set of routers (AriesNCL-style per-job
   /// collection: a user may only read counters of routers attached to the
-  /// job's own nodes — §III-C of the paper).
+  /// job's own nodes — §III-C of the paper). Runs aggregate_chunk over
+  /// every chunk on the pool, then combine().
   [[nodiscard]] CounterVec aggregate(std::span<const net::RouterId> routers,
                                      const net::RateLoads& bg, const net::ByteLoads& job,
                                      double dt) const;
+
+  /// Routers per chunk of aggregate(): chunk c covers routers
+  /// [c * kAggregateGrain, (c + 1) * kAggregateGrain).
+  static constexpr std::size_t kAggregateGrain = 8;
+
+  /// Chunk `c` of aggregate(): router_counters summed over the chunk's
+  /// routers in order, from zero.
+  [[nodiscard]] CounterVec aggregate_chunk(std::size_t c,
+                                           std::span<const net::RouterId> routers,
+                                           const net::RateLoads& bg,
+                                           const net::ByteLoads& job, double dt) const;
+
+  /// aggregate()'s finish: chunk partials summed in chunk order, from zero.
+  [[nodiscard]] static CounterVec combine(std::span<const CounterVec> partials) noexcept;
 
   [[nodiscard]] const net::Topology& topology() const noexcept { return *topo_; }
   [[nodiscard]] const CounterModelParams& params() const noexcept { return params_; }

@@ -140,7 +140,8 @@ void FlowModel::route_waves(std::span<const Demand> demands, RoutingPolicy polic
 }
 
 void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy policy,
-                                 double dt, Rng& rng, RateLoads& out) const {
+                                 double dt, Rng& rng, RateLoads& out,
+                                 std::vector<LinkId>* touched) const {
   DFV_CHECK(dt > 0.0);
   if (out.link_rate.size() != std::size_t(topo_->num_links())) out.resize(*topo_);
   if (demands.empty()) return;
@@ -155,7 +156,11 @@ void FlowModel::route_background(std::span<const Demand> demands, RoutingPolicy 
       const int chunks = chunk_count(d.bytes, params_);
       const double chunk_rate = d.bytes / dt / double(chunks);
       for (int c = 0; c < chunks; ++c)
-        for (LinkId id : paths[c].links) out.link_rate[std::size_t(id)] += chunk_rate;
+        for (LinkId id : paths[c].links) {
+          double& rate = out.link_rate[std::size_t(id)];
+          if (touched != nullptr && rate == 0.0) touched->push_back(id);
+          rate += chunk_rate;
+        }
     }
     // Same-router traffic only touches the processor tiles.
     out.inject_rate[std::size_t(d.src)] += d.bytes / dt;
@@ -256,7 +261,7 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
       if (routed)
         for (LinkId id : paths[fi - flow_begin[i]].links) {
           est_rate[std::size_t(id)] += bytes / kSelfRateDt;
-          if (ours != nullptr) ours->link_bytes[std::size_t(id)] += bytes;
+          if (ours != nullptr) ours->add_link(id, bytes);
           refs.push_back(dense(std::size_t(id)));
         }
       refs.push_back(dense(L + std::size_t(d.src)));
@@ -277,7 +282,7 @@ TransferResult FlowModel::transfer(std::span<const Demand> messages, RoutingPoli
     const std::size_t e = used[u];
     double cap, bg_rate;
     if (e < L) {
-      cap = topo_->link(LinkId(e)).capacity;
+      cap = topo_->link_capacity(LinkId(e));
       bg_rate = bg.link_rate[e];
     } else if (e < L + R) {
       cap = ep_bw;
@@ -399,8 +404,7 @@ double FlowModel::congestion_factor(std::span<const RouterId> job_routers,
   std::size_t n = 0;
   for (RouterId r : job_routers) {
     for (LinkId id : topo_->out_links(r)) {
-      const LinkInfo& li = topo_->link(id);
-      const double u = bg.link_rate[std::size_t(id)] / li.capacity;
+      const double u = bg.link_rate[std::size_t(id)] / topo_->link_capacity(id);
       const double sf = stall_fraction(u);
       util_sum += std::min(u, 1.5);
       stall_sum += sf;

@@ -59,13 +59,17 @@ class FlowModel {
   [[nodiscard]] const FlowModelParams& params() const noexcept { return params_; }
 
   /// Route sustained background demands (bytes over an interval of `dt`
-  /// seconds) and accumulate the resulting rates into `out`.
+  /// seconds) and accumulate the resulting rates into `out`. If `touched`
+  /// is non-null, the id of every link whose rate this call raises from 0
+  /// is appended there, in the order the rates are applied.
   void route_background(std::span<const Demand> demands, RoutingPolicy policy, double dt,
-                        Rng& rng, RateLoads& out) const;
+                        Rng& rng, RateLoads& out,
+                        std::vector<LinkId>* touched = nullptr) const;
 
   /// Route and rate-solve one communication phase of the instrumented job
   /// against background load `bg`. If `ours` is non-null, the job's own
-  /// byte totals are accumulated there (for counter accounting).
+  /// byte totals are accumulated there (for counter accounting; link bytes
+  /// through ByteLoads::add_link, so ByteLoads::clear finds them).
   [[nodiscard]] TransferResult transfer(std::span<const Demand> messages,
                                         RoutingPolicy policy, const RateLoads& bg,
                                         Rng& rng, ByteLoads* ours = nullptr) const;

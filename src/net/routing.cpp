@@ -109,10 +109,24 @@ Path PathChooser::pick(RoutingPolicy policy, std::span<const Path> slots, Candid
                        std::span<const double> link_rate) const {
   if (c.count == 0) return {};
   if (policy != RoutingPolicy::Ugal) return slots[0];
+  // path_cost, summed in its order, but a candidate stops being costed
+  // once its cost is not below the best so far. Every congestion term
+  // w * rate / cap is >= 0 (loads are never negative), and adding a
+  // non-negative double never lowers a sum, so such a candidate could not
+  // have won under the strict `<`; NaN fails `<` either way.
   int best = -1;
   double best_cost = std::numeric_limits<double>::infinity();
   for (int i = 0; i < c.count; ++i) {
-    const double cost = path_cost(slots[std::size_t(i)], link_rate, /*non_minimal=*/i >= c.minimal);
+    const Path& p = slots[std::size_t(i)];
+    double cost = double(p.hops());
+    if (i >= c.minimal) cost += params_.valiant_hop_penalty * double(p.hops());
+    if (!(cost < best_cost)) continue;
+    if (!link_rate.empty())
+      for (LinkId id : p.links) {
+        cost += params_.congestion_weight * link_rate[std::size_t(id)] /
+                topo_->link_capacity(id);
+        if (!(cost < best_cost)) break;
+      }
     if (cost < best_cost) {
       best_cost = cost;
       best = i;

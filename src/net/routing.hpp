@@ -67,8 +67,10 @@ class PathChooser {
                                   std::span<Path> slots) const;
 
   /// choose()'s verdict over sampled candidates: the only candidate under
-  /// Minimal and Valiant; under UGAL the cheapest, minimal candidates
-  /// first, an earlier one kept on ties. An empty path when none won.
+  /// Minimal and Valiant; under UGAL the cheapest by path_cost, minimal
+  /// candidates first, an earlier one kept on ties. An empty path when none
+  /// won. `link_rate` entries must be >= 0: a candidate stops being costed
+  /// once its partial cost reaches the best so far.
   [[nodiscard]] Path pick(RoutingPolicy policy, std::span<const Path> slots, Candidates c,
                           std::span<const double> link_rate) const;
 

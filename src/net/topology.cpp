@@ -31,6 +31,8 @@ Topology::Topology(const DragonflyConfig& cfg) : cfg_(cfg) {
   cfg_.validate();
   blue_copies_ = cfg_.links_per_group_pair();
   build_links();
+  class_capacity_ = {cfg_.green_bw, cfg_.black_bw, cfg_.blue_bw};
+  class_latency_ = {cfg_.hop_latency, cfg_.hop_latency, cfg_.global_latency};
 }
 
 void Topology::build_links() {
@@ -195,7 +197,7 @@ Path Topology::valiant_path(RouterId src, RouterId dst, GroupId via_group, int k
 
 double Topology::path_latency(const Path& p) const {
   double t = 0.0;
-  for (LinkId id : p.links) t += link(id).latency;
+  for (LinkId id : p.links) t += link_latency(id);
   return t;
 }
 

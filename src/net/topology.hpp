@@ -111,6 +111,15 @@ class Topology {
   [[nodiscard]] int num_links() const noexcept { return int(links_.size()); }
   [[nodiscard]] const LinkInfo& link(LinkId id) const { return links_[std::size_t(id)]; }
   [[nodiscard]] const std::vector<LinkInfo>& links() const noexcept { return links_; }
+  /// Capacity and latency of link `id`: the doubles its LinkInfo holds,
+  /// taken from its class range, so a hot loop over path links does not
+  /// load each link's 32-byte LinkInfo.
+  [[nodiscard]] double link_capacity(LinkId id) const noexcept {
+    return class_capacity_[class_of(id)];
+  }
+  [[nodiscard]] double link_latency(LinkId id) const noexcept {
+    return class_latency_[class_of(id)];
+  }
   /// Green, black and blue link ranges in LinkId order; together they
   /// cover [0, num_links()).
   [[nodiscard]] std::array<LinkClassRange, 3> link_classes() const noexcept {
@@ -171,12 +180,18 @@ class Topology {
 
  private:
   void build_links();
+  /// 0 green, 1 black, 2 blue.
+  [[nodiscard]] std::size_t class_of(LinkId id) const noexcept {
+    return std::size_t(id >= black_base_) + std::size_t(id >= blue_base_);
+  }
 
   DragonflyConfig cfg_;
   int blue_copies_ = 0;
   int green_base_ = 0;  ///< LinkId offsets for each class
   int black_base_ = 0;
   int blue_base_ = 0;
+  std::array<double, 3> class_capacity_{};  ///< green, black, blue
+  std::array<double, 3> class_latency_{};
   std::vector<LinkInfo> links_;
   std::vector<std::vector<LinkId>> out_links_;
   std::vector<std::vector<LinkId>> in_links_;

@@ -44,18 +44,31 @@ struct RateLoads {
 
 /// Byte totals accumulated over one application step (instantaneous
 /// transfers, converted to utilizations with the step duration).
+///
+/// A step touches a few thousand of a machine's links, so link bytes are
+/// added through add_link(), which records each link it raises from 0, and
+/// clear() zeroes only those. A link written directly through
+/// `link_bytes` is not recorded: clear() leaves it as it is.
 struct ByteLoads {
   std::vector<double> link_bytes;
   std::vector<double> inject_bytes;
   std::vector<double> eject_bytes;
+  std::vector<LinkId> touched_links;  ///< links add_link() raised from 0
 
   void resize(const Topology& topo) {
     link_bytes.assign(std::size_t(topo.num_links()), 0.0);
     inject_bytes.assign(std::size_t(topo.config().num_routers()), 0.0);
     eject_bytes.assign(std::size_t(topo.config().num_routers()), 0.0);
+    touched_links.clear();
+  }
+  void add_link(LinkId e, double bytes) {
+    double& v = link_bytes[std::size_t(e)];
+    if (v == 0.0) touched_links.push_back(e);
+    v += bytes;
   }
   void clear() {
-    link_bytes.assign(link_bytes.size(), 0.0);
+    for (LinkId e : touched_links) link_bytes[std::size_t(e)] = 0.0;
+    touched_links.clear();
     inject_bytes.assign(inject_bytes.size(), 0.0);
     eject_bytes.assign(eject_bytes.size(), 0.0);
   }

@@ -21,8 +21,6 @@ Cluster::Cluster(const net::DragonflyConfig& cfg, ClusterParams params,
       rng_(hash_combine(seed, 0xc1057e2)) {
   DFV_CHECK(params_.max_bg_utilization > 0.0 && params_.max_bg_utilization <= 1.0);
   slurm_.set_max_background_utilization(params_.max_bg_utilization);
-  bg_loads_.resize(topo_);
-  step_loads_.resize(topo_);
 }
 
 void Cluster::refresh_background_if_needed() {
@@ -49,28 +47,39 @@ void Cluster::refresh_background_if_needed() {
       }
     if (cached || job.demands_per_s.empty()) continue;
     if (route_scratch_.link_rate.empty()) route_scratch_.resize(topo_);
-    route_scratch_.clear();
     Rng route_rng = rng_.split(std::uint64_t(job.job_id) * 0x9e37u);
+    route_touched_.clear();
     flow_.route_background(job.demands_per_s, params_.policy, 1.0, route_rng,
-                           route_scratch_);
+                           route_scratch_, &route_touched_);
+    // The sparse loads come from the links the route raised from 0, in
+    // ascending id, and each is zeroed behind: the same entries in the same
+    // order as a scan of every link, and an all-zero scratch for the next
+    // job. A link listed twice is zero by its second visit.
+    std::sort(route_touched_.begin(), route_touched_.end());
     SparseLoads sparse;
-    for (std::size_t e = 0; e < route_scratch_.link_rate.size(); ++e)
-      if (route_scratch_.link_rate[e] > 0.0)
-        sparse.links.emplace_back(net::LinkId(e), route_scratch_.link_rate[e]);
+    sparse.links.reserve(route_touched_.size());
+    for (net::LinkId e : route_touched_) {
+      double& rate = route_scratch_.link_rate[std::size_t(e)];
+      if (rate > 0.0) sparse.links.emplace_back(e, rate);
+      rate = 0.0;
+    }
     for (std::size_t r = 0; r < route_scratch_.inject_rate.size(); ++r) {
-      if (route_scratch_.inject_rate[r] > 0.0)
-        sparse.inject.emplace_back(net::RouterId(r), route_scratch_.inject_rate[r]);
-      if (route_scratch_.eject_rate[r] > 0.0)
-        sparse.eject.emplace_back(net::RouterId(r), route_scratch_.eject_rate[r]);
+      double& in = route_scratch_.inject_rate[r];
+      double& out = route_scratch_.eject_rate[r];
+      if (in > 0.0) sparse.inject.emplace_back(net::RouterId(r), in);
+      if (out > 0.0) sparse.eject.emplace_back(net::RouterId(r), out);
+      in = 0.0;
+      out = 0.0;
     }
     bg_cache_.emplace_back(job.job_id, std::move(sparse));
   }
 
-  // Combine: weighted sparse sum with each job's current OU intensity.
-  // Parallelized by partitioning the resource-id space: each chunk owns a
-  // disjoint dense range and scans every job's sorted sparse list (binary
-  // search to its start), so per-element accumulation order equals the
-  // serial job order and the result is thread-count independent.
+  // Combine: weighted sparse sum with each job's current OU intensity,
+  // into the spare buffer (a pending measurement reads the current one).
+  // Parallelized by partitioning the resource-id space: each chunk zeroes
+  // its disjoint dense range, then scans every job's sorted sparse list
+  // (binary search to its start), so per-element accumulation order equals
+  // the serial job order and the result is thread-count independent.
   std::vector<std::pair<const SparseLoads*, double>> active;
   active.reserve(running.size());
   for (const auto& job : running) {
@@ -82,32 +91,41 @@ void Cluster::refresh_background_if_needed() {
       break;
     }
   }
-  bg_loads_.clear();
-  exec::parallel_for(0, bg_loads_.link_rate.size(), 16384,
+  net::RateLoads& next = bg_loads_[std::size_t(1 - bg_cur_)];
+  if (next.link_rate.empty()) next.resize(topo_);
+  exec::parallel_for(0, next.link_rate.size(), 16384,
                      [&](std::size_t lo, std::size_t hi) {
+                       std::fill(next.link_rate.begin() + std::ptrdiff_t(lo),
+                                 next.link_rate.begin() + std::ptrdiff_t(hi), 0.0);
                        for (const auto& [sp, mult] : active) {
                          auto it = std::lower_bound(
                              sp->links.begin(), sp->links.end(), lo,
                              [](const auto& a, std::size_t v) { return std::size_t(a.first) < v; });
                          for (; it != sp->links.end() && std::size_t(it->first) < hi; ++it)
-                           bg_loads_.link_rate[std::size_t(it->first)] += it->second * mult;
+                           next.link_rate[std::size_t(it->first)] += it->second * mult;
                        }
                      });
-  exec::parallel_for(0, bg_loads_.inject_rate.size(), 512,
+  exec::parallel_for(0, next.inject_rate.size(), 512,
                      [&](std::size_t lo, std::size_t hi) {
+                       const auto from = std::ptrdiff_t(lo), to = std::ptrdiff_t(hi);
+                       std::fill(next.inject_rate.begin() + from,
+                                 next.inject_rate.begin() + to, 0.0);
+                       std::fill(next.eject_rate.begin() + from,
+                                 next.eject_rate.begin() + to, 0.0);
                        for (const auto& [sp, mult] : active) {
                          auto it = std::lower_bound(
                              sp->inject.begin(), sp->inject.end(), lo,
                              [](const auto& a, std::size_t v) { return std::size_t(a.first) < v; });
                          for (; it != sp->inject.end() && std::size_t(it->first) < hi; ++it)
-                           bg_loads_.inject_rate[std::size_t(it->first)] += it->second * mult;
+                           next.inject_rate[std::size_t(it->first)] += it->second * mult;
                          auto jt = std::lower_bound(
                              sp->eject.begin(), sp->eject.end(), lo,
                              [](const auto& a, std::size_t v) { return std::size_t(a.first) < v; });
                          for (; jt != sp->eject.end() && std::size_t(jt->first) < hi; ++jt)
-                           bg_loads_.eject_rate[std::size_t(jt->first)] += jt->second * mult;
+                           next.eject_rate[std::size_t(jt->first)] += jt->second * mult;
                        }
                      });
+  bg_cur_ = 1 - bg_cur_;
   bg_valid_ = true;
   bg_refresh_time_ = now;
   bg_epoch_seen_ = epoch;
@@ -115,7 +133,7 @@ void Cluster::refresh_background_if_needed() {
 
 const net::RateLoads& Cluster::background_loads() {
   refresh_background_if_needed();
-  return bg_loads_;
+  return bg();
 }
 
 CongestionView Cluster::congestion_of(std::span<const net::RouterId> routers) const {
@@ -123,13 +141,14 @@ CongestionView Cluster::congestion_of(std::span<const net::RouterId> routers) co
   if (routers.empty()) return v;
   const double ep_bw = topo_.config().endpoint_bw;
   DFV_CHECK(ep_bw > 0.0);
-  for (net::RouterId r : routers) DFV_CHECK(std::size_t(r) < bg_loads_.inject_rate.size());
+  const net::RateLoads& bg_loads = bg();
+  for (net::RouterId r : routers) DFV_CHECK(std::size_t(r) < bg_loads.inject_rate.size());
   std::vector<double> stalls;
   stalls.reserve(routers.size());
   double sum = 0.0;
   for (net::RouterId r : routers) {
-    const double u_inj = bg_loads_.inject_rate[std::size_t(r)] / ep_bw;
-    const double u_ej = bg_loads_.eject_rate[std::size_t(r)] / ep_bw;
+    const double u_inj = bg_loads.inject_rate[std::size_t(r)] / ep_bw;
+    const double u_ej = bg_loads.eject_rate[std::size_t(r)] / ep_bw;
     const double s = 0.5 * (net::stall_fraction(u_inj) + net::stall_fraction(u_ej));
     sum += s;
     stalls.push_back(s);
@@ -140,7 +159,7 @@ CongestionView Cluster::congestion_of(std::span<const net::RouterId> routers) co
   const std::size_t q = stalls.size() - 1 - (stalls.size() - 1) / 20;
   std::nth_element(stalls.begin(), stalls.begin() + q, stalls.end());
   v.pt_stall = sum / double(routers.size()) + 0.35 * stalls[q];
-  v.transit = flow_.congestion_factor(routers, bg_loads_);
+  v.transit = flow_.congestion_factor(routers, bg_loads);
   return v;
 }
 
@@ -179,13 +198,20 @@ RunRecord Cluster::run_app(const apps::AppModel& app, int user_id, double max_wa
 
   Rng app_rng = rng_.split(std::uint64_t(*job_id));
   const apps::AppCoefficients& coeff = app.coefficients();
+  // Step t's measurement, finished once step t + 1 is routed. On the way
+  // out of an exception the destructor waits for it.
+  exec::DeferredJob measuring;
 
   for (int t = 0; t < app.num_steps(); ++t) {
     refresh_background_if_needed();
     const apps::StepSpec spec = app.step(t, placement, topo_, app_rng);
     const CongestionView cong = congestion_of(placement.routers);
 
-    step_loads_.clear();
+    // The previous step's measurement reads the other buffer; the one
+    // before it, the last to read this one, was finished a step ago.
+    net::ByteLoads& step_loads = step_loads_[std::size_t(t % 2)];
+    if (step_loads.link_bytes.empty()) step_loads.resize(topo_);
+    step_loads.clear();
     double step_time = spec.compute_s;
     mon::MpiProfile step_profile;
     step_profile.add_compute(spec.compute_s);
@@ -195,8 +221,8 @@ RunRecord Cluster::run_app(const apps::AppModel& app, int user_id, double max_wa
       const double noise = std::exp(params_.mpi_noise_sigma * app_rng.normal());
       switch (phase.kind) {
         case apps::PhaseSpec::Kind::PointToPoint: {
-          const auto xfer = flow_.transfer(phase.demands, params_.policy, bg_loads_,
-                                           app_rng, &step_loads_);
+          const auto xfer =
+              flow_.transfer(phase.demands, params_.policy, bg(), app_rng, &step_loads);
           phase_time = phase.base_seconds *
                            (1.0 + coeff.pt_weight * cong.pt_stall +
                             coeff.rt_weight * (cong.transit - 1.0)) *
@@ -214,8 +240,8 @@ RunRecord Cluster::run_app(const apps::AppModel& app, int user_id, double max_wa
           const double coll_bytes = phase.rounds * phase.bytes;
           if (coll_bytes > 0.0)
             for (net::RouterId r : placement.routers) {
-              step_loads_.inject_bytes[std::size_t(r)] += coll_bytes;
-              step_loads_.eject_bytes[std::size_t(r)] += coll_bytes;
+              step_loads.inject_bytes[std::size_t(r)] += coll_bytes;
+              step_loads.eject_bytes[std::size_t(r)] += coll_bytes;
             }
           break;
         }
@@ -234,16 +260,31 @@ RunRecord Cluster::run_app(const apps::AppModel& app, int user_id, double max_wa
                           << ", pt_stall " << cong.pt_stall << ", transit "
                           << cong.transit << ")");
     rec.step_times.push_back(step_time);
-    rec.step_counters.push_back(
-        counter_model_.aggregate(placement.routers, bg_loads_, step_loads_, step_time));
-    rec.step_ldms.push_back(
-        ldms_.sample(bg_loads_, step_loads_, step_time, placement.routers));
+    if (synchronous_measurement_) {
+      rec.step_counters.push_back(
+          counter_model_.aggregate(placement.routers, bg(), step_loads, step_time));
+      rec.step_ldms.push_back(ldms_.sample(bg(), step_loads, step_time, placement.routers));
+    } else {
+      finish_measurement(measuring, rec);
+      measurement_.start(ldms_, placement.routers, bg(), step_loads, step_time);
+      measuring.post(measurement_.chunks(), [this](std::size_t c) { measurement_.run(c); });
+    }
     rec.profile.add(step_profile);
   }
+  finish_measurement(measuring, rec);
 
   slurm_.end_instrumented_job(*job_id);
   rec.end_time_s = slurm_.now();
   return rec;
+}
+
+void Cluster::finish_measurement(exec::DeferredJob& job, RunRecord& rec) {
+  if (!job.pending()) return;
+  DFV_CHECK(rec.step_counters.size() < rec.step_times.size());
+  job.wait();
+  const mon::Measurement::Result m = measurement_.finish();
+  rec.step_counters.push_back(m.counters);
+  rec.step_ldms.push_back(m.ldms);
 }
 
 }  // namespace dfv::sim

@@ -7,11 +7,21 @@
 // phases are routed against that background; phase durations combine a
 // latency/software baseline scaled by the app's congestion sensitivities
 // with the measured transfer makespan.
+//
+// Steps are pipelined: step t's counters and LDMS sample are computed as a
+// deferred pool job (exec::DeferredJob) that idle lanes run while the
+// calling thread routes and solves step t + 1. Two background-load and two
+// step-load buffers, used in turn, keep what the pending measurement reads
+// unchanged until it is finished; the records equal a synchronous
+// measurement's bit for bit.
 #pragma once
 
+#include <array>
 #include <memory>
+#include <vector>
 
 #include "apps/app_model.hpp"
+#include "exec/exec.hpp"
 #include "mon/counter_model.hpp"
 #include "mon/ldms.hpp"
 #include "net/flow_model.hpp"
@@ -68,6 +78,10 @@ class Cluster {
   /// Force a background-load refresh on next access (tests).
   void invalidate_background() noexcept { bg_valid_ = false; }
 
+  /// Measure each step synchronously, after its routing, instead of on
+  /// idle lanes during the next step's (tests compare the two).
+  void set_synchronous_measurement(bool on) noexcept { synchronous_measurement_ = on; }
+
   /// Direct access to the flow model for examples / what-if studies.
   [[nodiscard]] const net::FlowModel& flow_model() const noexcept { return flow_; }
   /// Current background loads (refreshing if stale).
@@ -76,6 +90,12 @@ class Cluster {
  private:
   void refresh_background_if_needed();
   [[nodiscard]] CongestionView congestion_of(std::span<const net::RouterId> routers) const;
+  [[nodiscard]] const net::RateLoads& bg() const noexcept {
+    return bg_loads_[std::size_t(bg_cur_)];
+  }
+  /// Wait for `job`, the pending step's measurement, if any, and append
+  /// its counters and LDMS sample to `rec`.
+  void finish_measurement(exec::DeferredJob& job, RunRecord& rec);
 
   net::Topology topo_;
   ClusterParams params_;
@@ -85,7 +105,11 @@ class Cluster {
   sched::SlurmSim slurm_;
   Rng rng_;
 
-  net::RateLoads bg_loads_;
+  /// Background loads: bg_loads_[bg_cur_] is current; a refresh writes
+  /// the other one, which no pending measurement reads, then flips. Each
+  /// load buffer is sized on first use.
+  std::array<net::RateLoads, 2> bg_loads_;
+  int bg_cur_ = 0;
   bool bg_valid_ = false;
   double bg_refresh_time_ = -1.0;
   std::uint64_t bg_epoch_seen_ = ~0ull;
@@ -99,9 +123,14 @@ class Cluster {
     std::vector<std::pair<net::RouterId, double>> eject;
   };
   std::vector<std::pair<int, SparseLoads>> bg_cache_;  ///< job_id -> loads
-  net::RateLoads route_scratch_;
+  net::RateLoads route_scratch_;  ///< all zero between refreshes
+  std::vector<net::LinkId> route_touched_;
 
-  net::ByteLoads step_loads_;  ///< scratch: instrumented job's bytes this step
+  /// The instrumented job's bytes per step, in turn: a step writes one
+  /// while the previous step's measurement reads the other.
+  std::array<net::ByteLoads, 2> step_loads_;
+  mon::Measurement measurement_;  ///< the pending step's, run as a deferred job
+  bool synchronous_measurement_ = false;
 };
 
 }  // namespace dfv::sim

@@ -5,6 +5,9 @@
 #include "common/check.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "apps/registry.hpp"
 #include "common/stats.hpp"
@@ -117,6 +120,49 @@ TEST(Cluster, BackgroundLoadsRefreshOnJobChurn) {
   double total = 0.0;
   for (double v : loads.link_rate) total += v;
   EXPECT_GT(total, 0.0);
+}
+
+// Each step is measured on idle lanes while the next one routes. The
+// records must equal measuring each step synchronously, after its routing,
+// bit for bit, at any pool width: two runs cover the buffers used in turn
+// across a run boundary and background refreshes between steps.
+TEST(Cluster, DeferredMeasurementMatchesSynchronousAtAnyWidth) {
+  const auto milc = apps::make_milc(128);
+  const auto amg = apps::make_amg(128);
+  const auto runs = [&](int threads, bool synchronous) {
+    exec::ThreadPool::instance().resize(threads);
+    Cluster cluster(small_machine(), capped_params(), small_population(), 31);
+    cluster.set_synchronous_measurement(synchronous);
+    cluster.slurm().advance_to(6 * 3600.0);
+    std::vector<RunRecord> out;
+    out.push_back(cluster.run_app(*milc));
+    cluster.slurm().advance_to(cluster.slurm().now() + 1800.0);
+    out.push_back(cluster.run_app(*amg));
+    return out;
+  };
+  const auto bits = [](const std::vector<RunRecord>& recs) {
+    std::vector<std::uint64_t> b;
+    const auto put = [&b](double v) { b.push_back(std::bit_cast<std::uint64_t>(v)); };
+    for (const RunRecord& r : recs) {
+      put(r.start_time_s);
+      put(r.end_time_s);
+      b.push_back(r.step_times.size());
+      b.push_back(r.step_counters.size());
+      b.push_back(r.step_ldms.size());
+      for (double v : r.step_times) put(v);
+      for (const auto& ctr : r.step_counters)
+        for (double v : ctr) put(v);
+      for (const auto& l : r.step_ldms) {
+        for (double v : l.io) put(v);
+        for (double v : l.sys) put(v);
+      }
+    }
+    return b;
+  };
+  const std::vector<std::uint64_t> reference = bits(runs(1, true));
+  EXPECT_EQ(bits(runs(4, true)), reference);
+  for (int threads : {1, 2, 8}) EXPECT_EQ(bits(runs(threads, false)), reference) << threads;
+  exec::ThreadPool::instance().resize(exec::resolve_threads());
 }
 
 TEST(Cluster, ThrowsWhenJobCannotBePlaced) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <optional>
@@ -198,6 +199,153 @@ TEST_F(ExecTest, ResizeInsideRegionRejected) {
   parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
     EXPECT_THROW(ThreadPool::instance().resize(2), ContractError);
   });
+}
+
+// --- deferred jobs ---------------------------------------------------------
+
+TEST_F(ExecTest, DeferredJobRunsEveryChunkExactlyOnce) {
+  for (int threads : {2, 4, 8}) {
+    ThreadPool::instance().resize(threads);
+    std::vector<std::atomic<int>> hits(1000);
+    DeferredJob job;
+    job.post(hits.size(), [&](std::size_t c) { hits[c].fetch_add(1); });
+    EXPECT_TRUE(job.pending());
+    job.wait();
+    EXPECT_FALSE(job.pending());
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "threads=" << threads;
+  }
+}
+
+TEST_F(ExecTest, DeferredChunksRunOnIdleLanesBeforeWait) {
+  constexpr int kChunks = 64;
+  std::atomic<int> done{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> on_caller{false};
+  DeferredJob job;
+  job.post(kChunks, [&](std::size_t) {
+    EXPECT_TRUE(ThreadPool::in_parallel_region());
+    if (std::this_thread::get_id() == caller) on_caller = true;
+    done.fetch_add(1);
+  });
+  // The caller does nothing with the pool, so the workers finish the job.
+  for (int ms = 0; ms < 20000 && done.load() < kChunks; ++ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(done.load(), kChunks);
+  job.wait();
+  EXPECT_EQ(done.load(), kChunks);
+  EXPECT_FALSE(on_caller.load());
+}
+
+TEST_F(ExecTest, DeferredExceptionIsRethrownAtWait) {
+  std::atomic<int> ran{0};
+  DeferredJob job;
+  job.post(100, [&](std::size_t c) {
+    ran.fetch_add(1);
+    if (c == 37) throw std::runtime_error("chunk failed");
+  });
+  EXPECT_THROW(job.wait(), std::runtime_error);
+  EXPECT_FALSE(job.pending());
+  EXPECT_LE(ran.load(), 100);
+  // The slot is free again and the pool still runs regions and jobs.
+  std::vector<std::atomic<int>> hits(50);
+  job.post(hits.size(), [&](std::size_t c) { hits[c].fetch_add(1); });
+  std::atomic<int> count{0};
+  parallel_for(0, 64, 4, [&](std::size_t lo, std::size_t hi) { count.fetch_add(int(hi - lo)); });
+  EXPECT_EQ(count.load(), 64);
+  job.wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ExecTest, DeferredJobOnOneLaneRunsInlineAtWait) {
+  ThreadPool::instance().resize(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> order;
+  DeferredJob job;
+  job.post(20, [&](std::size_t c) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(int(c));
+  });
+  EXPECT_TRUE(order.empty());  // no lane to run it before wait()
+  job.wait();
+  std::vector<int> expected(20);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(order, expected);
+  // Inline, the first exception stops the job and surfaces at wait().
+  job.post(5, [](std::size_t c) {
+    if (c == 2) throw std::runtime_error("inline chunk failed");
+  });
+  EXPECT_THROW(job.wait(), std::runtime_error);
+}
+
+TEST_F(ExecTest, RegionsRunWhileADeferredJobIsPending) {
+  // Each deferred chunk writes its own slot; regions run meanwhile and both
+  // give the serial answers.
+  std::vector<double> slot(512, 0.0);
+  const auto chunk_value = [](std::size_t c) {
+    double v = 0.0;
+    for (std::size_t i = 0; i < 2000; ++i) v += double((c * 2654435761u + i) % 97) * 0.5;
+    return v;
+  };
+  DeferredJob job;
+  job.post(slot.size(), [&](std::size_t c) { slot[c] = chunk_value(c); });
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::uint64_t sum = parallel_reduce(
+        0, 1000, 8, std::uint64_t{0},
+        [&](std::size_t lo, std::size_t hi) {
+          std::uint64_t s = 0;
+          for (std::size_t i = lo; i < hi; ++i) s += i;
+          return s;
+        },
+        [](std::uint64_t a, std::uint64_t b) { return a + b; });
+    ASSERT_EQ(sum, 999u * 1000u / 2u);
+  }
+  job.wait();
+  for (std::size_t c = 0; c < slot.size(); ++c) EXPECT_EQ(slot[c], chunk_value(c)) << c;
+}
+
+TEST_F(ExecTest, DeferredJobsPostedInsideARegionOrWhileTheSlotIsHeldRunAtWait) {
+  std::atomic<int> outer_hits{0}, inner_hits{0};
+  DeferredJob outer;
+  outer.post(200, [&](std::size_t) { outer_hits.fetch_add(1); });
+  {
+    DeferredJob second;  // the pool's one slot is held: runs at its wait()
+    second.post(30, [&](std::size_t) { inner_hits.fetch_add(1); });
+    second.wait();
+    EXPECT_EQ(inner_hits.load(), 30);
+  }
+  parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
+    DeferredJob nested;
+    std::atomic<int> n{0};
+    nested.post(10, [&](std::size_t) { n.fetch_add(1); });
+    nested.wait();
+    EXPECT_EQ(n.load(), 10);
+  });
+  outer.wait();
+  EXPECT_EQ(outer_hits.load(), 200);
+}
+
+TEST_F(ExecTest, ResizeWithAPendingDeferredJobFinishesItFirst) {
+  std::vector<std::atomic<int>> hits(64);
+  DeferredJob job;
+  job.post(hits.size(), [&](std::size_t c) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    hits[c].fetch_add(1);
+  });
+  ThreadPool::instance().resize(2);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);  // done before resize returned
+  EXPECT_TRUE(job.pending());
+  job.wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // A handle destroyed while its job is pending waits for the job.
+  std::atomic<int> late{0};
+  {
+    DeferredJob dropped;
+    dropped.post(32, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      late.fetch_add(1);
+    });
+  }
+  EXPECT_EQ(late.load(), 32);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <string>
+#include <vector>
 
 #include "apps/registry.hpp"
 #include "common/check.hpp"
@@ -118,6 +120,59 @@ TEST_F(FlowModelTest, ByteAccountingMatchesDemands) {
   double total_link_bytes = 0.0;
   for (double v : ours.link_bytes) total_link_bytes += v;
   EXPECT_GE(total_link_bytes, 40e6);  // at least one hop each
+}
+
+// clear() zeroes only the links add_link() recorded; that must be every
+// link a step wrote, through transfer() or directly, zero-byte adds and
+// repeated adds included, and the loads must clear again after reuse.
+TEST_F(FlowModelTest, ByteLoadsClearAfterAddLinkLeavesEveryEntryZero) {
+  ByteLoads ours;
+  ours.resize(topo_);
+  const auto all_zero = [&ours] {
+    for (const auto* v : {&ours.link_bytes, &ours.inject_bytes, &ours.eject_bytes})
+      for (double x : *v)
+        if (x != 0.0) return false;
+    return true;
+  };
+  std::vector<Demand> demands;
+  Rng pick(3);
+  const auto R = std::uint64_t(topo_.config().num_routers());
+  for (int i = 0; i < 300; ++i)
+    demands.push_back({RouterId(pick.uniform_index(R)), RouterId(pick.uniform_index(R)),
+                       pick.uniform(1e3, 4e6)});
+  for (int round = 0; round < 3; ++round) {
+    (void)model_.transfer(demands, RoutingPolicy::Ugal, bg_, rng_, &ours);
+    ours.add_link(LinkId(0), 0.0);
+    ours.add_link(LinkId(0), 5.0);
+    ours.add_link(LinkId(topo_.num_links() - 1), 7.0);
+    ours.add_link(LinkId(topo_.num_links() - 1), 7.0);
+    EXPECT_FALSE(all_zero());
+    ours.clear();
+    EXPECT_TRUE(all_zero()) << "round " << round;
+    EXPECT_TRUE(ours.touched_links.empty());
+  }
+}
+
+// The links route_background reports are exactly those it raised from 0.
+TEST_F(FlowModelTest, BackgroundRouteReportsTheLinksItRaisedFromZero) {
+  std::vector<Demand> demands;
+  Rng pick(4);
+  const auto R = std::uint64_t(topo_.config().num_routers());
+  for (int i = 0; i < 700; ++i)
+    demands.push_back({RouterId(pick.uniform_index(R)), RouterId(pick.uniform_index(R)),
+                       pick.uniform(1e3, 4e6)});
+  RateLoads out;
+  out.resize(topo_);
+  out.link_rate[3] = 1.0;  // already loaded: not reported
+  std::vector<LinkId> touched;
+  model_.route_background(demands, RoutingPolicy::Ugal, 1.0, rng_, out, &touched);
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(std::adjacent_find(touched.begin(), touched.end()), touched.end());
+  std::vector<LinkId> loaded;
+  for (std::size_t e = 0; e < out.link_rate.size(); ++e)
+    if (out.link_rate[e] != 0.0 && e != 3) loaded.push_back(LinkId(e));
+  EXPECT_EQ(touched, loaded);
+  EXPECT_GT(loaded.size(), 100u);
 }
 
 TEST_F(FlowModelTest, EmptyTransferIsWellDefined) {

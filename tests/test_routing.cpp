@@ -238,6 +238,64 @@ TEST(Routing, SamplePickMatchesChoose) {
   }
 }
 
+// pick() stops costing a candidate once it cannot win. It must still pick
+// what a strict-< argmin over path_cost picks, minimal candidates first, on
+// Cori's cross-group pairs (Valiant candidates up to 8 links): idle loads
+// (equal-hop ties), coarse load levels (exact ties between different
+// paths), fine random loads, and with a candidate repeated.
+TEST(Routing, PickMatchesPathCostArgmin) {
+  const Topology topo(DragonflyConfig::cori());
+  RoutingParams params;
+  params.minimal_candidates = 3;
+  params.valiant_candidates = 4;
+  const PathChooser chooser(topo, params);
+  const int R = topo.config().num_routers(), rpg = topo.config().routers_per_group();
+  const std::size_t L = std::size_t(topo.num_links());
+  Rng setup(2024);
+  std::vector<std::vector<double>> loads(4);
+  loads[1].assign(L, 0.0);
+  loads[2].resize(L);
+  loads[3].resize(L);
+  for (std::size_t e = 0; e < L; ++e) {
+    const double cap = topo.link(LinkId(e)).capacity;
+    loads[2][e] = cap * double(setup.uniform_index(3)) * 0.5;
+    loads[3][e] = cap * setup.uniform(0.0, 1.5);
+  }
+  std::vector<Path> slots(std::size_t(chooser.max_candidates()));
+  std::size_t eight_links = 0, ties = 0, cut_short = 0;
+  for (const auto& load : loads)
+    for (int trial = 0; trial < 400; ++trial) {
+      const auto src = RouterId(setup.uniform_index(std::uint64_t(R)));
+      const auto dst = RouterId(
+          (src + rpg * (1 + int(setup.uniform_index(std::uint64_t(topo.config().groups - 1))))) %
+          R);
+      Rng draw(setup());
+      const Candidates c = chooser.sample(src, dst, RoutingPolicy::Ugal, draw, slots);
+      ASSERT_EQ(c.count, 7);
+      if (trial % 4 == 3) slots[1] = slots[0];
+      int want = -1;
+      double best = std::numeric_limits<double>::infinity();
+      for (int i = 0; i < c.count; ++i) {
+        const Path& p = slots[std::size_t(i)];
+        const double cost = chooser.path_cost(p, load, i >= c.minimal);
+        if (p.links.size() == 8) ++eight_links;
+        if (cost == best) ++ties;
+        if (cost >= best && !load.empty()) ++cut_short;
+        if (cost < best) {
+          best = cost;
+          want = i;
+        }
+      }
+      const Path got = chooser.pick(RoutingPolicy::Ugal, slots, c, load);
+      ASSERT_GE(want, 0);
+      ASSERT_EQ(links_of(got), links_of(slots[std::size_t(want)]))
+          << "load set " << (&load - loads.data()) << " trial " << trial;
+    }
+  EXPECT_GT(eight_links, 0u);
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(cut_short, 0u);
+}
+
 TEST(Routing, RejectsInvalidParams) {
   const Topology topo(DragonflyConfig::small(4));
   const auto rejects = [&topo](auto mutate) {

@@ -54,6 +54,8 @@ TEST(Topology, LinkClassRangesCoverEveryLink) {
       for (LinkId id = classes[k].begin; id < classes[k].end; ++id) {
         ASSERT_EQ(topo.link(id).type, types[k]) << id;
         ASSERT_EQ(topo.link(id).capacity, classes[k].capacity) << id;
+        ASSERT_EQ(topo.link_capacity(id), topo.link(id).capacity) << id;
+        ASSERT_EQ(topo.link_latency(id), topo.link(id).latency) << id;
       }
       next = classes[k].end;
     }
