@@ -4,13 +4,12 @@
 #   scripts/bench.sh [ml]        # model-training microbenchmarks  -> BENCH_ml.json
 #   scripts/bench.sh ml-predict  # compiled-inference benchmarks   -> BENCH_ml.json
 #   scripts/bench.sh serve       # dfv serve load generator        -> BENCH_serve.json
-#   scripts/bench.sh store       # out-of-core column store        -> BENCH_store.json
+#   scripts/bench.sh store       # campaign-cache cold open        -> BENCH_store.json
 #   scripts/bench.sh net         # routing + flow-model benchmarks -> BENCH_net.json
 #   scripts/bench.sh pipeline    # dfv campaign end to end         -> BENCH_pipeline.json
 #
 #   DFV_BENCH_MIN_TIME=1.0 scripts/bench.sh        # longer per-bench min time (ml*, net)
 #   DFV_BENCH_SECONDS=5 scripts/bench.sh serve     # longer per-phase window (serve)
-#   DFV_BENCH_STORE_RUNS=100000 scripts/bench.sh store   # smaller longitudinal store
 #   DFV_BENCH_REPS=5 scripts/bench.sh pipeline     # more repetitions of the 10-day runs
 #
 # Measurements come from the Release preset (build-release/) so the
@@ -179,12 +178,11 @@ PY
   store)
     cmake --build "$BUILD" -j --target bench_store >/dev/null
     "./$BUILD/bench/bench_store" \
-      --runs "${DFV_BENCH_STORE_RUNS:-1000000}" \
       --campaign-days "${DFV_BENCH_STORE_DAYS:-120}" \
       --json "$raw"
     merge_snapshot BENCH_store.json dfv-bench-store-v1 \
-      "out-of-core column store vs in-RAM: append throughput, cold-open latency, OOC training time + peak RSS; current = last scripts/bench.sh store run" \
-      '_per_sec$|_speedup$|_identical$|^runs$|^features$|^campaign_runs$|^rss_reset_ok$'
+      "campaign-cache cold open: store-entry pin vs CSV deserialize of the same campaign; current = last scripts/bench.sh store run" \
+      '_speedup$|^campaign_runs$'
     echo "wrote BENCH_store.json"
     ;;
   net)

@@ -59,11 +59,10 @@ echo "release build: clean"
 # traffic on both hot paths, and drain cleanly (short window; the real
 # QPS/latency trajectory comes from scripts/bench.sh serve).
 ./build/bench/bench_serve --shards 4 --clients 4 --seconds 0.3 >/dev/null
-# Out-of-core store smoke: generate a small longitudinal store, train
-# off the mmap'd codes, and require GBR bit-identity with the in-RAM
-# path (bench_store aborts on divergence). Real numbers come from
-# scripts/bench.sh store.
-./build/bench/bench_store --runs 20000 --campaign-days 3 >/dev/null
+# Campaign-cache cold-open smoke: publish a small campaign as a store
+# entry and as CSVs, then pin and deserialize both (bench_store aborts
+# on a run-count mismatch). Real numbers come from scripts/bench.sh store.
+./build/bench/bench_store --campaign-days 3 >/dev/null
 echo "bench smoke: OK"
 
 # Sanitizer stage for the readers of outside bytes: the wire decoder
@@ -111,8 +110,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # corrupt-cache detect/evict/regenerate path, also race-checked.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_cache_integrity
-  # The column store pairs one live appender with concurrent snapshot
-  # pins (the snapshot-under-append test); race-checked end to end.
+  # The column store pairs one live appender with concurrent pins (the
+  # snapshot-under-append test); race-checked end to end.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_store
   # Tree node scans, binning, and the boosting update are parallel; the
   # GBR/RFE suites race-check them end to end.

@@ -8,17 +8,8 @@
 namespace dfv::ml {
 
 const Matrix& BinnedDataset::source() const {
-  DFV_CHECK_MSG(x_ != nullptr,
-                "BinnedDataset: external-memory view has no source matrix");
+  DFV_CHECK_MSG(x_ != nullptr, "BinnedDataset: empty view has no source matrix");
   return *x_;
-}
-
-BinnedDataset::BinnedDataset(std::vector<std::vector<double>> edges,
-                             const std::uint8_t* codes, std::size_t rows)
-    : rows_(rows), features_(edges.size()), edges_(std::move(edges)),
-      external_codes_(codes) {
-  DFV_CHECK(rows_ > 0 && features_ > 0);
-  DFV_CHECK(codes != nullptr);
 }
 
 BinnedDataset::BinnedDataset(const Matrix& x, int bins)

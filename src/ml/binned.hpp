@@ -54,20 +54,12 @@ class BinnedDataset {
   /// (edges from a stride-subsampled quantile sketch, exactly the scheme
   /// the per-tree binner used). bins must be in [2, 256].
   BinnedDataset(const Matrix& x, int bins);
-  /// External-memory view: per-feature edges plus a caller-owned
-  /// feature-major code block of edges.size() * rows codes (e.g. the
-  /// column store's mmap'd bin-code region, so GBR/RFE train zero-copy
-  /// off disk). The block must outlive the view. No source matrix is
-  /// attached: has_source() is false and source() must not be called.
-  BinnedDataset(std::vector<std::vector<double>> edges,
-                const std::uint8_t* codes, std::size_t rows);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t features() const noexcept { return features_; }
   [[nodiscard]] bool empty() const noexcept { return rows_ == 0; }
-  /// True when the view was built from an in-RAM Matrix it still points at.
-  [[nodiscard]] bool has_source() const noexcept { return x_ != nullptr; }
-  /// The backing matrix; contract-checked (external-memory views have none).
+  /// The backing matrix; contract-checked (a default-constructed view has
+  /// none).
   [[nodiscard]] const Matrix& source() const;
 
   /// Ascending split-candidate values for feature f (size < bins).
@@ -75,23 +67,18 @@ class BinnedDataset {
     return edges_[f];
   }
   [[nodiscard]] std::uint8_t code(std::size_t r, std::size_t f) const {
-    return code_block()[f * rows_ + r];
+    return codes_[f * rows_ + r];
   }
   /// All rows' codes for one feature (the layout node scans iterate).
   [[nodiscard]] std::span<const std::uint8_t> feature_codes(std::size_t f) const {
-    return {code_block() + f * rows_, rows_};
+    return {codes_.data() + f * rows_, rows_};
   }
 
  private:
-  [[nodiscard]] const std::uint8_t* code_block() const noexcept {
-    return external_codes_ != nullptr ? external_codes_ : codes_.data();
-  }
-
   const Matrix* x_ = nullptr;
   std::size_t rows_ = 0, features_ = 0;
   std::vector<std::vector<double>> edges_;  ///< per feature, ascending
   std::vector<std::uint8_t> codes_;         ///< feature-major [f * rows + r]
-  const std::uint8_t* external_codes_ = nullptr;  ///< caller-owned, or null
 };
 
 }  // namespace dfv::ml

@@ -1,8 +1,8 @@
 // Compiled surrogate inference (ROADMAP item 3): serve-rate prediction
 // for the fitted models the analysis stack trains once and then queries
 // millions of times (SMART frames runtime prediction as a surrogate
-// *serving* problem; the longitudinal-monitoring workflow assumes cheap
-// repeated predictions over months of telemetry).
+// *serving* problem; monitoring a machine over months of telemetry
+// assumes cheap repeated predictions).
 //
 // A compile step snapshots a fitted model into an inference-only layout:
 //

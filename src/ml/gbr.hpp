@@ -41,7 +41,7 @@ class GradientBoostedRegressor {
 
   /// All-rows variant: identical to passing the identity row list, but
   /// never materializes it — subsampled picks are already row ids. For
-  /// million-row out-of-core fits this trims O(rows) from peak RSS.
+  /// large fits this trims O(rows) from peak RSS.
   void fit(const BinnedDataset& data, std::span<const double> y,
            const FeatureMask& mask);
 

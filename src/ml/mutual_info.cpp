@@ -22,6 +22,9 @@ double mutual_information(std::span<const int> xs, std::span<const int> ys) {
     py[ys[i]] += w;
     pxy[{xs[i], ys[i]}] += w;
   }
+  // A variable with one value carries no information. Its summed
+  // probability can miss 1 by an ulp, which would leave a ~1e-16 score.
+  if (px.size() == 1 || py.size() == 1) return 0.0;
 
   double mi = 0.0;
   for (const auto& [key, p] : pxy) {
@@ -54,6 +57,8 @@ double mutual_information(const Counts2x2& joint, std::span<const double> acc) {
   const std::size_t cy[2] = {joint[0][0] + joint[1][0], joint[0][1] + joint[1][1]};
   DFV_CHECK_MSG(acc.size() == cx[0] + cx[1] + 1,
                 "count probabilities must cover every count up to the sample size");
+  // One-valued variable: exactly 0, as in the column form.
+  if (cx[0] == 0 || cx[1] == 0 || cy[0] == 0 || cy[1] == 0) return 0.0;
   double mi = 0.0;
   for (std::size_t x = 0; x < 2; ++x)
     for (std::size_t y = 0; y < 2; ++y) {

@@ -44,11 +44,6 @@ RfeResult rfe_cv(const BinnedDataset& binned, std::span<const double> y,
   DFV_CHECK(offset.empty() || offset.size() == y.size());
   const std::size_t F = binned.features();
   DFV_CHECK(F >= 2);
-  // The ridge baseline solves on raw feature rows, so it is the one stage
-  // that cannot run over an external-memory (sourceless) binned view.
-  DFV_CHECK_MSG(!params.with_linear_baseline || binned.has_source(),
-                "rfe_cv: linear baseline needs the source matrix; disable "
-                "with_linear_baseline for external-memory binned views");
 
   RfeResult result;
   result.relevance.assign(F, 0.0);
@@ -89,19 +84,17 @@ RfeResult rfe_cv(const BinnedDataset& binned, std::span<const double> y,
       part.mape_full =
           offset_mape(y, full.predict_rows(binned, fold.test), offset, fold.test);
 
-      if (params.with_linear_baseline) {
-        const Matrix& x = binned.source();
-        const Matrix x_train = x.select_rows(fold.train);
-        std::vector<double> y_train(fold.train.size());
-        for (std::size_t i = 0; i < fold.train.size(); ++i)
-          y_train[i] = y[fold.train[i]];
-        LinearRegression lin;
-        lin.fit(x_train, y_train);
-        std::vector<double> lin_pred(fold.test.size());
-        for (std::size_t i = 0; i < fold.test.size(); ++i)
-          lin_pred[i] = lin.predict_one(x.row(fold.test[i]));
-        part.mape_linear = offset_mape(y, lin_pred, offset, fold.test);
-      }
+      const Matrix& x = binned.source();
+      const Matrix x_train = x.select_rows(fold.train);
+      std::vector<double> y_train(fold.train.size());
+      for (std::size_t i = 0; i < fold.train.size(); ++i)
+        y_train[i] = y[fold.train[i]];
+      LinearRegression lin;
+      lin.fit(x_train, y_train);
+      std::vector<double> lin_pred(fold.test.size());
+      for (std::size_t i = 0; i < fold.test.size(); ++i)
+        lin_pred[i] = lin.predict_one(x.row(fold.test[i]));
+      part.mape_linear = offset_mape(y, lin_pred, offset, fold.test);
     }
 
     // Recursive elimination: the active set shrinks by the least-important
@@ -161,8 +154,6 @@ RfeResult rfe_cv(const BinnedDataset& binned, std::span<const double> y,
       result.survival[f] += part.survival[f] * inv_folds;
     }
   }
-  if (!params.with_linear_baseline)
-    result.cv_mape_linear = std::numeric_limits<double>::quiet_NaN();
   return result;
 }
 

@@ -13,11 +13,6 @@ struct RfeParams {
   GbrParams gbr;
   int folds = 10;
   std::uint64_t seed = 0x4fe;
-  /// Fit the ridge linear baseline alongside the GBR (Groves et al.).
-  /// The baseline is the one consumer that needs the raw source matrix;
-  /// out-of-core callers training over an external-memory BinnedDataset
-  /// turn it off (cv_mape_linear then reports NaN).
-  bool with_linear_baseline = true;
 };
 
 struct RfeResult {
@@ -30,8 +25,7 @@ struct RfeResult {
   /// Held-out MAPE of the full-feature GBR, averaged over folds, computed
   /// on offset + prediction vs. offset + target (see `offset` below).
   double cv_mape_full = 0.0;
-  /// Same for the ridge linear-regression baseline (Groves et al.);
-  /// NaN when the baseline was disabled (RfeParams::with_linear_baseline).
+  /// Same for the ridge linear-regression baseline (Groves et al.).
   double cv_mape_linear = 0.0;
 };
 

@@ -17,13 +17,11 @@ namespace {
 /// The file whose presence commits the entry and whose mtime is recency.
 [[nodiscard]] fs::path commit_point(const fs::path& entry) {
   if (fs::exists(entry / "META")) return entry / "META";
-  if (fs::exists(entry / "MANIFEST")) return entry / "MANIFEST";
   return entry;
 }
 
 [[nodiscard]] std::string classify(const fs::path& entry) {
   std::error_code ec;
-  if (fs::exists(entry / "MANIFEST", ec)) return "store";
   if (!fs::exists(entry / "META", ec)) return "other";
   // A campaign store nests per-dataset sub-stores under its META. A META
   // beside flat files only is a CSV entry left by an older build.

@@ -1,7 +1,7 @@
 // Size accounting and LRU eviction for the on-disk cache directory.
 // Entries are the direct subdirectories of the cache root (campaign-store
-// entries, longitudinal stores, anything else); recency is the
-// mtime of the entry's commit-point file (META / MANIFEST), which load
+// entries, anything else); recency is the mtime of the entry's META
+// commit point (the directory's own mtime when it has none), which load
 // paths touch on every cache hit. `dfv cache` fronts this module, and
 // run_campaign_cached enforces the DFV_CACHE_MAX_BYTES budget after
 // each publish so the cache can no longer grow without bound.
@@ -17,7 +17,7 @@ namespace dfv::sim {
 
 struct CacheEntryInfo {
   std::string name;           ///< directory name under the cache root
-  std::string kind;           ///< "campaign-store" | "store" | "other"
+  std::string kind;           ///< "campaign-store" | "other"
   std::uintmax_t bytes = 0;   ///< recursive size
   std::filesystem::file_time_type mtime{};  ///< commit-point recency
 };

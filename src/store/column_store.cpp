@@ -99,31 +99,6 @@ struct Manifest {
   std::vector<std::vector<ZoneMap>> zones;
 };
 
-[[nodiscard]] std::string manifest_to_text(std::uint32_t segment_rows,
-                                           std::uint64_t epoch, std::uint64_t rows,
-                                           std::span<const ColumnSpec> specs,
-                                           const std::vector<std::vector<ZoneMap>>& zones) {
-  std::ostringstream os;
-  os << kMagic << ' ' << kVersion << '\n';
-  os << "segment_rows " << segment_rows << '\n';
-  os << "epoch " << epoch << '\n';
-  os << "rows " << rows << '\n';
-  os << "columns " << specs.size() << '\n';
-  for (const ColumnSpec& s : specs)
-    os << "column " << s.name << ' ' << (s.kind == ColumnKind::F64 ? "f64" : "u8")
-       << '\n';
-  for (std::size_t c = 0; c < zones.size(); ++c)
-    for (std::size_t g = 0; g < zones[c].size(); ++g) {
-      const ZoneMap& z = zones[c][g];
-      os << "zone " << c << ' ' << g << ' ' << z.count << ' '
-         << hex64(std::bit_cast<std::uint64_t>(z.min)) << ' '
-         << hex64(std::bit_cast<std::uint64_t>(z.max)) << ' '
-         << hex64(std::bit_cast<std::uint64_t>(z.sum)) << ' ' << hex64(z.crc)
-         << '\n';
-    }
-  return os.str();
-}
-
 [[nodiscard]] Manifest parse_manifest(const std::string& dir) {
   std::ifstream in(manifest_path(dir), std::ios::binary);
   DFV_CHECK_MSG(bool(in), "store: missing MANIFEST in " + dir);
@@ -228,17 +203,6 @@ std::span<const ZoneMap> StorePin::zones(std::size_t col) const {
   return zones_[col];
 }
 
-double StorePin::mean(const std::string& name) const {
-  const std::size_t c = column_index(name);
-  DFV_CHECK_MSG(specs_[c].kind == ColumnKind::F64, "store: column is not f64: " + name);
-  DFV_CHECK_MSG(rows_ > 0, "store: mean of an empty store");
-  // Serial combine in segment order: the association is fixed by the
-  // store's segment size, so the result never depends on append batching.
-  double sum = 0.0;
-  for (const ZoneMap& z : zones_[c]) sum += z.sum;
-  return sum / double(rows_);
-}
-
 std::uint64_t StorePin::content_fingerprint() const {
   std::uint64_t h = hash_combine(rows_, segment_rows_);
   for (std::size_t c = 0; c < specs_.size(); ++c) {
@@ -261,32 +225,6 @@ void StorePin::verify_integrity() const {
                                       specs_[c].name + " of " + dir_);
     }
   }
-}
-
-void StorePin::snapshot_to(const std::string& dest_dir) const {
-  namespace fs = std::filesystem;
-  fs::create_directories(dest_dir);
-  DFV_CHECK_MSG(file_size_or_zero(manifest_path(dest_dir)) == 0,
-                "store: snapshot destination already holds a store: " + dest_dir);
-  // Column bytes first (tmp + rename per file), MANIFEST strictly last:
-  // a reader of dest_dir either sees no store yet or a complete one.
-  for (std::size_t c = 0; c < specs_.size(); ++c) {
-    const std::string final_path = column_path(dest_dir, specs_[c].name);
-    const std::string tmp_path = final_path + ".tmp";
-    {
-      AppendFile out = AppendFile::open(tmp_path);
-      out.truncate_to(0);
-      out.append(maps_[c].data(), maps_[c].size());
-      out.sync();
-    }
-    std::error_code ec;
-    fs::rename(tmp_path, final_path, ec);
-    DFV_CHECK_MSG(!ec, "store: snapshot rename failed for " + final_path);
-  }
-  std::string text = manifest_to_text(segment_rows_, epoch_, rows_, specs_, zones_);
-  append_checksum_footer(text);
-  DFV_CHECK_MSG(atomic_write_file(manifest_path(dest_dir), text),
-                "store: snapshot MANIFEST publish failed in " + dest_dir);
 }
 
 // -------------------------------------------------------------- ColumnStore
@@ -343,19 +281,6 @@ ColumnStore ColumnStore::open(const std::string& dir) {
     // that died between append and publish — recover by dropping it.
     if (col.file.size() > committed) col.file.truncate_to(committed);
   }
-  return s;
-}
-
-ColumnStore ColumnStore::open_or_create(const std::string& dir,
-                                        std::vector<ColumnSpec> specs,
-                                        const StoreOptions& opts) {
-  if (file_size_or_zero(manifest_path(dir)) == 0)
-    return create(dir, std::move(specs), opts);
-  ColumnStore s = open(dir);
-  DFV_CHECK_MSG(s.specs_.size() == specs.size(), "store: schema mismatch in " + dir);
-  for (std::size_t c = 0; c < specs.size(); ++c)
-    DFV_CHECK_MSG(s.specs_[c].name == specs[c].name && s.specs_[c].kind == specs[c].kind,
-                  "store: schema mismatch in " + dir);
   return s;
 }
 
@@ -417,10 +342,25 @@ std::shared_ptr<const StorePin> ColumnStore::pin() const {
 }
 
 std::string ColumnStore::manifest_text() const {
-  std::vector<std::vector<ZoneMap>> zones;
-  zones.reserve(cols_.size());
-  for (const ColState& col : cols_) zones.push_back(col.zones);
-  return manifest_to_text(segment_rows_, epoch_, rows_, specs_, zones);
+  std::ostringstream os;
+  os << kMagic << ' ' << kVersion << '\n';
+  os << "segment_rows " << segment_rows_ << '\n';
+  os << "epoch " << epoch_ << '\n';
+  os << "rows " << rows_ << '\n';
+  os << "columns " << specs_.size() << '\n';
+  for (const ColumnSpec& s : specs_)
+    os << "column " << s.name << ' ' << (s.kind == ColumnKind::F64 ? "f64" : "u8")
+       << '\n';
+  for (std::size_t c = 0; c < cols_.size(); ++c)
+    for (std::size_t g = 0; g < cols_[c].zones.size(); ++g) {
+      const ZoneMap& z = cols_[c].zones[g];
+      os << "zone " << c << ' ' << g << ' ' << z.count << ' '
+         << hex64(std::bit_cast<std::uint64_t>(z.min)) << ' '
+         << hex64(std::bit_cast<std::uint64_t>(z.max)) << ' '
+         << hex64(std::bit_cast<std::uint64_t>(z.sum)) << ' ' << hex64(z.crc)
+         << '\n';
+    }
+  return os.str();
 }
 
 }  // namespace dfv::store

@@ -1,4 +1,5 @@
-// Append-only, memory-mapped column store for million-run campaigns.
+// Append-only, memory-mapped column store; the campaign cache keeps each
+// campaign entry in these (sim/campaign_store.hpp).
 //
 // Layout (one directory per store):
 //   <dir>/MANIFEST        text, `#dfv-crc` footer, atomically published —
@@ -8,16 +9,14 @@
 //                         append-only, chunked into fixed-size row
 //                         segments; bytes beyond the committed extent
 //                         are torn writes and are truncated on reopen
-//   <dir>/view_<fp>.*     training-view sidecars (see training_view.hpp)
 //
 // Readers pin a published MANIFEST and mmap each column's committed
 // prefix: append-only means pinned byte ranges never mutate, so any
 // number of pins coexist with one live writer without locks on the data
 // path. Zone maps accumulate per *fixed-size* segment — the grouping
 // depends only on absolute row index, never on append batch sizes — so
-// streaming statistics (mean-centering, quantile sketch sampling) combine
-// deterministically: the same rows give bit-identical stats and CRCs no
-// matter how they were chunked across appends.
+// the same rows give bit-identical zone stats and CRCs no matter how
+// they were chunked across appends.
 #pragma once
 
 #include <cstddef>
@@ -84,11 +83,6 @@ class StorePin {
   [[nodiscard]] std::span<const std::uint8_t> u8(const std::string& name) const;
   [[nodiscard]] std::span<const ZoneMap> zones(std::size_t col) const;
 
-  /// Mean of an F64 column from the zone maps: per-segment sums combined
-  /// serially in segment order — O(segments), no column scan, and
-  /// bit-identical for a given committed content however it was appended.
-  [[nodiscard]] double mean(const std::string& name) const;
-
   /// Deterministic digest of the committed content (schema, row count,
   /// every segment CRC). Two pins agree iff their committed bytes agree.
   [[nodiscard]] std::uint64_t content_fingerprint() const;
@@ -96,12 +90,6 @@ class StorePin {
   /// Recompute every segment CRC against the mapped bytes and compare
   /// with the MANIFEST; throws ContractError on any mismatch.
   void verify_integrity() const;
-
-  /// Copy this pinned state into a fresh store directory: column bytes
-  /// first (via tmp + rename), MANIFEST last — so the snapshot directory
-  /// is itself atomically published and byte-stable across replays of
-  /// the same pinned content. `dest_dir` must not already hold a store.
-  void snapshot_to(const std::string& dest_dir) const;
 
  private:
   friend class ColumnStore;
@@ -133,11 +121,6 @@ class ColumnStore {
   /// a column file *shorter* than the committed extent is corruption and
   /// throws ContractError.
   [[nodiscard]] static ColumnStore open(const std::string& dir);
-  /// open() when a MANIFEST exists (validating `specs` against it),
-  /// create() otherwise.
-  [[nodiscard]] static ColumnStore open_or_create(const std::string& dir,
-                                                  std::vector<ColumnSpec> specs,
-                                                  const StoreOptions& opts = {});
   /// Pin an existing store read-only, without a writer.
   [[nodiscard]] static std::shared_ptr<const StorePin> open_pin(const std::string& dir);
 

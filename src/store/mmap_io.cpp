@@ -63,49 +63,6 @@ MappedFile MappedFile::map_prefix(const std::string& path, std::size_t length) {
   return m;
 }
 
-RandomReadFile::RandomReadFile(RandomReadFile&& other) noexcept
-    : fd_(std::exchange(other.fd_, -1)) {}
-
-RandomReadFile& RandomReadFile::operator=(RandomReadFile&& other) noexcept {
-  if (this != &other) {
-    this->~RandomReadFile();
-    fd_ = std::exchange(other.fd_, -1);
-  }
-  return *this;
-}
-
-RandomReadFile::~RandomReadFile() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-}
-
-RandomReadFile RandomReadFile::open(const std::string& path) {
-  RandomReadFile f;
-  f.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  DFV_CHECK_MSG(f.fd_ >= 0, "store: cannot open for read: " + path);
-  return f;
-}
-
-void RandomReadFile::read_at(std::uint64_t offset, void* dst, std::size_t n) const {
-  DFV_CHECK(fd_ >= 0);
-  std::uint8_t* out = static_cast<std::uint8_t*>(dst);
-  while (n > 0) {
-    const ::ssize_t got = ::pread(fd_, out, n, ::off_t(offset));
-    if (got < 0 && errno == EINTR) continue;
-    DFV_CHECK_MSG(got > 0, "store: short read (truncated segment?)");
-    out += got;
-    offset += std::uint64_t(got);
-    n -= std::size_t(got);
-  }
-}
-
-std::uint64_t RandomReadFile::size() const {
-  DFV_CHECK(fd_ >= 0);
-  struct ::stat st{};
-  DFV_CHECK_MSG(::fstat(fd_, &st) == 0, "store: fstat failed");
-  return std::uint64_t(st.st_size);
-}
-
 AppendFile::AppendFile(AppendFile&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)) {}
 

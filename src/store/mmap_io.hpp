@@ -1,9 +1,9 @@
-// Audited low-level file primitives for the out-of-core column store:
-// read-only memory mappings, positioned reads, and append-only writes.
-// This is the one module allowed to touch the raw mmap/pread/pwrite
-// syscall family (dfv-lint `blocking-io` enforces that); everything
-// above it works in terms of these RAII wrappers, so lifetime, error
-// handling, and truncation semantics are centralized here.
+// Audited low-level file primitives for the column store: read-only
+// memory mappings and append-only writes. This is the one module allowed
+// to touch the raw mmap/pread/pwrite syscall family (dfv-lint
+// `blocking-io` enforces that); everything above it works in terms of
+// these RAII wrappers, so lifetime, error handling, and truncation
+// semantics are centralized here.
 #pragma once
 
 #include <cstddef>
@@ -40,31 +40,6 @@ class MappedFile {
  private:
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
-};
-
-/// Positioned (pread) access to a file, for streaming passes that must
-/// not grow the process mapping — quantile sampling and code building
-/// read through a small fixed buffer instead of faulting columns in.
-class RandomReadFile {
- public:
-  RandomReadFile() = default;
-  RandomReadFile(RandomReadFile&& other) noexcept;
-  RandomReadFile& operator=(RandomReadFile&& other) noexcept;
-  RandomReadFile(const RandomReadFile&) = delete;
-  RandomReadFile& operator=(const RandomReadFile&) = delete;
-  ~RandomReadFile();
-
-  /// Open for reading; throws ContractError when the file cannot be opened.
-  [[nodiscard]] static RandomReadFile open(const std::string& path);
-
-  /// Read exactly `n` bytes at `offset`; throws ContractError on a short
-  /// read (EOF inside the requested range) or I/O error.
-  void read_at(std::uint64_t offset, void* dst, std::size_t n) const;
-
-  [[nodiscard]] std::uint64_t size() const;
-
- private:
-  int fd_ = -1;
 };
 
 /// Append-only writer with explicit truncation, used for column segment

@@ -55,9 +55,23 @@ TEST(MutualInfo, BoundedByMinEntropy) {
 }
 
 TEST(MutualInfo, ConstantVariableGivesZero) {
-  const std::vector<int> c(10, 7);
-  const std::vector<int> y = {0, 1, 0, 1, 0, 1, 0, 1, 0, 1};
-  EXPECT_NEAR(mutual_information(c, y), 0.0, 1e-12);
+  // Exactly zero, not an ulp above it: a user present in every run (or in
+  // none) must not rank above a real zero.
+  Rng rng(3);
+  for (std::size_t n = 3; n <= 64; ++n) {
+    std::vector<int> y(n);
+    for (std::size_t i = 0; i < n; ++i) y[i] = int(i % 2 == 0 || rng.bernoulli(0.4));
+    const std::vector<double> acc = count_probabilities(n);
+    for (int v : {0, 1}) {
+      const std::vector<int> c(n, v);
+      EXPECT_EQ(mutual_information(c, y), 0.0) << "n " << n << " value " << v;
+      EXPECT_EQ(mutual_information(y, c), 0.0) << "n " << n << " value " << v;
+      Counts2x2 joint{};
+      for (std::size_t i = 0; i < n; ++i) ++joint[std::size_t(c[i])][std::size_t(y[i])];
+      EXPECT_EQ(mutual_information(joint, acc), 0.0) << "n " << n << " value " << v;
+    }
+    EXPECT_EQ(mutual_information(std::vector<int>(n, 7), y), 0.0) << "n " << n;
+  }
 }
 
 TEST(MutualInfo, BinaryDoubleConvenience) {

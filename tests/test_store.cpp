@@ -1,8 +1,7 @@
-// Out-of-core column store: append/publish/pin round trips, zone-map
-// statistics, append-batching byte invariance, torn-write and
-// truncated-segment recovery, snapshot-under-concurrent-append
-// consistency, zero-copy training-view bit-identity against the in-RAM
-// BinnedDataset path, the campaign-store cache format, and cache GC.
+// Column store: append/publish/pin round trips, zone-map statistics,
+// append-batching byte invariance, torn-write and truncated-segment
+// recovery, pin consistency under a concurrent writer, the campaign-store
+// cache format, and cache GC.
 #include "store/column_store.hpp"
 
 #include <gtest/gtest.h>
@@ -26,13 +25,9 @@
 #include "common/log.hpp"
 #include "common/rng.hpp"
 #include "exec/exec.hpp"
-#include "ml/gbr.hpp"
-#include "ml/rfe.hpp"
 #include "sim/cache_gc.hpp"
 #include "sim/campaign.hpp"
 #include "sim/campaign_store.hpp"
-#include "store/longitudinal.hpp"
-#include "store/training_view.hpp"
 
 namespace dfv {
 namespace {
@@ -43,7 +38,6 @@ using store::ColumnKind;
 using store::ColumnSpec;
 using store::ColumnStore;
 using store::StoreOptions;
-using store::StorePin;
 
 std::string slurp(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -130,10 +124,11 @@ TEST_F(StoreTest, RoundTripValuesAndZoneStats) {
   EXPECT_EQ(zones[3].count, 8u);
   EXPECT_TRUE(bit_eq(zones[0].min, val_a(0)));
   EXPECT_TRUE(bit_eq(zones[0].max, val_a(63)));
-  // Streaming mean from zone sums equals the direct mean combine.
-  double sum = 0.0;
-  for (const auto& z : zones) sum += z.sum;
-  EXPECT_EQ(pin->mean("a"), sum / 200.0);
+  // The zone sums add up to the column sum (values are exact in binary).
+  double zone_sum = 0.0, col_sum = 0.0;
+  for (const auto& z : zones) zone_sum += z.sum;
+  for (double v : a) col_sum += v;
+  EXPECT_EQ(zone_sum, col_sum);
 
   EXPECT_NO_THROW(pin->verify_integrity());
   EXPECT_THROW((void)pin->f64("missing"), ContractError);
@@ -157,7 +152,7 @@ TEST_F(StoreTest, NanSkipsMinMaxAndPoisonsMean) {
   ASSERT_EQ(z.size(), 1u);
   EXPECT_EQ(z[0].min, -2.0);  // fmin/fmax skip the NaN
   EXPECT_EQ(z[0].max, 8.0);
-  EXPECT_TRUE(std::isnan(pin->mean("v")));  // sum is NaN-poisoning: honest mean
+  EXPECT_TRUE(std::isnan(z[0].sum));  // sum is NaN-poisoning: honest mean
   EXPECT_TRUE(bit_eq(pin->f64("v")[1], nan));
   EXPECT_NO_THROW(pin->verify_integrity());
 }
@@ -186,7 +181,16 @@ TEST_F(StoreTest, AppendBatchingIsByteAndFingerprintInvariant) {
   // though the epochs differ; so do all zone statistics.
   EXPECT_EQ(cs1.pin()->content_fingerprint(), cs2.pin()->content_fingerprint());
   EXPECT_NE(cs1.pin()->epoch(), cs2.pin()->epoch());
-  EXPECT_EQ(cs1.pin()->mean("b"), cs2.pin()->mean("b"));
+  const auto pin1 = cs1.pin();
+  const auto pin2 = cs2.pin();
+  const auto zb1 = pin1->zones(1);
+  const auto zb2 = pin2->zones(1);
+  ASSERT_EQ(zb1.size(), zb2.size());
+  for (std::size_t g = 0; g < zb1.size(); ++g) {
+    EXPECT_TRUE(bit_eq(zb1[g].sum, zb2[g].sum)) << "segment " << g;
+    EXPECT_TRUE(bit_eq(zb1[g].min, zb2[g].min)) << "segment " << g;
+    EXPECT_TRUE(bit_eq(zb1[g].max, zb2[g].max)) << "segment " << g;
+  }
 }
 
 TEST_F(StoreTest, CreateWithFirstChunkPublishesOnce) {
@@ -304,7 +308,7 @@ TEST_F(StoreTest, FlippedByteFailsVerifyIntegrity) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshots: point-in-time under a concurrent writer, byte stability
+// Pins: point-in-time under a concurrent writer
 // ---------------------------------------------------------------------------
 
 TEST_F(StoreTest, SnapshotUnderConcurrentAppendIsConsistent) {
@@ -320,262 +324,21 @@ TEST_F(StoreTest, SnapshotUnderConcurrentAppendIsConsistent) {
     }
   });
 
-  // Concurrently pin published states and snapshot them: every snapshot
-  // must be a CRC-clean point-in-time prefix of the logical content.
-  std::vector<std::string> snap_dirs;
+  // Concurrently pin published states: every pin must be a CRC-clean
+  // point-in-time prefix of the logical content.
   for (int s = 0; s < 5; ++s) {
     const auto pin = cs.pin();
-    EXPECT_NO_THROW(pin->verify_integrity());
-    const std::string snap = scratch("store_snap_conc_out_" + std::to_string(s));
-    pin->snapshot_to(snap);
-    snap_dirs.push_back(snap);
-  }
-  writer.join();
-
-  for (const std::string& snap : snap_dirs) {
-    const auto pin = ColumnStore::open_pin(snap);
     EXPECT_NO_THROW(pin->verify_integrity());
     const auto a = pin->f64("a");
     const auto q = pin->u8("q");
     for (std::uint64_t i = 0; i < pin->rows(); ++i) {
-      ASSERT_TRUE(bit_eq(a[i], val_a(i))) << "row " << i << " of " << snap;
-      ASSERT_EQ(q[i], val_q(i)) << "row " << i << " of " << snap;
+      ASSERT_TRUE(bit_eq(a[i], val_a(i))) << "row " << i << " of pin " << s;
+      ASSERT_EQ(q[i], val_q(i)) << "row " << i << " of pin " << s;
     }
-    EXPECT_EQ(pin->rows() % 137, 0u) << "snapshot caught an unpublished state";
+    EXPECT_EQ(pin->rows() % 137, 0u) << "pin caught an unpublished state";
   }
+  writer.join();
   EXPECT_EQ(cs.pin()->rows(), 40u * 137u);
-}
-
-TEST_F(StoreTest, SnapshotReplayIsByteStable) {
-  const std::string dir = scratch("store_snap_stable");
-  ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-  append_fixture_rows(cs, 0, 321);
-  cs.publish();
-
-  const auto pin = cs.pin();
-  const std::string s1 = scratch("store_snap_stable_1");
-  const std::string s2 = scratch("store_snap_stable_2");
-  pin->snapshot_to(s1);
-  pin->snapshot_to(s2);
-  for (const char* f : {"MANIFEST", "a.col", "b.col", "q.col"})
-    EXPECT_EQ(slurp(fs::path(s1) / f), slurp(fs::path(s2) / f)) << f;
-  EXPECT_EQ(ColumnStore::open_pin(s1)->content_fingerprint(),
-            pin->content_fingerprint());
-  // A snapshot refuses to land on an existing store.
-  EXPECT_THROW(pin->snapshot_to(s1), ContractError);
-}
-
-// ---------------------------------------------------------------------------
-// Training views: bit-identity with the in-RAM BinnedDataset path
-// ---------------------------------------------------------------------------
-
-/// Six nonlinear features plus a target, appended as one store; returns
-/// the published pin.
-std::shared_ptr<const StorePin> make_training_store(const std::string& dir,
-                                                    std::size_t rows) {
-  std::vector<ColumnSpec> specs;
-  for (int f = 0; f < 6; ++f) {
-    std::string name = "f";  // += sidesteps a GCC 12 -O3 -Wrestrict FP
-    name += std::to_string(f);
-    specs.push_back({std::move(name), ColumnKind::F64});
-  }
-  specs.push_back({"y", ColumnKind::F64});
-  StoreOptions opt;
-  opt.segment_rows = 256;
-  ColumnStore cs = ColumnStore::create(dir, specs, opt);
-
-  std::vector<std::vector<double>> cols(7, std::vector<double>(rows));
-  Rng rng(0xbeef);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (int f = 0; f < 6; ++f) cols[std::size_t(f)][r] = rng.uniform(-1.0, 1.0);
-    const double y = cols[0][r] + 2.0 * cols[1][r] * cols[2][r] +
-                     (cols[3][r] > 0.3 ? 1.5 : 0.0) + 0.05 * rng.normal();
-    cols[6][r] = y;
-  }
-  AppendChunk chunk;
-  chunk.rows = rows;
-  for (const auto& c : cols) chunk.f64.emplace_back(c.data(), c.size());
-  cs.append(chunk);
-  cs.publish();
-  return cs.pin();
-}
-
-store::TrainingSpec training_spec() {
-  store::TrainingSpec spec;
-  // Built with += rather than `"f" + std::to_string(f)`: GCC 12 at -O3
-  // flags the rvalue operator+ chain with a spurious -Wrestrict.
-  for (int f = 0; f < 6; ++f) {
-    std::string name = "f";
-    name += std::to_string(f);
-    spec.features.push_back(std::move(name));
-  }
-  spec.target = "y";
-  return spec;
-}
-
-/// Materialize the pinned feature columns into an in-RAM Matrix (the
-/// baseline the out-of-core path must match bit-for-bit).
-ml::Matrix materialize(const StorePin& pin, const store::TrainingSpec& spec) {
-  ml::Matrix x(pin.rows(), spec.features.size());
-  for (std::size_t f = 0; f < spec.features.size(); ++f) {
-    const auto col = pin.f64(spec.features[f]);
-    for (std::size_t r = 0; r < col.size(); ++r) x(r, f) = col[r];
-  }
-  return x;
-}
-
-TEST_F(StoreTest, TrainingViewMatchesInRamBinningBitExact) {
-  const std::string dir = scratch("store_view_bits");
-  const auto pin = make_training_store(dir, 1500);
-  const store::TrainingSpec spec = training_spec();
-  const store::TrainingView view = store::TrainingView::build(pin, spec);
-  EXPECT_FALSE(view.reused_sidecars());
-  EXPECT_FALSE(view.binned().has_source());
-  EXPECT_THROW((void)view.binned().source(), ContractError);
-
-  const ml::Matrix x = materialize(*pin, spec);
-  const ml::BinnedDataset ram(x, spec.bins);
-  ASSERT_EQ(view.rows(), ram.rows());
-  ASSERT_EQ(view.features(), ram.features());
-  for (std::size_t f = 0; f < ram.features(); ++f) {
-    ASSERT_EQ(view.binned().edges(f).size(), ram.edges(f).size()) << "feature " << f;
-    for (std::size_t e = 0; e < ram.edges(f).size(); ++e)
-      EXPECT_TRUE(bit_eq(view.binned().edges(f)[e], ram.edges(f)[e]));
-    const auto vc = view.binned().feature_codes(f);
-    const auto rc = ram.feature_codes(f);
-    for (std::size_t r = 0; r < ram.rows(); ++r)
-      ASSERT_EQ(vc[r], rc[r]) << "feature " << f << " row " << r;
-  }
-  // The streaming target mean equals the zone-map combine by definition;
-  // it must also match a plain serial sum over the mapped column.
-  double sum = 0.0;
-  for (double v : view.y()) sum += v;
-  EXPECT_DOUBLE_EQ(view.y_mean(), sum / double(view.rows()));
-}
-
-TEST_F(StoreTest, GbrOutOfCoreIsBitIdenticalToInRam) {
-  const std::string dir = scratch("store_view_gbr");
-  const auto pin = make_training_store(dir, 1200);
-  const store::TrainingSpec spec = training_spec();
-  const store::TrainingView view = store::TrainingView::build(pin, spec);
-  const ml::Matrix x = materialize(*pin, spec);
-  const auto y = view.y();
-
-  ml::GbrParams params;
-  params.n_trees = 12;
-
-  ml::GradientBoostedRegressor in_ram(params);
-  in_ram.fit(x, std::vector<double>(y.begin(), y.end()));
-
-  ml::GradientBoostedRegressor ooc(params);
-  std::vector<std::size_t> rows(view.rows());
-  for (std::size_t r = 0; r < rows.size(); ++r) rows[r] = r;
-  ooc.fit(view.binned(), y, rows, ml::FeatureMask::all(view.features()));
-
-  ASSERT_EQ(in_ram.tree_count(), ooc.tree_count());
-  for (std::size_t r = 0; r < view.rows(); ++r)
-    ASSERT_TRUE(bit_eq(in_ram.predict_one(x.row(r)), ooc.predict_one(x.row(r))))
-        << "row " << r;
-  const auto imp_ram = in_ram.feature_importances();
-  const auto imp_ooc = ooc.feature_importances();
-  for (std::size_t f = 0; f < imp_ram.size(); ++f)
-    EXPECT_TRUE(bit_eq(imp_ram[f], imp_ooc[f]));
-}
-
-TEST_F(StoreTest, RfeOutOfCoreIsBitIdenticalToInRam) {
-  const std::string dir = scratch("store_view_rfe");
-  const auto pin = make_training_store(dir, 900);
-  const store::TrainingSpec spec = training_spec();
-  const store::TrainingView view = store::TrainingView::build(pin, spec);
-  const ml::Matrix x = materialize(*pin, spec);
-  const auto y = view.y();
-
-  ml::RfeParams params;
-  params.folds = 2;
-  params.gbr.n_trees = 6;
-  params.with_linear_baseline = false;  // the one consumer needing source()
-
-  const ml::BinnedDataset ram(x, spec.bins);
-  const ml::RfeResult a = ml::rfe_cv(ram, y, params);
-  const ml::RfeResult b = ml::rfe_cv(view.binned(), y, params);
-
-  ASSERT_EQ(a.relevance.size(), b.relevance.size());
-  for (std::size_t f = 0; f < a.relevance.size(); ++f) {
-    EXPECT_TRUE(bit_eq(a.relevance[f], b.relevance[f])) << "feature " << f;
-    EXPECT_TRUE(bit_eq(a.survival[f], b.survival[f])) << "feature " << f;
-  }
-  EXPECT_TRUE(bit_eq(a.cv_mape_full, b.cv_mape_full));
-  EXPECT_TRUE(std::isnan(a.cv_mape_linear));
-  EXPECT_TRUE(std::isnan(b.cv_mape_linear));
-
-  // Asking for the ridge baseline over an external-memory view is a
-  // contract violation, not a silent fallback.
-  params.with_linear_baseline = true;
-  EXPECT_THROW((void)ml::rfe_cv(view.binned(), y, params), ContractError);
-}
-
-TEST_F(StoreTest, SidecarsAreReusedAndStaleOnesCollected) {
-  const std::string dir = scratch("store_view_sidecar");
-  {
-    ColumnStore cs = ColumnStore::create(
-        dir,
-        {{"f0", ColumnKind::F64}, {"f1", ColumnKind::F64}, {"f2", ColumnKind::F64},
-         {"f3", ColumnKind::F64}, {"f4", ColumnKind::F64}, {"f5", ColumnKind::F64},
-         {"y", ColumnKind::F64}},
-        small_segments());
-    std::vector<std::vector<double>> cols(7, std::vector<double>(400));
-    Rng rng(7);
-    for (std::size_t r = 0; r < 400; ++r)
-      for (std::size_t c = 0; c < 7; ++c) cols[c][r] = rng.uniform(-2.0, 2.0);
-    AppendChunk chunk;
-    chunk.rows = 400;
-    for (const auto& c : cols) chunk.f64.emplace_back(c.data(), c.size());
-    cs.append(chunk);
-    cs.publish();
-
-    const store::TrainingSpec spec = training_spec();
-    const auto pin1 = cs.pin();
-    EXPECT_FALSE(store::TrainingView::build(pin1, spec).reused_sidecars());
-    EXPECT_TRUE(store::TrainingView::build(pin1, spec).reused_sidecars());
-
-    // Appending invalidates the sidecars (fingerprint moved on): a view
-    // over the new pin rebuilds, and GC sweeps the stale files.
-    chunk.rows = 100;
-    chunk.f64.clear();
-    for (const auto& c : cols) chunk.f64.emplace_back(c.data(), 100);
-    cs.append(chunk);
-    cs.publish();
-    const auto pin2 = cs.pin();
-    const std::size_t removed = store::TrainingView::gc_stale_views(*pin2);
-    EXPECT_EQ(removed, 2u);  // old .edges + .codes
-    EXPECT_FALSE(store::TrainingView::build(pin2, spec).reused_sidecars());
-    EXPECT_TRUE(store::TrainingView::build(pin2, spec).reused_sidecars());
-    EXPECT_EQ(store::TrainingView::gc_stale_views(*pin2), 0u);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Longitudinal generator: append cadence never changes the bytes
-// ---------------------------------------------------------------------------
-
-TEST_F(StoreTest, LongitudinalAppendBatchingIsDeterministic) {
-  const store::LongitudinalSpec spec;
-  const std::string one = scratch("store_long_one");
-  const std::string many = scratch("store_long_many");
-
-  ColumnStore a = store::open_longitudinal_store(one);
-  store::append_longitudinal_runs(a, spec, 0, 300);
-
-  ColumnStore b = store::open_longitudinal_store(many);
-  store::append_longitudinal_runs(b, spec, 0, 120);
-  store::append_longitudinal_runs(b, spec, 120, 80);
-  store::append_longitudinal_runs(b, spec, 200, 100);
-
-  EXPECT_EQ(a.pin()->content_fingerprint(), b.pin()->content_fingerprint());
-  EXPECT_EQ(slurp(fs::path(one) / "run_time_s.col"),
-            slurp(fs::path(many) / "run_time_s.col"));
-  // Appends must be contiguous: a gap is a contract violation.
-  EXPECT_THROW(store::append_longitudinal_runs(b, spec, 500, 10), ContractError);
 }
 
 // ---------------------------------------------------------------------------
@@ -886,9 +649,15 @@ TEST_F(StoreTest, LruEvictionRespectsBudgetAndRecency) {
 TEST_F(StoreTest, StaleCsvEntryListsAsOtherAndIsEvictable) {
   // A CSV campaign entry left by an older build: META beside flat .csv
   // files, no sub-stores. It is not a campaign store, and LRU still
-  // removes it like any other entry.
+  // removes it like any other entry. So is a bare column store (a
+  // MANIFEST and columns, no META), which no build writes into the cache.
   const std::string cache = scratch("cache_stale_csv");
   const auto now = fs::file_time_type::clock::now();
+  const fs::path bare = fs::path(cache) / "bare_10d6.store";
+  fs::create_directories(bare);
+  std::ofstream(bare / "MANIFEST") << "dfv-store 1\n";
+  std::ofstream(bare / "run_time_s.col") << std::string(800, 'z');
+  fs::last_write_time(bare, now - std::chrono::hours(3));
   const fs::path stale = fs::path(cache) / "campaign_0123456789abcdef";
   fs::create_directories(stale);
   std::ofstream(stale / "META") << "format=dfc0de08\ndatasets=1\n";
@@ -900,14 +669,18 @@ TEST_F(StoreTest, StaleCsvEntryListsAsOtherAndIsEvictable) {
   fs::last_write_time(store / "META", now - std::chrono::hours(1));
 
   const auto entries = sim::list_cache_entries(cache);
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[0].name, stale.filename().string());
+  ASSERT_EQ(entries.size(), 3u);
+  EXPECT_EQ(entries[0].name, bare.filename().string());
   EXPECT_EQ(entries[0].kind, "other");
-  EXPECT_EQ(entries[1].kind, "campaign-store");
+  EXPECT_EQ(entries[1].name, stale.filename().string());
+  EXPECT_EQ(entries[1].kind, "other");
+  EXPECT_EQ(entries[2].kind, "campaign-store");
 
   const auto evicted = sim::evict_cache_lru(cache, 1000);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], stale.filename().string());
+  ASSERT_EQ(evicted.size(), 2u);
+  EXPECT_EQ(evicted[0], bare.filename().string());
+  EXPECT_EQ(evicted[1], stale.filename().string());
+  EXPECT_FALSE(fs::exists(bare));
   EXPECT_FALSE(fs::exists(stale));
   EXPECT_TRUE(fs::exists(store));
 }

@@ -35,7 +35,6 @@
 #include "mon/counters.hpp"
 #include "serve/server.hpp"
 #include "sim/cache_gc.hpp"
-#include "store/longitudinal.hpp"
 
 namespace {
 
@@ -80,23 +79,6 @@ int cmd_topology(const cli::ParsedArgs& a) {
 
 int cmd_campaign(const cli::ParsedArgs& a) {
   set_log_level(LogLevel::Info);
-  // Incremental longitudinal path: append N more runs to the mmap'd
-  // column store under the cache directory and publish. Run content is a
-  // pure function of (seed, run index), so any append cadence converges
-  // on byte-identical column files.
-  if (const int append = a.get_int("append"); append > 0) {
-    store::LongitudinalSpec spec;
-    spec.seed = std::uint64_t(a.get_int("append-seed"));
-    std::ostringstream dir;
-    dir << a.get("cache") << "/longitudinal_" << std::hex << spec.seed << ".store";
-    store::ColumnStore cs = store::open_longitudinal_store(dir.str());
-    const std::uint64_t first = cs.rows();
-    store::append_longitudinal_runs(cs, spec, first, std::uint64_t(append));
-    sim::enforce_cache_budget_from_env(a.get("cache"));
-    std::cout << "appended runs [" << first << ", " << cs.rows() << ") to " << dir.str()
-              << "\n";
-    return 0;
-  }
   api::Session session(make_session_options(a));
   const auto summary =
       unwrap<api::CampaignSummaryResponse>(session.handle(api::CampaignSummaryRequest{}));
@@ -481,11 +463,7 @@ int main(int argc, char** argv) {
   app.command(
       "campaign", "generate (or load) the run campaign",
       with_faults({days_arg,
-                   {"out", ArgType::String, "", "also export dataset CSVs here"},
-                   {"append", ArgType::Int, "0",
-                    "append N runs to the longitudinal column store and exit"},
-                   {"append-seed", ArgType::Int, "4310",
-                    "longitudinal campaign seed (names the store entry)"}}),
+                   {"out", ArgType::String, "", "also export dataset CSVs here"}}),
       timed_phase("campaign", cmd_campaign));
   app.command("blame", "Table III: rank neighbor users by blame for slow runs",
               with_faults({app_arg, nodes_arg, days_arg,
