@@ -1,9 +1,11 @@
 // memtier-style load generator for `dfv serve`: start an in-process
 // sharded server, hammer it with closed-loop client threads over real
-// loopback TCP, and report aggregate QPS plus p50/p99/p999 latency for
+// local sockets, and report aggregate QPS plus p50/p99/p999 latency for
 // the two serving hot paths (run lookup and point forecast), for the
 // Table III neighborhood query, then for lookups through a
-// fault-injecting proxy.
+// fault-injecting proxy. The direct phases connect over the server's
+// AF_UNIX name, as every serve::Client does; the proxy speaks TCP, so
+// the degraded phase runs over TCP loopback.
 //
 //   bench_serve [--shards N] [--clients N] [--seconds S] [--json PATH]
 //
@@ -319,7 +321,7 @@ int run_bench(const Options& opt) {
 
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Warn);
-  cli::App app("bench_serve", "closed-loop load generator for dfv serve over loopback TCP");
+  cli::App app("bench_serve", "closed-loop load generator for dfv serve over local sockets");
   app.command("", "run the lookup, forecast, neighborhood and degraded-lookup phases",
               {{"shards", cli::ArgType::Int, "8", "server shard threads"},
                {"clients", cli::ArgType::Int, "16", "closed-loop client connections"},

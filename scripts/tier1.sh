@@ -73,13 +73,15 @@ echo "bench smoke: OK"
 # The neighborhood index indexes runs by id and the serve protocol frames
 # every message, so their suites run here too. The attention kernels load
 # and store explicit vector types through unaligned row pointers, so the
-# matrix, attention and scaler suites run here as well.
-echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler) ==="
+# matrix, attention and scaler suites run here as well. The column store
+# hands out spans into a pin it shares, so a caller that lets the pin go
+# first reads freed memory; its suite runs here too.
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler, test_store) ==="
 cmake --preset asan
 cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset \
-  test_table_csv test_neighborhood test_serve test_matrix test_attention test_scaler
+  test_table_csv test_neighborhood test_serve test_matrix test_attention test_scaler test_store
 for t in test_wire_adversarial test_api test_dataset test_table_csv test_neighborhood \
-    test_serve test_matrix test_attention test_scaler; do
+    test_serve test_matrix test_attention test_scaler test_store; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "./build-asan/tests/$t"
 done

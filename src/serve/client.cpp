@@ -10,6 +10,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "api/wire.hpp"
@@ -18,50 +19,69 @@
 
 namespace dfv::serve {
 
-Client::~Client() { close(); }
+namespace {
 
-Client::Client(Client&& other) noexcept : fd_(std::exchange(other.fd_, -1)) {}
+/// A blocking stream socket connected to `addr`, or -1 with errno set.
+[[nodiscard]] int dial(const sockaddr* addr, socklen_t len) {
+  const int fd = ::socket(addr->sa_family, SOCK_STREAM, 0);
+  if (fd < 0) throw TransportError("serve: socket() failed");
+  if (::connect(fd, addr, len) == 0) return fd;
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  return -1;
+}
+
+/// Connect to the server on `port`: its AF_UNIX name first, TCP loopback
+/// when nothing listens there.
+[[nodiscard]] int connect_local(std::uint16_t port) {
+  sockaddr_un local{};
+  const socklen_t local_len = unix_address(port, local);
+  if (const int fd = dial(reinterpret_cast<const sockaddr*>(&local), local_len); fd >= 0)
+    return fd;
+  if (errno != ECONNREFUSED)
+    throw TransportError("serve: connect to " + unix_label(port) +
+                         " failed: " + std::strerror(errno));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int fd = dial(reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  if (fd < 0)
+    throw TransportError("serve: connect to 127.0.0.1:" + std::to_string(port) +
+                         " failed: " + std::strerror(errno));
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+}  // namespace
+
+Client::~Client() { close(); }
 
 Client& Client::operator=(Client&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = std::exchange(other.fd_, -1);
+    reader_ = std::move(other.reader_);
   }
   return *this;
 }
 
 void Client::close() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
+  if (reader_.fd() >= 0) ::close(reader_.fd());
+  reader_ = FrameReader();
 }
 
 std::optional<api::ErrorResponse> Client::connect(std::uint16_t port,
                                                   std::uint32_t version,
                                                   std::int64_t timeout_ms) {
-  DFV_CHECK_MSG(fd_ < 0, "serve: client already connected");
+  DFV_CHECK_MSG(!connected(), "serve: client already connected");
   DFV_CHECK_MSG(timeout_ms >= 0, "serve: negative connect timeout");
-
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) throw TransportError("serve: socket() failed");
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const std::string why = std::strerror(errno);
-    close();
-    throw TransportError("serve: connect to 127.0.0.1:" + std::to_string(port) +
-                         " failed: " + why);
-  }
-  int one = 1;
-  ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  reader_ = FrameReader(connect_local(port));
 
   try {
-    write_frame(fd_, hello_payload(version), timeout_ms);
-    auto reply = read_frame(fd_, timeout_ms);
+    write_frame(reader_.fd(), hello_payload(version), timeout_ms);
+    auto reply = reader_.next(timeout_ms);
     if (!reply) {
       close();
       throw PeerGoneError("serve: server closed during handshake");
@@ -93,10 +113,10 @@ api::Response Client::call(const api::Request& req, const CallOptions& opt) {
 }
 
 std::string Client::call_raw(const api::Request& req, const CallOptions& opt) {
-  DFV_CHECK_MSG(fd_ >= 0, "serve: call on a disconnected client");
-  write_frame(fd_, api::encode_request(req, {opt.request_id, opt.deadline_ms}),
+  DFV_CHECK_MSG(connected(), "serve: call on a disconnected client");
+  write_frame(reader_.fd(), api::encode_request(req, {opt.request_id, opt.deadline_ms}),
               opt.timeout_ms);
-  auto reply = read_frame(fd_, opt.timeout_ms);
+  auto reply = reader_.next(opt.timeout_ms);
   if (!reply) {
     close();
     throw PeerGoneError("serve: server closed before answering");

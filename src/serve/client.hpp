@@ -2,8 +2,10 @@
 // and dfv::serve::RetryClient, the fault-tolerant wrapper bench and
 // production callers should prefer.
 //
-// One Client is one TCP connection with strict request/response
-// alternation: call() writes one encoded api::Request frame and blocks
+// One Client is one connection with strict request/response
+// alternation, over the server's abstract AF_UNIX name when it listens
+// there and over TCP loopback otherwise (a chaos::Proxy, a non-dfv
+// peer): call() writes one encoded api::Request frame and blocks
 // for the one api::Response frame that answers it. Wire failures throw
 // the serve/protocol taxonomy — PeerGoneError (server died mid-exchange,
 // retryable), FrameError (protocol bug, not retryable), TimeoutError
@@ -32,6 +34,7 @@
 
 #include "api/api.hpp"
 #include "common/rng.hpp"
+#include "serve/protocol.hpp"
 
 namespace dfv::serve {
 
@@ -56,12 +59,14 @@ class Client {
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
-  Client(Client&& other) noexcept;
+  Client(Client&& other) noexcept = default;
   Client& operator=(Client&& other) noexcept;
 
-  /// Connect to 127.0.0.1:port and run the hello handshake announcing
-  /// `version` (defaults to the client's own api::kApiVersion; tests
-  /// pass a wrong one to probe the mismatch path). Returns nullopt on
+  /// Connect to the server on `port`, through its abstract AF_UNIX name
+  /// (unix_address) when something listens there and to 127.0.0.1:port
+  /// only when nothing does (ECONNREFUSED), then run the hello handshake
+  /// announcing `version` (defaults to the client's own api::kApiVersion;
+  /// tests pass a wrong one to probe the mismatch path). Returns nullopt on
   /// success, or the server's structured rejection (the connection is
   /// closed in that case). Throws TransportError subclasses on socket
   /// failures. `timeout_ms` caps the handshake exchange (0 = forever).
@@ -69,7 +74,7 @@ class Client {
       std::uint16_t port, std::uint32_t version = api::kApiVersion,
       std::int64_t timeout_ms = 0);
 
-  [[nodiscard]] bool connected() const noexcept { return fd_ >= 0; }
+  [[nodiscard]] bool connected() const noexcept { return reader_.fd() >= 0; }
 
   /// Send one request, block for its response.
   [[nodiscard]] api::Response call(const api::Request& req, const CallOptions& opt = {});
@@ -82,7 +87,7 @@ class Client {
   void close() noexcept;
 
  private:
-  int fd_ = -1;
+  FrameReader reader_;  ///< the socket and the reply bytes received on it
 };
 
 /// Retry schedule of a RetryClient. Attempt a (0-based) that fails

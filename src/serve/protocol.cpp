@@ -2,8 +2,11 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstddef>
+#include <cstdio>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -37,8 +40,10 @@ void put_u32(std::string& out, std::uint32_t v) {
 }
 
 /// Wait until fd is ready for `events` or the deadline passes; a
-/// deadline of time_point::max() waits forever.
-void wait_ready(int fd, short events, Clock::time_point deadline, const char* verb) {
+/// deadline of time_point::max() waits forever. `spin` = false blocks in
+/// poll at once (the caller has spun already).
+void wait_ready(int fd, short events, Clock::time_point deadline, const char* verb,
+                bool spin) {
   while (true) {
     int timeout_ms = -1;
     if (deadline != Clock::time_point::max()) {
@@ -50,36 +55,12 @@ void wait_ready(int fd, short events, Clock::time_point deadline, const char* ve
       timeout_ms = int(std::min<long long>(left + 1, 3'600'000));
     }
     pollfd p{fd, events, 0};
-    const int rc = spin_then_poll(&p, 1, timeout_ms);
+    const int rc = spin ? spin_then_poll(&p, 1, timeout_ms) : ::poll(&p, 1, timeout_ms);
     if (rc > 0) return;
     if (rc == 0) continue;  // re-check the deadline
     if (errno == EINTR) continue;
     throw TransportError(std::string("serve: poll failed: ") + std::strerror(errno));
   }
-}
-
-[[nodiscard]] bool read_exact_until(int fd, void* buf, std::size_t n,
-                                    Clock::time_point deadline) {
-  auto* p = static_cast<char*>(buf);
-  std::size_t got = 0;
-  while (got < n) {
-    wait_ready(fd, POLLIN, deadline, "read");
-    const ssize_t r = ::read(fd, p + got, n - got);
-    if (r > 0) {
-      got += std::size_t(r);
-      continue;
-    }
-    if (r == 0) {
-      if (got == 0) return false;  // clean EOF on a record boundary
-      throw PeerGoneError("serve: peer closed the connection mid-frame");
-    }
-    if (errno == EINTR) continue;
-    if (peer_gone_errno(errno))
-      throw PeerGoneError(std::string("serve: peer died: read failed: ") +
-                          std::strerror(errno));
-    throw TransportError(std::string("serve: read failed: ") + std::strerror(errno));
-  }
-  return true;
 }
 
 void write_all_until(int fd, const void* buf, std::size_t n,
@@ -88,7 +69,7 @@ void write_all_until(int fd, const void* buf, std::size_t n,
   std::size_t put = 0;
   while (put < n) {
     // The fd is blocking, so without a deadline the send itself waits.
-    if (deadline != Clock::time_point::max()) wait_ready(fd, POLLOUT, deadline, "write");
+    if (deadline != Clock::time_point::max()) wait_ready(fd, POLLOUT, deadline, "write", true);
     // send(MSG_NOSIGNAL), not write: a peer that already closed must
     // surface as EPIPE, never as a process-killing SIGPIPE.
     const ssize_t w = ::send(fd, p + put, n - put, MSG_NOSIGNAL);
@@ -104,27 +85,47 @@ void write_all_until(int fd, const void* buf, std::size_t n,
   }
 }
 
+/// Whether this thread's last blocking wait ended within kSpinWait; both
+/// spinning waits below read and set it. A fd ready at the first try
+/// says nothing about how long waits take, so it leaves the flag as it
+/// was.
+thread_local bool t_spin = true;
+
+/// One wait that has found its fd not ready at the first try: spin(),
+/// then, if that gave up, block and call blocked().
+class SpinWait {
+ public:
+  /// Retry `attempt` (true = done), yielding between tries, for up to
+  /// kSpinWait unless this thread's last wait was slow. False when the
+  /// caller must block.
+  template <class Attempt>
+  [[nodiscard]] bool spin(Attempt&& attempt) {
+    while (t_spin && Clock::now() - start_ < kSpinWait) {
+      // Yield between tries: a spinner that keeps its CPU starves the
+      // peer thread it is waiting for when threads outnumber CPUs.
+      std::this_thread::yield();
+      if (attempt()) return true;
+    }
+    return false;
+  }
+  void blocked() { t_spin = Clock::now() - start_ < kSpinWait; }
+
+ private:
+  Clock::time_point start_ = Clock::now();
+};
+
 }  // namespace
 
 static_assert(kSpinWait < std::chrono::milliseconds(1),
               "a spin must end before the shortest poll timeout");
 
 int spin_then_poll(pollfd* fds, nfds_t n, int timeout_ms) {
-  // Whether this thread's last wait ended within kSpinWait. A fd ready
-  // at the first try says nothing about how long waits take, so it
-  // leaves the flag as it was.
-  thread_local bool spin = true;
-  const auto start = Clock::now();
-  while (true) {
-    const int rc = ::poll(fds, n, 0);
-    if (rc != 0 || timeout_ms == 0) return rc;
-    if (!spin || Clock::now() - start >= kSpinWait) break;
-    // Yield between tries: a spinner that keeps its CPU starves the
-    // peer thread it is waiting for when threads outnumber CPUs.
-    std::this_thread::yield();
-  }
-  const int rc = ::poll(fds, n, timeout_ms);
-  spin = Clock::now() - start < kSpinWait;
+  int rc = ::poll(fds, n, 0);
+  if (rc != 0 || timeout_ms == 0) return rc;
+  SpinWait wait;
+  if (wait.spin([&] { return (rc = ::poll(fds, n, 0)) != 0; })) return rc;
+  rc = ::poll(fds, n, timeout_ms);
+  wait.blocked();
   return rc;
 }
 
@@ -142,11 +143,6 @@ std::optional<std::uint32_t> parse_hello(std::string_view payload) {
   const auto* p = reinterpret_cast<const unsigned char*>(payload.data());
   if (get_u32(p) != kMagic) return std::nullopt;
   return get_u32(p + 4);
-}
-
-bool read_exact(int fd, void* buf, std::size_t n, std::int64_t timeout_ms) {
-  DFV_CHECK_MSG(timeout_ms >= 0, "serve: negative read timeout");
-  return read_exact_until(fd, buf, n, deadline_from(timeout_ms));
 }
 
 void write_all(int fd, const void* buf, std::size_t n, std::int64_t timeout_ms) {
@@ -168,20 +164,83 @@ void write_frame(int fd, std::string_view payload, std::int64_t timeout_ms) {
   write_all_until(fd, frame.data(), frame.size(), deadline_from(timeout_ms));
 }
 
-std::optional<std::string> read_frame(int fd, std::int64_t timeout_ms) {
-  DFV_CHECK_MSG(fd >= 0, "serve: read_frame on a closed descriptor");
+socklen_t unix_address(std::uint16_t port, sockaddr_un& out) noexcept {
+  out = sockaddr_un{};
+  out.sun_family = AF_UNIX;
+  // sun_path[0] stays NUL: the name lives in the abstract namespace, so
+  // no file is left behind and a closed listener frees it at once.
+  const int n = std::snprintf(out.sun_path + 1, sizeof(out.sun_path) - 1, "dfv-serve-%u",
+                              unsigned(port));
+  return socklen_t(offsetof(sockaddr_un, sun_path) + 1 + std::size_t(n));
+}
+
+std::string unix_label(std::uint16_t port) { return "@dfv-serve-" + std::to_string(port); }
+
+FrameSpan frame_at(std::string_view buf) noexcept {
+  if (buf.size() < 4) return {};
+  const std::uint32_t len = get_u32(reinterpret_cast<const unsigned char*>(buf.data()));
+  if (len > kMaxFrameBytes) return {FrameSpan::Oversized, len};
+  return {buf.size() - 4 >= len ? FrameSpan::Complete : FrameSpan::NeedMore, len};
+}
+
+FrameReader::FrameReader(FrameReader&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), buf_(std::exchange(other.buf_, {})) {}
+
+FrameReader& FrameReader::operator=(FrameReader&& other) noexcept {
+  if (this != &other) {
+    fd_ = std::exchange(other.fd_, -1);
+    buf_ = std::exchange(other.buf_, {});
+  }
+  return *this;
+}
+
+std::optional<std::string> FrameReader::next(std::int64_t timeout_ms) {
+  DFV_CHECK_MSG(fd_ >= 0, "serve: FrameReader::next on a closed descriptor");
+  DFV_CHECK_MSG(timeout_ms >= 0, "serve: negative read timeout");
   const auto deadline = deadline_from(timeout_ms);
-  unsigned char header[4];
-  if (!read_exact_until(fd, header, 4, deadline)) return std::nullopt;
-  const std::uint32_t len = get_u32(header);
-  if (len > kMaxFrameBytes)
-    throw FrameError("serve: malformed frame (protocol bug): announced length " +
-                     std::to_string(len) + " exceeds the " +
-                     std::to_string(kMaxFrameBytes) + "-byte cap");
-  std::string payload(len, '\0');
-  if (len > 0 && !read_exact_until(fd, payload.data(), len, deadline))
-    throw PeerGoneError("serve: peer closed the connection mid-frame");
-  return payload;
+  while (true) {
+    const FrameSpan f = frame_at(buf_);
+    if (f.status == FrameSpan::Complete) {
+      std::string payload = buf_.substr(4, f.len);
+      buf_.erase(0, 4 + std::size_t(f.len));
+      return payload;
+    }
+    if (f.status == FrameSpan::Oversized)
+      throw FrameError("serve: malformed frame (protocol bug): announced length " +
+                       std::to_string(f.len) + " exceeds the " +
+                       std::to_string(kMaxFrameBytes) + "-byte cap");
+    Recv got = recv_some();
+    if (got == Recv::NotYet) {
+      SpinWait wait;
+      if (!wait.spin([&] { return (got = recv_some()) != Recv::NotYet; })) {
+        wait_ready(fd_, POLLIN, deadline, "read", false);
+        wait.blocked();
+        continue;
+      }
+    }
+    if (got == Recv::Eof) {
+      if (buf_.empty()) return std::nullopt;  // clean EOF on a frame boundary
+      throw PeerGoneError("serve: peer closed the connection mid-frame");
+    }
+  }
+}
+
+FrameReader::Recv FrameReader::recv_some() {
+  char chunk[16384];
+  while (true) {
+    const ssize_t r = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
+    if (r > 0) {
+      buf_.append(chunk, std::size_t(r));
+      return Recv::Got;
+    }
+    if (r == 0) return Recv::Eof;
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return Recv::NotYet;
+    if (peer_gone_errno(errno))
+      throw PeerGoneError(std::string("serve: peer died: read failed: ") +
+                          std::strerror(errno));
+    throw TransportError(std::string("serve: read failed: ") + std::strerror(errno));
+  }
 }
 
 }  // namespace dfv::serve

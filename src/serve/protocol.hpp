@@ -1,4 +1,6 @@
-// Wire protocol of `dfv serve`: length-prefixed frames over TCP.
+// Wire protocol of `dfv serve`: length-prefixed frames over a local
+// stream socket, TCP on 127.0.0.1 or the abstract AF_UNIX name the
+// server binds beside it (unix_address below). The bytes are the same.
 //
 // Frame layout (little-endian):
 //
@@ -36,6 +38,8 @@
 #include <string_view>
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 
 namespace dfv::serve {
 
@@ -84,12 +88,14 @@ class TimeoutError : public TransportError {
 /// itself. An idle connection blocks after this long.
 inline constexpr std::chrono::microseconds kSpinWait{50};
 
-/// The one wait on a socket, for both ends of a connection: poll `fds`
+/// The wait of the server shards and of blocking writes: poll `fds`
 /// with a zero timeout, yielding the CPU between tries, for up to
 /// kSpinWait; then block in poll(2) for `timeout_ms` (-1 = forever, 0 =
 /// one try, no spin). A thread whose last wait outlasted kSpinWait skips
 /// the spin until a blocking wait ends within it again, so slow peers
-/// cost no spin per request. Returns what poll returns (-1, errno set).
+/// cost no spin per request. FrameReader spins on recv instead of poll,
+/// under the same rule and the same per-thread state. Returns what poll
+/// returns (-1, errno set).
 [[nodiscard]] int spin_then_poll(pollfd* fds, nfds_t n, int timeout_ms);
 
 [[nodiscard]] std::string hello_payload(std::uint32_t version);
@@ -98,20 +104,32 @@ inline constexpr std::chrono::microseconds kSpinWait{50};
 /// the payload is not a hello (wrong size or magic).
 [[nodiscard]] std::optional<std::uint32_t> parse_hello(std::string_view payload);
 
+/// The abstract-namespace AF_UNIX address a server on TCP `port` also
+/// listens on: "\0dfv-serve-<port>". Returns the length to pass to
+/// bind/connect (an abstract name has no terminating NUL).
+[[nodiscard]] socklen_t unix_address(std::uint16_t port, sockaddr_un& out) noexcept;
+
+/// The same name as messages print it, '@' standing for the leading NUL.
+[[nodiscard]] std::string unix_label(std::uint16_t port);
+
+/// Where the frame at the front of a receive buffer stands. The one
+/// frame-boundary check: FrameReader and the server shards both split
+/// their buffers with frame_at, as both frame through append_frame.
+struct FrameSpan {
+  enum Status { NeedMore, Complete, Oversized };
+  Status status = NeedMore;
+  std::uint32_t len = 0;  ///< announced payload length; 0 until the header is in
+};
+[[nodiscard]] FrameSpan frame_at(std::string_view buf) noexcept;
+
 // ---------------------------------------------------------------------------
 // Blocking fd helpers (client side and tests; the server shards use
 // their own non-blocking buffers). `timeout_ms` is an overall deadline
-// for the whole call measured from entry; 0 blocks forever. Every read
-// waits through spin_then_poll first, clamped to the deadline.
+// for the whole call measured from entry; 0 blocks forever.
 // ---------------------------------------------------------------------------
 
-/// Read exactly n bytes. Returns false on clean EOF before the first
-/// byte; throws PeerGoneError on EOF/reset mid-record, TimeoutError past
-/// the deadline, TransportError on other socket errors.
-[[nodiscard]] bool read_exact(int fd, void* buf, std::size_t n,
-                              std::int64_t timeout_ms = 0);
-
 /// Write all n bytes (throws PeerGoneError/TimeoutError/TransportError).
+/// Waits for a full socket buffer through spin_then_poll.
 void write_all(int fd, const void* buf, std::size_t n, std::int64_t timeout_ms = 0);
 
 /// Append one length-prefixed frame to `out`. This is the one frame
@@ -122,9 +140,38 @@ void append_frame(std::string& out, std::string_view payload);
 /// small frame leaves as one TCP segment.
 void write_frame(int fd, std::string_view payload, std::int64_t timeout_ms = 0);
 
-/// Read one frame; nullopt on clean EOF before the length prefix.
-/// Throws FrameError when the announced length exceeds kMaxFrameBytes.
-[[nodiscard]] std::optional<std::string> read_frame(int fd,
-                                                    std::int64_t timeout_ms = 0);
+/// The read side of one connection: a descriptor and the bytes received
+/// on it past the last frame returned. It does not own the descriptor.
+/// Every receive is one non-blocking recv of whatever has arrived, so a
+/// reply that is already there costs one syscall. When nothing has, the
+/// reader spins on recv with a yield between tries, under the same rule
+/// and budget as spin_then_poll, then blocks in poll(2) until the
+/// deadline. Bytes past a frame stay buffered for the next call.
+class FrameReader {
+ public:
+  FrameReader() = default;
+  explicit FrameReader(int fd) noexcept : fd_(fd) {}
+
+  /// A move carries the descriptor and its buffered bytes; the source is
+  /// left empty (fd -1).
+  FrameReader(FrameReader&& other) noexcept;
+  FrameReader& operator=(FrameReader&& other) noexcept;
+
+  /// The next frame's payload; nullopt on clean EOF on a frame boundary.
+  /// Throws FrameError when the announced length exceeds kMaxFrameBytes,
+  /// PeerGoneError on EOF/reset mid-frame, TimeoutError past the
+  /// deadline, TransportError on other socket errors.
+  [[nodiscard]] std::optional<std::string> next(std::int64_t timeout_ms = 0);
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
+ private:
+  enum class Recv { Got, Eof, NotYet };
+  /// One non-blocking recv, appended to buf_.
+  [[nodiscard]] Recv recv_some();
+
+  int fd_ = -1;
+  std::string buf_;  ///< received, not yet returned as a frame
+};
 
 }  // namespace dfv::serve

@@ -13,6 +13,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "api/wire.hpp"
@@ -62,11 +63,9 @@ void set_nodelay(int fd) noexcept {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-[[nodiscard]] std::uint32_t peek_u32(const std::string& buf) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= std::uint32_t((unsigned char)(buf[std::size_t(i)])) << (8 * i);
-  return v;
+void close_fd(int& fd) noexcept {
+  if (fd >= 0) ::close(fd);
+  fd = -1;
 }
 
 template <class... Fs>
@@ -203,8 +202,7 @@ void Server::start() {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
     const std::string why = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+    close_fd(listen_fd_);
     DFV_CHECK_MSG(false, "serve: bind failed: " + why);
   }
   DFV_CHECK_MSG(::listen(listen_fd_, opt_.listen_backlog) == 0, "serve: listen failed");
@@ -215,6 +213,24 @@ void Server::start() {
       ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len) == 0,
       "serve: getsockname failed");
   port_ = ntohs(bound.sin_port);
+
+  // The local listener beside it. A name someone else holds fails the
+  // start: serving TCP alone would hand every local client to them.
+  sockaddr_un local{};
+  const socklen_t local_len = unix_address(port_, local);
+  unix_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (unix_fd_ < 0 ||
+      ::bind(unix_fd_, reinterpret_cast<const sockaddr*>(&local), local_len) != 0 ||
+      ::listen(unix_fd_, opt_.listen_backlog) != 0) {
+    const std::string why = std::strerror(errno);
+    close_fd(unix_fd_);
+    close_fd(listen_fd_);
+    DFV_CHECK_MSG(false, "serve: cannot listen on " + unix_label(port_) + ": " + why);
+  }
+  // Non-blocking: a connection that vanishes between poll and accept
+  // must not park the acceptor in accept().
+  set_nonblocking(listen_fd_);
+  set_nonblocking(unix_fd_);
 
   shards_.clear();
   for (int i = 0; i < opt_.shards; ++i) {
@@ -234,8 +250,9 @@ void Server::start() {
     shard->thread = std::thread([this, s = shard.get()] { shard_main(*s); });
   acceptor_ = std::thread([this] { acceptor_main(); });
 
-  DFV_LOG_INFO("serve: listening on 127.0.0.1:" << port_ << " with "
-                                                << shards_.size() << " shard(s)");
+  DFV_LOG_INFO("serve: listening on 127.0.0.1:" << port_ << " and " << unix_label(port_)
+                                                << " with " << shards_.size()
+                                                << " shard(s)");
 }
 
 void Server::stop() {
@@ -244,7 +261,9 @@ void Server::stop() {
   // Phase 1 (drain): stop accepting and stop reading; every request whose
   // frame was fully received keeps its right to a response.
   phase_.store(1);
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  // Shutting a listener down wakes the acceptor's poll on it.
+  ::shutdown(listen_fd_, SHUT_RDWR);
+  ::shutdown(unix_fd_, SHUT_RDWR);
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& shard : shards_) shard->wake();
 
@@ -271,10 +290,9 @@ void Server::stop() {
     if (shard->wake_wr >= 0) ::close(shard->wake_wr);
   }
   shards_.clear();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // The name first: once the port is free, so is the name that goes with it.
+  close_fd(unix_fd_);
+  close_fd(listen_fd_);
 }
 
 ServerStats Server::stats() const noexcept {
@@ -296,20 +314,32 @@ std::string Server::encoded_stats_response() const {
 }
 
 void Server::acceptor_main() {
+  pollfd listeners[2] = {{listen_fd_, POLLIN, 0}, {unix_fd_, POLLIN, 0}};
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
+    if (::poll(listeners, 2, -1) < 0) {
       if (errno == EINTR) continue;
-      break;  // listener shut down (or real failure): stop accepting
+      return;
     }
-    if (phase_.load() != 0) {
-      ::close(fd);
-      continue;
+    // stop() moves the phase on before it shuts the listeners down.
+    if (phase_.load() != 0) return;
+    for (const pollfd& l : listeners) {
+      if (l.revents == 0) continue;
+      const int fd = ::accept(l.fd, nullptr, nullptr);
+      if (fd < 0) {
+        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
+            errno == ECONNABORTED)
+          continue;
+        return;  // a real failure: stop accepting
+      }
+      if (phase_.load() != 0) {
+        ::close(fd);
+        continue;
+      }
+      stat_connections_.fetch_add(1);
+      const std::size_t idx =
+          std::size_t(next_conn_shard_.fetch_add(1) % std::uint64_t(shards_.size()));
+      shards_[idx]->hand_off(fd);
     }
-    stat_connections_.fetch_add(1);
-    const std::size_t idx =
-        std::size_t(next_conn_shard_.fetch_add(1) % std::uint64_t(shards_.size()));
-    shards_[idx]->hand_off(fd);
   }
 }
 
@@ -354,15 +384,15 @@ void Server::shard_main(Shard& shard) {
   // drain deadline (phase 2) requests are no longer handled: each one is
   // answered ShuttingDown instead, so none is silently dropped.
   const auto drain_frames = [&](Shard::Conn& conn) {
-    while (!conn.close_after_flush && conn.in.size() >= 4) {
-      const std::uint32_t len = peek_u32(conn.in);
-      if (len > kMaxFrameBytes) {
+    while (!conn.close_after_flush) {
+      const FrameSpan f = frame_at(conn.in);
+      if (f.status == FrameSpan::Oversized) {
         conn.close_after_flush = true;  // malformed peer; drop it
         return;
       }
-      if (conn.in.size() < std::size_t(4) + len) return;
-      const std::string payload = conn.in.substr(4, len);
-      conn.in.erase(0, std::size_t(4) + len);
+      if (f.status == FrameSpan::NeedMore) return;
+      const std::string payload = conn.in.substr(4, f.len);
+      conn.in.erase(0, std::size_t(4) + f.len);
       if (!conn.hello_done) {
         const auto version = parse_hello(payload);
         if (!version) {

@@ -2,9 +2,13 @@
 //
 // Architecture (shard-per-thread over an immutable campaign):
 //
-//  * One acceptor thread owns the listening socket and deals new
-//    connections to shards round-robin (a locked fd hand-off plus a wake
-//    pipe per shard), so concurrent clients spread over the shards.
+//  * One acceptor thread owns the two listening sockets, TCP on
+//    127.0.0.1:port and the abstract AF_UNIX name unix_address(port)
+//    beside it, and deals new connections from both to shards
+//    round-robin (a locked fd hand-off plus a wake pipe per shard), so
+//    concurrent clients spread over the shards. Local clients connect
+//    over the Unix socket, which skips the TCP stack; TCP stays for the
+//    chaos proxy and any non-dfv peer. The frames are the same on both.
 //  * N shard threads each own their connections and an api::Session. All
 //    sessions share one ResidentCampaign, and with it one model registry:
 //    each model is trained once, by whichever shard first needs it.
@@ -53,6 +57,7 @@ namespace dfv::serve {
 struct ServerOptions {
   int shards = 1;
   /// TCP port on 127.0.0.1; 0 = kernel-assigned (read back via port()).
+  /// The AF_UNIX name beside it is derived from the bound port.
   std::uint16_t port = 0;
   int listen_backlog = 128;
   api::SessionOptions session;
@@ -115,8 +120,11 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, load the campaign into resident memory, spawn shard threads
-  /// and the acceptor. Throws on bind failure or campaign errors.
+  /// Load the campaign into resident memory, bind both listeners, spawn
+  /// shard threads and the acceptor. Throws on campaign errors or when
+  /// either listener cannot bind; the AF_UNIX name already taken is such
+  /// a failure (a TCP-only server would let whoever holds the name
+  /// answer its local clients), and the TCP port is released again.
   void start();
 
   /// Graceful shutdown: stop accepting, answer buffered requests
@@ -141,7 +149,8 @@ class Server {
   std::shared_ptr<const api::ResidentCampaign> campaign_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::thread acceptor_;
-  int listen_fd_ = -1;
+  int listen_fd_ = -1;  ///< TCP
+  int unix_fd_ = -1;    ///< abstract AF_UNIX
   std::uint16_t port_ = 0;
   std::atomic<bool> running_{false};
   /// Lifecycle: 0 = serving, 1 = draining (no new reads), 2 = exit.

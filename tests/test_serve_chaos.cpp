@@ -248,11 +248,12 @@ TEST(ServeRetry, OverloadedAnswerIsRetriedAfterTheHint) {
     const int fd = ::accept(listener, nullptr, nullptr);
     if (fd < 0) return;  // the listener was shut down: the client never came
     try {
-      const auto hello = read_frame(fd, 5000);
+      FrameReader reader(fd);
+      const auto hello = reader.next(5000);
       if (hello && parse_hello(*hello)) {
         write_frame(fd, hello_payload(api::kApiVersion));
         for (int attempt = 0; attempt < 2; ++attempt) {
-          const auto req = read_frame(fd, 5000);
+          const auto req = reader.next(5000);
           if (!req) break;
           ids[attempt] = api::decode_request_envelope(*req).meta.request_id;
           const api::Response answer =
@@ -343,7 +344,8 @@ TEST_F(ServeChaos, StalledMidFrameConnectionIsEvicted) {
 
   const int fd = connect_raw(server.port());
   write_frame(fd, hello_payload(api::kApiVersion));
-  const auto hello = read_frame(fd, 2000);
+  FrameReader reader(fd);
+  const auto hello = reader.next(2000);
   ASSERT_TRUE(hello.has_value());
 
   // Start a frame (100 announced bytes), deliver only the header, stall.
@@ -380,7 +382,8 @@ TEST_F(ServeChaos, DrainTimeoutAnswersPendingRequestsWithShutdownError) {
   // the grids still hold it, and the tail must come back ShuttingDown.
   const int fd = connect_raw(server.port());
   write_frame(fd, hello_payload(api::kApiVersion));
-  ASSERT_TRUE(read_frame(fd, 2000).has_value());
+  FrameReader reader(fd);
+  ASSERT_TRUE(reader.next(2000).has_value());
   constexpr int kGrids = 4;
   std::string burst;
   for (int i = 0; i < kGrids; ++i) append_frame(burst, api::encode_request(heavy_grid()));
@@ -396,7 +399,7 @@ TEST_F(ServeChaos, DrainTimeoutAnswersPendingRequestsWithShutdownError) {
   // Every pipelined request got exactly one answer, in order: the grids
   // handled before the deadline in full, everything after ShuttingDown.
   std::vector<api::Response> answers;
-  while (const auto frame = read_frame(fd, 5000)) answers.push_back(api::decode_response(*frame));
+  while (const auto frame = reader.next(5000)) answers.push_back(api::decode_response(*frame));
   ::close(fd);
   ASSERT_EQ(answers.size(), std::size_t(kGrids) + 1);
   std::uint64_t aborted = 0;
@@ -422,8 +425,9 @@ TEST(ServeProtocol, PeerDeathAndMalformedFramesAreDistinctErrors) {
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
     const unsigned char huge[4] = {0xff, 0xff, 0xff, 0x7f};
     write_all(sp[0], huge, sizeof(huge));
+    FrameReader reader(sp[1]);
     try {
-      (void)read_frame(sp[1]);
+      (void)reader.next();
       FAIL() << "oversized frame header was accepted";
     } catch (const FrameError& e) {
       EXPECT_NE(std::string(e.what()).find("protocol bug"), std::string::npos);
@@ -438,8 +442,9 @@ TEST(ServeProtocol, PeerDeathAndMalformedFramesAreDistinctErrors) {
     const unsigned char partial[7] = {10, 0, 0, 0, 'a', 'b', 'c'};
     write_all(sp[0], partial, sizeof(partial));
     ::close(sp[0]);
+    FrameReader reader(sp[1]);
     try {
-      (void)read_frame(sp[1]);
+      (void)reader.next();
       FAIL() << "torn frame was accepted";
     } catch (const PeerGoneError& e) {
       EXPECT_NE(std::string(e.what()).find("mid-frame"), std::string::npos);
@@ -451,14 +456,16 @@ TEST(ServeProtocol, PeerDeathAndMalformedFramesAreDistinctErrors) {
     int sp[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
     ::close(sp[0]);
-    EXPECT_FALSE(read_frame(sp[1]).has_value());
+    FrameReader reader(sp[1]);
+    EXPECT_FALSE(reader.next().has_value());
     ::close(sp[1]);
   }
   // A silent peer past the timeout: TimeoutError, connection poisoned.
   {
     int sp[2];
     ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sp), 0);
-    EXPECT_THROW((void)read_frame(sp[1], 50), TimeoutError);
+    FrameReader reader(sp[1]);
+    EXPECT_THROW((void)reader.next(50), TimeoutError);
     ::close(sp[0]);
     ::close(sp[1]);
   }

@@ -10,7 +10,7 @@
 //    costs nothing.
 //  * Reader::count()  — caps element counts at the buffer size, so a
 //    forged element count fails before the element loop resizes.
-//  * serve::read_frame — rejects any [u32 len] frame header above
+//  * serve::FrameReader — rejects any [u32 len] frame header above
 //    kMaxFrameBytes (64 MiB) with FrameError before allocating.
 #include <gtest/gtest.h>
 

@@ -33,6 +33,7 @@
 #include "exec/exec.hpp"
 #include "faults/faults.hpp"
 #include "mon/counters.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/cache_gc.hpp"
 
@@ -311,6 +312,8 @@ int cmd_faults(const cli::ParsedArgs& a) {
 /// least-recently-used entries until the directory fits the budget.
 int cmd_cache(const cli::ParsedArgs& a) {
   const std::string cache_dir = a.get("cache");
+  DFV_CHECK_MSG(a.flag("evict-lru") || !a.given("max-bytes"),
+                "--max-bytes is the budget of --evict-lru; pass both to evict");
   if (a.flag("evict-lru")) {
     const auto evicted =
         sim::evict_cache_lru(cache_dir, sim::parse_cache_budget(a.get("max-bytes")));
@@ -378,7 +381,8 @@ int cmd_serve(const cli::ParsedArgs& a) {
 
   serve::Server server(std::move(opt));
   server.start();
-  std::cout << "serving on 127.0.0.1:" << server.port() << " with " << server.shards()
+  std::cout << "serving on 127.0.0.1:" << server.port() << " and "
+            << serve::unix_label(server.port()) << " with " << server.shards()
             << " shard" << (server.shards() == 1 ? "" : "s") << " (api v"
             << api::kApiVersion << ")" << std::endl;
 
