@@ -73,9 +73,10 @@ echo "bench smoke: OK"
 # The neighborhood index indexes runs by id and the serve protocol frames
 # every message, so their suites run here too. The attention kernels load
 # and store explicit vector types through unaligned row pointers, so the
-# matrix, attention and scaler suites run here as well. The column store
-# hands out spans into a pin it shares, so a caller that lets the pin go
-# first reads freed memory; its suite runs here too.
+# matrix, attention and scaler suites run here as well. The campaign
+# store decodes cache bytes it did not write this run (damaged columns,
+# forged META, bad integer cells) off raw mappings; its suite runs here
+# too.
 echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler, test_store) ==="
 cmake --preset asan
 cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset \
@@ -112,8 +113,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # corrupt-cache detect/evict/regenerate path, also race-checked.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_cache_integrity
-  # The column store pairs one live appender with concurrent pins (the
-  # snapshot-under-append test); race-checked end to end.
+  # The campaign store writes its datasets' column files in parallel,
+  # one pool task per dataset, before META; race-checked end to end.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_store
   # Tree node scans, binning, and the boosting update are parallel; the
   # GBR/RFE suites race-check them end to end.

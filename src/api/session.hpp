@@ -37,7 +37,7 @@ struct SessionOptions {
   sim::CampaignConfig config;
   std::string cache_dir;
   faults::RepairPolicy repair = faults::RepairPolicy::Repair;
-  /// Cache entry format. The column store is the only one, so this has a
+  /// Cache entry format. The campaign store is the only one, so this has a
   /// single value; it stays because perfbench sets it, and goes away when
   /// ROADMAP item 1 rewrites perfbench.
   sim::CacheFormat cache_format = sim::CacheFormat::Store;

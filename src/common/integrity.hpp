@@ -1,5 +1,5 @@
-// File integrity for on-disk text artifacts (dataset CSV exports, store
-// MANIFESTs, campaign-store META): a FNV-1a 64 checksum footer, and
+// File integrity for on-disk text artifacts (dataset CSV exports, the
+// campaign-store META): a FNV-1a 64 checksum footer, and
 // atomic publish via write-to-temp + rename so readers never observe a
 // half-written file.
 #pragma once
@@ -19,8 +19,8 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 /// Incremental FNV-1a: fold `n` bytes into a running hash state. Seeding
 /// with `kFnvBasis` and chaining calls over consecutive chunks yields
-/// exactly `fnv1a64` of the concatenation, which lets the column store
-/// keep a running CRC for its unsealed tail segment across appends.
+/// exactly `fnv1a64` of the concatenation; the campaign store hashes each
+/// raw column file with it.
 [[nodiscard]] std::uint64_t fnv1a64_update(std::uint64_t state, const void* data,
                                            std::size_t n) noexcept;
 

@@ -23,8 +23,9 @@ namespace {
 [[nodiscard]] std::string classify(const fs::path& entry) {
   std::error_code ec;
   if (!fs::exists(entry / "META", ec)) return "other";
-  // A campaign store nests per-dataset sub-stores under its META. A META
-  // beside flat files only is a CSV entry left by an older build.
+  // A campaign store nests one column directory per dataset under its
+  // META. A META beside flat files only is a CSV entry left by an older
+  // build.
   for (const auto& sub : fs::directory_iterator(entry, ec))
     if (sub.is_directory(ec)) return "campaign-store";
   return "other";

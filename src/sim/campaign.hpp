@@ -98,14 +98,14 @@ struct CampaignResult {
 /// Run the full campaign.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
-/// On-disk format for campaign cache entries. The column store is the
+/// On-disk format for campaign cache entries. The campaign store is the
 /// only one; the enum and its single value stay because perfbench still
 /// names them, and go away when ROADMAP item 1 rewrites perfbench.
 enum class CacheFormat {
-  Store,  ///< mmap'd column-store entry (see sim/campaign_store.hpp)
+  Store,  ///< mmap'd campaign-store entry (see sim/campaign_store.hpp)
 };
 
-/// Run the campaign, or load it from `cache_dir` if a column-store entry
+/// Run the campaign, or load it from `cache_dir` if a campaign-store entry
 /// `campaign_<fingerprint>.store` produced with an identical
 /// configuration exists there (benches share one campaign). A corrupt
 /// entry is evicted and regenerated. After a publish the

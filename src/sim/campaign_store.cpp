@@ -1,10 +1,15 @@
 #include "sim/campaign_store.hpp"
 
 #include <array>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <sstream>
+#include <system_error>
 #include <vector>
 
 #include "common/check.hpp"
@@ -19,11 +24,11 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kMetaMagic = "dfv-campaign-store";
-constexpr int kMetaVersion = 1;
+constexpr int kMetaVersion = 2;
 
 constexpr std::array<const char*, 3> kSubStores = {"runs", "steps", "neigh"};
 
-/// A store entry's sub-store: Count entries are runs columns, the rest go
+/// A store entry's directory: Count entries are runs columns, the rest go
 /// by scope (Run, Step, Neigh follow Dataset in the enum).
 template <class F>
 constexpr std::size_t kSub = F::role == record::Role::Count ? 0 : std::size_t(F::scope) - 1;
@@ -33,14 +38,10 @@ constexpr std::size_t kSub = F::role == record::Role::Count ? 0 : std::size_t(F:
 template <class F>
 constexpr bool kU8 = sizeof(typename F::Type) == 1;
 
-/// One store column, in list order: staged for a write, or mapped.
+/// One store column, in list order, staged for a write.
 struct Staged {
   std::vector<double> f64;
   std::vector<std::uint8_t> u8;
-};
-struct Mapped {
-  std::span<const double> f64;
-  std::span<const std::uint8_t> u8;
 };
 
 /// Call `f(entry, columns[j])` for the j-th store entry of the field list.
@@ -52,9 +53,23 @@ void for_store_fields(Columns& columns, Fn&& f) {
   });
 }
 
+[[nodiscard]] std::size_t store_columns() {
+  std::size_t n = 0;
+  record::fields([&](const auto& field) {
+    if constexpr (std::remove_cvref_t<decltype(field)>::in_store) ++n;
+  });
+  return n;
+}
+
+/// A column's file under its dataset directory, without ".col": "<sub>/<name>".
+template <class F>
+[[nodiscard]] std::string column_name(const F& field) {
+  return std::string(kSubStores[kSub<F>]) + "/" + field.store.str();
+}
+
 /// One dataset's store columns, one per store entry in list order.
-[[nodiscard]] std::vector<Staged> stage(const Dataset& ds, std::size_t n_columns) {
-  std::vector<Staged> columns(n_columns);
+[[nodiscard]] std::vector<Staged> stage(const Dataset& ds) {
+  std::vector<Staged> columns(store_columns());
   for (std::size_t r = 0; r < ds.runs.size(); ++r) {
     const RunRecord& run = ds.runs[r];
     DFV_CHECK_MSG(!record::ragged(run), "campaign store: run " << r << " is ragged");
@@ -73,12 +88,87 @@ void for_store_fields(Columns& columns, Fn&& f) {
 
 [[nodiscard]] std::string meta_path(const std::string& dir) { return dir + "/META"; }
 
-struct MetaEntry {
-  apps::DatasetSpec spec;
-  std::array<std::uint64_t, 3> rows{};  // runs, steps, neigh
-};
+[[nodiscard]] std::string hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
 
-[[nodiscard]] std::vector<MetaEntry> parse_meta(const std::string& dir) {
+[[nodiscard]] std::uint64_t parse_hex64(const std::string& tok) {
+  char* end = nullptr;
+  const std::uint64_t v = std::strtoull(tok.c_str(), &end, 16);
+  DFV_CHECK_MSG(tok.size() == 16 && end == tok.c_str() + tok.size(),
+                "campaign store: bad CRC field '" << tok << "' in META");
+  return v;
+}
+
+/// Write one dataset's column files under `base` (each appended, then
+/// synced) and return its META lines: the dataset line with the row
+/// count of each directory, then one `column <sub>/<name> <crc>` line
+/// per column.
+[[nodiscard]] std::string write_dataset(const Dataset& ds, const std::string& base) {
+  for (const char* sub : kSubStores) {
+    std::error_code ec;
+    fs::create_directories(base + sub, ec);
+    DFV_CHECK_MSG(!ec, "campaign store: cannot create " << base << sub << ": " << ec.message());
+  }
+  std::array<std::size_t, 3> rows{};
+  std::ostringstream columns;
+  const auto staged = stage(ds);
+  for_store_fields(staged, [&](const auto& field, const Staged& col) {
+    using F = std::remove_cvref_t<decltype(field)>;
+    const auto bytes = kU8<F> ? std::as_bytes(std::span(col.u8)) : std::as_bytes(std::span(col.f64));
+    const std::string name = column_name(field);
+    store::AppendFile file = store::AppendFile::open(base + name + ".col");
+    file.append(bytes.data(), bytes.size());
+    file.sync();
+    rows[kSub<F>] = kU8<F> ? col.u8.size() : col.f64.size();
+    columns << "column " << name << ' '
+            << hex64(fnv1a64_update(kFnvBasis, bytes.data(), bytes.size())) << '\n';
+  });
+  std::ostringstream lines;
+  lines << "dataset " << ds.spec.app << ' ' << ds.spec.nodes;
+  for (std::size_t n : rows) lines << ' ' << n;
+  lines << '\n' << columns.str();
+  return lines.str();
+}
+
+}  // namespace
+
+bool campaign_store_exists(const std::string& dir) {
+  return store::file_size_or_zero(meta_path(dir)) > 0;
+}
+
+bool save_campaign_store(const CampaignResult& result, const std::string& dir) {
+  DFV_CHECK_MSG(!result.datasets.empty(), "campaign store: nothing to save");
+  if (campaign_store_exists(dir)) return false;  // a committed entry is write-once
+  // An entry directory without META was never committed (a writer died
+  // mid-publish): clear it, so no column file keeps a stale prefix.
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  if (ec) return false;
+  try {
+    // Datasets publish in parallel: each writes only its own directory,
+    // so no byte depends on the order, and the datasets' column syncs
+    // overlap instead of queueing one behind another. META is written
+    // strictly after every column file is synced.
+    const std::size_t n = result.datasets.size();
+    std::vector<std::string> lines(n);
+    exec::parallel_for(0, n, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i)
+        lines[i] = write_dataset(result.datasets[i], dir + "/" + result.datasets[i].spec.label() + "/");
+    });
+    std::string text = std::string(kMetaMagic) + ' ' + std::to_string(kMetaVersion) +
+                       "\ndatasets " + std::to_string(n) + '\n';
+    for (const std::string& l : lines) text += l;
+    append_checksum_footer(text);
+    return atomic_write_file(meta_path(dir), text);
+  } catch (const ContractError&) {
+    return false;
+  }
+}
+
+CampaignStorePin CampaignStorePin::open(const std::string& dir) {
   std::ifstream in(meta_path(dir), std::ios::binary);
   DFV_CHECK_MSG(bool(in), "campaign store: missing META in " + dir);
   std::ostringstream buf;
@@ -94,130 +184,78 @@ struct MetaEntry {
   DFV_CHECK_MSG(kw == kMetaMagic && version == kMetaVersion,
                 "campaign store: unrecognized META header in " + dir);
   is >> kw >> n;
-  DFV_CHECK_MSG(kw == "datasets" && n > 0, "campaign store: bad dataset count");
-  std::vector<MetaEntry> entries(n);
-  for (MetaEntry& e : entries) {
+  DFV_CHECK_MSG(bool(is) && kw == "datasets" && n > 0, "campaign store: bad dataset count");
+
+  CampaignStorePin pin;
+  pin.dir_ = dir;
+  for (std::size_t i = 0; i < n; ++i) {
+    Entry& e = pin.datasets_.emplace_back();
     is >> kw >> e.spec.app >> e.spec.nodes >> e.rows[0] >> e.rows[1] >> e.rows[2];
-    DFV_CHECK_MSG(bool(is) && kw == "dataset" && !e.spec.app.empty() &&
-                      e.spec.nodes >= 1,
+    DFV_CHECK_MSG(bool(is) && kw == "dataset" && !e.spec.app.empty() && e.spec.nodes >= 1,
                   "campaign store: bad dataset line in " + dir);
-  }
-  return entries;
-}
-
-}  // namespace
-
-bool campaign_store_exists(const std::string& dir) {
-  return store::file_size_or_zero(meta_path(dir)) > 0;
-}
-
-bool save_campaign_store(const CampaignResult& result, const std::string& dir) {
-  DFV_CHECK_MSG(!result.datasets.empty(), "campaign store: nothing to save");
-  try {
-    // An entry directory without META was never committed (a writer died
-    // mid-publish): clear it, or its sub-stores would refuse the rewrite
-    // and the entry could never be committed again.
-    std::error_code ec;
-    if (!campaign_store_exists(dir)) fs::remove_all(dir, ec);
-    fs::create_directories(dir);
-    // Datasets publish in parallel: each writes only its own sub-store
-    // directories, so no byte depends on the order, and the datasets'
-    // column syncs overlap instead of queueing one behind another. META
-    // is still written strictly after every sub-store is published.
-    const std::size_t n = result.datasets.size();
-    std::array<std::vector<store::ColumnSpec>, 3> schema;
+    const std::string base = dir + "/" + e.spec.label() + "/";
     record::fields([&](const auto& field) {
       using F = std::remove_cvref_t<decltype(field)>;
-      if constexpr (F::in_store)
-        schema[kSub<F>].push_back(
-            {field.store.str(), kU8<F> ? store::ColumnKind::U8 : store::ColumnKind::F64});
-    });
-    std::vector<std::array<std::size_t, 3>> published(n);
-    exec::parallel_for(0, n, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        const Dataset& ds = result.datasets[i];
-        const auto columns = stage(ds, schema[0].size() + schema[1].size() + schema[2].size());
-        // One append and one publish per sub-store.
-        std::array<store::AppendChunk, 3> chunks;
-        for_store_fields(columns, [&](const auto& field, const Staged& col) {
-          using F = std::remove_cvref_t<decltype(field)>;
-          store::AppendChunk& chunk = chunks[kSub<F>];
-          chunk.rows = kU8<F> ? col.u8.size() : col.f64.size();
-          if constexpr (kU8<F>) chunk.u8.emplace_back(col.u8);
-          else chunk.f64.emplace_back(col.f64);
-        });
-        for (std::size_t k = 0; k < 3; ++k) {
-          (void)store::ColumnStore::create(dir + "/" + ds.spec.label() + "/" + kSubStores[k],
-                                           schema[k], {}, chunks[k]);
-          published[i][k] = chunks[k].rows;
-        }
+      if constexpr (F::in_store) {
+        const std::string name = column_name(field);
+        std::string path, crc;
+        is >> kw >> path >> crc;
+        DFV_CHECK_MSG(bool(is) && kw == "column" && path == name,
+                      "campaign store: META lacks column " << name << " in " << dir);
+        constexpr std::size_t elem = kU8<F> ? 1 : sizeof(double);
+        const std::uint64_t rows = e.rows[kSub<F>];
+        DFV_CHECK_MSG(rows <= std::numeric_limits<std::size_t>::max() / elem,
+                      "campaign store: row count out of range in " << dir);
+        e.crc.push_back(parse_hex64(crc));
+        // A file shorter than rows × elem throws: a short column is corrupt.
+        e.columns.push_back(
+            store::MappedFile::map_prefix(base + name + ".col", std::size_t(rows) * elem));
       }
     });
-    std::ostringstream meta;
-    meta << kMetaMagic << ' ' << kMetaVersion << '\n';
-    meta << "datasets " << n << '\n';
-    for (std::size_t i = 0; i < n; ++i) {
-      meta << "dataset " << result.datasets[i].spec.app << ' ' << result.datasets[i].spec.nodes;
-      for (std::size_t k = 0; k < 3; ++k) meta << ' ' << published[i][k];
-      meta << '\n';
-    }
-    std::string text = meta.str();
-    append_checksum_footer(text);
-    return atomic_write_file(meta_path(dir), text);
-  } catch (const ContractError&) {
-    return false;
   }
-}
-
-CampaignStorePin CampaignStorePin::open(const std::string& dir) {
-  CampaignStorePin pin;
-  for (const MetaEntry& e : parse_meta(dir)) {
-    auto& p = pin.pins_.emplace_back();
-    for (std::size_t k = 0; k < 3; ++k) {
-      p[k] = store::ColumnStore::open_pin(dir + "/" + e.spec.label() + "/" + kSubStores[k]);
-      DFV_CHECK_MSG(p[k]->rows() == e.rows[k],
-                    "campaign store: META row counts disagree with the stores in " + dir);
-    }
-    pin.specs_.push_back(e.spec);
-  }
+  DFV_CHECK_MSG(!(is >> kw), "campaign store: trailing text in META of " + dir);
   return pin;
 }
 
 Dataset CampaignStorePin::load_dataset(std::size_t i) const {
-  DFV_CHECK(i < pins_.size());
-  const auto& p = pins_[i];
+  DFV_CHECK(i < datasets_.size());
+  const Entry& e = datasets_[i];
   // Verify at materialization (already O(bytes)), not at open: cold opens
-  // stay O(MANIFEST parse + mmap), and corruption is still caught before
-  // a single damaged value reaches an analysis.
-  for (const auto& sub : p) sub->verify_integrity();
-  Dataset ds;
-  ds.spec = specs_[i];
-  std::vector<Mapped> columns;
+  // stay O(META parse + mmap), and corruption is still caught before a
+  // single damaged value reaches an analysis.
+  std::size_t j = 0;
   record::fields([&](const auto& field) {
-    using F = std::remove_cvref_t<decltype(field)>;
-    if constexpr (F::in_store && kU8<F>) columns.push_back({{}, p[kSub<F>]->u8(field.store.str())});
-    else if constexpr (F::in_store) columns.push_back({p[kSub<F>]->f64(field.store.str()), {}});
+    if constexpr (std::remove_cvref_t<decltype(field)>::in_store) {
+      const store::MappedFile& m = e.columns[j];
+      DFV_CHECK_MSG(fnv1a64_update(kFnvBasis, m.data(), m.size()) == e.crc[j++],
+                    "campaign store: CRC mismatch in " << e.spec.label() << '/'
+                                                       << column_name(field) << " of " << dir_);
+    }
   });
 
-  ds.runs.resize(p[0]->rows());
-  std::array<std::size_t, 3> off{};  // the run's first row in each sub-store
+  Dataset ds;
+  ds.spec = e.spec;
+  ds.runs.resize(e.rows[0]);
+  std::array<std::size_t, 3> off{};  // the run's first row in each directory
   for (std::size_t r = 0; r < ds.runs.size(); ++r) {
     RunRecord& run = ds.runs[r];
     record::Cursor<Dataset, RunRecord> c{ds, run, r};
     // One walk in list order: the row counts come before the rows they
     // size, and has_quality after the quality rows it may clear.
-    for_store_fields(columns, [&](const auto& field, const Mapped& col) {
+    for_store_fields(e.columns, [&](const auto& field, const store::MappedFile& col) {
       using F = std::remove_cvref_t<decltype(field)>;
       using T = typename F::Type;
       const auto value = [&](std::size_t row) {
-        const double v = kU8<F> ? col.u8[row] : col.f64[row];
+        double v = 0.0;
+        if constexpr (kU8<F>) v = col.data()[row];
+        else std::memcpy(&v, col.data() + row * sizeof v, sizeof v);
         DFV_CHECK_MSG(record::representable<T>(v), "campaign store: '" << field.store.str()
                                                        << "' row " << row << " holds " << v);
         return T(v);
       };
       constexpr std::size_t k = kSub<F>, counted = std::size_t(F::scope) - 1;
       if constexpr (F::role == record::Role::Count)  // bounded before it sizes anything
-        DFV_CHECK_MSG(value(r) <= p[counted]->rows() - off[counted],
+        DFV_CHECK_MSG(value(r) <= e.rows[counted] - off[counted],
                       "campaign store: " << kSubStores[counted] << " shorter than the run index");
       const std::size_t first = k == 0 ? r : off[k];
       const std::size_t n_rows = k == 0 ? 1 : record::rows(run, F::scope);
@@ -226,14 +264,14 @@ Dataset CampaignStorePin::load_dataset(std::size_t i) const {
     off[1] += record::rows(run, record::Scope::Step);
     off[2] += record::rows(run, record::Scope::Neigh);
   }
-  DFV_CHECK_MSG(off[1] == p[1]->rows() && off[2] == p[2]->rows(),
+  DFV_CHECK_MSG(off[1] == e.rows[1] && off[2] == e.rows[2],
                 "campaign store: trailing rows not owned by any run");
   return ds;
 }
 
 CampaignResult CampaignStorePin::load_all() const {
   CampaignResult result;
-  for (std::size_t i = 0; i < pins_.size(); ++i)
+  for (std::size_t i = 0; i < datasets_.size(); ++i)
     result.datasets.push_back(load_dataset(i));
   return result;
 }

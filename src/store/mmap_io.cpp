@@ -98,21 +98,9 @@ void AppendFile::append(const void* data, std::size_t n) {
   }
 }
 
-void AppendFile::truncate_to(std::uint64_t length) {
-  DFV_CHECK(fd_ >= 0);
-  DFV_CHECK_MSG(::ftruncate(fd_, ::off_t(length)) == 0, "store: ftruncate failed");
-}
-
 void AppendFile::sync() {
   DFV_CHECK(fd_ >= 0);
   DFV_CHECK_MSG(::fdatasync(fd_) == 0, "store: fdatasync failed");
-}
-
-std::uint64_t AppendFile::size() const {
-  DFV_CHECK(fd_ >= 0);
-  struct ::stat st{};
-  DFV_CHECK_MSG(::fstat(fd_, &st) == 0, "store: fstat failed");
-  return std::uint64_t(st.st_size);
 }
 
 std::uint64_t file_size_or_zero(const std::string& path) noexcept {

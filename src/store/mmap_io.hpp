@@ -1,14 +1,13 @@
-// Audited low-level file primitives for the column store: read-only
-// memory mappings and append-only writes. This is the one module allowed
-// to touch the raw mmap/pread/pwrite syscall family (dfv-lint
-// `blocking-io` enforces that); everything above it works in terms of
-// these RAII wrappers, so lifetime, error handling, and truncation
-// semantics are centralized here.
+// Audited low-level file primitives for the campaign cache entry
+// (sim/campaign_store.hpp): read-only memory mappings and append-only
+// writes. This is the one module allowed to touch the raw mmap/pread/
+// pwrite syscall family (dfv-lint `blocking-io` enforces that); everything
+// above it works in terms of these RAII wrappers, so lifetime and error
+// handling are centralized here.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 
 namespace dfv::store {
@@ -25,27 +24,23 @@ class MappedFile {
   ~MappedFile();
 
   /// Map the first `length` bytes of `path` read-only. The file must be
-  /// at least `length` bytes long (a shorter file is a truncated-segment
-  /// corruption: throws ContractError). length == 0 yields an empty map.
+  /// at least `length` bytes long (a shorter file is a truncated column:
+  /// throws ContractError). length == 0 yields an empty map.
   [[nodiscard]] static MappedFile map_prefix(const std::string& path,
                                              std::size_t length);
 
   [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
-    return {data_, size_};
-  }
 
  private:
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
 };
 
-/// Append-only writer with explicit truncation, used for column segment
-/// files. Appends are buffered by the kernel only (no user-space buffer),
-/// so a crash can leave a partial tail — the store's MANIFEST records the
-/// committed extent and open-for-append truncates anything beyond it.
+/// Append-only writer for column files. Appends are buffered by the
+/// kernel only (no user-space buffer), so a crash can leave a partial
+/// file; the campaign entry's META, written after sync(), is what commits
+/// it, and a directory without META is cleared before it is rewritten.
 class AppendFile {
  public:
   AppendFile() = default;
@@ -60,11 +55,8 @@ class AppendFile {
 
   /// Append `n` bytes at the current end; throws ContractError on failure.
   void append(const void* data, std::size_t n);
-  /// Truncate the file to exactly `length` bytes (drops torn tails).
-  void truncate_to(std::uint64_t length);
   /// Flush file data to stable storage (fdatasync).
   void sync();
-  [[nodiscard]] std::uint64_t size() const;
 
  private:
   int fd_ = -1;

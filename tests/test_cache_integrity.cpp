@@ -1,5 +1,5 @@
 // Integrity layer (FNV-1a footers, atomic publish) behind the dataset CSV
-// export, and the hardened campaign cache: a damaged column-store entry
+// export, and the hardened campaign cache: a damaged campaign-store entry
 // is evicted and the campaign regenerates transparently.
 #include "common/integrity.hpp"
 
@@ -202,7 +202,7 @@ TEST_F(CacheIntegrityTest, PartialCacheEntryIsRegenerated) {
   const fs::path entry = cache_entry_dir(cache, cfg);
   const auto published = slurp_tree(entry);
 
-  // Simulate a lost sub-store with META intact (e.g. manual deletion).
+  // Simulate a lost steps/ directory with META intact (e.g. manual deletion).
   ASSERT_TRUE(fs::exists(entry / "META"));
   ASSERT_TRUE(fs::remove_all(entry / "UMT-128" / "steps") > 0);
   const sim::CampaignResult regen = sim::run_campaign_cached(cfg, cache);

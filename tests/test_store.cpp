@@ -1,9 +1,8 @@
-// Column store: append/publish/pin round trips, zone-map statistics,
-// append-batching byte invariance, torn-write and truncated-segment
-// recovery, pin consistency under a concurrent writer, the campaign-store
-// cache format, and cache GC.
-#include "store/column_store.hpp"
-
+// The campaign cache entry: faulted campaigns round-trip verbatim, the
+// entry and column bytes are pinned, and every kind of damage (a flipped
+// column or META byte, a short column, an older META version, a bad
+// integer cell, an interrupted publish, an unwritable cache path) ends in
+// the same campaign regenerated; then cache GC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,19 +10,19 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/integrity.hpp"
 #include "common/log.hpp"
-#include "common/rng.hpp"
 #include "exec/exec.hpp"
 #include "sim/cache_gc.hpp"
 #include "sim/campaign.hpp"
@@ -33,17 +32,16 @@ namespace dfv {
 namespace {
 
 namespace fs = std::filesystem;
-using store::AppendChunk;
-using store::ColumnKind;
-using store::ColumnSpec;
-using store::ColumnStore;
-using store::StoreOptions;
 
 std::string slurp(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+void spill(const fs::path& p, const std::string& bytes) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 /// Fresh scratch directory under the test temp root.
@@ -59,287 +57,23 @@ bool bit_eq(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// Deterministic column content keyed by absolute row index, so any
-/// append batching must converge on the same bytes.
-double val_a(std::uint64_t row) { return 0.25 * double(row) - 7.0; }
-double val_b(std::uint64_t row) { return std::sin(double(row) * 0.1) * 100.0; }
-std::uint8_t val_q(std::uint64_t row) { return std::uint8_t(row % 5); }
-
-/// Append rows [first, first + count) of the (a, b, q) fixture schema.
-void append_fixture_rows(ColumnStore& cs, std::uint64_t first, std::uint64_t count) {
-  std::vector<double> a(count), b(count);
-  std::vector<std::uint8_t> q(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    a[i] = val_a(first + i);
-    b[i] = val_b(first + i);
-    q[i] = val_q(first + i);
-  }
-  AppendChunk chunk;
-  chunk.rows = count;
-  chunk.f64 = {a, b};
-  chunk.u8 = {q};
-  cs.append(chunk);
+/// The entry's META text without its checksum footer.
+std::string read_meta(const fs::path& entry) {
+  std::string text = slurp(entry / "META");
+  EXPECT_EQ(verify_and_strip_checksum(text), ChecksumStatus::Ok);
+  return text;
 }
 
-std::vector<ColumnSpec> fixture_specs() {
-  return {{"a", ColumnKind::F64}, {"b", ColumnKind::F64}, {"q", ColumnKind::U8}};
-}
-
-StoreOptions small_segments() {
-  StoreOptions opt;
-  opt.segment_rows = 64;  // many segments from few rows
-  return opt;
+/// Sign `text` with a fresh footer and publish it as the entry's META.
+void write_meta(const fs::path& entry, std::string text) {
+  append_checksum_footer(text);
+  ASSERT_TRUE(atomic_write_file((entry / "META").string(), text));
 }
 
 class StoreTest : public ::testing::Test {
  protected:
   void SetUp() override { set_log_level(LogLevel::Warn); }
 };
-
-// ---------------------------------------------------------------------------
-// ColumnStore: round trip, zone maps, pins
-// ---------------------------------------------------------------------------
-
-TEST_F(StoreTest, RoundTripValuesAndZoneStats) {
-  const std::string dir = scratch("store_roundtrip");
-  ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-  append_fixture_rows(cs, 0, 200);
-  cs.publish();
-
-  const auto pin = cs.pin();
-  EXPECT_EQ(pin->rows(), 200u);
-  EXPECT_EQ(pin->segment_rows(), 64u);
-  const auto a = pin->f64("a");
-  const auto q = pin->u8("q");
-  ASSERT_EQ(a.size(), 200u);
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    EXPECT_TRUE(bit_eq(a[i], val_a(i)));
-    EXPECT_EQ(q[i], val_q(i));
-  }
-
-  // Zone maps: 200 rows at 64/segment -> 4 segments (64, 64, 64, 8).
-  const auto zones = pin->zones(pin->column_index("a"));
-  ASSERT_EQ(zones.size(), 4u);
-  EXPECT_EQ(zones[0].count, 64u);
-  EXPECT_EQ(zones[3].count, 8u);
-  EXPECT_TRUE(bit_eq(zones[0].min, val_a(0)));
-  EXPECT_TRUE(bit_eq(zones[0].max, val_a(63)));
-  // The zone sums add up to the column sum (values are exact in binary).
-  double zone_sum = 0.0, col_sum = 0.0;
-  for (const auto& z : zones) zone_sum += z.sum;
-  for (double v : a) col_sum += v;
-  EXPECT_EQ(zone_sum, col_sum);
-
-  EXPECT_NO_THROW(pin->verify_integrity());
-  EXPECT_THROW((void)pin->f64("missing"), ContractError);
-  EXPECT_THROW((void)pin->f64("q"), ContractError);  // u8 column via f64 accessor
-}
-
-TEST_F(StoreTest, NanSkipsMinMaxAndPoisonsMean) {
-  const std::string dir = scratch("store_nan");
-  ColumnStore cs =
-      ColumnStore::create(dir, {{"v", ColumnKind::F64}}, small_segments());
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<double> v = {3.0, nan, -2.0, 8.0};
-  AppendChunk chunk;
-  chunk.rows = v.size();
-  chunk.f64 = {v};
-  cs.append(chunk);
-  cs.publish();
-
-  const auto pin = cs.pin();
-  const auto z = pin->zones(0);
-  ASSERT_EQ(z.size(), 1u);
-  EXPECT_EQ(z[0].min, -2.0);  // fmin/fmax skip the NaN
-  EXPECT_EQ(z[0].max, 8.0);
-  EXPECT_TRUE(std::isnan(z[0].sum));  // sum is NaN-poisoning: honest mean
-  EXPECT_TRUE(bit_eq(pin->f64("v")[1], nan));
-  EXPECT_NO_THROW(pin->verify_integrity());
-}
-
-TEST_F(StoreTest, AppendBatchingIsByteAndFingerprintInvariant) {
-  const std::string one = scratch("store_batch_one");
-  const std::string many = scratch("store_batch_many");
-
-  ColumnStore cs1 = ColumnStore::create(one, fixture_specs(), small_segments());
-  append_fixture_rows(cs1, 0, 333);
-  cs1.publish();
-
-  // Same rows in uneven chunks with publishes interleaved.
-  ColumnStore cs2 = ColumnStore::create(many, fixture_specs(), small_segments());
-  append_fixture_rows(cs2, 0, 7);
-  cs2.publish();
-  append_fixture_rows(cs2, 7, 130);
-  append_fixture_rows(cs2, 137, 63);
-  cs2.publish();
-  append_fixture_rows(cs2, 200, 133);
-  cs2.publish();
-
-  for (const char* col : {"a.col", "b.col", "q.col"})
-    EXPECT_EQ(slurp(fs::path(one) / col), slurp(fs::path(many) / col)) << col;
-  // The content fingerprint (rows, schema, every segment CRC) agrees even
-  // though the epochs differ; so do all zone statistics.
-  EXPECT_EQ(cs1.pin()->content_fingerprint(), cs2.pin()->content_fingerprint());
-  EXPECT_NE(cs1.pin()->epoch(), cs2.pin()->epoch());
-  const auto pin1 = cs1.pin();
-  const auto pin2 = cs2.pin();
-  const auto zb1 = pin1->zones(1);
-  const auto zb2 = pin2->zones(1);
-  ASSERT_EQ(zb1.size(), zb2.size());
-  for (std::size_t g = 0; g < zb1.size(); ++g) {
-    EXPECT_TRUE(bit_eq(zb1[g].sum, zb2[g].sum)) << "segment " << g;
-    EXPECT_TRUE(bit_eq(zb1[g].min, zb2[g].min)) << "segment " << g;
-    EXPECT_TRUE(bit_eq(zb1[g].max, zb2[g].max)) << "segment " << g;
-  }
-}
-
-TEST_F(StoreTest, CreateWithFirstChunkPublishesOnce) {
-  const std::string two_step = scratch("store_first_two_step");
-  const std::string one_step = scratch("store_first_one_step");
-
-  ColumnStore cs1 = ColumnStore::create(two_step, fixture_specs(), small_segments());
-  append_fixture_rows(cs1, 0, 150);
-  cs1.publish();
-
-  std::vector<double> a(150), b(150);
-  std::vector<std::uint8_t> q(150);
-  for (std::uint64_t i = 0; i < 150; ++i) {
-    a[i] = val_a(i);
-    b[i] = val_b(i);
-    q[i] = val_q(i);
-  }
-  AppendChunk chunk;
-  chunk.rows = 150;
-  chunk.f64 = {a, b};
-  chunk.u8 = {q};
-  ColumnStore cs2 = ColumnStore::create(one_step, fixture_specs(), small_segments(), chunk);
-  EXPECT_EQ(cs2.published_rows(), 150u);
-
-  for (const char* col : {"a.col", "b.col", "q.col"})
-    EXPECT_EQ(slurp(fs::path(two_step) / col), slurp(fs::path(one_step) / col)) << col;
-  EXPECT_EQ(cs1.pin()->content_fingerprint(), cs2.pin()->content_fingerprint());
-  EXPECT_EQ(cs1.pin()->epoch(), 2u);
-  EXPECT_EQ(cs2.pin()->epoch(), 1u);
-}
-
-TEST_F(StoreTest, PinIsPointInTimeAcrossAppends) {
-  const std::string dir = scratch("store_pit");
-  ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-  append_fixture_rows(cs, 0, 100);
-  cs.publish();
-
-  const auto old_pin = cs.pin();
-  append_fixture_rows(cs, 100, 100);
-  EXPECT_EQ(cs.rows(), 200u);
-  EXPECT_EQ(cs.published_rows(), 100u);  // not yet visible
-  EXPECT_EQ(cs.pin()->rows(), 100u);
-  cs.publish();
-  EXPECT_EQ(cs.pin()->rows(), 200u);
-
-  // The old pin still sees exactly its committed prefix, CRC-clean.
-  EXPECT_EQ(old_pin->rows(), 100u);
-  EXPECT_NO_THROW(old_pin->verify_integrity());
-  EXPECT_TRUE(bit_eq(old_pin->f64("a")[99], val_a(99)));
-}
-
-// ---------------------------------------------------------------------------
-// Crash recovery: torn tails, truncated segments, corruption
-// ---------------------------------------------------------------------------
-
-TEST_F(StoreTest, TornTailIsTruncatedOnReopen) {
-  const std::string dir = scratch("store_torn");
-  {
-    ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-    append_fixture_rows(cs, 0, 100);
-    cs.publish();
-    // A writer that dies between append and publish leaves bytes past the
-    // committed extent in every column file.
-    append_fixture_rows(cs, 100, 37);
-    // no publish: simulate the crash by dropping the handle
-  }
-  ColumnStore reopened = ColumnStore::open(dir);
-  EXPECT_EQ(reopened.rows(), 100u);
-  EXPECT_EQ(fs::file_size(fs::path(dir) / "a.col"), 100 * sizeof(double));
-
-  // Re-appending the same logical rows converges on the clean bytes.
-  append_fixture_rows(reopened, 100, 237);
-  reopened.publish();
-  const std::string clean = scratch("store_torn_clean");
-  ColumnStore ref = ColumnStore::create(clean, fixture_specs(), small_segments());
-  append_fixture_rows(ref, 0, 337);
-  ref.publish();
-  EXPECT_EQ(slurp(fs::path(dir) / "a.col"), slurp(fs::path(clean) / "a.col"));
-  EXPECT_EQ(reopened.pin()->content_fingerprint(), ref.pin()->content_fingerprint());
-}
-
-TEST_F(StoreTest, ColumnShorterThanCommittedExtentIsCorruption) {
-  const std::string dir = scratch("store_short");
-  {
-    ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-    append_fixture_rows(cs, 0, 100);
-    cs.publish();
-  }
-  fs::resize_file(fs::path(dir) / "b.col", 10 * sizeof(double));
-  EXPECT_THROW((void)ColumnStore::open(dir), ContractError);
-  EXPECT_THROW((void)ColumnStore::open_pin(dir), ContractError);
-}
-
-TEST_F(StoreTest, FlippedByteFailsVerifyIntegrity) {
-  const std::string dir = scratch("store_flip");
-  {
-    ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-    append_fixture_rows(cs, 0, 150);
-    cs.publish();
-  }
-  {
-    std::fstream f(fs::path(dir) / "a.col",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(77 * std::streamoff(sizeof(double)));
-    f.put('\x5a');
-  }
-  const auto pin = ColumnStore::open_pin(dir);  // mmap succeeds...
-  EXPECT_THROW(pin->verify_integrity(), ContractError);  // ...the CRC does not
-
-  // A damaged MANIFEST is caught by its checksum footer at open.
-  std::string manifest = slurp(fs::path(dir) / "MANIFEST");
-  manifest[manifest.size() / 2] ^= 0x01;
-  std::ofstream(fs::path(dir) / "MANIFEST", std::ios::binary) << manifest;
-  EXPECT_THROW((void)ColumnStore::open_pin(dir), ContractError);
-}
-
-// ---------------------------------------------------------------------------
-// Pins: point-in-time under a concurrent writer
-// ---------------------------------------------------------------------------
-
-TEST_F(StoreTest, SnapshotUnderConcurrentAppendIsConsistent) {
-  const std::string dir = scratch("store_snap_conc");
-  ColumnStore cs = ColumnStore::create(dir, fixture_specs(), small_segments());
-
-  std::thread writer([&cs] {
-    std::uint64_t row = 0;
-    for (int batch = 0; batch < 40; ++batch) {
-      append_fixture_rows(cs, row, 137);
-      row += 137;
-      cs.publish();
-    }
-  });
-
-  // Concurrently pin published states: every pin must be a CRC-clean
-  // point-in-time prefix of the logical content.
-  for (int s = 0; s < 5; ++s) {
-    const auto pin = cs.pin();
-    EXPECT_NO_THROW(pin->verify_integrity());
-    const auto a = pin->f64("a");
-    const auto q = pin->u8("q");
-    for (std::uint64_t i = 0; i < pin->rows(); ++i) {
-      ASSERT_TRUE(bit_eq(a[i], val_a(i))) << "row " << i << " of pin " << s;
-      ASSERT_EQ(q[i], val_q(i)) << "row " << i << " of pin " << s;
-    }
-    EXPECT_EQ(pin->rows() % 137, 0u) << "pin caught an unpublished state";
-  }
-  writer.join();
-  EXPECT_EQ(cs.pin()->rows(), 40u * 137u);
-}
 
 // ---------------------------------------------------------------------------
 // Campaign store: faulted campaigns round-trip verbatim; corrupt entries
@@ -450,7 +184,26 @@ TEST_F(RecordFormatGolden, CampaignStoreEntryDigest) {
     h = fnv1a64_update(h, path.data(), path.size() + 1);  // NUL-terminated name
     h = fnv1a64_update(h, bytes.data(), bytes.size());
   }
-  EXPECT_EQ(h, 0x266defadb6d79944ull) << std::hex << h;
+  EXPECT_EQ(h, 0x199b0eafc2e80cf2ull) << std::hex << h;
+}
+
+// The raw column bytes alone: every `*.col` file of the entry (relative
+// path + NUL + bytes, sorted). The commit-point text around them may
+// change format; the columns must not.
+TEST_F(RecordFormatGolden, CampaignStoreColumnDigest) {
+  const std::string dir = scratch("campaign_store_column_golden");
+  ASSERT_TRUE(sim::save_campaign_store(campaign(), dir));
+  std::map<std::string, std::string> files;
+  for (const auto& e : fs::recursive_directory_iterator(dir))
+    if (e.is_regular_file() && e.path().extension() == ".col")
+      files[fs::relative(e.path(), dir).generic_string()] = slurp(e.path());
+  ASSERT_FALSE(files.empty());
+  std::uint64_t h = kFnvBasis;
+  for (const auto& [path, bytes] : files) {
+    h = fnv1a64_update(h, path.data(), path.size() + 1);  // NUL-terminated name
+    h = fnv1a64_update(h, bytes.data(), bytes.size());
+  }
+  EXPECT_EQ(h, 0xa054c40ee7d1bc22ull) << std::hex << h;
 }
 
 TEST_F(RecordFormatGolden, CsvExportDigest) {
@@ -520,29 +273,34 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
     EXPECT_NE(e.path().extension(), ".tmp") << e.path();
 }
 
-/// Republish the sub-store at `dir` with row `row` of F64 column `name`
-/// set to `v`: a well-formed store (fresh CRCs) holding a bad value.
-void rewrite_f64_cell(const fs::path& dir, const std::string& name, std::size_t row, double v) {
-  const auto pin = ColumnStore::open_pin(dir.string());
-  const std::vector<ColumnSpec> specs(pin->columns().begin(), pin->columns().end());
-  std::vector<std::vector<double>> f64;
-  std::vector<std::vector<std::uint8_t>> u8;
-  for (const ColumnSpec& s : specs) {
-    if (s.kind == ColumnKind::U8) {
-      const auto col = pin->u8(s.name);
-      u8.emplace_back(col.begin(), col.end());
-    } else {
-      const auto col = pin->f64(s.name);
-      f64.emplace_back(col.begin(), col.end());
-      if (s.name == name) f64.back().at(row) = v;
+/// Set row `row` of the F64 runs column `name` of dataset `label` to `v`
+/// and re-sign META with the column's fresh CRC: a well-formed entry
+/// holding a bad value.
+void rewrite_f64_cell(const fs::path& entry, const std::string& label, const std::string& name,
+                      std::size_t row, double v) {
+  const fs::path col = entry / label / "runs" / (name + ".col");
+  std::string bytes = slurp(col);
+  ASSERT_GE(bytes.size(), (row + 1) * sizeof(double));
+  std::memcpy(bytes.data() + row * sizeof(double), &v, sizeof v);
+  spill(col, bytes);
+  char crc[20];
+  std::snprintf(crc, sizeof crc, "%016llx", static_cast<unsigned long long>(fnv1a64(bytes)));
+  std::istringstream in(read_meta(entry));
+  std::string meta, line, dataset;
+  bool resigned = false;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string kw, a, b;
+    words >> kw >> a >> b;
+    if (kw == "dataset") dataset = a + "-" + b;
+    if (kw == "column" && dataset == label && a == "runs/" + name) {
+      line = kw + ' ' + a + ' ' + crc;
+      resigned = true;
     }
+    meta += line + '\n';
   }
-  AppendChunk chunk;
-  chunk.rows = pin->rows();
-  for (const auto& c : f64) chunk.f64.emplace_back(c);
-  for (const auto& c : u8) chunk.u8.emplace_back(c);
-  fs::remove_all(dir);
-  (void)ColumnStore::create(dir.string(), specs, {}, chunk);
+  ASSERT_TRUE(resigned) << label << " runs/" << name;
+  write_meta(entry, meta);
 }
 
 TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
@@ -552,23 +310,99 @@ TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
   const auto entries = sim::list_cache_entries(cache);
   ASSERT_EQ(entries.size(), 1u);
   const fs::path entry = fs::path(cache) / entries[0].name;
-  const fs::path runs = entry / "MILC-128" / "runs";
 
-  // Each bad value is rejected at load with a ContractError...
+  // Each bad value on its own is rejected at load with a ContractError...
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const auto& [column, v] : std::vector<std::pair<std::string, double>>{
            {"steps", -1.0}, {"steps", nan}, {"steps", 2.5}, {"steps", 1e300},
            {"neigh_count", -1.0}, {"job_id", 4294967297.0}, {"num_groups", nan}}) {
-    rewrite_f64_cell(runs, column, 0, v);
+    const fs::path col = entry / "MILC-128" / "runs" / (column + ".col");
+    const std::string col_bytes = slurp(col), meta = slurp(entry / "META");
+    rewrite_f64_cell(entry, "MILC-128", column, 0, v);
     EXPECT_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all(), ContractError)
         << column << " = " << v;
+    spill(col, col_bytes);
+    spill(entry / "META", meta);
+    EXPECT_NO_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all());
   }
   // ...which the cache treats as a corrupt entry: evict and regenerate.
-  rewrite_f64_cell(runs, "steps", 0, -1.0);
+  rewrite_f64_cell(entry, "MILC-128", "steps", 0, -1.0);
   const sim::CampaignResult second = sim::run_campaign_cached(cfg, cache);
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], second.datasets[i]);
   EXPECT_NO_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all());
+}
+
+// Damage the entry's commit point or a column's length: the open throws,
+// and the cache evicts the entry and regenerates the identical campaign.
+TEST_F(StoreTest, DamagedEntryIsEvictedAndRegenerated) {
+  sim::CampaignConfig cfg = sim::CampaignConfig::small(46);
+  cfg.days = 1;
+  const std::string cache = scratch("campaign_store_damaged");
+  const sim::CampaignResult first = sim::run_campaign_cached(cfg, cache);
+  const auto entries = sim::list_cache_entries(cache);
+  ASSERT_EQ(entries.size(), 1u);
+  const fs::path entry = fs::path(cache) / entries[0].name;
+  const fs::path col = entry / "MILC-128" / "steps" / "step_time.col";
+  ASSERT_GT(fs::file_size(col), 10 * sizeof(double));
+  const std::string clean_meta = slurp(entry / "META");
+
+  const std::vector<std::pair<std::string, void (*)(const fs::path&)>> damages = {
+      // An entry written by an older build: a well-signed version-1 META.
+      {"META version 1",
+       [](const fs::path& e) {
+         std::string text = read_meta(e);
+         const std::string v2 = "dfv-campaign-store 2\n";
+         ASSERT_EQ(text.rfind(v2, 0), 0u);
+         write_meta(e, "dfv-campaign-store 1\n" + text.substr(v2.size()));
+       }},
+      // A column shorter than META's row count.
+      {"short column",
+       [](const fs::path& e) {
+         fs::resize_file(e / "MILC-128" / "steps" / "step_time.col", 10 * sizeof(double));
+       }},
+      // One flipped byte of META: its checksum footer no longer matches.
+      {"flipped META byte",
+       [](const fs::path& e) {
+         std::string text = slurp(e / "META");
+         text[text.size() / 2] ^= 0x01;
+         spill(e / "META", text);
+       }},
+  };
+  for (const auto& [what, damage] : damages) {
+    damage(entry);
+    EXPECT_THROW((void)sim::CampaignStorePin::open(entry.string()), ContractError) << what;
+    const sim::CampaignResult again = sim::run_campaign_cached(cfg, cache);
+    ASSERT_EQ(again.datasets.size(), first.datasets.size()) << what;
+    for (std::size_t i = 0; i < first.datasets.size(); ++i)
+      expect_dataset_eq(first.datasets[i], again.datasets[i]);
+    // The regenerated entry is the clean one, byte for byte.
+    EXPECT_EQ(slurp(entry / "META"), clean_meta) << what;
+  }
+}
+
+// A cache path that cannot be created (it runs through a regular file)
+// still yields the campaign: the publish fails, is logged, and leaves no
+// entry behind.
+TEST_F(StoreTest, UnwritableCachePathReturnsTheCampaign) {
+  sim::CampaignConfig cfg = sim::CampaignConfig::small(49);
+  cfg.days = 1;
+  const fs::path root = scratch("campaign_store_unwritable");
+  fs::create_directories(root);
+  const fs::path file = root / "plain_file";
+  spill(file, "not a directory");
+  const std::string cache = (file / "sub").string();
+
+  sim::CampaignResult cached;
+  ASSERT_NO_THROW(cached = sim::run_campaign_cached(cfg, cache));
+  const sim::CampaignResult direct = sim::run_campaign(cfg);
+  ASSERT_EQ(cached.datasets.size(), direct.datasets.size());
+  for (std::size_t i = 0; i < direct.datasets.size(); ++i)
+    expect_dataset_eq(direct.datasets[i], cached.datasets[i]);
+  EXPECT_EQ(slurp(file), "not a directory");
+  std::vector<fs::path> left;
+  for (const auto& e : fs::recursive_directory_iterator(root)) left.push_back(e.path());
+  EXPECT_EQ(left, std::vector<fs::path>{file});
 }
 
 TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
@@ -581,10 +415,8 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
   ASSERT_EQ(entries.size(), 1u);
   const fs::path entry = fs::path(cache) / entries[0].name;
   ASSERT_TRUE(sim::campaign_store_exists(entry.string()));
-  // Each sub-store is published exactly once.
-  EXPECT_EQ(ColumnStore::open_pin((entry / "MILC-128" / "steps").string())->epoch(), 1u);
 
-  // A writer that died after the sub-stores but before META: the entry
+  // A writer that died after the column files but before META: the entry
   // reads as absent, so the next call regenerates and must commit again.
   fs::remove(entry / "META");
   ASSERT_FALSE(sim::campaign_store_exists(entry.string()));
@@ -648,9 +480,9 @@ TEST_F(StoreTest, LruEvictionRespectsBudgetAndRecency) {
 
 TEST_F(StoreTest, StaleCsvEntryListsAsOtherAndIsEvictable) {
   // A CSV campaign entry left by an older build: META beside flat .csv
-  // files, no sub-stores. It is not a campaign store, and LRU still
-  // removes it like any other entry. So is a bare column store (a
-  // MANIFEST and columns, no META), which no build writes into the cache.
+  // files, no dataset directories. It is not a campaign store, and LRU
+  // still removes it like any other entry. So is a bare column store of
+  // older builds (a MANIFEST and columns, no META).
   const std::string cache = scratch("cache_stale_csv");
   const auto now = fs::file_time_type::clock::now();
   const fs::path bare = fs::path(cache) / "bare_10d6.store";
