@@ -4,13 +4,14 @@
 #   scripts/bench.sh [ml]        # model-training microbenchmarks  -> BENCH_ml.json
 #   scripts/bench.sh ml-predict  # compiled-inference benchmarks   -> BENCH_ml.json
 #   scripts/bench.sh serve       # dfv serve load generator        -> BENCH_serve.json
-#   scripts/bench.sh store       # campaign-cache cold open        -> BENCH_store.json
+#   scripts/bench.sh store       # campaign-cache publish + open   -> BENCH_store.json
 #   scripts/bench.sh net         # routing + flow-model benchmarks -> BENCH_net.json
 #   scripts/bench.sh pipeline    # dfv campaign end to end         -> BENCH_pipeline.json
 #
 #   DFV_BENCH_MIN_TIME=1.0 scripts/bench.sh        # longer per-bench min time (ml*, net)
 #   DFV_BENCH_SECONDS=5 scripts/bench.sh serve     # longer per-phase window (serve)
 #   DFV_BENCH_REPS=5 scripts/bench.sh pipeline     # more repetitions of the 10-day runs
+#   DFV_BENCH_REPS=9 scripts/bench.sh store        # more bench_store runs (default 5)
 #
 # Measurements come from the Release preset (build-release/) so the
 # committed numbers reflect optimized code, and the context block records
@@ -176,12 +177,26 @@ PY
     echo "wrote BENCH_serve.json"
     ;;
   store)
+    # Each metric is the median of DFV_BENCH_REPS bench_store runs
+    # (default 5), each its own process: on a shared host one run's open
+    # time has swung by up to 2x between runs of one build.
     cmake --build "$BUILD" -j --target bench_store >/dev/null
-    "./$BUILD/bench/bench_store" \
-      --campaign-days "${DFV_BENCH_STORE_DAYS:-120}" \
-      --json "$raw"
+    python3 - "./$BUILD/bench/bench_store" "${DFV_BENCH_REPS:-5}" \
+      "${DFV_BENCH_STORE_DAYS:-120}" >"$raw" <<'PY'
+import json, statistics, subprocess, sys, tempfile
+
+bench, reps, days = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+runs = []
+for _ in range(reps):
+    with tempfile.NamedTemporaryFile(suffix=".json") as out:
+        subprocess.run([bench, "--campaign-days", days, "--json", out.name], check=True,
+                       stdout=sys.stderr)
+        with open(out.name) as f:
+            runs.append(json.load(f))
+print(json.dumps({name: statistics.median(r[name] for r in runs) for name in runs[0]}))
+PY
     merge_snapshot BENCH_store.json dfv-bench-store-v1 \
-      "campaign-cache cold open: store-entry pin vs CSV deserialize of the same campaign; current = last scripts/bench.sh store run" \
+      "campaign cache: publish (save_campaign_store into a fresh directory, median of 5) and cold open (store-entry pin vs CSV deserialize of the same campaign); each value the median of DFV_BENCH_REPS bench_store runs; current = last scripts/bench.sh store run" \
       '_speedup$|^campaign_runs$'
     echo "wrote BENCH_store.json"
     ;;

@@ -75,14 +75,17 @@ echo "bench smoke: OK"
 # and store explicit vector types through unaligned row pointers, so the
 # matrix, attention and scaler suites run here as well. The campaign
 # store decodes cache bytes it did not write this run (damaged columns,
-# forged META, bad integer cells) off raw mappings; its suite runs here
+# forged META, bad integer cells, short or missing dataset files) at
+# computed offsets inside one mapping per dataset, where a wrong offset is
+# an out-of-bounds read; its suite and the cache-integrity suite run here
 # too.
-echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler, test_store) ==="
+echo "=== ASan+UBSan pass (test_wire_adversarial, test_api, test_dataset, test_table_csv, test_neighborhood, test_serve, test_matrix, test_attention, test_scaler, test_store, test_cache_integrity) ==="
 cmake --preset asan
 cmake --build build-asan -j --target test_wire_adversarial test_api test_dataset \
-  test_table_csv test_neighborhood test_serve test_matrix test_attention test_scaler test_store
+  test_table_csv test_neighborhood test_serve test_matrix test_attention test_scaler test_store \
+  test_cache_integrity
 for t in test_wire_adversarial test_api test_dataset test_table_csv test_neighborhood \
-    test_serve test_matrix test_attention test_scaler test_store; do
+    test_serve test_matrix test_attention test_scaler test_store test_cache_integrity; do
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     "./build-asan/tests/$t"
 done
@@ -113,8 +116,8 @@ if [[ "${DFV_SKIP_TSAN:-0}" != "1" ]]; then
   # corrupt-cache detect/evict/regenerate path, also race-checked.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_faults
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_cache_integrity
-  # The campaign store writes its datasets' column files in parallel,
-  # one pool task per dataset, before META; race-checked end to end.
+  # The campaign store writes its dataset files in parallel, one pool
+  # task per dataset, before META; race-checked end to end.
   DFV_THREADS=4 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_store
   # Tree node scans, binning, and the boosting update are parallel; the
   # GBR/RFE suites race-check them end to end.

@@ -23,11 +23,11 @@ namespace {
 [[nodiscard]] std::string classify(const fs::path& entry) {
   std::error_code ec;
   if (!fs::exists(entry / "META", ec)) return "other";
-  // A campaign store nests one column directory per dataset under its
-  // META. A META beside flat files only is a CSV entry left by an older
-  // build.
+  // A campaign store keeps one `<label>.col` file per dataset beside its
+  // META (older builds: one column directory per dataset). A META beside
+  // other flat files only is a CSV entry left by an older build.
   for (const auto& sub : fs::directory_iterator(entry, ec))
-    if (sub.is_directory(ec)) return "campaign-store";
+    if (sub.is_directory(ec) || sub.path().extension() == ".col") return "campaign-store";
   return "other";
 }
 

@@ -24,11 +24,11 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kMetaMagic = "dfv-campaign-store";
-constexpr int kMetaVersion = 2;
+constexpr int kMetaVersion = 3;
 
 constexpr std::array<const char*, 3> kSubStores = {"runs", "steps", "neigh"};
 
-/// A store entry's directory: Count entries are runs columns, the rest go
+/// A store entry's row space: Count entries are runs columns, the rest go
 /// by scope (Run, Step, Neigh follow Dataset in the enum).
 template <class F>
 constexpr std::size_t kSub = F::role == record::Role::Count ? 0 : std::size_t(F::scope) - 1;
@@ -61,7 +61,7 @@ void for_store_fields(Columns& columns, Fn&& f) {
   return n;
 }
 
-/// A column's file under its dataset directory, without ".col": "<sub>/<name>".
+/// A column's name in META: "<sub>/<name>".
 template <class F>
 [[nodiscard]] std::string column_name(const F& field) {
   return std::string(kSubStores[kSub<F>]) + "/" + field.store.str();
@@ -88,6 +88,11 @@ template <class F>
 
 [[nodiscard]] std::string meta_path(const std::string& dir) { return dir + "/META"; }
 
+/// A dataset's column file: "<dir>/<label>.col".
+[[nodiscard]] std::string dataset_path(const std::string& dir, const apps::DatasetSpec& spec) {
+  return dir + "/" + spec.label() + ".col";
+}
+
 [[nodiscard]] std::string hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
@@ -102,30 +107,24 @@ template <class F>
   return v;
 }
 
-/// Write one dataset's column files under `base` (each appended, then
-/// synced) and return its META lines: the dataset line with the row
-/// count of each directory, then one `column <sub>/<name> <crc>` line
-/// per column.
-[[nodiscard]] std::string write_dataset(const Dataset& ds, const std::string& base) {
-  for (const char* sub : kSubStores) {
-    std::error_code ec;
-    fs::create_directories(base + sub, ec);
-    DFV_CHECK_MSG(!ec, "campaign store: cannot create " << base << sub << ": " << ec.message());
-  }
+/// Write one dataset's columns back to back into the file `path` (one
+/// sync for all of them) and return its META lines: the dataset line
+/// with the runs/steps/neigh row counts, then one `column <sub>/<name>
+/// <crc>` line per column.
+[[nodiscard]] std::string write_dataset(const Dataset& ds, const std::string& path) {
   std::array<std::size_t, 3> rows{};
   std::ostringstream columns;
   const auto staged = stage(ds);
+  store::AppendFile file = store::AppendFile::open(path);
   for_store_fields(staged, [&](const auto& field, const Staged& col) {
     using F = std::remove_cvref_t<decltype(field)>;
     const auto bytes = kU8<F> ? std::as_bytes(std::span(col.u8)) : std::as_bytes(std::span(col.f64));
-    const std::string name = column_name(field);
-    store::AppendFile file = store::AppendFile::open(base + name + ".col");
     file.append(bytes.data(), bytes.size());
-    file.sync();
     rows[kSub<F>] = kU8<F> ? col.u8.size() : col.f64.size();
-    columns << "column " << name << ' '
+    columns << "column " << column_name(field) << ' '
             << hex64(fnv1a64_update(kFnvBasis, bytes.data(), bytes.size())) << '\n';
   });
+  file.sync();
   std::ostringstream lines;
   lines << "dataset " << ds.spec.app << ' ' << ds.spec.nodes;
   for (std::size_t n : rows) lines << ' ' << n;
@@ -143,20 +142,21 @@ bool save_campaign_store(const CampaignResult& result, const std::string& dir) {
   DFV_CHECK_MSG(!result.datasets.empty(), "campaign store: nothing to save");
   if (campaign_store_exists(dir)) return false;  // a committed entry is write-once
   // An entry directory without META was never committed (a writer died
-  // mid-publish): clear it, so no column file keeps a stale prefix.
+  // mid-publish): clear it, so no dataset file keeps a stale prefix.
   std::error_code ec;
   fs::remove_all(dir, ec);
+  if (!ec) fs::create_directories(dir, ec);
   if (ec) return false;
   try {
-    // Datasets publish in parallel: each writes only its own directory,
-    // so no byte depends on the order, and the datasets' column syncs
-    // overlap instead of queueing one behind another. META is written
-    // strictly after every column file is synced.
+    // Datasets publish in parallel: each writes only its own file, so no
+    // byte depends on the order, and the datasets' syncs overlap instead
+    // of queueing one behind another. META is written strictly after
+    // every dataset file is synced.
     const std::size_t n = result.datasets.size();
     std::vector<std::string> lines(n);
     exec::parallel_for(0, n, 1, [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i)
-        lines[i] = write_dataset(result.datasets[i], dir + "/" + result.datasets[i].spec.label() + "/");
+        lines[i] = write_dataset(result.datasets[i], dataset_path(dir, result.datasets[i].spec));
     });
     std::string text = std::string(kMetaMagic) + ' ' + std::to_string(kMetaVersion) +
                        "\ndatasets " + std::to_string(n) + '\n';
@@ -193,7 +193,7 @@ CampaignStorePin CampaignStorePin::open(const std::string& dir) {
     is >> kw >> e.spec.app >> e.spec.nodes >> e.rows[0] >> e.rows[1] >> e.rows[2];
     DFV_CHECK_MSG(bool(is) && kw == "dataset" && !e.spec.app.empty() && e.spec.nodes >= 1,
                   "campaign store: bad dataset line in " + dir);
-    const std::string base = dir + "/" + e.spec.label() + "/";
+    std::size_t end = 0;  // the next column's offset in the dataset file
     record::fields([&](const auto& field) {
       using F = std::remove_cvref_t<decltype(field)>;
       if constexpr (F::in_store) {
@@ -204,14 +204,16 @@ CampaignStorePin CampaignStorePin::open(const std::string& dir) {
                       "campaign store: META lacks column " << name << " in " << dir);
         constexpr std::size_t elem = kU8<F> ? 1 : sizeof(double);
         const std::uint64_t rows = e.rows[kSub<F>];
-        DFV_CHECK_MSG(rows <= std::numeric_limits<std::size_t>::max() / elem,
+        DFV_CHECK_MSG(rows <= (std::numeric_limits<std::size_t>::max() - end) / elem,
                       "campaign store: row count out of range in " << dir);
         e.crc.push_back(parse_hex64(crc));
-        // A file shorter than rows × elem throws: a short column is corrupt.
-        e.columns.push_back(
-            store::MappedFile::map_prefix(base + name + ".col", std::size_t(rows) * elem));
+        e.offset.push_back(end);
+        end += std::size_t(rows) * elem;
       }
     });
+    e.offset.push_back(end);
+    // A file shorter than its columns throws: a short dataset is corrupt.
+    e.file = store::MappedFile::map_prefix(dataset_path(dir, e.spec), end);
   }
   DFV_CHECK_MSG(!(is >> kw), "campaign store: trailing text in META of " + dir);
   return pin;
@@ -223,13 +225,15 @@ Dataset CampaignStorePin::load_dataset(std::size_t i) const {
   // Verify at materialization (already O(bytes)), not at open: cold opens
   // stay O(META parse + mmap), and corruption is still caught before a
   // single damaged value reaches an analysis.
-  std::size_t j = 0;
+  std::vector<const std::uint8_t*> columns;  // each column's first byte
   record::fields([&](const auto& field) {
     if constexpr (std::remove_cvref_t<decltype(field)>::in_store) {
-      const store::MappedFile& m = e.columns[j];
-      DFV_CHECK_MSG(fnv1a64_update(kFnvBasis, m.data(), m.size()) == e.crc[j++],
+      const std::size_t j = columns.size();
+      const std::uint8_t* col = e.file.data() + e.offset[j];
+      DFV_CHECK_MSG(fnv1a64_update(kFnvBasis, col, e.offset[j + 1] - e.offset[j]) == e.crc[j],
                     "campaign store: CRC mismatch in " << e.spec.label() << '/'
                                                        << column_name(field) << " of " << dir_);
+      columns.push_back(col);
     }
   });
 
@@ -242,13 +246,14 @@ Dataset CampaignStorePin::load_dataset(std::size_t i) const {
     record::Cursor<Dataset, RunRecord> c{ds, run, r};
     // One walk in list order: the row counts come before the rows they
     // size, and has_quality after the quality rows it may clear.
-    for_store_fields(e.columns, [&](const auto& field, const store::MappedFile& col) {
+    for_store_fields(columns, [&](const auto& field, const std::uint8_t* col) {
       using F = std::remove_cvref_t<decltype(field)>;
       using T = typename F::Type;
+      // memcpy, not a double load: a column after a u8 one is unaligned.
       const auto value = [&](std::size_t row) {
         double v = 0.0;
-        if constexpr (kU8<F>) v = col.data()[row];
-        else std::memcpy(&v, col.data() + row * sizeof v, sizeof v);
+        if constexpr (kU8<F>) v = col[row];
+        else std::memcpy(&v, col + row * sizeof v, sizeof v);
         DFV_CHECK_MSG(record::representable<T>(v), "campaign store: '" << field.store.str()
                                                        << "' row " << row << " holds " << v);
         return T(v);

@@ -1,21 +1,23 @@
 // The campaign cache entry, the only campaign-cache format: every dataset
-// of a campaign as raw column files under one entry directory, with one
+// of a campaign as one raw column file in one entry directory, with one
 // checksummed META as the single commit point. Opening costs O(META
-// parse + mmap); run_campaign_cached then materializes every dataset
-// straight off the mappings (load_all), checking each column's CRC as it
-// goes, instead of parsing text.
+// parse + one mmap per dataset); run_campaign_cached then materializes
+// every dataset straight off the mappings (load_all), checking each
+// column's CRC as it goes, instead of parsing text.
 //
 // Layout:
-//   <dir>/META                        "dfv-campaign-store 2", per dataset
-//                                     its runs/steps/neigh row counts and
-//                                     one FNV-1a CRC per column; `#dfv-crc`
-//                                     footer; written strictly last
-//   <dir>/<label>/runs/<name>.col     one row per run
-//   <dir>/<label>/steps/<name>.col    one row per run step
-//   <dir>/<label>/neigh/<name>.col    one row per neighborhood user
-// Each .col file holds raw little-endian f64 or u8 values; the columns
-// are the store entries of sim/record_fields.hpp, in list order. An entry
-// is written once and never appended to.
+//   <dir>/META           "dfv-campaign-store 3", per dataset its runs/
+//                        steps/neigh row counts and one FNV-1a CRC per
+//                        column; `#dfv-crc` footer; written strictly last
+//   <dir>/<label>.col    the dataset's columns back to back, in
+//                        sim/record_fields.hpp store order; a column is
+//                        rows × elem raw little-endian f64 or u8 bytes,
+//                        with rows one per run (runs/ columns), per run
+//                        step (steps/) or per neighborhood user (neigh/)
+// A column's offset is the sum of the sizes before it, all known from
+// META, so META names no offsets. Publishing costs one fdatasync per
+// dataset file (the datasets write in parallel), then META. An entry is
+// written once and never appended to.
 #pragma once
 
 #include <array>
@@ -32,7 +34,7 @@ namespace dfv::sim {
 /// True when `dir` holds a committed campaign-store entry (META present).
 [[nodiscard]] bool campaign_store_exists(const std::string& dir);
 
-/// Publish `result` as a campaign-store entry at `dir`: every column file
+/// Publish `result` as a campaign-store entry at `dir`: every dataset file
 /// is written and synced, META strictly last. A directory at `dir`
 /// without META (a publish that was interrupted) is cleared first; a
 /// committed entry is write-once and is left as it is. Returns false on
@@ -42,7 +44,7 @@ namespace dfv::sim {
                                        const std::string& dir);
 
 /// Cheap open handle over a committed entry: parses META and maps each
-/// column's committed prefix (no rows are materialized). Throws
+/// dataset file's committed prefix (no rows are materialized). Throws
 /// ContractError on any inconsistency — callers treat that as a corrupt
 /// cache entry. Column bytes are reachable only through load_dataset.
 class CampaignStorePin {
@@ -63,9 +65,10 @@ class CampaignStorePin {
  private:
   struct Entry {
     apps::DatasetSpec spec;
-    std::array<std::uint64_t, 3> rows{};     ///< runs/, steps/, neigh/
-    std::vector<std::uint64_t> crc;          ///< per column, list order
-    std::vector<store::MappedFile> columns;  ///< per column, rows × elem bytes
+    std::array<std::uint64_t, 3> rows{};  ///< runs/, steps/, neigh/
+    std::vector<std::uint64_t> crc;       ///< per column, list order
+    std::vector<std::size_t> offset;      ///< per column, then the file's end
+    store::MappedFile file;               ///< the columns, back to back
   };
   std::string dir_;
   std::vector<Entry> datasets_;

@@ -81,8 +81,8 @@ AppendFile::~AppendFile() {
 
 AppendFile AppendFile::open(const std::string& path) {
   AppendFile f;
-  f.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-  DFV_CHECK_MSG(f.fd_ >= 0, "store: cannot open for append: " + path);
+  f.fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0644);
+  DFV_CHECK_MSG(f.fd_ >= 0, "store: cannot create for append: " + path);
   return f;
 }
 

@@ -50,7 +50,8 @@ class AppendFile {
   AppendFile& operator=(const AppendFile&) = delete;
   ~AppendFile();
 
-  /// Open (creating if needed) for writing; throws ContractError on failure.
+  /// Create `path` for writing; throws ContractError on failure, and when
+  /// `path` already exists (an entry's files are written once).
   [[nodiscard]] static AppendFile open(const std::string& path);
 
   /// Append `n` bytes at the current end; throws ContractError on failure.

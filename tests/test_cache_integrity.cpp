@@ -16,11 +16,15 @@
 #include "exec/exec.hpp"
 #include "sim/campaign.hpp"
 #include "sim/dataset.hpp"
+#include "scratch_dir.hpp"
 
 namespace dfv {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::scratch;
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 std::string slurp(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -109,8 +113,7 @@ TEST_F(CacheIntegrityTest, MissingFooterLeavesContentUntouched) {
 // ---------------------------------------------------------------------------
 
 TEST_F(CacheIntegrityTest, AtomicWritePublishesAndCleansUp) {
-  const fs::path dir = fs::path(testing::TempDir()) / "dfv_atomic";
-  fs::remove_all(dir);
+  const fs::path dir = scratch("dfv_atomic");
   fs::create_directories(dir);
   const fs::path file = dir / "out.csv";
 
@@ -122,7 +125,6 @@ TEST_F(CacheIntegrityTest, AtomicWritePublishesAndCleansUp) {
   ASSERT_TRUE(atomic_write_file(file.string(), "second\n"));
   EXPECT_EQ(slurp(file), "second\n");
   EXPECT_FALSE(fs::exists(file.string() + ".tmp"));
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,8 +132,7 @@ TEST_F(CacheIntegrityTest, AtomicWritePublishesAndCleansUp) {
 // ---------------------------------------------------------------------------
 
 TEST_F(CacheIntegrityTest, SaveLoadDatasetVerifiesChecksum) {
-  const fs::path dir = fs::path(testing::TempDir()) / "dfv_ds_io";
-  fs::remove_all(dir);
+  const fs::path dir = scratch("dfv_ds_io");
   fs::create_directories(dir);
   const fs::path file = dir / "ds.csv";
 
@@ -143,12 +144,10 @@ TEST_F(CacheIntegrityTest, SaveLoadDatasetVerifiesChecksum) {
   ASSERT_EQ(back.runs.size(), ds.runs.size());
   for (std::size_t r = 0; r < ds.runs.size(); ++r)
     EXPECT_EQ(back.runs[r].step_times, ds.runs[r].step_times);
-  fs::remove_all(dir);
 }
 
 TEST_F(CacheIntegrityTest, CorruptDatasetFileThrows) {
-  const fs::path dir = fs::path(testing::TempDir()) / "dfv_ds_corrupt";
-  fs::remove_all(dir);
+  const fs::path dir = scratch("dfv_ds_corrupt");
   fs::create_directories(dir);
   const fs::path file = dir / "ds.csv";
   ASSERT_TRUE(sim::save_dataset(tiny_dataset(2, 4, 5), file.string()));
@@ -163,7 +162,6 @@ TEST_F(CacheIntegrityTest, CorruptDatasetFileThrows) {
   spit(file, "");
   EXPECT_THROW((void)sim::load_dataset(file.string(), /*require_checksum=*/true),
                ContractError);
-  fs::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,29 +192,26 @@ std::map<std::string, std::string> slurp_tree(const fs::path& root) {
 }
 
 TEST_F(CacheIntegrityTest, PartialCacheEntryIsRegenerated) {
-  const std::string cache = testing::TempDir() + "/dfv_cache_partial";
-  fs::remove_all(cache);
+  const std::string cache = scratch("dfv_cache_partial");
   const sim::CampaignConfig cfg = tiny_config(23);
 
   const sim::CampaignResult fresh = sim::run_campaign_cached(cfg, cache);
   const fs::path entry = cache_entry_dir(cache, cfg);
   const auto published = slurp_tree(entry);
 
-  // Simulate a lost steps/ directory with META intact (e.g. manual deletion).
+  // Simulate a lost dataset file with META intact (e.g. manual deletion).
   ASSERT_TRUE(fs::exists(entry / "META"));
-  ASSERT_TRUE(fs::remove_all(entry / "UMT-128" / "steps") > 0);
+  ASSERT_TRUE(fs::remove(entry / "UMT-128.col"));
   const sim::CampaignResult regen = sim::run_campaign_cached(cfg, cache);
   expect_same_totals(fresh, regen);
   // The regenerated entry is the one first published, byte for byte.
   EXPECT_EQ(slurp_tree(entry), published);
-  fs::remove_all(cache);
 }
 
 TEST_F(CacheIntegrityTest, FaultedCampaignCacheRoundTripsVerbatim) {
   // Degraded telemetry (NaN cells, quality masks, short runs) must
   // survive the cache byte-exactly under the Keep policy.
-  const std::string cache = testing::TempDir() + "/dfv_cache_faulted";
-  fs::remove_all(cache);
+  const std::string cache = scratch("dfv_cache_faulted");
   sim::CampaignConfig cfg = tiny_config(29);
   cfg.faults.rate = 0.1;
 
@@ -233,7 +228,6 @@ TEST_F(CacheIntegrityTest, FaultedCampaignCacheRoundTripsVerbatim) {
       ASSERT_EQ(x.runs[r].steps(), y.runs[r].steps());
     }
   }
-  fs::remove_all(cache);
 }
 
 }  // namespace

@@ -8,9 +8,14 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "sim/campaign_store.hpp"
+#include "scratch_dir.hpp"
 
 namespace dfv::sim {
 namespace {
+
+using testutil::scratch;
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 Dataset make_synthetic(int runs, int steps, std::uint64_t seed) {
   Dataset ds;
@@ -103,7 +108,7 @@ TEST(Dataset, CsvRoundTripPreservesEverything) {
 
 TEST(Dataset, FileRoundTrip) {
   const Dataset ds = make_synthetic(2, 3, 5);
-  const std::string path = testing::TempDir() + "/dfv_dataset_test.csv";
+  const std::string path = scratch("dfv_dataset_test.csv");
   ASSERT_TRUE(save_dataset(ds, path));
   const Dataset back = load_dataset(path);
   EXPECT_EQ(back.runs.size(), 2u);
@@ -220,7 +225,7 @@ TEST(Dataset, DegradedTelemetryRoundTripsUnderKeep) {
 }
 
 TEST(Dataset, RaggedTelemetryRejectedByBothWriters) {
-  const std::string dir = testing::TempDir() + "/dfv_ragged_store";
+  const std::string dir = scratch("dfv_ragged_store");
   const auto expect_rejected = [&](const Dataset& ds, const char* what) {
     EXPECT_THROW((void)dataset_to_csv(ds), ContractError) << what;
     CampaignResult result;

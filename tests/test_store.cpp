@@ -1,8 +1,9 @@
 // The campaign cache entry: faulted campaigns round-trip verbatim, the
-// entry and column bytes are pinned, and every kind of damage (a flipped
-// column or META byte, a short column, an older META version, a bad
-// integer cell, an interrupted publish, an unwritable cache path) ends in
-// the same campaign regenerated; then cache GC.
+// entry is META plus one column file per dataset, the entry and column
+// bytes are pinned, and every kind of damage (a flipped column or META
+// byte, a short dataset file, an older META version, a bad integer cell,
+// an interrupted publish, an unwritable cache path) ends in the same
+// campaign regenerated; then cache GC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,11 +28,16 @@
 #include "sim/cache_gc.hpp"
 #include "sim/campaign.hpp"
 #include "sim/campaign_store.hpp"
+#include "sim/record_fields.hpp"
+#include "scratch_dir.hpp"
 
 namespace dfv {
 namespace {
 
 namespace fs = std::filesystem;
+using testutil::scratch;
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 std::string slurp(const fs::path& p) {
   std::ifstream in(p, std::ios::binary);
@@ -42,13 +48,6 @@ std::string slurp(const fs::path& p) {
 
 void spill(const fs::path& p, const std::string& bytes) {
   std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
-}
-
-/// Fresh scratch directory under the test temp root.
-std::string scratch(const std::string& name) {
-  const fs::path dir = fs::path(testing::TempDir()) / name;
-  fs::remove_all(dir);
-  return dir.string();
 }
 
 /// Bit-exact double comparison (NaN payloads included): the store
@@ -68,6 +67,43 @@ std::string read_meta(const fs::path& entry) {
 void write_meta(const fs::path& entry, std::string text) {
   append_checksum_footer(text);
   ASSERT_TRUE(atomic_write_file((entry / "META").string(), text));
+}
+
+/// Where one column's bytes sit: a slice of its dataset's file.
+struct ColumnSlice {
+  fs::path file;  ///< <entry>/<label>.col
+  std::size_t offset = 0, size = 0;
+};
+
+/// Every column of an entry by its name `<label>/<sub>/<name>.col`, found
+/// from META alone: each column is rows(sub) × elem bytes (u8 for the
+/// one-byte field types, f64 for the rest), back to back in META order.
+std::map<std::string, ColumnSlice> column_slices(const fs::path& entry) {
+  std::vector<std::size_t> elem;
+  sim::record::fields([&](const auto& field) {
+    using F = std::remove_cvref_t<decltype(field)>;
+    if constexpr (F::in_store) elem.push_back(sizeof(typename F::Type) == 1 ? 1 : sizeof(double));
+  });
+  std::map<std::string, ColumnSlice> slices;
+  std::map<std::string, std::size_t> rows;
+  std::istringstream in(read_meta(entry));
+  std::string line, label;
+  std::size_t offset = 0, j = 0;
+  while (std::getline(in, line)) {
+    std::istringstream words(line);
+    std::string kw, a, b;
+    words >> kw >> a >> b;
+    if (kw == "dataset") {
+      label = a + "-" + b;
+      words >> rows["runs"] >> rows["steps"] >> rows["neigh"];
+      offset = j = 0;
+    } else if (kw == "column") {
+      const std::size_t size = rows.at(a.substr(0, a.find('/'))) * elem.at(j++);
+      slices[label + "/" + a + ".col"] = {entry / (label + ".col"), offset, size};
+      offset += size;
+    }
+  }
+  return slices;
 }
 
 class StoreTest : public ::testing::Test {
@@ -136,6 +172,54 @@ TEST_F(StoreTest, FaultedCampaignRoundTripsVerbatim) {
     expect_dataset_eq(original.datasets[i], loaded.datasets[i]);
 }
 
+// A published entry is its META plus one file per dataset, holding that
+// dataset's columns back to back and nothing else.
+TEST_F(StoreTest, EntryIsMetaPlusOneFilePerDataset) {
+  const sim::CampaignResult original = sim::run_campaign(tiny_config());
+  const std::string dir = scratch("campaign_store_layout");
+  ASSERT_TRUE(sim::save_campaign_store(original, dir));
+
+  std::vector<std::string> names;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    EXPECT_TRUE(e.is_regular_file()) << e.path();
+    names.push_back(e.path().filename().string());
+  }
+  std::ranges::sort(names);
+  EXPECT_EQ(names, (std::vector<std::string>{"META", "MILC-128.col", "UMT-128.col"}));
+
+  std::map<fs::path, std::size_t> end;
+  for (const auto& [name, col] : column_slices(dir))
+    end[col.file] = std::max(end[col.file], col.offset + col.size);
+  ASSERT_EQ(end.size(), original.datasets.size());
+  for (const auto& [file, bytes] : end) EXPECT_EQ(fs::file_size(file), bytes) << file;
+}
+
+// A dataset file cut inside its last column is shorter than META says:
+// the open throws before any column is read.
+TEST_F(StoreTest, DatasetFileCutInsideItsLastColumnThrowsOnOpen) {
+  const sim::CampaignResult original = sim::run_campaign(tiny_config());
+  const std::string dir = scratch("campaign_store_cut");
+  ASSERT_TRUE(sim::save_campaign_store(original, dir));
+  ColumnSlice last;
+  for (const auto& [name, col] : column_slices(dir))
+    if (col.file.filename() == "UMT-128.col" && col.size > 0 && col.offset >= last.offset)
+      last = col;
+  ASSERT_GT(last.size, 1u);
+  ASSERT_EQ(fs::file_size(last.file), last.offset + last.size);
+  fs::resize_file(last.file, last.offset + last.size / 2);
+  EXPECT_THROW((void)sim::CampaignStorePin::open(dir), ContractError);
+}
+
+// Two datasets with one label would write one file: the publish fails
+// and commits nothing, instead of interleaving their columns.
+TEST_F(StoreTest, DuplicateDatasetLabelIsNotPublished) {
+  sim::CampaignResult twice = sim::run_campaign(tiny_config());
+  twice.datasets[1] = twice.datasets[0];
+  const std::string dir = scratch("campaign_store_duplicate");
+  EXPECT_FALSE(sim::save_campaign_store(twice, dir));
+  EXPECT_FALSE(sim::campaign_store_exists(dir));
+}
+
 // Both persisted formats of a run record pinned byte for byte: one small
 // faulted campaign (NaN cells, quality bits and lost profiles all
 // present), hashed once as a campaign-store entry (every file's relative
@@ -184,19 +268,21 @@ TEST_F(RecordFormatGolden, CampaignStoreEntryDigest) {
     h = fnv1a64_update(h, path.data(), path.size() + 1);  // NUL-terminated name
     h = fnv1a64_update(h, bytes.data(), bytes.size());
   }
-  EXPECT_EQ(h, 0x199b0eafc2e80cf2ull) << std::hex << h;
+  EXPECT_EQ(h, 0xf2c1b7c6f3b61d49ull) << std::hex << h;
 }
 
-// The raw column bytes alone: every `*.col` file of the entry (relative
-// path + NUL + bytes, sorted). The commit-point text around them may
+// The raw column bytes alone: every column of the entry (its name + NUL +
+// bytes, sorted by name). The commit-point text around them may
 // change format; the columns must not.
 TEST_F(RecordFormatGolden, CampaignStoreColumnDigest) {
   const std::string dir = scratch("campaign_store_column_golden");
   ASSERT_TRUE(sim::save_campaign_store(campaign(), dir));
+  // Each column's slice of its dataset file, named by the path the column
+  // had as a file of its own (`<label>/<sub>/<name>.col`), so the digest
+  // holds exactly when the column bytes do.
   std::map<std::string, std::string> files;
-  for (const auto& e : fs::recursive_directory_iterator(dir))
-    if (e.is_regular_file() && e.path().extension() == ".col")
-      files[fs::relative(e.path(), dir).generic_string()] = slurp(e.path());
+  for (const auto& [name, col] : column_slices(dir))
+    files[name] = slurp(col.file).substr(col.offset, col.size);
   ASSERT_FALSE(files.empty());
   std::uint64_t h = kFnvBasis;
   for (const auto& [path, bytes] : files) {
@@ -254,12 +340,12 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
 
   // Flip one byte of one column: the load detects the CRC mismatch,
   // evicts the entry, and regenerates the identical campaign.
-  const fs::path col = fs::path(cache) / entries[0].name / "MILC-128" / "steps" /
-                       "step_time.col";
-  ASSERT_TRUE(fs::exists(col));
+  const ColumnSlice col =
+      column_slices(fs::path(cache) / entries[0].name).at("MILC-128/steps/step_time.col");
+  ASSERT_GT(col.size, 9u);
   {
-    std::fstream f(col, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(8);
+    std::fstream f(col.file, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(std::streamoff(col.offset + 8));
     f.put('\x7f');
   }
   const sim::CampaignResult third = sim::run_campaign_cached(cfg, cache);
@@ -274,17 +360,20 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
 }
 
 /// Set row `row` of the F64 runs column `name` of dataset `label` to `v`
-/// and re-sign META with the column's fresh CRC: a well-formed entry
-/// holding a bad value.
+/// in the dataset file and re-sign META with the column's fresh CRC: a
+/// well-formed entry holding a bad value.
 void rewrite_f64_cell(const fs::path& entry, const std::string& label, const std::string& name,
                       std::size_t row, double v) {
-  const fs::path col = entry / label / "runs" / (name + ".col");
-  std::string bytes = slurp(col);
-  ASSERT_GE(bytes.size(), (row + 1) * sizeof(double));
-  std::memcpy(bytes.data() + row * sizeof(double), &v, sizeof v);
-  spill(col, bytes);
+  const ColumnSlice col = column_slices(entry).at(label + "/runs/" + name + ".col");
+  ASSERT_GE(col.size, (row + 1) * sizeof(double));
+  std::string bytes = slurp(col.file);
+  ASSERT_GE(bytes.size(), col.offset + col.size);
+  std::memcpy(bytes.data() + col.offset + row * sizeof(double), &v, sizeof v);
+  spill(col.file, bytes);
   char crc[20];
-  std::snprintf(crc, sizeof crc, "%016llx", static_cast<unsigned long long>(fnv1a64(bytes)));
+  std::snprintf(crc, sizeof crc, "%016llx",
+                static_cast<unsigned long long>(
+                    fnv1a64_update(kFnvBasis, bytes.data() + col.offset, col.size)));
   std::istringstream in(read_meta(entry));
   std::string meta, line, dataset;
   bool resigned = false;
@@ -316,7 +405,7 @@ TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
   for (const auto& [column, v] : std::vector<std::pair<std::string, double>>{
            {"steps", -1.0}, {"steps", nan}, {"steps", 2.5}, {"steps", 1e300},
            {"neigh_count", -1.0}, {"job_id", 4294967297.0}, {"num_groups", nan}}) {
-    const fs::path col = entry / "MILC-128" / "runs" / (column + ".col");
+    const fs::path col = entry / "MILC-128.col";
     const std::string col_bytes = slurp(col), meta = slurp(entry / "META");
     rewrite_f64_cell(entry, "MILC-128", column, 0, v);
     EXPECT_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all(), ContractError)
@@ -333,8 +422,9 @@ TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
   EXPECT_NO_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all());
 }
 
-// Damage the entry's commit point or a column's length: the open throws,
-// and the cache evicts the entry and regenerates the identical campaign.
+// Damage the entry's commit point or a dataset file's length: the open
+// throws, and the cache evicts the entry and regenerates the identical
+// campaign.
 TEST_F(StoreTest, DamagedEntryIsEvictedAndRegenerated) {
   sim::CampaignConfig cfg = sim::CampaignConfig::small(46);
   cfg.days = 1;
@@ -343,23 +433,23 @@ TEST_F(StoreTest, DamagedEntryIsEvictedAndRegenerated) {
   const auto entries = sim::list_cache_entries(cache);
   ASSERT_EQ(entries.size(), 1u);
   const fs::path entry = fs::path(cache) / entries[0].name;
-  const fs::path col = entry / "MILC-128" / "steps" / "step_time.col";
-  ASSERT_GT(fs::file_size(col), 10 * sizeof(double));
+  ASSERT_GT(fs::file_size(entry / "MILC-128.col"), 0u);
   const std::string clean_meta = slurp(entry / "META");
 
   const std::vector<std::pair<std::string, void (*)(const fs::path&)>> damages = {
-      // An entry written by an older build: a well-signed version-1 META.
-      {"META version 1",
+      // An entry written by an older build: a well-signed version-2 META.
+      {"META version 2",
        [](const fs::path& e) {
          std::string text = read_meta(e);
-         const std::string v2 = "dfv-campaign-store 2\n";
-         ASSERT_EQ(text.rfind(v2, 0), 0u);
-         write_meta(e, "dfv-campaign-store 1\n" + text.substr(v2.size()));
+         const std::string v3 = "dfv-campaign-store 3\n";
+         ASSERT_EQ(text.rfind(v3, 0), 0u);
+         write_meta(e, "dfv-campaign-store 2\n" + text.substr(v3.size()));
        }},
-      // A column shorter than META's row count.
+      // A dataset file one byte shorter than its columns.
       {"short column",
        [](const fs::path& e) {
-         fs::resize_file(e / "MILC-128" / "steps" / "step_time.col", 10 * sizeof(double));
+         const fs::path file = e / "MILC-128.col";
+         fs::resize_file(file, fs::file_size(file) - 1);
        }},
       // One flipped byte of META: its checksum footer no longer matches.
       {"flipped META byte",
@@ -427,7 +517,7 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
 
   // The third call loads the entry instead of regenerating it: no file
   // of the entry is rewritten.
-  const fs::path col = entry / "MILC-128" / "steps" / "step_time.col";
+  const fs::path col = entry / "MILC-128.col";
   const auto old_time = fs::last_write_time(col) - std::chrono::hours(1);
   fs::last_write_time(col, old_time);
   const sim::CampaignResult third = sim::run_campaign_cached(cfg, cache);
