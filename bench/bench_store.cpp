@@ -3,8 +3,11 @@
 //
 //   publish    save_campaign_store into a fresh directory (median of 5):
 //              every dataset file written and synced, then META
-//   cold open  mmap pin of the committed campaign-store entry vs a full
-//              CSV deserialize of the same campaign
+//   cold open  mmap pin of the committed campaign-store entry (META parse
+//              and mappings only)
+//   load       the pin plus load_all: every column verified against its
+//              CRC and every dataset materialized (median of 9), against a
+//              full CSV deserialize of the same campaign
 //
 //   bench_store [--campaign-days D] [--dir PATH] [--json PATH]
 //
@@ -57,8 +60,8 @@ int run_bench(const Options& opt) {
   fs::remove_all(opt.dir);
   fs::create_directories(opt.dir);
 
-  // One simulated campaign, published both ways; the store entry must pin
-  // orders of magnitude faster than the CSV blobs deserialize.
+  // One simulated campaign, published both ways; the store entry must
+  // load many times faster than the CSV blobs deserialize.
   sim::CampaignConfig cfg = sim::CampaignConfig::small(2026);
   cfg.days = opt.campaign_days;
   cfg.datasets = {{"MILC", 128}, {"UMT", 128}};
@@ -97,6 +100,21 @@ int run_bench(const Options& opt) {
   }
   const double store_ms = secs_since(t0) * 1e3 / kOpenReps;
 
+  // Equal work to a CSV deserialize: every column verified, every
+  // dataset materialized.
+  constexpr int kLoadReps = 9;
+  std::vector<double> load_ms;
+  for (int i = 0; i < kLoadReps; ++i) {
+    t0 = Clock::now();
+    const sim::CampaignResult loaded = sim::CampaignStorePin::open(store_dir).load_all();
+    load_ms.push_back(secs_since(t0) * 1e3);
+    std::size_t rows = 0;
+    for (const auto& ds : loaded.datasets) rows += ds.runs.size();
+    DFV_CHECK(rows == campaign_runs);
+  }
+  std::nth_element(load_ms.begin(), load_ms.begin() + kLoadReps / 2, load_ms.end());
+  const double load_median_ms = load_ms[kLoadReps / 2];
+
   double csv_ms = 0.0;
   for (int rep = 0; rep < 2; ++rep) {  // min of two: first read warms the cache
     t0 = Clock::now();
@@ -112,13 +130,15 @@ int run_bench(const Options& opt) {
   put("campaign_build_s", build_s);
   put("publish_ms", publish_ms[kPublishReps / 2]);
   put("cold_open_store_ms", store_ms);
+  put("load_ms", load_median_ms);
   put("cold_open_csv_ms", csv_ms);
-  put("cold_open_speedup", csv_ms / store_ms);
+  put("cold_open_speedup", csv_ms / load_median_ms);
   std::cout << "publish: " << publish_ms[kPublishReps / 2] << " ms (median of "
             << kPublishReps << ")\n";
-  std::cout << "cold open: store pin " << store_ms << " ms vs CSV deserialize "
-            << csv_ms << " ms (" << csv_ms / store_ms << "x, " << campaign_runs
-            << " runs)\n";
+  std::cout << "cold open: store pin " << store_ms << " ms\n";
+  std::cout << "load: store pin + load_all " << load_median_ms << " ms (median of " << kLoadReps
+            << ") vs CSV deserialize " << csv_ms << " ms (" << csv_ms / load_median_ms << "x, "
+            << campaign_runs << " runs)\n";
 
   if (!opt.json_path.empty()) {
     std::ofstream out(opt.json_path);
@@ -137,7 +157,7 @@ int run_bench(const Options& opt) {
 int main(int argc, char** argv) {
   set_log_level(LogLevel::Warn);
   cli::App app("bench_store", "campaign-cache publish and cold-open benchmark");
-  app.command("", "time a campaign-store publish, and its pin against a CSV deserialize",
+  app.command("", "time a campaign-store publish, its pin, and its load against a CSV deserialize",
               {{"campaign-days", cli::ArgType::Int, "120", "days of the cold-open campaign"},
                {"dir", cli::ArgType::String, Options{}.dir, "scratch directory (wiped)"},
                {"json", cli::ArgType::String, "", "also write the metrics as JSON here"}},

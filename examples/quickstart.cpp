@@ -2,20 +2,22 @@
 // job with and without heavy background traffic, and inspect step times,
 // the mpiP-style profile, and the Aries counter deltas.
 //
-//   ./quickstart [seed]
-#include <cstdlib>
+//   ./quickstart [--seed N]
+#include <cstdint>
+#include <exception>
 #include <iostream>
 
 #include "apps/registry.hpp"
 #include "common/ascii_plot.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "sim/cluster.hpp"
 
 using namespace dfv;
 
-int main(int argc, char** argv) {
-  const std::uint64_t seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
+namespace {
 
+void run(std::uint64_t seed) {
   // An 8-group dragonfly: 8 x (3x4 routers) x 4 nodes = 384 nodes.
   net::DragonflyConfig machine = net::DragonflyConfig::small(8);
   machine.nodes_per_router = 4;
@@ -68,5 +70,27 @@ int main(int argc, char** argv) {
                 format_sci(contended.step_counters[30][std::size_t(c)])});
   }
   std::cout << ct.str();
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  cli::App app("quickstart", "one MILC job on an idle and on a contended small dragonfly");
+  app.command("", "run MILC idle vs. contended and print its step times, profile and counters",
+              {{"seed", cli::ArgType::Int, "7", "cluster and user-population seed (>= 0)"}},
+              [](const cli::ParsedArgs& a) {
+                const int seed = a.get_int("seed");
+                if (seed < 0) {
+                  std::cerr << "quickstart: --seed must be >= 0, got " << seed << "\n";
+                  return 2;
+                }
+                run(std::uint64_t(seed));
+                return 0;
+              });
+  try {
+    return app.run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 1;
+  }
 }

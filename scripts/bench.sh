@@ -196,7 +196,7 @@ for _ in range(reps):
 print(json.dumps({name: statistics.median(r[name] for r in runs) for name in runs[0]}))
 PY
     merge_snapshot BENCH_store.json dfv-bench-store-v1 \
-      "campaign cache: publish (save_campaign_store into a fresh directory, median of 5) and cold open (store-entry pin vs CSV deserialize of the same campaign); each value the median of DFV_BENCH_REPS bench_store runs; current = last scripts/bench.sh store run" \
+      "campaign cache: publish (save_campaign_store into a fresh directory, median of 5), cold open (store-entry pin: META parse and mappings) and load (pin + load_all, every column CRC-verified and every dataset materialized, median of 9; cold_open_speedup = CSV deserialize of the same campaign / load); each value the median of DFV_BENCH_REPS bench_store runs; current = last scripts/bench.sh store run" \
       '_speedup$|^campaign_runs$'
     echo "wrote BENCH_store.json"
     ;;

@@ -1,5 +1,6 @@
 #include "sim/campaign_store.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <span>
 #include <sstream>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -65,6 +67,16 @@ void for_store_fields(Columns& columns, Fn&& f) {
 template <class F>
 [[nodiscard]] std::string column_name(const F& field) {
   return std::string(kSubStores[kSub<F>]) + "/" + field.store.str();
+}
+
+/// The name of the j-th store column, in list order.
+[[nodiscard]] std::string column_name_at(std::size_t j) {
+  std::string name;
+  record::fields([&](const auto& field) {
+    if constexpr (std::remove_cvref_t<decltype(field)>::in_store)
+      if (j-- == 0) name = column_name(field);
+  });
+  return name;
 }
 
 /// One dataset's store columns, one per store entry in list order.
@@ -219,24 +231,54 @@ CampaignStorePin CampaignStorePin::open(const std::string& dir) {
   return pin;
 }
 
-Dataset CampaignStorePin::load_dataset(std::size_t i) const {
-  DFV_CHECK(i < datasets_.size());
-  const Entry& e = datasets_[i];
-  // Verify at materialization (already O(bytes)), not at open: cold opens
-  // stay O(META parse + mmap), and corruption is still caught before a
-  // single damaged value reaches an analysis.
-  std::vector<const std::uint8_t*> columns;  // each column's first byte
-  record::fields([&](const auto& field) {
-    if constexpr (std::remove_cvref_t<decltype(field)>::in_store) {
-      const std::size_t j = columns.size();
-      const std::uint8_t* col = e.file.data() + e.offset[j];
-      DFV_CHECK_MSG(fnv1a64_update(kFnvBasis, col, e.offset[j + 1] - e.offset[j]) == e.crc[j],
-                    "campaign store: CRC mismatch in " << e.spec.label() << '/'
-                                                       << column_name(field) << " of " << dir_);
-      columns.push_back(col);
+void CampaignStorePin::verify(std::size_t first, std::size_t last) const {
+  // One flag per (dataset, column) in that order. FNV-1a is serial within
+  // a column, so a task covers whole columns: consecutive ones, closed
+  // once it holds kVerifyGrain bytes. An entry smaller than that is one
+  // task, which the pool runs inline on the caller.
+  constexpr std::size_t kVerifyGrain = std::size_t(64) << 10;
+  const std::size_t per = store_columns(), n = (last - first) * per;
+  const auto column = [&](std::size_t k) -> std::pair<const Entry&, std::size_t> {
+    return {datasets_[first + k / per], k % per};
+  };
+  std::vector<std::size_t> starts{0};  // each task's first flag, then n
+  std::size_t bytes = 0;               // in the open task
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto [e, j] = column(k);
+    bytes += e.offset[j + 1] - e.offset[j];
+    if (bytes >= kVerifyGrain || k + 1 == n) {
+      starts.push_back(k + 1);
+      bytes = 0;
+    }
+  }
+
+  std::vector<std::uint8_t> ok(n);
+  exec::parallel_for(0, starts.size() - 1, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = starts[lo]; k < starts[hi]; ++k) {
+      const auto [e, j] = column(k);
+      ok[k] = fnv1a64_update(kFnvBasis, e.file.data() + e.offset[j],
+                             e.offset[j + 1] - e.offset[j]) == e.crc[j];
     }
   });
+  // Report the first damaged column in (dataset, column) order, so the
+  // error is the same at any thread count.
+  const std::size_t k = std::size_t(std::ranges::find(ok, std::uint8_t{0}) - ok.begin());
+  DFV_CHECK_MSG(k == n, "campaign store: CRC mismatch in "
+                            << datasets_[first + k / per].spec.label() << '/'
+                            << column_name_at(k % per) << " of " << dir_);
+}
 
+Dataset CampaignStorePin::load_dataset(std::size_t i) const {
+  DFV_CHECK(i < datasets_.size());
+  verify(i, i + 1);
+  return decode(i);
+}
+
+Dataset CampaignStorePin::decode(std::size_t i) const {
+  const Entry& e = datasets_[i];
+  std::vector<const std::uint8_t*> columns;  // each column's first byte
+  for (std::size_t j = 0; j + 1 < e.offset.size(); ++j)
+    columns.push_back(e.file.data() + e.offset[j]);
   Dataset ds;
   ds.spec = e.spec;
   ds.runs.resize(e.rows[0]);
@@ -275,9 +317,13 @@ Dataset CampaignStorePin::load_dataset(std::size_t i) const {
 }
 
 CampaignResult CampaignStorePin::load_all() const {
+  // Verify here, not at open, so an open stays O(META parse + mmap), yet
+  // no damaged value is decoded. Every column of every dataset verifies in
+  // one pool region; decoding stays on the caller, so the records come
+  // from its own heap, not the workers' malloc arenas.
+  verify(0, datasets_.size());
   CampaignResult result;
-  for (std::size_t i = 0; i < datasets_.size(); ++i)
-    result.datasets.push_back(load_dataset(i));
+  for (std::size_t i = 0; i < datasets_.size(); ++i) result.datasets.push_back(decode(i));
   return result;
 }
 

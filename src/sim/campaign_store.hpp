@@ -2,8 +2,10 @@
 // of a campaign as one raw column file in one entry directory, with one
 // checksummed META as the single commit point. Opening costs O(META
 // parse + one mmap per dataset); run_campaign_cached then materializes
-// every dataset straight off the mappings (load_all), checking each
-// column's CRC as it goes, instead of parsing text.
+// every dataset straight off the mappings (load_all) instead of parsing
+// text: first every column's CRC is checked in one pool region, whole
+// columns per task, then the datasets decode one after another on the
+// calling thread.
 //
 // Layout:
 //   <dir>/META           "dfv-campaign-store 3", per dataset its runs/
@@ -55,11 +57,17 @@ class CampaignStorePin {
 
   /// Materialize one dataset from the mapped columns (bit-exact round
   /// trip of what save_campaign_store was given, including NaNs, quality
-  /// masks, and the empty-vs-all-ok quality distinction). Throws
-  /// ContractError when a column's bytes do not match its META CRC.
+  /// masks, and the empty-vs-all-ok quality distinction). Every column of
+  /// the dataset is checked against its META CRC before any value is
+  /// decoded; a mismatch throws ContractError naming the first damaged
+  /// column.
   [[nodiscard]] Dataset load_dataset(std::size_t i) const;
 
-  /// Materialize everything (the run_campaign_cached load path).
+  /// Materialize everything (the run_campaign_cached load path): every
+  /// column of every dataset is checked first, in one pool region, and a
+  /// mismatch throws ContractError naming the first damaged column in
+  /// (dataset, column) order, at any thread count. Decoding then runs on
+  /// the calling thread.
   [[nodiscard]] CampaignResult load_all() const;
 
  private:
@@ -70,6 +78,13 @@ class CampaignStorePin {
     std::vector<std::size_t> offset;      ///< per column, then the file's end
     store::MappedFile file;               ///< the columns, back to back
   };
+  /// Check every column of datasets [first, last) against its META CRC,
+  /// all in one pool region; throws ContractError naming the first
+  /// damaged column in (dataset, column) order.
+  void verify(std::size_t first, std::size_t last) const;
+  /// Materialize dataset i from columns verify() has passed.
+  [[nodiscard]] Dataset decode(std::size_t i) const;
+
   std::string dir_;
   std::vector<Entry> datasets_;
 };

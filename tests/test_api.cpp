@@ -22,9 +22,12 @@
 #include "analysis/neighborhood.hpp"
 #include "api/wire.hpp"
 #include "common/log.hpp"
+#include "scratch_dir.hpp"
 
 namespace dfv::api {
 namespace {
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 SessionOptions small_options() {
   SessionOptions opt;
@@ -168,9 +171,7 @@ TEST(ApiNeighborhood, MeaninglessTauIsAContractErrorBeforeTheCampaignLoads) {
   // It is rejected before the session loads (here: generates and caches)
   // its campaign.
   SessionOptions opt = small_options();
-  opt.cache_dir =
-      (std::filesystem::path(::testing::TempDir()) / "dfv_api_bad_tau").string();
-  std::filesystem::remove_all(opt.cache_dir);
+  opt.cache_dir = testutil::scratch("api_bad_tau");
   Session session(opt);
   for (const double tau : {0.0, -0.5, std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {

@@ -14,9 +14,12 @@
 #include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "exec/exec.hpp"
+#include "scratch_dir.hpp"
 
 namespace dfv::sim {
 namespace {
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 CampaignConfig tiny_config(std::uint64_t seed = 42) {
   CampaignConfig cfg = CampaignConfig::small(seed);
@@ -143,16 +146,13 @@ void expect_bit_identical(const CampaignResult& a, const CampaignResult& b) {
 }
 
 TEST_F(CampaignTest, CacheRoundTrip) {
-  namespace fs = std::filesystem;
-  const std::string cache = testing::TempDir() + "/dfv_campaign_cache";
-  fs::remove_all(cache);
+  const std::string cache = testutil::scratch("campaign_cache");
   const CampaignConfig cfg = tiny_config(11);
 
   const CampaignResult fresh = run_campaign_cached(cfg, cache);
   // A second call loads from disk and matches bit for bit.
   const CampaignResult loaded = run_campaign_cached(cfg, cache);
   expect_bit_identical(fresh, loaded);
-  fs::remove_all(cache);
 }
 
 TEST_F(CampaignTest, BitIdenticalAcrossThreadCounts) {
@@ -222,10 +222,8 @@ TEST_F(CampaignTest, ThreadCountInvariantCacheEntries) {
   // thread-invariant, so caches are shared across --threads settings.
   ASSERT_EQ(config_fingerprint(c1), config_fingerprint(c8));
 
-  const std::string dir1 = testing::TempDir() + "/dfv_det_t1";
-  const std::string dir8 = testing::TempDir() + "/dfv_det_t8";
-  fs::remove_all(dir1);
-  fs::remove_all(dir8);
+  const std::string dir1 = testutil::scratch("det_t1");
+  const std::string dir8 = testutil::scratch("det_t8");
   (void)run_campaign_cached(c1, dir1);
   (void)run_campaign_cached(c8, dir8);
   exec::ThreadPool::instance().resize(exec::resolve_threads());
@@ -246,8 +244,6 @@ TEST_F(CampaignTest, ThreadCountInvariantCacheEntries) {
   const auto t8 = slurp_tree(dir8);
   ASSERT_FALSE(t1.empty());
   EXPECT_EQ(t1, t8);
-  fs::remove_all(dir1);
-  fs::remove_all(dir8);
 }
 
 TEST_F(CampaignTest, ValidateRejectsNonsense) {

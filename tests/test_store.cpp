@@ -3,7 +3,8 @@
 // bytes are pinned, and every kind of damage (a flipped column or META
 // byte, a short dataset file, an older META version, a bad integer cell,
 // an interrupted publish, an unwritable cache path) ends in the same
-// campaign regenerated; then cache GC.
+// campaign regenerated; column verification is thread-count invariant
+// and names the first damaged column; then cache GC.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -451,6 +452,14 @@ TEST_F(StoreTest, DamagedEntryIsEvictedAndRegenerated) {
          const fs::path file = e / "MILC-128.col";
          fs::resize_file(file, fs::file_size(file) - 1);
        }},
+      // A dataset file cut to nothing.
+      {"empty dataset file", [](const fs::path& e) { fs::resize_file(e / "UMT-128.col", 0); }},
+      // A META cut in half: its checksum footer is gone.
+      {"half a META",
+       [](const fs::path& e) {
+         const std::string text = slurp(e / "META");
+         spill(e / "META", text.substr(0, text.size() / 2));
+       }},
       // One flipped byte of META: its checksum footer no longer matches.
       {"flipped META byte",
        [](const fs::path& e) {
@@ -524,6 +533,161 @@ TEST_F(StoreTest, InterruptedPublishIsClearedAndRecommitted) {
   EXPECT_EQ(fs::last_write_time(col), old_time);
   for (std::size_t i = 0; i < first.datasets.size(); ++i)
     expect_dataset_eq(first.datasets[i], third.datasets[i]);
+}
+
+// ---------------------------------------------------------------------------
+// Column verification: one pool region over every column of the entry
+// ---------------------------------------------------------------------------
+
+/// tiny_config over all four datasets of the small machine.
+sim::CampaignConfig four_dataset_config(std::uint64_t seed) {
+  sim::CampaignConfig cfg = tiny_config(seed);
+  cfg.datasets = sim::CampaignConfig::small(seed).datasets;
+  return cfg;
+}
+
+/// `c` with every dataset's runs repeated 8 times: an entry of several
+/// hundred KiB, so its columns verify in many tasks of at least 64 KiB,
+/// without simulating weeks.
+sim::CampaignResult bulky(sim::CampaignResult c) {
+  for (sim::Dataset& ds : c.datasets) {
+    const std::vector<sim::RunRecord> runs = ds.runs;
+    for (int k = 1; k < 8; ++k) ds.runs.insert(ds.runs.end(), runs.begin(), runs.end());
+  }
+  return c;
+}
+
+/// The bytes of every file under `dir`.
+std::uintmax_t entry_bytes(const fs::path& dir) {
+  std::uintmax_t bytes = 0;
+  for (const auto& e : fs::directory_iterator(dir)) bytes += fs::file_size(e.path());
+  return bytes;
+}
+
+/// What the load's error says of the column `<label>/<sub>/<name>.col`.
+std::string crc_mismatch(const std::string& column) {
+  return "CRC mismatch in " + column.substr(0, column.size() - 4) + " of";
+}
+
+/// The message of the ContractError `f` throws ("" when it throws none).
+template <class F>
+std::string contract_message(F&& f) {
+  try {
+    f();
+  } catch (const ContractError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(StoreTest, LoadAllIsThreadCountInvariantAndMatchesLoadDataset) {
+  const sim::CampaignResult original = bulky(sim::run_campaign(four_dataset_config(50)));
+  const std::string dir = scratch("campaign_store_load_threads");
+  ASSERT_TRUE(sim::save_campaign_store(original, dir));
+  ASSERT_GT(entry_bytes(dir), 8u * (64u << 10));
+
+  const sim::CampaignStorePin pin = sim::CampaignStorePin::open(dir);
+  ASSERT_EQ(pin.num_datasets(), 4u);
+  (void)exec::configure_threads(1);
+  const sim::CampaignResult one = pin.load_all();
+  (void)exec::configure_threads(8);
+  const sim::CampaignResult eight = pin.load_all();
+  std::vector<sim::Dataset> each;
+  for (std::size_t i = 0; i < pin.num_datasets(); ++i) each.push_back(pin.load_dataset(i));
+  (void)exec::configure_threads();
+
+  ASSERT_EQ(one.datasets.size(), original.datasets.size());
+  ASSERT_EQ(eight.datasets.size(), original.datasets.size());
+  for (std::size_t i = 0; i < original.datasets.size(); ++i) {
+    expect_dataset_eq(original.datasets[i], one.datasets[i]);
+    expect_dataset_eq(one.datasets[i], eight.datasets[i]);
+    expect_dataset_eq(one.datasets[i], each[i]);
+  }
+}
+
+// Two damaged columns, a late one of the 1st dataset and an early one of
+// the 3rd: at any lane count the error names the 1st dataset's column,
+// the first in (dataset, column) order, and the cache evicts the entry
+// and regenerates the campaign.
+TEST_F(StoreTest, FirstDamagedColumnIsNamedAtAnyThreadCount) {
+  const sim::CampaignConfig cfg = four_dataset_config(51);
+  const std::string cache = scratch("campaign_store_first_damage");
+  const sim::CampaignResult first = sim::run_campaign_cached(cfg, cache);
+  const auto entries = sim::list_cache_entries(cache);
+  ASSERT_EQ(entries.size(), 1u);
+  const fs::path entry = fs::path(cache) / entries[0].name;
+  // Republish the entry bulky, so the two damaged columns sit in
+  // different verification tasks.
+  fs::remove_all(entry);
+  ASSERT_TRUE(sim::save_campaign_store(bulky(first), entry.string()));
+  ASSERT_GT(entry_bytes(entry), 8u * (64u << 10));
+
+  const std::string first_label = cfg.datasets[0].label(), third_label = cfg.datasets[2].label();
+  std::string late, early;  // the 1st dataset's last column, the 3rd's first (non-empty)
+  std::size_t late_offset = 0, early_offset = std::numeric_limits<std::size_t>::max();
+  const auto slices = column_slices(entry);
+  for (const auto& [name, col] : slices) {
+    if (col.size == 0) continue;
+    if (name.starts_with(first_label + "/") && col.offset >= late_offset) {
+      late = name;
+      late_offset = col.offset;
+    }
+    if (name.starts_with(third_label + "/") && col.offset < early_offset) {
+      early = name;
+      early_offset = col.offset;
+    }
+  }
+  ASSERT_FALSE(late.empty());
+  ASSERT_FALSE(early.empty());
+  for (const std::string& name : {late, early}) {
+    const ColumnSlice& col = slices.at(name);
+    std::fstream f(col.file, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekg(std::streamoff(col.offset));
+    const char byte = char(f.get());
+    f.seekp(std::streamoff(col.offset));
+    f.put(char(byte ^ 0x5a));
+  }
+
+  const sim::CampaignStorePin pin = sim::CampaignStorePin::open(entry.string());
+  for (const int lanes : {1, 8}) {
+    (void)exec::configure_threads(lanes);
+    const std::string msg = contract_message([&] { (void)pin.load_all(); });
+    EXPECT_NE(msg.find(crc_mismatch(late)), std::string::npos) << lanes << " lanes: " << msg;
+    // One dataset at a time verifies only its own columns.
+    const std::string third = contract_message([&] { (void)pin.load_dataset(2); });
+    EXPECT_NE(third.find(crc_mismatch(early)), std::string::npos) << lanes << " lanes: " << third;
+    EXPECT_NO_THROW((void)pin.load_dataset(1)) << lanes << " lanes";
+  }
+  const sim::CampaignResult again = sim::run_campaign_cached(cfg, cache);
+  (void)exec::configure_threads();
+  ASSERT_EQ(again.datasets.size(), first.datasets.size());
+  for (std::size_t i = 0; i < first.datasets.size(); ++i)
+    expect_dataset_eq(first.datasets[i], again.datasets[i]);
+  EXPECT_NO_THROW((void)sim::CampaignStorePin::open(entry.string()).load_all());
+}
+
+// Every dataset's columns are verified, up to its last one: damage in the
+// last column of any one dataset alone fails load_all, naming it.
+TEST_F(StoreTest, LastColumnOfEveryDatasetIsVerified) {
+  const sim::CampaignResult original = bulky(sim::run_campaign(four_dataset_config(53)));
+  const std::string dir = scratch("campaign_store_last_columns");
+  ASSERT_TRUE(sim::save_campaign_store(original, dir));
+  std::map<fs::path, std::pair<std::string, ColumnSlice>> last;  // per dataset file
+  for (const auto& [name, col] : column_slices(dir))
+    if (col.size > 0 && col.offset >= last[col.file].second.offset) last[col.file] = {name, col};
+  ASSERT_EQ(last.size(), 4u);
+  for (const auto& [file, named] : last) {
+    const auto& [name, col] = named;
+    const std::string clean = slurp(file);
+    std::string bytes = clean;
+    bytes[col.offset + col.size - 1] ^= 0x01;
+    spill(file, bytes);
+    const std::string msg =
+        contract_message([&] { (void)sim::CampaignStorePin::open(dir).load_all(); });
+    EXPECT_NE(msg.find(crc_mismatch(name)), std::string::npos) << name << ": " << msg;
+    spill(file, clean);
+  }
+  EXPECT_NO_THROW((void)sim::CampaignStorePin::open(dir).load_all());
 }
 
 // ---------------------------------------------------------------------------
