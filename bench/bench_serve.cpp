@@ -5,7 +5,10 @@
 // Table III neighborhood query, then for lookups through a
 // fault-injecting proxy. The direct phases connect over the server's
 // AF_UNIX name, as every serve::Client does; the proxy speaks TCP, so
-// the degraded phase runs over TCP loopback.
+// the degraded phase runs over TCP loopback. Last, restart_ms times
+// fresh server starts over the warm cache (a temp directory the bench
+// removes): the campaign and its trained forecasters load from the
+// campaign's cache entry instead of being generated and trained again.
 //
 //   bench_serve [--shards N] [--clients N] [--seconds S] [--json PATH]
 //
@@ -16,11 +19,14 @@
 // m + k <= steps), so any ErrorResponse in a timed phase fails the run
 // with exit code 1. scripts/bench.sh serve merges the JSON into
 // BENCH_serve.json.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <iostream>
@@ -226,11 +232,39 @@ std::string json_number(double v) {
   return os.str();
 }
 
+/// Starts timed for restart_ms; the median is reported.
+constexpr int kRestarts = 5;
+
+/// One restart over the warm cache: load the campaign, start a server and
+/// answer one forecast per dataset (each loads its model), in ms.
+double time_restart(const Options& opt, const api::SessionOptions& session,
+                    const RequestRotation& rotation, std::size_t datasets) {
+  const auto t0 = std::chrono::steady_clock::now();
+  serve::ServerOptions sopt;
+  sopt.shards = opt.shards;
+  sopt.session = session;
+  sopt.campaign = api::ResidentCampaign::load(session);
+  serve::Server server(std::move(sopt));
+  server.start();
+  serve::Client client;
+  DFV_CHECK_MSG(client.connect(server.port()) == std::nullopt,
+                "bench_serve: handshake failed");
+  for (std::size_t d = 0; d < datasets; ++d)
+    DFV_CHECK_MSG(std::holds_alternative<api::ForecastResponse>(client.call(rotation.forecast(d))),
+                  "bench_serve: restart forecast failed");
+  const double ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
+  client.close();
+  server.stop();
+  return ms;
+}
+
 void write_json(const std::string& path, const Options& opt,
-                const std::vector<PhaseResult>& phases) {
+                const std::vector<PhaseResult>& phases, double restart_ms) {
   std::ofstream out(path);
   DFV_CHECK_MSG(out.good(), "bench_serve: cannot open " << path);
-  out << "{\n  \"shards\": " << opt.shards << ",\n  \"clients\": " << opt.clients;
+  out << "{\n  \"shards\": " << opt.shards << ",\n  \"clients\": " << opt.clients
+      << ",\n  \"restart_ms\": " << json_number(restart_ms);
   for (const auto& r : phases) {
     out << ",\n  \"" << r.name << "_qps\": " << json_number(r.qps)          //
         << ",\n  \"" << r.name << "_p50_us\": " << json_number(r.p50_us)    //
@@ -241,15 +275,38 @@ void write_json(const std::string& path, const Options& opt,
   out << "\n}\n";
 }
 
+/// A cache directory of this run's own, removed when the bench ends.
+class TempCache {
+ public:
+  TempCache()
+      : path_(std::filesystem::temp_directory_path() /
+              ("dfv_bench_serve_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+  }
+  ~TempCache() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  TempCache(const TempCache&) = delete;
+  TempCache& operator=(const TempCache&) = delete;
+  [[nodiscard]] std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
 int run_bench(const Options& opt) {
+  const TempCache cache;
   api::SessionOptions session;
   session.config = sim::CampaignConfig::small(2026);
   session.config.days = 8;
   session.config.datasets = {{"MILC", 128}, {"UMT", 128}};
+  session.cache_dir = cache.path();
   serve::ServerOptions sopt;
   sopt.shards = opt.shards;
   sopt.session = session;
   sopt.campaign = api::ResidentCampaign::load(session);
+  const std::size_t datasets = sopt.campaign->result().datasets.size();
   const RequestRotation rotation(shapes_of(sopt.campaign->result()));
 
   serve::Server server(std::move(sopt));
@@ -306,6 +363,16 @@ int run_bench(const Options& opt) {
   server.stop();
   std::cout << "server: " << server.stats().requests << " requests\n";
 
+  // The forecast phase trained and published every dataset's model, so
+  // each restart loads the campaign and the models from the cache.
+  std::vector<double> restarts;
+  for (int i = 0; i < kRestarts; ++i)
+    restarts.push_back(time_restart(opt, session, rotation, datasets));
+  std::sort(restarts.begin(), restarts.end());
+  const double restart_ms = restarts[restarts.size() / 2];
+  std::cout << "restart: " << restart_ms << " ms (median of " << kRestarts
+            << " starts over the warm cache, one forecast per dataset)\n";
+
   int rc = 0;
   for (const PhaseResult& r : phases)
     if (r.errors > 0) {
@@ -313,7 +380,7 @@ int run_bench(const Options& opt) {
                 << r.name << ", first: " << r.first_error << "\n";
       rc = 1;
     }
-  if (rc == 0 && !opt.json_path.empty()) write_json(opt.json_path, opt, phases);
+  if (rc == 0 && !opt.json_path.empty()) write_json(opt.json_path, opt, phases, restart_ms);
   return rc;
 }
 

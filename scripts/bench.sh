@@ -172,7 +172,7 @@ PY
       --seconds "${DFV_BENCH_SECONDS:-3}" \
       --json "$raw"
     merge_snapshot BENCH_serve.json dfv-bench-serve-v1 \
-      "8-shard dfv serve, direct phases over its AF_UNIX socket, degraded phase over TCP through the chaos proxy; qps higher is better, latency lower; current = last scripts/bench.sh serve run" \
+      "8-shard dfv serve, direct phases over its AF_UNIX socket, degraded phase over TCP through the chaos proxy; qps higher is better, latency lower; restart_ms = median of 5 server starts over a warm cache (campaign and trained forecasters cached) until one forecast per dataset is answered, lower is better; current = last scripts/bench.sh serve run" \
       '_qps$|^shards$|^clients$|_requests$'
     echo "wrote BENCH_serve.json"
     ;;

@@ -1,20 +1,30 @@
 #include "api/session.hpp"
 
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <condition_variable>
+#include <cstdio>
 #include <exception>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <set>
+#include <sstream>
 
 #include "analysis/window_cache.hpp"
 #include "api/wire.hpp"
+#include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "ml/attention.hpp"
 #include "ml/compiled.hpp"
 #include "net/packet_sim.hpp"
 #include "net/topology.hpp"
 #include "net/vc_sim.hpp"
+#include "sim/campaign_store.hpp"
 
 namespace dfv::api {
 
@@ -139,23 +149,128 @@ const analysis::StepFeatureCache& feature_cache(const ResidentCampaign& c,
   });
 }
 
-/// The attention model for one (app, nodes, window) key, trained on
-/// first use.
+/// Format tag that opens every model file's key line. Bump it when the
+/// bytes a training run produces move (Attention.SerializedModelGolden
+/// pins them) or the file layout changes: a file under another tag never
+/// matches its key, so the model is retrained rather than served stale.
+constexpr std::string_view kModelFormat = "dfv-attention-model 1";
+
+/// A trained forecaster's file in its campaign's cache entry:
+///
+///   <entry>/models/<fnv1a64(key) hex>.model
+///     <key>\n              kModelFormat, then everything the model is a
+///                          function of: the campaign fingerprint, repair
+///                          policy, dataset, window and every
+///                          AttentionParams field (doubles by bit pattern)
+///     windows=<n>\n        ForecastResponse::model_windows
+///     <model bytes>\n      ml::AttentionForecaster::to_bytes
+///     #dfv-crc <hex>\n     FNV-1a of everything above
+///
+/// The file is published by temp file and rename, without fsync: a torn
+/// file fails its checksum and costs one retrain.
+struct ModelFile {
+  std::string key;
+  std::string dir;   ///< <entry>/models; empty when the campaign has no cache entry
+  std::string path;  ///< the file in `dir`, or empty
+
+  ModelFile(const ResidentCampaign& c, const std::string& app, int nodes,
+            const analysis::WindowConfig& wcfg, const ml::AttentionParams& p) {
+    std::ostringstream os;
+    os << kModelFormat << std::hex << " fingerprint=" << sim::config_fingerprint(c.config())
+       << std::dec << " repair=" << faults::to_string(c.repair_policy()) << " app=" << app
+       << " nodes=" << nodes << " m=" << wcfg.m << " k=" << wcfg.k
+       << " features=" << analysis::to_string(wcfg.features) << " d_model=" << p.d_model
+       << " d_hidden=" << p.d_hidden << " epochs=" << p.epochs << " batch=" << p.batch
+       << std::hex << " lr=" << std::bit_cast<std::uint64_t>(p.lr)
+       << " weight_decay=" << std::bit_cast<std::uint64_t>(p.weight_decay)
+       << " seed=" << p.seed;
+    key = os.str();
+    if (c.entry_dir().empty()) return;
+    char name[32];
+    std::snprintf(name, sizeof name, "%016llx.model",
+                  static_cast<unsigned long long>(fnv1a64(key)));
+    dir = c.entry_dir() + "/models";
+    path = dir + "/" + name;
+  }
+
+  /// The stored forecaster, or nullopt when there is no file or it does
+  /// not verify: checksum, key, and a model of exactly shape (m, f, p).
+  [[nodiscard]] std::optional<ResidentForecaster> load(int m, int f,
+                                                       const ml::AttentionParams& p) const {
+    if (path.empty()) return std::nullopt;
+    std::ifstream in(path, std::ios::binary);
+    if (!in) return std::nullopt;
+    std::string content{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+    const auto reject = [&](const std::string& why) -> std::optional<ResidentForecaster> {
+      DFV_LOG_WARN("model file " << path << " " << why << "; retraining");
+      return std::nullopt;
+    };
+    if (verify_and_strip_checksum(content) != ChecksumStatus::Ok)
+      return reject("fails its checksum");
+    // What verified is "<key>\nwindows=<n>\n<model bytes>\n".
+    std::string_view rest(content);
+    const auto line = [&rest] {
+      const std::size_t eol = rest.find('\n');
+      const std::string_view out = rest.substr(0, eol);
+      rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
+      return out;
+    };
+    if (line() != key) return reject("holds another key");
+    constexpr std::string_view kWindows = "windows=";
+    const std::string_view count = line();
+    std::uint32_t windows = 0;
+    const char* count_end = count.data() + count.size();
+    if (!count.starts_with(kWindows) ||
+        std::from_chars(count.data() + kWindows.size(), count_end, windows).ptr != count_end ||
+        !rest.ends_with('\n'))
+      return reject("has no window count");
+    rest.remove_suffix(1);
+    try {
+      const auto model = ml::AttentionForecaster::from_bytes(m, f, p, rest);
+      DFV_LOG_INFO("loaded forecaster from " << path);
+      return ResidentForecaster{model.compile(), windows};
+    } catch (const ContractError& e) {
+      return reject(e.what());
+    }
+  }
+
+  /// Publish `model` write-once; a failure only logs (the model is served
+  /// from memory either way).
+  void publish(std::uint32_t windows, const ml::AttentionForecaster& model) const {
+    if (path.empty()) return;
+    std::string content = key + "\nwindows=" + std::to_string(windows) + "\n" +
+                          model.to_bytes() + "\n";
+    append_checksum_footer(content);
+    // Not create_directories: an entry evicted meanwhile stays gone.
+    std::error_code ec;
+    std::filesystem::create_directory(dir, ec);
+    if (ec || !atomic_write_file(path, content))
+      DFV_LOG_WARN("failed to publish model file " << path);
+  }
+};
+
+/// The attention model for one (app, nodes, window) key: loaded from the
+/// campaign's cache entry when a verifying file is there, else trained
+/// and published there.
 const ResidentForecaster& forecaster(const ResidentCampaign& c, const std::string& app,
                                      int nodes, const analysis::WindowConfig& wcfg) {
   DFV_CHECK_MSG(wcfg.m >= 1 && wcfg.k >= 1, "forecast window needs m >= 1 and k >= 1");
   return c.models().forecasters.get(window_key(app, nodes, wcfg), [&] {
     const sim::Dataset& ds = c.dataset(app, nodes);
+    const int width = analysis::feature_count(wcfg.features);
+    const ml::AttentionParams params = analysis::ForecastConfig{}.attention;
+    const ModelFile file(c, app, nodes, wcfg, params);
+    if (auto hit = file.load(wcfg.m, width, params)) return std::move(*hit);
     const analysis::StepFeatureCache& cache = feature_cache(c, app, nodes);
     const analysis::WindowIndex index =
         analysis::build_window_index(ds, cache, wcfg.m, wcfg.k);
     const analysis::WindowViews views =
         analysis::make_window_views(cache, index, wcfg.features);
-    const analysis::ForecastConfig fcfg;
-    ml::AttentionForecaster model(wcfg.m, analysis::feature_count(wcfg.features),
-                                  fcfg.attention);
+    ml::AttentionForecaster model(wcfg.m, width, params);
     model.fit(views.all(), index.y);
-    return ResidentForecaster{model.compile(), std::uint32_t(index.size())};
+    const auto windows = std::uint32_t(index.size());
+    file.publish(windows, model);
+    return ResidentForecaster{model.compile(), windows};
   });
 }
 
@@ -179,9 +294,16 @@ std::shared_ptr<const ResidentCampaign> ResidentCampaign::load(
   opt.config.validate();
   auto rc = std::shared_ptr<ResidentCampaign>(new ResidentCampaign());
   rc->config_ = opt.config;
-  rc->result_ = opt.cache_dir.empty()
-                    ? sim::run_campaign(opt.config)
-                    : sim::run_campaign_cached(opt.config, opt.cache_dir, opt.cache_format);
+  rc->repair_ = opt.repair;
+  if (opt.cache_dir.empty()) {
+    rc->result_ = sim::run_campaign(opt.config);
+  } else {
+    rc->result_ = sim::run_campaign_cached(opt.config, opt.cache_dir, opt.cache_format);
+    // Models are kept only beside a committed entry (a failed publish
+    // leaves none), so they live and die with the campaign they fit.
+    const std::string dir = sim::campaign_store_dir(opt.config, opt.cache_dir);
+    if (sim::campaign_store_exists(dir)) rc->entry_dir_ = dir;
+  }
   // Apply the degraded-data policy at the load boundary so every request
   // downstream sees repaired (or flagged) telemetry.
   if (opt.config.faults.enabled()) {

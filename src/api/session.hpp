@@ -4,12 +4,21 @@
 // model the requests need: step-feature tables, the attention
 // forecasters behind the point-forecast hot path, deviation GBR/RFE
 // results, forecast evaluations, and the per-dataset neighborhood
-// indexes every blame query reads. Each registry entry is built once,
-// by the first request that needs it, and is immutable after that. The
-// registry is thread-safe, so any number of Sessions over one campaign
-// share it: the CLI builds one Session per invocation, and `dfv serve`
-// builds one per shard over a single ResidentCampaign, so N shards hold
-// one copy of the data and one copy of each model.
+// indexes every blame query reads. Each registry entry is built once
+// per process, by the first request that needs it, and is immutable
+// after that. The registry is thread-safe, so any number of Sessions
+// over one campaign share it: the CLI builds one Session per invocation,
+// and `dfv serve` builds one per shard over a single ResidentCampaign,
+// so N shards hold one copy of the data and one copy of each model.
+//
+// With a cache directory, a forecaster is trained once per cache, not
+// once per process: the first build of a (dataset, window) key publishes
+// the trained model as `models/<key hash>.model` in the campaign's cache
+// entry, and a later start loads it from there after checking its
+// checksum, its full training key and its shape. A file that fails any
+// check is retrained over and republished; a file that cannot be
+// written only logs. A loaded model serves the same bytes as a freshly
+// trained one.
 //
 // A Session itself keeps only the forward arena of the compiled
 // point-forecast path; one thread uses a Session at a time.
@@ -62,6 +71,11 @@ class ResidentCampaign {
   [[nodiscard]] const sim::Dataset& dataset(const std::string& app, int nodes) const {
     return result_.dataset(app, nodes);
   }
+  /// The repair policy the campaign was loaded under.
+  [[nodiscard]] faults::RepairPolicy repair_policy() const noexcept { return repair_; }
+  /// The campaign's cache entry directory, where trained forecasters are
+  /// kept beside the campaign; empty when the campaign has no cache entry.
+  [[nodiscard]] const std::string& entry_dir() const noexcept { return entry_dir_; }
 
   /// The shared model registry (defined in session.cpp). Its entries are
   /// built on first use under per-key latches, so it is filled through a
@@ -78,6 +92,8 @@ class ResidentCampaign {
   ResidentCampaign();
   sim::CampaignConfig config_;
   sim::CampaignResult result_;
+  faults::RepairPolicy repair_ = faults::RepairPolicy::Repair;
+  std::string entry_dir_;
   std::vector<sim::RepairReport> repair_reports_;
   std::unique_ptr<Models> models_;
 };

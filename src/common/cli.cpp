@@ -198,7 +198,8 @@ int App::run_command(const Command& cmd, int argc, char** argv, int from) const 
       if (have_value && value != "true" && value != "1" && value != "false" &&
           value != "0") {
         std::cerr << label(cmd) << ": --" << key
-                  << " is a flag; got '=" << value << "'\n";
+                  << " is a flag; got '=" << value << "'\n\n"
+                  << usage(cmd);
         return 2;
       }
       if (!have_value || value == "true" || value == "1")
@@ -228,7 +229,8 @@ int App::run_command(const Command& cmd, int argc, char** argv, int from) const 
     } catch (const std::exception&) {
       std::cerr << label(cmd) << ": --" << key << " expects a"
                 << (spec->type == ArgType::Int ? "n integer" : " number") << ", got '"
-                << value << "'\n";
+                << value << "'\n\n"
+                << usage(cmd);
       return 2;
     }
     kv[key] = value;

@@ -1,5 +1,8 @@
 #include "common/integrity.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -61,7 +64,12 @@ ChecksumStatus verify_and_strip_checksum(std::string& content) {
 }
 
 bool atomic_write_file(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
+  // A temp name of its own per writer: writers of one path in other
+  // processes (pid) or threads (counter) never share a temp inode, so no
+  // rename can publish another writer's half-written file.
+  static std::atomic<std::uint64_t> writes{0};
+  const std::string tmp = path + "." + std::to_string(::getpid()) + "." +
+                          std::to_string(writes.fetch_add(1)) + ".tmp";
   {
     std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
     if (!f) return false;

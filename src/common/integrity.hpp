@@ -41,9 +41,13 @@ enum class ChecksumStatus {
 /// stripped so the caller can still inspect the (untrusted) body.
 [[nodiscard]] ChecksumStatus verify_and_strip_checksum(std::string& content);
 
-/// Write `content` to `path` atomically: write to "<path>.tmp", then
-/// rename over the destination. Returns false on any I/O failure (the
-/// temp file is cleaned up; the destination is never left half-written).
+/// Write `content` to `path` atomically: write to a temp file of this
+/// call's own, "<path>.<pid>.<n>.tmp", then rename over the destination,
+/// so concurrent writers of one path (threads or processes) each publish
+/// a whole file and the last rename wins. Returns false on any I/O
+/// failure (the temp file is cleaned up; the destination is never left
+/// half-written). No fsync: a crash can leave a torn file, which its
+/// checksum footer reveals.
 [[nodiscard]] bool atomic_write_file(const std::string& path, const std::string& content);
 
 }  // namespace dfv

@@ -1,8 +1,11 @@
 #include "ml/attention.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "common/check.hpp"
 #include "exec/exec.hpp"
@@ -37,6 +40,20 @@ struct GradLayout {
     total = b_out + 1;
   }
 };
+
+/// Little-endian codec of to_bytes / from_bytes.
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) out.push_back(char((v >> (8 * i)) & 0xffu));
+}
+
+[[nodiscard]] std::uint64_t get_le(const char* p, int bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < bytes; ++i) v |= std::uint64_t(std::uint8_t(p[i])) << (8 * i);
+  return v;
+}
+
+/// to_bytes' four u32 shape fields: m, feat_dim, d_model, d_hidden.
+constexpr std::size_t kShapeBytes = 4 * 4;
 
 }  // namespace
 
@@ -500,6 +517,59 @@ std::vector<double> AttentionForecaster::predict(const Matrix& x) const {
   DFV_CHECK(x.cols() == std::size_t(m_) * std::size_t(feat_dim_));
   const auto ptrs = row_pointers(x);
   return predict(RowBatch{ptrs, 1, x.cols(), x.cols()});
+}
+
+std::string AttentionForecaster::to_bytes() const {
+  const std::size_t mf = std::size_t(m_) * std::size_t(feat_dim_);
+  DFV_CHECK_MSG(scaler_.means().size() == mf && scaler_.stddevs().size() == mf,
+                "to_bytes needs a fitted model");
+  std::string out;
+  for (const int v : {m_, feat_dim_, params_.d_model, params_.d_hidden})
+    put_le(out, std::uint32_t(v), 4);
+  const auto put = [&out](double v) { put_le(out, std::bit_cast<std::uint64_t>(v), 8); };
+  for (const std::vector<double>* w : weight_arrays(*this))
+    for (const double v : *w) put(v);
+  put(b_out_);
+  for (const double v : scaler_.means()) put(v);
+  for (const double v : scaler_.stddevs()) put(v);
+  put(scaler_.target_mean());
+  put(scaler_.target_stddev());
+  return out;
+}
+
+AttentionForecaster AttentionForecaster::from_bytes(int m, int feat_dim,
+                                                    AttentionParams params,
+                                                    std::string_view bytes) {
+  AttentionForecaster model(m, feat_dim, params);
+  const std::size_t mf = std::size_t(m) * std::size_t(feat_dim);
+  std::size_t doubles = 1 + 2 * mf + 2;  // b_out, the scaler's statistics
+  for (const std::vector<double>* w : weight_arrays(model)) doubles += w->size();
+  DFV_CHECK_MSG(bytes.size() == kShapeBytes + 8 * doubles,
+                "model bytes: " << bytes.size() << " bytes, the shape needs "
+                                << kShapeBytes + 8 * doubles);
+  const char* p = bytes.data();
+  for (const int v : {m, feat_dim, params.d_model, params.d_hidden}) {
+    DFV_CHECK_MSG(get_le(p, 4) == std::uint64_t(v),
+                  "model bytes hold another shape than m " << m << ", feat_dim " << feat_dim
+                                                           << ", d_model " << params.d_model
+                                                           << ", d_hidden " << params.d_hidden);
+    p += 4;
+  }
+  const auto next = [&p] {
+    const double v = std::bit_cast<double>(get_le(p, 8));
+    p += 8;
+    return v;
+  };
+  for (std::vector<double>* w : weight_arrays(model))
+    for (double& v : *w) v = next();
+  model.b_out_ = next();
+  std::vector<double> means(mf), stddevs(mf);
+  for (double& v : means) v = next();
+  for (double& v : stddevs) v = next();
+  const double y_mean = next();
+  const double y_std = next();
+  model.scaler_.restore(std::move(means), std::move(stddevs), y_mean, y_std);
+  return model;
 }
 
 double AttentionForecaster::predict_one(std::span<const double> window) const {

@@ -10,7 +10,10 @@
 // Output: y_tot^k(t_c), the sum of the next k step times.
 #pragma once
 
+#include <array>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -84,6 +87,20 @@ class AttentionForecaster {
   /// takes this route.
   [[nodiscard]] CompiledAttention compile() const;
 
+  /// The fitted model's state as bytes: m, feat_dim, d_model and d_hidden
+  /// as little-endian u32, then every weight, b_out, the scaler's means
+  /// and stddevs and the target mean and stddev as little-endian IEEE-754
+  /// doubles. Requires a fitted model. This is the one place that knows
+  /// the model's layout; the bytes carry no checksum or training key.
+  [[nodiscard]] std::string to_bytes() const;
+  /// Rebuild a fitted model of shape (m, feat_dim, params) from to_bytes
+  /// output: it predicts bit-identically to the model that wrote them.
+  /// Throws ContractError when the bytes hold another shape or their
+  /// length does not match it.
+  [[nodiscard]] static AttentionForecaster from_bytes(int m, int feat_dim,
+                                                      AttentionParams params,
+                                                      std::string_view bytes);
+
  private:
   friend class CompiledAttention;
 
@@ -106,6 +123,13 @@ class AttentionForecaster {
   /// Scalar per-sample forward+backward for the same slab (the reference
   /// path; bit-identical to forward_slab + backward_slab).
   void slab_reference(Workspace& ws, std::size_t rows) const;
+
+  /// The weight arrays in to_bytes order (b_out follows them there).
+  template <class Self>
+  [[nodiscard]] static auto weight_arrays(Self& self) {
+    return std::array{&self.w_embed_, &self.b_embed_, &self.pos_embed_, &self.query_,
+                      &self.w_head_,  &self.b_head_,  &self.w_out_};
+  }
 
   int m_, feat_dim_;
   AttentionParams params_;

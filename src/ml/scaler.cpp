@@ -1,6 +1,7 @@
 #include "ml/scaler.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
@@ -89,5 +90,15 @@ void StandardScaler::fit_target(std::span<const double> y) {
 double StandardScaler::transform_target(double y) const { return (y - y_mean_) / y_std_; }
 
 double StandardScaler::inverse_target(double z) const { return z * y_std_ + y_mean_; }
+
+void StandardScaler::restore(std::vector<double> means, std::vector<double> stddevs,
+                             double y_mean, double y_std) {
+  DFV_CHECK_MSG(means.size() == stddevs.size(),
+                "scaler: " << means.size() << " means but " << stddevs.size() << " stddevs");
+  mean_ = std::move(means);
+  std_ = std::move(stddevs);
+  y_mean_ = y_mean;
+  y_std_ = y_std;
+}
 
 }  // namespace dfv::ml

@@ -32,6 +32,13 @@ class StandardScaler {
   void fit_target(std::span<const double> y);
   [[nodiscard]] double transform_target(double y) const;
   [[nodiscard]] double inverse_target(double z) const;
+  [[nodiscard]] double target_mean() const noexcept { return y_mean_; }
+  [[nodiscard]] double target_stddev() const noexcept { return y_std_; }
+
+  /// Set fitted statistics directly (a saved model's scaler): afterwards
+  /// the scaler transforms exactly as the one that produced them.
+  void restore(std::vector<double> means, std::vector<double> stddevs, double y_mean,
+               double y_std);
 
  private:
   std::vector<double> mean_, std_;

@@ -292,12 +292,16 @@ std::uint64_t config_fingerprint(const CampaignConfig& cfg) {
   return h;
 }
 
-CampaignResult run_campaign_cached(const CampaignConfig& cfg, const std::string& cache_dir,
-                                   CacheFormat /*format*/) {
+std::string campaign_store_dir(const CampaignConfig& config, const std::string& cache_dir) {
   DFV_CHECK_MSG(!cache_dir.empty(), "cache_dir must not be empty");
   std::ostringstream dir_name;
-  dir_name << cache_dir << "/campaign_" << std::hex << config_fingerprint(cfg) << ".store";
-  const std::string store_dir = dir_name.str();
+  dir_name << cache_dir << "/campaign_" << std::hex << config_fingerprint(config) << ".store";
+  return dir_name.str();
+}
+
+CampaignResult run_campaign_cached(const CampaignConfig& cfg, const std::string& cache_dir,
+                                   CacheFormat /*format*/) {
+  const std::string store_dir = campaign_store_dir(cfg, cache_dir);
 
   if (campaign_store_exists(store_dir)) {
     try {

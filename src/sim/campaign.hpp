@@ -118,4 +118,9 @@ enum class CacheFormat {
 /// Stable hash of a configuration (names the cache directory entry).
 [[nodiscard]] std::uint64_t config_fingerprint(const CampaignConfig& config);
 
+/// The entry directory run_campaign_cached reads and publishes for
+/// `config` under `cache_dir`: `<cache_dir>/campaign_<fingerprint>.store`.
+[[nodiscard]] std::string campaign_store_dir(const CampaignConfig& config,
+                                             const std::string& cache_dir);
+
 }  // namespace dfv::sim

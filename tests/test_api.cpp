@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -21,6 +23,7 @@
 #include "analysis/forecast.hpp"
 #include "analysis/neighborhood.hpp"
 #include "api/wire.hpp"
+#include "common/integrity.hpp"
 #include "common/log.hpp"
 #include "scratch_dir.hpp"
 
@@ -292,6 +295,189 @@ TEST(ApiRegistry, FailedBuildLeavesNoEntryAndRetries) {
     EXPECT_EQ(err->code, ErrorCode::Contract);
   }
   EXPECT_EQ(campaign->models_built(), 1u);  // only the dataset's feature tables
+}
+
+// ---------------------------------------------------------------------------
+// Trained forecasters kept in the campaign's cache entry.
+// ---------------------------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+std::string slurp(const fs::path& p) {
+  std::ifstream in(p, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void spit(const fs::path& p, const std::string& content) {
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << content;
+}
+
+/// `file` with its key line (the first) replaced by `key_line` and
+/// re-signed: a file whose checksum verifies.
+std::string resigned(std::string file, const std::string& key_line) {
+  EXPECT_EQ(verify_and_strip_checksum(file), ChecksumStatus::Ok);
+  file.replace(0, file.find('\n'), key_line);
+  append_checksum_footer(file);
+  return file;
+}
+
+/// Two model keys of one model shape (m 3, app features) on two datasets
+/// (UMT runs have 7 steps).
+const Request kMilcForecast{ForecastRequest{}.app("MILC").nodes(128).run(2).center(12).m(3).k(5)};
+const Request kUmtForecast{ForecastRequest{}.app("UMT").nodes(128).run(1).center(3).m(3).k(4)};
+
+/// One campaign entry shared by the suite; each test starts from an entry
+/// holding no models. Every Session here is a fresh start over the cache.
+class ApiModelCache : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    set_log_level(LogLevel::Error);  // the damaged files below log warnings by design
+    cache_ = new std::string(testutil::scratch("api_model_cache"));
+    Session plain(small_options());  // no cache: always trains
+    want_milc_ = new std::string(encode_response(plain.handle(kMilcForecast)));
+    want_umt_ = new std::string(encode_response(plain.handle(kUmtForecast)));
+  }
+  static void TearDownTestSuite() {
+    set_log_level(LogLevel::Warn);
+    for (std::string** s : {&cache_, &want_milc_, &want_umt_}) {
+      delete *s;
+      *s = nullptr;
+    }
+  }
+  void SetUp() override {
+    (void)answer(Request{RunLookupRequest{}.app("MILC").nodes(128).run(0)});  // the entry
+    fs::remove_all(models_dir());
+  }
+
+  static SessionOptions cached() {
+    SessionOptions opt = small_options();
+    opt.cache_dir = *cache_;
+    return opt;
+  }
+  static fs::path models_dir() {
+    return fs::path(sim::campaign_store_dir(cached().config, *cache_)) / "models";
+  }
+  /// A fresh Session over the cache answers `req`.
+  static std::string answer(const Request& req) {
+    Session session(cached());
+    return encode_response(session.handle(req));
+  }
+  static std::vector<fs::path> model_files() {
+    std::vector<fs::path> out;
+    std::error_code ec;
+    for (const auto& e : fs::directory_iterator(models_dir(), ec)) out.push_back(e.path());
+    return out;
+  }
+  /// Train both models from cold and return their files, MILC's first.
+  static std::pair<fs::path, fs::path> publish_both() {
+    EXPECT_EQ(answer(kMilcForecast), *want_milc_);
+    const std::vector<fs::path> milc = model_files();
+    EXPECT_EQ(answer(kUmtForecast), *want_umt_);
+    std::vector<fs::path> both = model_files();
+    EXPECT_EQ(milc.size(), 1u);
+    EXPECT_EQ(both.size(), 2u);
+    if (milc.size() != 1 || both.size() != 2) return {};
+    return {milc[0], both[both[0] == milc[0] ? 1 : 0]};
+  }
+
+  static std::string* cache_;
+  static std::string* want_milc_;
+  static std::string* want_umt_;
+};
+
+std::string* ApiModelCache::cache_ = nullptr;
+std::string* ApiModelCache::want_milc_ = nullptr;
+std::string* ApiModelCache::want_umt_ = nullptr;
+
+TEST_F(ApiModelCache, ColdStartPublishesAndWarmStartLoadsTheSameBytes) {
+  for (const std::string* want : {want_milc_, want_umt_})
+    ASSERT_TRUE(std::holds_alternative<ForecastResponse>(decode_response(*want)));
+  EXPECT_EQ(answer(kMilcForecast), *want_milc_);  // trains and publishes
+  const std::vector<fs::path> files = model_files();
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0].extension(), ".model");
+  const std::string bytes = slurp(files[0]);
+  std::string body = bytes;
+  ASSERT_EQ(verify_and_strip_checksum(body), ChecksumStatus::Ok);
+  EXPECT_EQ(body.rfind("dfv-attention-model 1 fingerprint=", 0), 0u) << body.substr(0, 200);
+  EXPECT_NE(body.find(" repair=repair app=MILC nodes=128 m=3 k=5 features=app d_model=12 "
+                      "d_hidden=16 epochs=30 batch=32 lr="),
+            std::string::npos);
+
+  EXPECT_EQ(answer(kMilcForecast), *want_milc_);  // loads
+  EXPECT_EQ(model_files(), files);
+  EXPECT_EQ(slurp(files[0]), bytes);
+}
+
+TEST_F(ApiModelCache, DamagedModelFileIsRetrainedAndReplaced) {
+  const auto [milc, umt] = publish_both();
+  ASSERT_FALSE(milc.empty());
+  const std::string good = slurp(milc);
+  const std::string other = slurp(umt);
+  std::string stripped = good;
+  ASSERT_EQ(verify_and_strip_checksum(stripped), ChecksumStatus::Ok);
+  const std::string key_line = stripped.substr(0, stripped.find('\n'));
+
+  std::string flipped = good;
+  flipped[flipped.size() / 2] ^= 0x20;
+  std::string short_body = stripped.substr(0, stripped.size() - 9) + "\n";
+  append_checksum_footer(short_body);
+  std::string old_tag = key_line;
+  old_tag.replace(0, std::string_view("dfv-attention-model 1").size(), "dfv-attention-model 0");
+  const std::pair<const char*, std::string> damages[] = {
+      {"flipped byte", flipped},
+      {"truncated", good.substr(0, good.size() - 30)},
+      {"empty", ""},
+      {"another key's valid file", other},
+      {"older format tag", resigned(good, old_tag)},
+      {"model bytes one double short", short_body},
+  };
+  for (const auto& [what, bytes] : damages) {
+    spit(milc, bytes);
+    EXPECT_EQ(answer(kMilcForecast), *want_milc_) << what;
+    std::string left = slurp(milc);
+    EXPECT_EQ(left, good) << what;  // retrained and published again
+    EXPECT_EQ(verify_and_strip_checksum(left), ChecksumStatus::Ok) << what;
+  }
+  EXPECT_EQ(model_files().size(), 2u);  // no temp file left behind
+}
+
+TEST_F(ApiModelCache, ForgedModelWithValidChecksumAndKeyIsServed) {
+  // UMT's weights under MILC's key, correctly signed: nothing tells the
+  // files apart, so the load path serves them, which changes the answer.
+  const auto [milc, umt] = publish_both();
+  ASSERT_FALSE(milc.empty());
+  std::string milc_body = slurp(milc);
+  ASSERT_EQ(verify_and_strip_checksum(milc_body), ChecksumStatus::Ok);
+  const std::string forged = resigned(slurp(umt), milc_body.substr(0, milc_body.find('\n')));
+  spit(milc, forged);
+
+  const Response resp = decode_response(answer(kMilcForecast));
+  const auto* got = std::get_if<ForecastResponse>(&resp);
+  ASSERT_NE(got, nullptr);
+  const auto want = std::get<ForecastResponse>(decode_response(*want_milc_));
+  EXPECT_NE(got->predicted, want.predicted);
+  EXPECT_NE(got->model_windows, want.model_windows);  // UMT's window count
+  EXPECT_EQ(got->persistence, want.persistence);      // not from the model
+  EXPECT_EQ(slurp(milc), forged);
+}
+
+TEST_F(ApiModelCache, UncreatableModelsDirectoryStillServes) {
+  spit(models_dir(), "not a directory");
+  EXPECT_EQ(answer(kMilcForecast), *want_milc_);
+  EXPECT_EQ(answer(kUmtForecast), *want_umt_);
+  EXPECT_EQ(slurp(models_dir()), "not a directory");
+  fs::remove(models_dir());
+}
+
+TEST_F(ApiModelCache, NoCacheWritesNoModel) {
+  Session plain(small_options());
+  EXPECT_EQ(encode_response(plain.handle(kMilcForecast)), *want_milc_);
+  EXPECT_TRUE(plain.campaign().entry_dir().empty());
+  Session with_cache(cached());
+  EXPECT_EQ(with_cache.campaign().entry_dir(),
+            sim::campaign_store_dir(cached().config, *cache_));
+  EXPECT_FALSE(fs::exists(models_dir()));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include "common/integrity.hpp"
 #include "common/rng.hpp"
 #include "exec/exec.hpp"
+#include "ml/compiled.hpp"
 #include "ml/metrics.hpp"
 
 // Global allocation hook: while `g_recording` is set, remember the largest
@@ -239,6 +240,57 @@ TEST(Attention, GoldenFitDigest) {
     h = fnv1a64_update(h, &u, sizeof u);
   }
   EXPECT_EQ(h, 0x68acfee0446b894dull) << "0x" << std::hex << h;
+}
+
+TEST(Attention, SerializedModelGolden) {
+  // Pins the bytes of a trained model, which are what a cached model file
+  // holds: if this moves, bump the format tag in the model header
+  // (kModelFormat in src/api/session.cpp), or caches keep serving models
+  // the old training code produced.
+  Rng rng(17);
+  const StridedSamples s(131, 4, 3, 7, rng);
+  AttentionForecaster model(4, 3, fast_params(29));
+  model.fit(s.views(), s.y);
+  const std::string bytes = model.to_bytes();
+  // 4 u32 shape fields; 8x3 + 8 + 4x8 + 8 + 8x8 + 8 + 8 weights, b_out,
+  // 12 means, 12 stddevs, the target mean and stddev.
+  EXPECT_EQ(bytes.size(), 16u + 8u * (24 + 8 + 32 + 8 + 64 + 8 + 8 + 1 + 12 + 12 + 2));
+  const std::uint64_t h = fnv1a64(bytes);
+  EXPECT_EQ(h, 0x54a49923f42f9bfbull) << "0x" << std::hex << h;
+}
+
+TEST(Attention, FromBytesPredictsBitIdentically) {
+  Rng rng(23);
+  const StridedSamples s(90, 5, 4, 9, rng);
+  AttentionForecaster model(5, 4, fast_params(3));
+  model.fit(s.views(), s.y);
+  const AttentionForecaster back =
+      AttentionForecaster::from_bytes(5, 4, fast_params(3), model.to_bytes());
+  EXPECT_EQ(back.to_bytes(), model.to_bytes());
+  const std::vector<double> want = model.predict_reference(s.views());
+  const std::vector<double> got = back.compile().predict_many(s.views());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << "row " << i;
+}
+
+TEST(Attention, FromBytesRejectsAnotherShapeOrLength) {
+  Rng rng(5);
+  const StridedSamples s(40, 3, 2, 4, rng);
+  AttentionForecaster model(3, 2, fast_params());
+  model.fit(s.views(), s.y);
+  const std::string bytes = model.to_bytes();
+  AttentionParams wider = fast_params();
+  wider.d_hidden = 9;
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(4, 2, fast_params(), bytes), ContractError);
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(3, 3, fast_params(), bytes), ContractError);
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(3, 2, wider, bytes), ContractError);
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(3, 2, fast_params(), bytes + "x"),
+               ContractError);
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(3, 2, fast_params(), bytes.substr(0, 40)),
+               ContractError);
+  EXPECT_THROW((void)AttentionForecaster::from_bytes(3, 2, fast_params(), ""), ContractError);
+  // An unfitted model has no scaler statistics to write.
+  EXPECT_THROW((void)AttentionForecaster(3, 2, fast_params()).to_bytes(), ContractError);
 }
 
 TEST(Attention, ProductionShapesMatchReference) {

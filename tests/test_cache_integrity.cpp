@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/log.hpp"
@@ -125,6 +129,43 @@ TEST_F(CacheIntegrityTest, AtomicWritePublishesAndCleansUp) {
   ASSERT_TRUE(atomic_write_file(file.string(), "second\n"));
   EXPECT_EQ(slurp(file), "second\n");
   EXPECT_FALSE(fs::exists(file.string() + ".tmp"));
+}
+
+TEST_F(CacheIntegrityTest, ConcurrentPublishersOfOnePathLeaveAVerifyingFile) {
+  // Writers of one path (threads here; processes name their temps by pid
+  // too) each publish through a temp file of their own, so every publish
+  // succeeds and the file left behind is always one writer's whole file.
+  const fs::path dir = scratch("dfv_atomic_race");
+  fs::create_directories(dir);
+  const fs::path file = dir / "model";
+  constexpr int kWriters = 4;
+  constexpr int kRounds = 8;
+  constexpr int kPublishes = 6;
+  std::vector<std::string> contents;
+  for (int w = 0; w < kWriters; ++w) {
+    // 256 KiB per file, so a write spans many syscalls.
+    std::string c(std::size_t(256) << 10, char('a' + w));
+    append_checksum_footer(c);
+    contents.push_back(std::move(c));
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    std::atomic<int> failed{0};
+    std::vector<std::thread> writers;
+    for (int w = 0; w < kWriters; ++w)
+      writers.emplace_back([&, w] {
+        for (int i = 0; i < kPublishes; ++i)
+          if (!atomic_write_file(file.string(), contents[std::size_t(w)])) failed.fetch_add(1);
+      });
+    for (auto& t : writers) t.join();
+    EXPECT_EQ(failed.load(), 0) << "round " << round;
+    std::string got = slurp(file);
+    EXPECT_NE(std::find(contents.begin(), contents.end(), got), contents.end())
+        << "round " << round << ": not one writer's whole file";
+    EXPECT_EQ(verify_and_strip_checksum(got), ChecksumStatus::Ok) << "round " << round;
+  }
+  std::vector<fs::path> left;
+  for (const auto& e : fs::directory_iterator(dir)) left.push_back(e.path());
+  EXPECT_EQ(left, std::vector<fs::path>{file});  // no temp file left behind
 }
 
 // ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <ctime>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,8 @@
 #include "api/wire.hpp"
 #include "common/check.hpp"
 #include "common/log.hpp"
+#include "exec/exec.hpp"
+#include "scratch_dir.hpp"
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -32,6 +35,8 @@
 
 namespace dfv::serve {
 namespace {
+
+const auto* const kScratch = ::testing::AddGlobalTestEnvironment(new testutil::ScratchRoot);
 
 api::SessionOptions small_options() {
   api::SessionOptions opt;
@@ -380,6 +385,67 @@ TEST_F(ServeEndToEnd, OneShardAndEightShardsAnswerByteIdentically) {
     EXPECT_EQ(s->stats().forwarded, 0u);
     EXPECT_EQ(s->stats().local, s->stats().requests);
   }
+}
+
+// A server over a cold cache trains each forecaster and publishes it in
+// the campaign's entry; a restart over the warm cache loads them. Both
+// must serve exactly the bytes of an in-process Session without a cache,
+// at any pool width and shard count.
+TEST_F(ServeEndToEnd, ColdAndWarmCacheServeTheForecastsOfASessionWithoutCache) {
+  std::vector<api::Request> reqs;
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    reqs.push_back(api::ForecastRequest{}.app("MILC").nodes(128).run(r).center(12).m(3).k(5));
+    reqs.push_back(api::ForecastRequest{}.app("MILC").nodes(128).run(r).center(30).m(10).k(20));
+    reqs.push_back(api::ForecastRequest{}
+                       .app("MILC")
+                       .nodes(128)
+                       .run(r)
+                       .center(12)
+                       .m(3)
+                       .k(5)
+                       .features(analysis::FeatureSet::AppPlacementIo));
+    reqs.push_back(api::ForecastRequest{}.app("UMT").nodes(128).run(r).center(3).m(3).k(4));
+  }
+  std::vector<std::string> expected;
+  {
+    api::Session plain(small_options());
+    for (const auto& req : reqs)
+      expected.push_back(api::handle_encoded(plain, api::encode_request(req)));
+  }
+  for (const std::string& e : expected)
+    ASSERT_TRUE(std::holds_alternative<api::ForecastResponse>(api::decode_response(e)));
+
+  for (const int lanes : {1, 8}) {
+    (void)exec::configure_threads(lanes);
+    api::SessionOptions opt = small_options();
+    opt.cache_dir = testutil::scratch("serve_models_" + std::to_string(lanes));
+    const auto serve_all = [&](int shards) {
+      ServerOptions so;
+      so.shards = shards;
+      so.session = opt;
+      so.campaign = api::ResidentCampaign::load(opt);
+      Server server(std::move(so));
+      server.start();
+      Client client;
+      EXPECT_EQ(client.connect(server.port()), std::nullopt);
+      std::vector<std::string> got;
+      for (const auto& req : reqs) got.push_back(client.call_raw(req));
+      client.close();
+      server.stop();
+      return got;
+    };
+    EXPECT_EQ(serve_all(1), expected) << lanes << " lanes, cold cache";
+    const std::filesystem::path models =
+        std::filesystem::path(sim::campaign_store_dir(opt.config, opt.cache_dir)) / "models";
+    std::size_t files = 0;
+    for (const auto& e : std::filesystem::directory_iterator(models)) {
+      EXPECT_EQ(e.path().extension(), ".model") << e.path();
+      ++files;
+    }
+    EXPECT_EQ(files, 4u) << lanes << " lanes";  // one per distinct model key
+    EXPECT_EQ(serve_all(8), expected) << lanes << " lanes, warm cache";
+  }
+  (void)exec::configure_threads();
 }
 
 TEST_F(ServeEndToEnd, ConcurrentClientsGetCorrectAnswers) {
