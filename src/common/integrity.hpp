@@ -1,5 +1,6 @@
-// File integrity for on-disk text artifacts (dataset CSV exports, the
-// campaign-store META): a FNV-1a 64 checksum footer, and
+// File integrity for on-disk artifacts: a FNV-1a 64 checksum footer for
+// the text ones (dataset CSV exports, the campaign-store META, trained
+// model files), XXH64 for the campaign store's raw column bytes, and
 // atomic publish via write-to-temp + rename so readers never observe a
 // half-written file.
 #pragma once
@@ -19,10 +20,16 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
 
 /// Incremental FNV-1a: fold `n` bytes into a running hash state. Seeding
 /// with `kFnvBasis` and chaining calls over consecutive chunks yields
-/// exactly `fnv1a64` of the concatenation; the campaign store hashes each
-/// raw column file with it.
+/// exactly `fnv1a64` of the concatenation. It folds one byte per
+/// multiply (about 1.3 ns per byte), so it suits kilobytes, not columns.
 [[nodiscard]] std::uint64_t fnv1a64_update(std::uint64_t state, const void* data,
                                            std::size_t n) noexcept;
+
+/// XXH64 with seed 0, after the public XXH64 specification: four lanes
+/// over 32-byte stripes, then the 8-, 4- and 1-byte tails, then the
+/// avalanche. Stable across platforms; `data` needs no alignment. The
+/// campaign store checks every raw column with it.
+[[nodiscard]] std::uint64_t xxh64(const void* data, std::size_t n) noexcept;
 
 /// Footer line marker; the full footer is "#dfv-crc <16 hex digits>\n".
 inline constexpr std::string_view kChecksumPrefix = "#dfv-crc ";

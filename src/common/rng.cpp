@@ -54,43 +54,6 @@ double Rng::exponential(double rate) noexcept {
   return -std::log(u) / rate;
 }
 
-std::uint64_t Rng::poisson(double mean) noexcept {
-  if (mean <= 0.0) return 0;
-  if (mean < 30.0) {
-    // Knuth's multiplication method.
-    const double limit = std::exp(-mean);
-    double p = 1.0;
-    std::uint64_t k = 0;
-    do {
-      ++k;
-      p *= uniform();
-    } while (p > limit);
-    return k - 1;
-  }
-  // Normal approximation with continuity correction for large means.
-  const double x = normal(mean, std::sqrt(mean));
-  return x < 0.5 ? 0 : static_cast<std::uint64_t>(x + 0.5);
-}
-
-double Rng::pareto(double xm, double alpha) noexcept {
-  double u = uniform();
-  while (u <= 0.0) u = uniform();
-  return xm / std::pow(u, 1.0 / alpha);
-}
-
-std::size_t Rng::weighted_index(std::span<const double> weights) noexcept {
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) return weights.empty() ? 0 : uniform_index(weights.size());
-  double r = uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (r < w) return i;
-    r -= w;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) noexcept {
   if (k > n) k = n;
   // Partial Fisher–Yates over an index vector. The draw sequence (one

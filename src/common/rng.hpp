@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace dfv {
@@ -85,17 +84,8 @@ class Rng {
   /// Exponential with given rate (mean = 1/rate).
   [[nodiscard]] double exponential(double rate) noexcept;
 
-  /// Poisson-distributed count with given mean (Knuth for small, normal approx for large).
-  [[nodiscard]] std::uint64_t poisson(double mean) noexcept;
-
   /// Bernoulli trial with probability p.
   [[nodiscard]] bool bernoulli(double p) noexcept { return uniform() < p; }
-
-  /// Pareto (heavy-tailed) sample with scale xm > 0 and shape alpha > 0.
-  [[nodiscard]] double pareto(double xm, double alpha) noexcept;
-
-  /// Sample an index according to non-negative weights (linear scan).
-  [[nodiscard]] std::size_t weighted_index(std::span<const double> weights) noexcept;
 
   /// Fisher–Yates shuffle.
   template <typename T>

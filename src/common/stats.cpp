@@ -115,12 +115,6 @@ double spearman(std::span<const double> xs, std::span<const double> ys) {
   return pearson(rx, ry);
 }
 
-double coeff_variation(std::span<const double> xs) {
-  const double m = mean(xs);
-  if (m == 0.0) return 0.0;
-  return stddev(xs) / m;
-}
-
 void Online::add(double x) noexcept {
   if (n_ == 0) {
     min_ = max_ = x;

@@ -42,9 +42,6 @@ struct Summary {
 /// Ranks with ties averaged, 1-based (as used by Spearman).
 [[nodiscard]] std::vector<double> ranks(std::span<const double> xs);
 
-/// Coefficient of variation: stddev / mean (0 when mean == 0).
-[[nodiscard]] double coeff_variation(std::span<const double> xs);
-
 /// Welford-style streaming moments.
 class Online {
  public:

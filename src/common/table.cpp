@@ -73,16 +73,4 @@ std::string format_sci(double v, int precision) {
   return os.str();
 }
 
-std::string format_bytes(double bytes) {
-  static constexpr const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
-  int u = 0;
-  while (bytes >= 1024.0 && u < 4) {
-    bytes /= 1024.0;
-    ++u;
-  }
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(bytes < 10 ? 2 : 1) << bytes << ' ' << kUnits[u];
-  return os.str();
-}
-
 }  // namespace dfv

@@ -44,7 +44,4 @@ class Table {
 /// Format a double in engineering style (e.g. 1.2e+08) for counters.
 [[nodiscard]] std::string format_sci(double v, int precision = 2);
 
-/// Format bytes as a human-readable quantity (KiB/MiB/GiB).
-[[nodiscard]] std::string format_bytes(double bytes);
-
 }  // namespace dfv

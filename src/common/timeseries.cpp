@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/stats.hpp"
 
 namespace dfv {
 
@@ -21,26 +20,6 @@ double Ar1::step(Rng& rng) noexcept {
   return x_;
 }
 
-std::vector<double> moving_average(std::span<const double> xs, std::size_t half) {
-  std::vector<double> out(xs.size(), 0.0);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(xs.size() - 1, i + half);
-    double s = 0.0;
-    for (std::size_t j = lo; j <= hi; ++j) s += xs[j];
-    out[i] = s / double(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<double> remove_mean_curve(std::span<const double> xs,
-                                      std::span<const double> mean) {
-  DFV_CHECK(xs.size() == mean.size());
-  std::vector<double> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = xs[i] - mean[i];
-  return out;
-}
-
 std::vector<double> mean_curve(const std::vector<std::vector<double>>& series) {
   if (series.empty()) return {};
   const std::size_t T = series.front().size();
@@ -51,19 +30,6 @@ std::vector<double> mean_curve(const std::vector<std::vector<double>>& series) {
   }
   for (double& v : out) v /= double(series.size());
   return out;
-}
-
-double autocorrelation_lag1(std::span<const double> xs) {
-  if (xs.size() < 3) return 0.0;
-  const double m = stats::mean(xs);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double d = xs[i] - m;
-    den += d * d;
-    if (i + 1 < xs.size()) num += d * (xs[i + 1] - m);
-  }
-  if (den <= 0.0) return 0.0;
-  return num / den;
 }
 
 }  // namespace dfv

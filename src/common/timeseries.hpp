@@ -3,7 +3,6 @@
 // (mean-centering, sliding windows).
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,17 +43,7 @@ class Ar1 {
   double phi_, sigma_, x_;
 };
 
-/// Centered moving average with window 2*half+1 (shrinks at boundaries).
-[[nodiscard]] std::vector<double> moving_average(std::span<const double> xs, std::size_t half);
-
-/// Subtract `mean_curve[i]` from `xs[i]` elementwise (sizes must match).
-[[nodiscard]] std::vector<double> remove_mean_curve(std::span<const double> xs,
-                                      std::span<const double> mean_curve);
-
 /// Column means over a set of equal-length series: result[t] = mean_i series[i][t].
 [[nodiscard]] std::vector<double> mean_curve(const std::vector<std::vector<double>>& series);
-
-/// Lag-1 autocorrelation of a series (0 if too short or constant).
-[[nodiscard]] double autocorrelation_lag1(std::span<const double> xs);
 
 }  // namespace dfv

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"

@@ -26,7 +26,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kMetaMagic = "dfv-campaign-store";
-constexpr int kMetaVersion = 3;
+constexpr int kMetaVersion = 4;
 
 constexpr std::array<const char*, 3> kSubStores = {"runs", "steps", "neigh"};
 
@@ -133,8 +133,8 @@ template <class F>
     const auto bytes = kU8<F> ? std::as_bytes(std::span(col.u8)) : std::as_bytes(std::span(col.f64));
     file.append(bytes.data(), bytes.size());
     rows[kSub<F>] = kU8<F> ? col.u8.size() : col.f64.size();
-    columns << "column " << column_name(field) << ' '
-            << hex64(fnv1a64_update(kFnvBasis, bytes.data(), bytes.size())) << '\n';
+    columns << "column " << column_name(field) << ' ' << hex64(xxh64(bytes.data(), bytes.size()))
+            << '\n';
   });
   file.sync();
   std::ostringstream lines;
@@ -232,10 +232,10 @@ CampaignStorePin CampaignStorePin::open(const std::string& dir) {
 }
 
 void CampaignStorePin::verify(std::size_t first, std::size_t last) const {
-  // One flag per (dataset, column) in that order. FNV-1a is serial within
-  // a column, so a task covers whole columns: consecutive ones, closed
-  // once it holds kVerifyGrain bytes. An entry smaller than that is one
-  // task, which the pool runs inline on the caller.
+  // One flag per (dataset, column) in that order. A task covers whole
+  // columns (one hash each): consecutive ones, closed once it holds
+  // kVerifyGrain bytes. An entry smaller than that is one task, which the
+  // pool runs inline on the caller.
   constexpr std::size_t kVerifyGrain = std::size_t(64) << 10;
   const std::size_t per = store_columns(), n = (last - first) * per;
   const auto column = [&](std::size_t k) -> std::pair<const Entry&, std::size_t> {
@@ -256,8 +256,7 @@ void CampaignStorePin::verify(std::size_t first, std::size_t last) const {
   exec::parallel_for(0, starts.size() - 1, 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t k = starts[lo]; k < starts[hi]; ++k) {
       const auto [e, j] = column(k);
-      ok[k] = fnv1a64_update(kFnvBasis, e.file.data() + e.offset[j],
-                             e.offset[j + 1] - e.offset[j]) == e.crc[j];
+      ok[k] = xxh64(e.file.data() + e.offset[j], e.offset[j + 1] - e.offset[j]) == e.crc[j];
     }
   });
   // Report the first damaged column in (dataset, column) order, so the

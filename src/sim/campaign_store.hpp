@@ -3,13 +3,13 @@
 // checksummed META as the single commit point. Opening costs O(META
 // parse + one mmap per dataset); run_campaign_cached then materializes
 // every dataset straight off the mappings (load_all) instead of parsing
-// text: first every column's CRC is checked in one pool region, whole
-// columns per task, then the datasets decode one after another on the
-// calling thread.
+// text: first every column's XXH64 checksum (the "CRC" of META and of
+// the errors) is checked in one pool region, whole columns per task, then
+// the datasets decode one after another on the calling thread.
 //
 // Layout:
-//   <dir>/META           "dfv-campaign-store 3", per dataset its runs/
-//                        steps/neigh row counts and one FNV-1a CRC per
+//   <dir>/META           "dfv-campaign-store 4", per dataset its runs/
+//                        steps/neigh row counts and one XXH64 CRC per
 //                        column; `#dfv-crc` footer; written strictly last
 //   <dir>/<label>.col    the dataset's columns back to back, in
 //                        sim/record_fields.hpp store order; a column is

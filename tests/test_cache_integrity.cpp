@@ -1,12 +1,15 @@
 // Integrity layer (FNV-1a footers, atomic publish) behind the dataset CSV
-// export, and the hardened campaign cache: a damaged campaign-store entry
-// is evicted and the campaign regenerates transparently.
+// export, the XXH64 column checksum of the campaign store, and the
+// hardened campaign cache: a damaged campaign-store entry is evicted and
+// the campaign regenerates transparently.
 #include "common/integrity.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -110,6 +113,77 @@ TEST_F(CacheIntegrityTest, MissingFooterLeavesContentUntouched) {
   // An empty file has no footer either.
   std::string empty;
   EXPECT_EQ(verify_and_strip_checksum(empty), ChecksumStatus::Missing);
+}
+
+// ---------------------------------------------------------------------------
+// XXH64, the campaign store's column checksum
+// ---------------------------------------------------------------------------
+
+/// A fixed byte pattern of length n.
+std::vector<unsigned char> pattern(std::size_t n) {
+  std::vector<unsigned char> bytes(n);
+  for (std::size_t i = 0; i < n; ++i) bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+  return bytes;
+}
+
+TEST_F(CacheIntegrityTest, Xxh64KnownVectors) {
+  // The vectors published with the XXH64 specification (seed 0).
+  EXPECT_EQ(xxh64("", 0), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(xxh64("a", 1), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(xxh64("abc", 3), 0x44BC2CF5AD770999ull);
+}
+
+TEST_F(CacheIntegrityTest, Xxh64GoldenOverStripesAndEveryTail) {
+  // 1039 = 32 stripes of 32 bytes, then an 8-, a 4- and three 1-byte
+  // tails. Every committed campaign-store META holds values of this
+  // function: moving this golden means bumping kMetaVersion in
+  // src/sim/campaign_store.cpp.
+  const auto bytes = pattern(1039);
+  EXPECT_EQ(xxh64(bytes.data(), bytes.size()), 0x4cbc773db2b755acull)
+      << std::hex << xxh64(bytes.data(), bytes.size());
+}
+
+TEST_F(CacheIntegrityTest, Xxh64IgnoresAlignment) {
+  // A store column that follows a u8 column starts at an odd offset.
+  const auto bytes = pattern(203);
+  const std::uint64_t want = xxh64(bytes.data(), bytes.size());
+  std::vector<unsigned char> buf(bytes.size() + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    std::memcpy(buf.data() + off, bytes.data(), bytes.size());
+    EXPECT_EQ(xxh64(buf.data() + off, bytes.size()), want) << "offset " << off;
+  }
+}
+
+TEST_F(CacheIntegrityTest, Xxh64SeesEverySingleBitFlip) {
+  // Lengths 0-100 cover the no-stripe and stripe paths and every mix of
+  // 8-, 4- and 1-byte tails.
+  for (std::size_t n = 0; n <= 100; ++n) {
+    auto bytes = pattern(n);
+    const std::uint64_t clean = xxh64(bytes.data(), n);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      ASSERT_NE(xxh64(bytes.data(), n), clean) << "length " << n << " bit " << bit;
+      bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST_F(CacheIntegrityTest, Xxh64SeesTwoSignFlipsThatWordWiseFnvMisses) {
+  // Negating two consecutive doubles flips bit 63 of two words. A
+  // word-wise FNV, h = (h ^ w) * prime, cannot see it: a multiply never
+  // carries bit 63 downward, so the second flip cancels the first.
+  std::vector<double> column = {1.5, -2.25, 3.0, 4.75, 5.5, 6.0, 7.25, 8.0};
+  const auto word_fnv = [](const std::vector<double>& xs) {
+    std::uint64_t h = kFnvBasis;
+    for (double x : xs) h = (h ^ std::bit_cast<std::uint64_t>(x)) * 0x100000001b3ull;
+    return h;
+  };
+  const std::size_t size = column.size() * sizeof(double);
+  const std::uint64_t fnv = word_fnv(column), clean = xxh64(column.data(), size);
+  column[0] = -column[0];
+  column[1] = -column[1];
+  EXPECT_EQ(word_fnv(column), fnv);  // the blind spot this test is about
+  EXPECT_NE(xxh64(column.data(), size), clean);
 }
 
 // ---------------------------------------------------------------------------

@@ -88,11 +88,6 @@ TEST(Stats, RanksAverageTies) {
   EXPECT_DOUBLE_EQ(r[3], 4.0);
 }
 
-TEST(Stats, CoeffVariation) {
-  const std::vector<double> xs = {9, 10, 11};
-  EXPECT_NEAR(coeff_variation(xs), 1.0 / 10.0, 1e-12);
-}
-
 TEST(Stats, OnlineMatchesBatch) {
   const std::vector<double> xs = {1.5, 2.5, -3.0, 7.25, 0.0, 4.5};
   Online o;

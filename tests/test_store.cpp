@@ -269,7 +269,7 @@ TEST_F(RecordFormatGolden, CampaignStoreEntryDigest) {
     h = fnv1a64_update(h, path.data(), path.size() + 1);  // NUL-terminated name
     h = fnv1a64_update(h, bytes.data(), bytes.size());
   }
-  EXPECT_EQ(h, 0xf2c1b7c6f3b61d49ull) << std::hex << h;
+  EXPECT_EQ(h, 0xb65cb3c02e2a8631ull) << std::hex << h;
 }
 
 // The raw column bytes alone: every column of the entry (its name + NUL +
@@ -360,37 +360,43 @@ TEST_F(StoreTest, CachedStoreFormatLoadsAndEvictsCorruptEntries) {
     EXPECT_NE(e.path().extension(), ".tmp") << e.path();
 }
 
-/// Set row `row` of the F64 runs column `name` of dataset `label` to `v`
-/// in the dataset file and re-sign META with the column's fresh CRC: a
-/// well-formed entry holding a bad value.
-void rewrite_f64_cell(const fs::path& entry, const std::string& label, const std::string& name,
-                      std::size_t row, double v) {
-  const ColumnSlice col = column_slices(entry).at(label + "/runs/" + name + ".col");
-  ASSERT_GE(col.size, (row + 1) * sizeof(double));
-  std::string bytes = slurp(col.file);
-  ASSERT_GE(bytes.size(), col.offset + col.size);
-  std::memcpy(bytes.data() + col.offset + row * sizeof(double), &v, sizeof v);
-  spill(col.file, bytes);
-  char crc[20];
-  std::snprintf(crc, sizeof crc, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a64_update(kFnvBasis, bytes.data() + col.offset, col.size)));
+/// The entry's META text with the CRC of each column named in `crcs` (by
+/// `<label>/<sub>/<name>.col`, as column_slices names it) replaced.
+std::string meta_with_crcs(const fs::path& entry, const std::map<std::string, std::uint64_t>& crcs) {
   std::istringstream in(read_meta(entry));
   std::string meta, line, dataset;
-  bool resigned = false;
+  std::size_t resigned = 0;
   while (std::getline(in, line)) {
     std::istringstream words(line);
     std::string kw, a, b;
     words >> kw >> a >> b;
     if (kw == "dataset") dataset = a + "-" + b;
-    if (kw == "column" && dataset == label && a == "runs/" + name) {
-      line = kw + ' ' + a + ' ' + crc;
-      resigned = true;
+    const auto crc = crcs.find(dataset + "/" + a + ".col");
+    if (kw == "column" && crc != crcs.end()) {
+      char hex[20];
+      std::snprintf(hex, sizeof hex, "%016llx", static_cast<unsigned long long>(crc->second));
+      line = kw + ' ' + a + ' ' + hex;
+      ++resigned;
     }
     meta += line + '\n';
   }
-  ASSERT_TRUE(resigned) << label << " runs/" << name;
-  write_meta(entry, meta);
+  EXPECT_EQ(resigned, crcs.size());
+  return meta;
+}
+
+/// Set row `row` of the F64 runs column `name` of dataset `label` to `v`
+/// in the dataset file and re-sign META with the column's fresh CRC: a
+/// well-formed entry holding a bad value.
+void rewrite_f64_cell(const fs::path& entry, const std::string& label, const std::string& name,
+                      std::size_t row, double v) {
+  const std::string key = label + "/runs/" + name + ".col";
+  const ColumnSlice col = column_slices(entry).at(key);
+  ASSERT_GE(col.size, (row + 1) * sizeof(double));
+  std::string bytes = slurp(col.file);
+  ASSERT_GE(bytes.size(), col.offset + col.size);
+  std::memcpy(bytes.data() + col.offset + row * sizeof(double), &v, sizeof v);
+  spill(col.file, bytes);
+  write_meta(entry, meta_with_crcs(entry, {{key, xxh64(bytes.data() + col.offset, col.size)}}));
 }
 
 TEST_F(StoreTest, BadIntegerCellsAreCorruptEntries) {
@@ -438,13 +444,17 @@ TEST_F(StoreTest, DamagedEntryIsEvictedAndRegenerated) {
   const std::string clean_meta = slurp(entry / "META");
 
   const std::vector<std::pair<std::string, void (*)(const fs::path&)>> damages = {
-      // An entry written by an older build: a well-signed version-2 META.
-      {"META version 2",
+      // An entry written by the previous build, byte for byte: a
+      // well-signed version-3 META whose column CRCs are byte-serial FNV-1a.
+      {"META version 3",
        [](const fs::path& e) {
-         std::string text = read_meta(e);
-         const std::string v3 = "dfv-campaign-store 3\n";
-         ASSERT_EQ(text.rfind(v3, 0), 0u);
-         write_meta(e, "dfv-campaign-store 2\n" + text.substr(v3.size()));
+         std::map<std::string, std::uint64_t> fnv;
+         for (const auto& [name, col] : column_slices(e))
+           fnv[name] = fnv1a64(slurp(col.file).substr(col.offset, col.size));
+         std::string text = meta_with_crcs(e, fnv);
+         const std::string v4 = "dfv-campaign-store 4\n";
+         ASSERT_EQ(text.rfind(v4, 0), 0u);
+         write_meta(e, "dfv-campaign-store 3\n" + text.substr(v4.size()));
        }},
       // A dataset file one byte shorter than its columns.
       {"short column",

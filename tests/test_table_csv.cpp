@@ -36,12 +36,6 @@ TEST(Format, Double) {
 
 TEST(Format, Sci) { EXPECT_EQ(format_sci(12345.0, 2), "1.23e+04"); }
 
-TEST(Format, Bytes) {
-  EXPECT_EQ(format_bytes(512), "512.0 B");
-  EXPECT_EQ(format_bytes(2048), "2.00 KiB");
-  EXPECT_EQ(format_bytes(3.5 * 1024 * 1024), "3.50 MiB");
-}
-
 TEST(Csv, RoundTripSimple) {
   Csv c;
   c.header = {"a", "b"};

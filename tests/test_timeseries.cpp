@@ -3,12 +3,25 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
 
 namespace dfv {
 namespace {
+
+/// Lag-1 autocorrelation of a series.
+double autocorrelation_lag1(const std::vector<double>& xs) {
+  const double m = stats::mean(xs);
+  double num = 0.0, den = 0.0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const double d = xs[i] - m;
+    den += d * d;
+    if (i + 1 < xs.size()) num += d * (xs[i + 1] - m);
+  }
+  return num / den;
+}
 
 TEST(OuProcess, MeanReversion) {
   Rng rng(1);
@@ -50,16 +63,6 @@ TEST(Ar1, StationaryVariance) {
   EXPECT_NEAR(autocorrelation_lag1(xs), phi, 0.02);
 }
 
-TEST(MovingAverage, SmoothsAndPreservesConstant) {
-  const std::vector<double> constant(10, 3.0);
-  EXPECT_EQ(moving_average(constant, 2), constant);
-
-  const std::vector<double> spiky = {0, 0, 10, 0, 0};
-  const auto sm = moving_average(spiky, 1);
-  EXPECT_NEAR(sm[2], 10.0 / 3.0, 1e-12);
-  EXPECT_NEAR(sm[0], 0.0, 1e-12);
-}
-
 TEST(MeanCurve, ColumnMeans) {
   const std::vector<std::vector<double>> series = {{1, 2, 3}, {3, 4, 5}};
   const auto m = mean_curve(series);
@@ -71,19 +74,6 @@ TEST(MeanCurve, ColumnMeans) {
 TEST(MeanCurve, RejectsRaggedSeries) {
   const std::vector<std::vector<double>> ragged = {{1, 2}, {1}};
   EXPECT_THROW((void)mean_curve(ragged), ContractError);
-}
-
-TEST(RemoveMeanCurve, Subtracts) {
-  const std::vector<double> xs = {5, 6, 7};
-  const std::vector<double> mean = {1, 2, 3};
-  const auto out = remove_mean_curve(xs, mean);
-  EXPECT_DOUBLE_EQ(out[0], 4.0);
-  EXPECT_DOUBLE_EQ(out[2], 4.0);
-}
-
-TEST(Autocorrelation, EdgeCases) {
-  EXPECT_DOUBLE_EQ(autocorrelation_lag1(std::vector<double>{1.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(autocorrelation_lag1(std::vector<double>(10, 4.0)), 0.0);
 }
 
 }  // namespace
